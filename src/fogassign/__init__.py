@@ -10,7 +10,6 @@ tools including a serverless spin-down model.
 
 from .characterize import (
     CdfErrorCurve,
-    EcdfEstimate,
     ServerlessModel,
     cdf_distance,
     error_curve,
@@ -37,7 +36,6 @@ from .solver import (
     Placement,
     UtilityTable,
     brute_force_optimum,
-    lqm,
     solve_capacitated,
     solve_uncapacitated,
     validate_plan,
@@ -49,7 +47,6 @@ from .utility import (
     TimeUtility,
     UtilityReport,
     WaitReadyFirst,
-    eval_time_utility,
     expected_utility,
     risk_probability,
 )

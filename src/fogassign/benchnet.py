@@ -210,6 +210,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                raise ValueError(f"Content-Length must be >= 0 (got {length})")
             body = self.rfile.read(length).decode()
             t0 = time.perf_counter()
             values = []

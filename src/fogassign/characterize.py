@@ -20,7 +20,6 @@ import numpy as np
 from .latency import Empirical, LatencyDistribution, Mixture, make_rng
 
 __all__ = [
-    "EcdfEstimate",
     "estimate_cdf",
     "cdf_distance",
     "ks_statistic",
@@ -40,31 +39,8 @@ class InsufficientDataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EcdfEstimate:
-    """Step-function CDF estimate from N uncensored samples."""
-
-    samples_sorted: np.ndarray
-    n: int
-
-    def cdf(self, t):
-        out = np.searchsorted(self.samples_sorted, np.asarray(t, dtype=float), side="right") / self.n
-        return float(out) if np.ndim(t) == 0 else out
-
-    def quantile(self, p):
-        parr = np.asarray(p, dtype=float)
-        idx = np.ceil(parr * self.n - 1e-12).astype(int) - 1
-        out = self.samples_sorted[np.clip(idx, 0, self.n - 1)]
-        return float(out) if np.ndim(p) == 0 else out
-
-    def breakpoints(self):
-        return tuple(np.unique(self.samples_sorted))
-
-    def to_distribution(self) -> Empirical:
-        return Empirical(self.samples_sorted)
-
-
-def estimate_cdf(samples) -> EcdfEstimate:
+def estimate_cdf(samples) -> Empirical:
+    """Step-function CDF estimate from N uncensored latency samples."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot estimate a CDF from zero samples")
@@ -72,8 +48,7 @@ def estimate_cdf(samples) -> EcdfEstimate:
         raise ValueError("samples must be finite (NaN/inf rejected)")
     if np.any(arr < 0.0):
         raise ValueError("latency samples must be nonnegative")
-    arr = np.sort(arr)
-    return EcdfEstimate(samples_sorted=arr, n=int(arr.size))
+    return Empirical(arr)
 
 
 def _grid_for(a, b, quantile_points: int = 1000) -> np.ndarray:

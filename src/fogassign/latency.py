@@ -66,6 +66,13 @@ def _as_array(t):
     return np.asarray(t, dtype=float)
 
 
+def _require_finite(kind: str, **params) -> None:
+    """Reject NaN and infinite model parameters, naming the offending field."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite (got {value!r})")
+
+
 def _maybe_scalar(out, t):
     if np.ndim(t) == 0:
         return float(out)
@@ -134,6 +141,7 @@ class Gev(LatencyDistribution):
     loc: float
 
     def __post_init__(self):
+        _require_finite("gev", shape=self.shape, scale=self.scale, loc=self.loc)
         if not (self.shape > 0.0):
             raise ValueError("shape must be > 0 (heavy-tailed type only)")
         if not (self.scale > 0.0):
@@ -166,6 +174,7 @@ class Uniform(LatencyDistribution):
     hi: float
 
     def __post_init__(self):
+        _require_finite("uniform", lo=self.lo, hi=self.hi)
         if not (self.lo < self.hi):
             raise ValueError("uniform bounds require lo < hi")
 
@@ -234,6 +243,9 @@ class Degenerate(LatencyDistribution):
 
     value: float
 
+    def __post_init__(self):
+        _require_finite("degenerate", value=self.value)
+
     def _cdf(self, t):
         return np.where(t >= self.value, 1.0, 0.0)
 
@@ -262,6 +274,8 @@ class Mixture(LatencyDistribution):
         w = np.array(weights, dtype=float)
         if len(components) == 0 or w.size != len(components):
             raise ValueError("mixture needs matching nonempty components and weights")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"mixture weights must be finite (got {w.tolist()!r})")
         if np.any(w < 0.0):
             raise ValueError("mixture weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > MIXTURE_WEIGHT_TOL:

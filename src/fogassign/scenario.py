@@ -193,13 +193,25 @@ class Scenario:
         Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n")
 
 
+def _capacity_from_config(n: dict) -> int | None:
+    cap = n.get("capacity", "inf")
+    if cap == "inf":
+        return None
+    value = float(cap)
+    if not value.is_integer():
+        raise ScenarioError(
+            f"node {n['id']}: capacity must be an integer or 'inf' (got {cap!r})"
+        )
+    return int(value)
+
+
 def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
     try:
         nodes = [
             NodeSpec(
                 id=str(n["id"]),
                 options=tuple(str(x) for x in n["options"]),
-                capacity=None if n.get("capacity", "inf") == "inf" else int(n["capacity"]),
+                capacity=_capacity_from_config(n),
             )
             for n in cfg["nodes"]
         ]

@@ -31,7 +31,6 @@ __all__ = [
     "run_baseline",
     "round9",
     "emit",
-    "emit_plan_csv",
 ]
 
 BASELINES = ("min-latency", "max-quality")
@@ -192,7 +191,3 @@ def emit(record: dict, fmt: str, path) -> Path:
                 )
         return path
     raise ValueError(f"unknown emit format {fmt!r}")
-
-
-def emit_plan_csv(plan: AssignmentPlan, path) -> Path:
-    return emit(plan.to_record(), "csv", path)

@@ -30,9 +30,10 @@ exactly 0 are rejected rather than placed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .scenario import NodeSpec, Scenario
+from .scenario import Scenario
 from .utility import TaskSpec, UtilityReport, expected_utility, risk_probability
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "AssignmentPlan",
     "UtilityTable",
     "CapGainTable",
-    "lqm",
     "solve_uncapacitated",
     "solve_capacitated",
     "complete_uncapacitated",
@@ -133,41 +133,14 @@ class UtilityTable:
         return rep
 
 
-def lqm(task: TaskSpec, node: NodeSpec, dists) -> tuple[str | None, float]:
-    """Best feasible option for ``task`` on one node.
-
-    ``dists`` maps option id to its latency distribution.  Risk-infeasible
-    options score 0; if every option scores 0 the node offers the task
-    nothing and (None, 0.0) is returned.  Ties go to the earlier option.
-    """
-    best_x, best_u = None, 0.0
-    for x in node.options:
-        if (node.id, x) not in task.intrinsic:
-            continue
-        rep = expected_utility(task, node.id, x, dists[x])
-        if rep.utility > best_u:
-            best_x, best_u = x, rep.utility
-    return best_x, best_u
-
-
-def _best_on_node(table: UtilityTable, task: TaskSpec, node: NodeSpec) -> Placement | None:
-    """Table-backed equivalent of lqm, returning a full placement."""
-    best: Placement | None = None
-    for x in node.options:
-        if (node.id, x) not in task.intrinsic:
-            continue
-        rep = table.report(task.id, node.id, x)
-        if rep.utility > (best.utility if best else 0.0):
-            best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
-    return best
-
-
 def _best_placement(table: UtilityTable, task: TaskSpec, nodes) -> Placement | None:
-    """Scan nodes for the task's best placement.
+    """Scan nodes for the task's best placement, or None if none is positive.
 
+    Options of utility <= 0 (including risk-infeasible ones) are skipped.
     Equal utilities prefer unlimited-capacity nodes (conserving finite
     slots), then earlier nodes, then earlier options; the ordering is what
-    makes every solver deterministic.
+    makes every solver deterministic.  Called with one node it gives the
+    best option on that node.
     """
     best: Placement | None = None
     best_key = None
@@ -236,10 +209,6 @@ class CapGainTable:
     cap_best: dict[tuple[str, str], Placement | None] = field(default_factory=dict)
     fallback: dict[str, Placement | None] = field(default_factory=dict)
 
-    def fallback_utility(self, task_id: str) -> float:
-        p = self.fallback.get(task_id)
-        return p.utility if p is not None else 0.0
-
 
 def capacitated_gains(
     residual: list[TaskSpec], scenario: Scenario, table: UtilityTable | None = None
@@ -253,7 +222,7 @@ def capacitated_gains(
         out.fallback[t.id] = fb
         u_inf = fb.utility if fb is not None else 0.0
         for node in finite_nodes:
-            best = _best_on_node(table, t, node)
+            best = _best_placement(table, t, [node])
             out.cap_best[(t.id, node.id)] = best
             u_z = best.utility if best is not None else 0.0
             out.gains[(t.id, node.id)] = u_z - u_inf
@@ -268,9 +237,10 @@ def choose_for_capacitated(
     ``gain1[i]``/``gain2[i]`` are task i's capacitated gains on the first
     and second finite node; a missing second node is modeled as c2 = 0.
     State value h(i, a, b) is the best achievable gain from the first i
-    tasks using a slots on node 1 and b on node 2; each task is taken by
-    node 1, taken by node 2, or skipped.  Ties prefer skipping (never
-    spend a slot for zero gain), then node 1.
+    tasks using at most a slots on node 1 and b on node 2; each task is
+    taken by node 1, taken by node 2, or skipped.  Ties prefer skipping
+    (never spend a slot for zero gain, and on equal gains the earlier task
+    keeps the slot), then node 1.
 
     Returns (tasks for node 1, tasks for node 2, unplaced tasks) in input
     order; the unplaced go on to the fallback/rejection stage.
@@ -296,16 +266,11 @@ def choose_for_capacitated(
                 h[a][b] = best
                 ch[a][b] = which
         choices.append(ch)
-    # Global max over fill levels; monotonicity in capacity puts it at the
-    # full-capacity corner, but scanning keeps the argmax explicit and the
-    # smallest fill level wins ties.
-    best_a, best_b, best_v = 0, 0, h[0][0]
-    for a in range(c1 + 1):
-        for b in range(c2 + 1):
-            if h[a][b] > best_v:
-                best_a, best_b, best_v = a, b, h[a][b]
+    # h(i, a, b) allows at most a and b slots, so it is monotone in capacity
+    # and the full-capacity corner holds the optimum; backtracking from it
+    # keeps the per-cell tie rule (skip, then node 1) as the only one.
     set1, set2, unplaced = [], [], []
-    a, b = best_a, best_b
+    a, b = c1, c2
     for i in range(n, 0, -1):
         which = choices[i - 1][a][b]
         if which == 1:
@@ -394,7 +359,7 @@ def brute_force_optimum(scenario: Scenario, table: UtilityTable | None = None) -
     infinite_nodes = [n for n in scenario.nodes if n.infinite]
     task_ids = [t.id for t in scenario.tasks]
     node_best = {
-        (t.id, n.id): _best_on_node(table, t, n)
+        (t.id, n.id): _best_placement(table, t, [n])
         for t in scenario.tasks
         for n in finite_nodes
     }
@@ -452,7 +417,8 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan, tol: float = TOTAL_T
     Verifies: one decision per task, placements reference offered options,
     node capacities are respected, each placement's timeliness risk fits
     the task budget (risk recomputed from the latency model, not trusted
-    from the plan), and the recorded utilities and total are consistent.
+    from the plan), and the recorded utilities and total are finite and
+    consistent.
     """
     problems: list[str] = []
     task_ids = [t.id for t in scenario.tasks]
@@ -484,7 +450,9 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan, tol: float = TOTAL_T
                 f"task {t.id}: risk {risk!r} exceeds budget {t.risk_budget!r} on ({p.node}, {p.option})"
             )
         rep = expected_utility(t, p.node, p.option, dist)
-        if abs(rep.utility - p.utility) > 1e-6:
+        if not math.isfinite(p.utility):
+            problems.append(f"task {t.id}: recorded utility {p.utility!r} is not finite")
+        elif abs(rep.utility - p.utility) > 1e-6:
             problems.append(
                 f"task {t.id}: recorded utility {p.utility!r} differs from recomputed {rep.utility!r}"
             )
@@ -494,7 +462,9 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan, tol: float = TOTAL_T
             problems.append(
                 f"node {node.id}: {load[node.id]} tasks placed, capacity {node.capacity}"
             )
-    if abs(total - plan.total_utility) > tol:
+    if not math.isfinite(plan.total_utility):
+        problems.append(f"total utility {plan.total_utility!r} is not finite")
+    elif abs(total - plan.total_utility) > tol:
         problems.append(
             f"total utility {plan.total_utility!r} differs from sum of placements {total!r}"
         )

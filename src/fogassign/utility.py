@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import LatencyDistribution, expect_transform
+from .latency import LatencyDistribution, _require_finite, expect_transform
 
 __all__ = [
     "TimeUtility",
@@ -34,7 +34,6 @@ __all__ = [
     "WaitReadyFirst",
     "TaskSpec",
     "UtilityReport",
-    "eval_time_utility",
     "risk_probability",
     "expected_utility",
     "utility_from_config",
@@ -78,6 +77,11 @@ class Step(TimeUtility):
 
     tv: float
 
+    def __post_init__(self):
+        _require_finite("step", tv=self.tv)
+        if self.tv < 0.0:
+            raise ValueError(f"step tv must be >= 0 (got {self.tv!r})")
+
     def _value(self, t):
         return np.where(t <= self.tv, 1.0, 0.0)
 
@@ -96,6 +100,7 @@ class ExpDecay(TimeUtility):
     k: float
 
     def __post_init__(self):
+        _require_finite("exp", k=self.k)
         if not (self.k > 0.0):
             raise ValueError("decay rate k must be > 0")
 
@@ -117,6 +122,7 @@ class WaitReadyFirst(TimeUtility):
     ts: float
 
     def __post_init__(self):
+        _require_finite("wrf", te=self.te, ts=self.ts)
         if not (self.te < self.ts):
             raise ValueError("wait-readily-first requires te < ts")
 
@@ -131,11 +137,6 @@ class WaitReadyFirst(TimeUtility):
 
     def to_config(self):
         return {"kind": "wrf", "te": self.te, "ts": self.ts}
-
-
-def eval_time_utility(f: TimeUtility, t):
-    """Pointwise f(t); kept as a function for symmetry with the solvers."""
-    return f.value(t)
 
 
 def utility_from_config(cfg: dict) -> TimeUtility:

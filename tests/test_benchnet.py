@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import socket
 import urllib.error
 import urllib.request
 
@@ -113,6 +114,16 @@ class TestServer:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
+
+    def test_negative_content_length_rejected_without_waiting(self, server):
+        host, port = server.server_address[:2]
+        request = (b"POST /fsp HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n"
+                   b"Connection: close\r\n\r\n1.0\n")
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request)  # the connection stays open: no EOF to read to
+            with sock.makefile("rb") as reply:
+                status_line = reply.readline()
+        assert status_line.split()[1] == b"400"
 
     def test_range_enforced_without_override(self, strict_server):
         with pytest.raises(urllib.error.HTTPError) as err:

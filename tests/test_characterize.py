@@ -45,9 +45,8 @@ class TestEstimateCdf:
 
     def test_converts_to_distribution(self):
         est = estimate_cdf([0.2, 0.4])
-        dist = est.to_distribution()
-        assert isinstance(dist, Empirical)
-        assert dist.cdf(0.3) == 0.5
+        assert isinstance(est, Empirical)
+        assert est.cdf(0.3) == 0.5
 
 
 class TestCdfDistance:

@@ -98,6 +98,31 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="sum to 1"):
             load_scenario(write(tmp_path, cfg))
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("latency", 0, "dist"), {"kind": "mixture", "weights": [float("nan"), 1.0],
+                                      "components": [{"kind": "degenerate", "value": 0.2},
+                                                     {"kind": "degenerate", "value": 0.3}]},
+             "mixture weights"),
+            (("latency", 1, "dist", "value"), float("nan"), "degenerate value"),
+            (("latency", 0, "dist", "hi"), float("inf"), "uniform hi"),
+            (("tasks", 0, "utility", "tv"), float("nan"), "step tv"),
+            (("tasks", 0, "utility", "tv"), -0.5, "step tv"),
+            (("nodes", 1, "capacity"), 2.7, "capacity"),
+        ],
+        ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
+             "step-negative-tv", "fractional-capacity"],
+    )
+    def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
+        cfg = json.loads(json.dumps(MINIMAL))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(write(tmp_path, cfg))
+
     def test_dangling_intrinsic(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["tasks"][0]["intrinsic"].append({"node": "ghost", "option": "x", "value": 0.5})

@@ -14,11 +14,11 @@ from fogassign.solver import (
     UnsupportedTopologyError,
     UtilityTable,
     WrongSolverError,
+    _best_placement,
     brute_force_optimum,
     capacitated_gains,
     choose_for_capacitated,
     complete_uncapacitated,
-    lqm,
     reject_unassignable,
     solve_capacitated,
     solve_uncapacitated,
@@ -67,28 +67,35 @@ def step_scenario(task_values, capacities, budgets=None, name="synthetic"):
     return Scenario(name=name, tasks=tasks, nodes=nodes, latency=latency)
 
 
-class TestLqm:
+def best_on_node(task, node, dists):
+    """_best_placement over a single node, as stage 2 and the oracle use it."""
+    latency = {(task.id, node.id, x): d for x, d in dists.items()}
+    scen = Scenario(name="one-node", tasks=[task], nodes=[node], latency=latency)
+    return _best_placement(UtilityTable(scen), task, [node])
+
+
+class TestBestOnOneNode:
     def test_argmax_of_two_options(self):
         node = NodeSpec(id="z", options=("x0", "x1"))
         task = TaskSpec(id="t", time_utility=Step(1.0),
                         intrinsic={("z", "x0"): 0.3, ("z", "x1"): 0.45})
         dists = {"x0": Degenerate(0.5), "x1": Degenerate(0.5)}
-        assert lqm(task, node, dists) == ("x1", pytest.approx(0.45))
+        best = best_on_node(task, node, dists)
+        assert (best.option, best.utility) == ("x1", pytest.approx(0.45))
 
     def test_single_infeasible_option(self):
         node = NodeSpec(id="z", options=("x",))
         # value 0.0 < floor 0.5 with probability 0.2 > budget 0.1
         task = TaskSpec(id="t", time_utility=Step(0.5), intrinsic={("z", "x"): 0.9},
                         quality_floor=0.5, risk_budget=0.1)
-        x, u = lqm(task, node, {"x": Uniform(0.0, 2.5)})
-        assert (x, u) == (None, 0.0)
+        assert best_on_node(task, node, {"x": Uniform(0.0, 2.5)}) is None
 
     def test_tie_goes_to_earlier_option(self):
         node = NodeSpec(id="z", options=("x0", "x1"))
         task = TaskSpec(id="t", time_utility=Step(1.0),
                         intrinsic={("z", "x0"): 0.45, ("z", "x1"): 0.45})
         dists = {"x0": Degenerate(0.5), "x1": Degenerate(0.5)}
-        assert lqm(task, node, dists)[0] == "x0"
+        assert best_on_node(task, node, dists).option == "x0"
 
 
 class TestUncapacitated:
@@ -167,7 +174,6 @@ class TestCapacitatedGains:
         gains = capacitated_gains(residual, scen)
         assert gains.gains[("j0", "z0")] == pytest.approx(0.3)
         assert gains.fallback["j0"] is None
-        assert gains.fallback_utility("j0") == 0.0
 
     def test_infeasible_node_never_chosen_over_fallback(self):
         # j0 is risk-infeasible on finite z0 (gain -u_inf < 0) and gets
@@ -230,6 +236,9 @@ class TestChooseForCapacitated:
         assert total == pytest.approx(_enum_gain_total(g1, g2, 1, 1))
         assert total == pytest.approx(1.6)  # a on node1, b on node2
         assert (s1, s2) == (["a"], ["b"])
+
+    def test_tie_between_nodes_goes_to_first_node(self):
+        assert choose_for_capacitated(["a"], [0.5], [0.5], 1, 1) == (["a"], [], [])
 
     def test_zero_gain_tasks_are_skipped(self):
         s1, s2, unp = choose_for_capacitated(["a", "b"], [0.0, 0.0], [0.0, 0.0], 2, 2)
@@ -321,6 +330,12 @@ class TestSolveCapacitated:
         assert plan.total_utility == pytest.approx(0.6)
         assert validate_plan(scen, plan) == []
 
+    def test_earlier_task_keeps_the_slot_on_equal_gains(self):
+        scen = step_scenario([[0.5], [0.5]], [1])
+        plan = solve_capacitated(scen)
+        assert plan.placed_on("z0") == ["j0"]
+        assert plan.rejected() == ["j1"]
+
     def test_displaced_task_takes_fallback(self):
         # j0 gains more on the slot; j1 still lands on the infinite node
         scen = step_scenario([[0.6, 0.1], [0.5, 0.45]], [1, None])
@@ -403,6 +418,15 @@ class TestValidator:
         plan = solve_uncapacitated(scen)
         plan.total_utility += 0.1
         assert any("total" in p for p in validate_plan(scen, plan))
+
+    def test_flags_non_finite_utility_and_total(self):
+        scen = step_scenario([[0.5]], [None])
+        plan = solve_uncapacitated(scen)
+        plan.decisions["j0"] = Placement("z0", "x", float("nan"), 0.0)
+        plan.total_utility = float("nan")
+        problems = validate_plan(scen, plan)
+        assert any("utility nan is not finite" in p for p in problems)
+        assert any(p.startswith("total utility nan") for p in problems)
 
     def test_flags_unoffered_option(self):
         scen = step_scenario([[0.5]], [None])

@@ -10,7 +10,6 @@ from fogassign.utility import (
     Step,
     TaskSpec,
     WaitReadyFirst,
-    eval_time_utility,
     expected_utility,
     risk_probability,
 )
@@ -25,11 +24,11 @@ def make_task(f, a=1.0, q=0.0, budget=1.0, node="z", option="x"):
 
 class TestEval:
     def test_step_boundary_inclusive(self):
-        assert eval_time_utility(Step(0.5), 0.5) == 1.0
-        assert eval_time_utility(Step(0.5), 0.5000001) == 0.0
+        assert Step(0.5).value(0.5) == 1.0
+        assert Step(0.5).value(0.5000001) == 0.0
 
     def test_wrf_ramp_midpoint(self):
-        assert eval_time_utility(WaitReadyFirst(0.3, 0.4), 0.35) == pytest.approx(0.5)
+        assert WaitReadyFirst(0.3, 0.4).value(0.35) == pytest.approx(0.5)
 
     def test_wrf_flat_and_zero_regions(self):
         f = WaitReadyFirst(0.3, 0.4)
@@ -39,7 +38,7 @@ class TestEval:
         assert f.value(2.0) == 0.0
 
     def test_exp_decay_at_zero(self):
-        assert eval_time_utility(ExpDecay(1.0), 0.0) == 1.0
+        assert ExpDecay(1.0).value(0.0) == 1.0
 
     def test_vectorized(self):
         t = np.array([0.0, 0.35, 1.0])
@@ -50,6 +49,10 @@ class TestEval:
             ExpDecay(0.0)
         with pytest.raises(ValueError):
             WaitReadyFirst(0.4, 0.4)
+        for bad in (lambda: Step(float("nan")), lambda: Step(-0.1),
+                    lambda: ExpDecay(float("inf")), lambda: WaitReadyFirst(0.1, float("inf"))):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestLatencyBudget:
