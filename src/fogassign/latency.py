@@ -2,26 +2,28 @@
 
 Every distribution supports vectorized CDF and quantile evaluation,
 inverse-transform sampling from a caller-owned ``numpy.random.Generator``,
-and expectations of bounded transforms (the building block for expected
-task utilities).  Distribution objects are immutable after construction
-and safe to share across threads; all randomness comes from the RNG
-stream the caller passes in.
+and expectations of time-utilities (the building block for expected task
+utilities).  Distribution objects are immutable after construction and
+safe to share across threads; all randomness comes from the RNG stream
+the caller passes in.
 
 Heavy-tailed completion times (Frechet-type extreme value laws with a
 positive shape parameter) are first-class here because they fit measured
-fog latencies well.  Expectations are computed in quantile space,
-``E[g(T)] = integral of g(Q(u)) du over (0,1)``, which avoids having to
-truncate the tail.
+fog latencies well.  Expectations use the layer-cake identity.  A
+time-utility f is nonincreasing with values in [0, 1], so
+
+    E[f(T)] = int_0^1 P(f(T) >= s) ds = int_0^1 F(f^-1(s)) ds,
+
+where ``f^-1(s)`` is the largest latency still worth s.  The integrand is
+a CDF over a bounded interval, so the tail never has to be truncated.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 __all__ = [
@@ -36,23 +38,33 @@ __all__ = [
     "dist_from_config",
     "make_rng",
     "FitError",
-    "QuadratureError",
 ]
 
 MIXTURE_WEIGHT_TOL = 1e-9
 
-# Quadrature targets.  The engine aims far below the contractual ceiling so
-# that step-function expectations come out exact to float precision.
-QUAD_ABS_TOL = 1e-10
-QUAD_ABS_CEILING = 1e-6
+# Composite 16-point Gauss-Legendre rule in s = f(t).  The rule on [-1, 1]
+# is symmetric, so only its positive half is tabulated (computing it would
+# load an eigenvalue solver at import).
+_GL_X = np.array((0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499))
+_GL_W = np.array((0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                  0.062253523938647456, 0.027152459411754176))
+# The rule mapped onto [0, 1].
+_GL_NODES = 0.5 + 0.5 * np.concatenate([-_GL_X[::-1], _GL_X])
+_GL_WEIGHTS = 0.5 * np.concatenate([_GL_W[::-1], _GL_W])
+# Panel edges: the images under f of the distribution's breakpoints and of
+# a quantile ladder (1e-1..1e-14 in both tails plus the 5% grid), and the
+# dyadic points 2^-j, which grade the panels toward s = 0 where an
+# exponential budget -ln(s)/k diverges.
+_TAIL_P = 10.0 ** -np.arange(1, 15)
+_QUANTILE_LADDER = np.concatenate([_TAIL_P, 0.05 * np.arange(1, 20), 1.0 - _TAIL_P])
+_DYADIC_EDGES = 2.0 ** -np.arange(1, 64)
 
 
 class FitError(ValueError):
     """No distribution in the allowed family matches the requested summary."""
-
-
-class QuadratureError(ArithmeticError):
-    """Numerical expectation failed to converge to the required tolerance."""
 
 
 def make_rng(seed_or_rng) -> np.random.Generator:
@@ -349,47 +361,30 @@ class Mixture(LatencyDistribution):
         }
 
 
-def expect_transform(dist: LatencyDistribution, g, breakpoints=()) -> float:
-    """E[g(T)] for a bounded transform g with declared breakpoints.
+def expect_transform(dist: LatencyDistribution, f) -> float:
+    """E[f(T)] for a time-utility f: nonincreasing, with values in [0, 1].
 
-    g must accept numpy arrays and map seconds into [0, 1].  Discrete
-    distributions are averaged exactly; continuous ones are integrated in
-    quantile space with the breakpoint images passed to the quadrature so
-    kinks and jumps of g never straddle a panel.
+    Discrete distributions are averaged exactly and mixtures are the
+    weighted sum of their components.  Continuous ones use the layer-cake
+    identity ``E[f(T)] = integral over (0, 1) of F(f.latency_budget(s)) ds``
+    on a fixed composite Gauss-Legendre rule with one vectorized CDF call;
+    the panel edges (module constants above) keep kinks and steep
+    stretches of the integrand off panel interiors.
     """
     if isinstance(dist, Degenerate):
-        return float(g(np.asarray(dist.value)))
+        return f.value(dist.value)
     if isinstance(dist, Empirical):
-        return float(np.mean(g(dist.samples)))
+        return float(np.mean(f.value(dist.samples)))
     if isinstance(dist, Mixture):
         return float(
-            sum(
-                w * expect_transform(c, g, breakpoints)
-                for w, c in zip(dist.weights, dist.components)
-            )
+            sum(w * expect_transform(c, f) for w, c in zip(dist.weights, dist.components))
         )
-    pts = sorted({float(dist._cdf(np.asarray(b))) for b in breakpoints})
-    pts = [u for u in pts if 1e-14 < u < 1.0 - 1e-14]
-    with warnings.catch_warnings():
-        # Roundoff warnings near the requested 1e-10 target are expected on
-        # flat tails; accuracy is enforced through the returned error bound.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, abserr = quad(
-            lambda u: float(g(dist._quantile(np.asarray(u)))),
-            0.0,
-            1.0,
-            points=pts or None,
-            limit=300,
-            epsabs=QUAD_ABS_TOL,
-            epsrel=0.0,
-        )
-    if abserr > QUAD_ABS_CEILING:
-        raise QuadratureError(
-            f"expectation quadrature did not converge: estimate {val!r}, "
-            f"error bound {abserr!r} exceeds {QUAD_ABS_CEILING!r} "
-            f"(dist={dist!r}, breakpoints={list(breakpoints)!r})"
-        )
-    return float(min(max(val, 0.0), 1.0))
+    knots = np.concatenate([dist.breakpoints(), dist._quantile(_QUANTILE_LADDER)])
+    edges = np.unique(np.concatenate([[0.0, 1.0], f.value(knots), _DYADIC_EDGES]))
+    width = np.diff(edges)
+    s = edges[:-1, None] + width[:, None] * _GL_NODES
+    val = float(width @ (dist._cdf(f.latency_budget(s)) @ _GL_WEIGHTS))
+    return min(max(val, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

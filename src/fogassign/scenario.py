@@ -16,7 +16,8 @@ A scenario file is a single JSON document::
 
 A latency entry without a "task" field applies to every task (a common
 case: per-node latency models shared by the whole task set); entries with
-a "task" override the shared one for that triple.  Loading validates all
+a "task" override the shared one for that triple.  A second entry for the
+same shared pair, or for the same triple, is an error.  Loading validates all
 cross references and rejects any latency model whose support dips below
 zero, so downstream expectations never see negative completion times.
 """
@@ -233,6 +234,15 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         latency: dict[tuple[str, str, str], LatencyDistribution] = {}
         shared = [e for e in cfg.get("latency", []) if "task" not in e]
         specific = [e for e in cfg.get("latency", []) if "task" in e]
+        seen = set()
+        for e in shared + specific:
+            task = f"task {str(e['task'])!r}" if "task" in e else "every task"
+            triple = (task, str(e["node"]), str(e["option"]))
+            if triple in seen:
+                raise ScenarioError(
+                    f"duplicate latency entry for {task}, node {triple[1]!r}, option {triple[2]!r}"
+                )
+            seen.add(triple)
         for e in shared:
             dist = dist_from_config(e["dist"], base_dir)
             for t in tasks:

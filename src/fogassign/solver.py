@@ -121,13 +121,14 @@ class UtilityTable:
 
     def __init__(self, scenario: Scenario, reports=None):
         self.scenario = scenario
+        self._tasks = {t.id: t for t in scenario.tasks}
         self._reports: dict[tuple[str, str, str], UtilityReport] = dict(reports or {})
 
     def report(self, task_id: str, node_id: str, option_id: str) -> UtilityReport:
         key = (task_id, node_id, option_id)
         rep = self._reports.get(key)
         if rep is None:
-            task = self.scenario.task(task_id)
+            task = self._tasks[task_id]
             rep = expected_utility(task, node_id, option_id, self.scenario.dist(*key))
             self._reports[key] = rep
         return rep

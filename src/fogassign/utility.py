@@ -20,7 +20,6 @@ to a latency threshold and no sampling is needed to check risk budgets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,15 +54,12 @@ class TimeUtility:
     def _value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Kink/jump locations, declared to the expectation quadrature."""
-        return ()
-
-    def latency_budget(self, q: float) -> float:
-        """Largest t with value(t) >= q, for q in (0, 1].
+    def latency_budget(self, q):
+        """Largest t with value(t) >= q, for q in (0, 1]; accepts arrays.
 
         This is the generalized inverse used to turn the event
-        ``f(T) < q`` into the exact latency event ``T > budget``.
+        ``f(T) < q`` into the exact latency event ``T > budget``, and the
+        integrand ``F(budget(s))`` of the layer-cake expectation.
         """
         raise NotImplementedError
 
@@ -85,11 +81,8 @@ class Step(TimeUtility):
     def _value(self, t):
         return np.where(t <= self.tv, 1.0, 0.0)
 
-    def breakpoints(self):
-        return (self.tv,)
-
     def latency_budget(self, q):
-        return self.tv
+        return np.full(np.shape(q), self.tv)
 
     def to_config(self):
         return {"kind": "step", "tv": self.tv}
@@ -108,7 +101,8 @@ class ExpDecay(TimeUtility):
         return np.exp(-self.k * t)
 
     def latency_budget(self, q):
-        return -math.log(q) / self.k
+        with np.errstate(divide="ignore"):  # q = 0: any latency is worth 0
+            return -np.log(q) / self.k
 
     def to_config(self):
         return {"kind": "exp", "k": self.k}
@@ -128,9 +122,6 @@ class WaitReadyFirst(TimeUtility):
 
     def _value(self, t):
         return np.clip((self.ts - np.maximum(t, self.te)) / (self.ts - self.te), 0.0, 1.0)
-
-    def breakpoints(self):
-        return (self.te, self.ts)
 
     def latency_budget(self, q):
         return self.te + (1.0 - q) * (self.ts - self.te)
@@ -220,5 +211,5 @@ def expected_utility(
     feasible = risk <= task.risk_budget
     if not feasible:
         return UtilityReport(utility=0.0, risk=risk, feasible=False)
-    u = a * expect_transform(dist, f.value, f.breakpoints())
+    u = a * expect_transform(dist, f)
     return UtilityReport(utility=u, risk=risk, feasible=True)

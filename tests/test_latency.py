@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fogassign.latency import (
     Degenerate,
@@ -17,6 +18,13 @@ from fogassign.latency import (
     gev_from_quantiles,
     make_rng,
 )
+from fogassign.reproduce import (
+    INFLIGHT_LOCAL_DIST,
+    INFLIGHT_ROWS,
+    INFLIGHT_TASKS,
+    _cloud_dist_for_row,
+)
+from fogassign.utility import ExpDecay, Step, WaitReadyFirst
 
 from conftest import ks_critical
 
@@ -116,38 +124,33 @@ class TestSample:
 
 class TestExpectTransform:
     def test_step_returns_cdf_at_step(self):
-        g = lambda t: np.where(t <= 0.35, 1.0, 0.0)
-        val = expect_transform(Uniform(0.1, 0.6), g, breakpoints=(0.35,))
+        val = expect_transform(Uniform(0.1, 0.6), Step(0.35))
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_uniform_wrf_closed_form(self):
         # flat on [0.1, 0.3], ramp to zero on [0.3, 0.4]:
         # (0.2 + 0.1/2) / 0.5 = 0.5
-        g = lambda t: np.clip((0.4 - np.maximum(t, 0.3)) / 0.1, 0.0, 1.0)
-        val = expect_transform(Uniform(0.1, 0.6), g, breakpoints=(0.3, 0.4))
+        val = expect_transform(Uniform(0.1, 0.6), WaitReadyFirst(0.3, 0.4))
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_uniform_wrf_all_in_ramp(self):
         # ramp over [0.3, 0.9] against U(0.3, 0.8): 1 - 0.25/0.6
-        g = lambda t: np.clip((0.9 - np.maximum(t, 0.3)) / 0.6, 0.0, 1.0)
-        val = expect_transform(Uniform(0.3, 0.8), g, breakpoints=(0.3, 0.9))
+        val = expect_transform(Uniform(0.3, 0.8), WaitReadyFirst(0.3, 0.9))
         assert val == pytest.approx(1 - 0.25 / 0.6, abs=1e-9)
 
     def test_empirical_exact_average(self):
         d = Empirical([0.1, 0.2, 0.7])
-        g = lambda t: np.where(t <= 0.5, 1.0, 0.0)
-        assert expect_transform(d, g, (0.5,)) == pytest.approx(2 / 3, abs=1e-15)
+        assert expect_transform(d, Step(0.5)) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_degenerate_is_pointwise(self):
-        g = lambda t: np.exp(-t)
-        assert expect_transform(Degenerate(0.5), g) == pytest.approx(math.exp(-0.5))
+        assert expect_transform(Degenerate(0.5), ExpDecay(1.0)) == pytest.approx(math.exp(-0.5))
 
     def test_mixture_is_weighted_sum(self):
-        g = lambda t: np.exp(-2.0 * t)
+        f = ExpDecay(2.0)
         u1, u2 = Uniform(0.0, 0.5), Uniform(0.5, 1.5)
         mix = Mixture([u1, u2], [0.25, 0.75])
-        want = 0.25 * expect_transform(u1, g) + 0.75 * expect_transform(u2, g)
-        assert expect_transform(mix, g) == pytest.approx(want, abs=1e-10)
+        want = 0.25 * expect_transform(u1, f) + 0.75 * expect_transform(u2, f)
+        assert expect_transform(mix, f) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize(
         "dist",
@@ -155,10 +158,72 @@ class TestExpectTransform:
         ids=["gev", "uniform", "mixture"],
     )
     def test_against_monte_carlo(self, dist):
-        g = lambda t: np.clip((0.8 - np.maximum(t, 0.3)) / 0.5, 0.0, 1.0)
-        analytic = expect_transform(dist, g, breakpoints=(0.3, 0.8))
+        f = WaitReadyFirst(0.3, 0.8)
+        analytic = expect_transform(dist, f)
         draws = dist.sample(make_rng(5), 100_000)
-        assert analytic == pytest.approx(float(g(draws).mean()), abs=0.005)
+        assert analytic == pytest.approx(float(f.value(draws).mean()), abs=0.005)
+
+
+# Independent reference: E[f(T)] integrated in latency rather than in s.
+# A step gives F(tv), a ramp the mean of F over [te, ts], and exp(-kt) the
+# integral of F(t) k e^(-kt) over [0, inf); each is split at quantiles of
+# the distribution and integrated per panel by adaptive quad.
+_REF_TAIL = 10.0 ** -np.arange(1, 15)
+_REF_LADDER = np.concatenate([_REF_TAIL, np.linspace(0.02, 0.98, 49), 1.0 - _REF_TAIL])
+
+
+def t_space_reference(dist, f):
+    if isinstance(f, Step):
+        return dist.cdf(f.tv)
+    if isinstance(f, WaitReadyFirst):
+        lo, hi = f.te, f.ts
+        integrand = lambda t: dist.cdf(t) / (f.ts - f.te)
+    else:
+        lo, hi = 0.0, math.inf
+        integrand = lambda t: dist.cdf(t) * f.k * math.exp(-f.k * t)
+    cuts = np.concatenate([dist.breakpoints(), dist.quantile(_REF_LADDER)])
+    edges = [lo, *np.unique(cuts[(cuts > lo) & (cuts < hi)]), hi]
+    return sum(
+        quad(integrand, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+def _inflight_pairs():
+    dists = [INFLIGHT_LOCAL_DIST] + [_cloud_dist_for_row(*row[1:])[0] for row in INFLIGHT_ROWS]
+    return [
+        (d, WaitReadyFirst(te=0.5, ts=0.5 + 0.2 * j))
+        for d in dists
+        for j in range(1, INFLIGHT_TASKS + 1)
+    ]
+
+
+def _random_gev_pairs(n=300):
+    rng = make_rng(20261017)
+    pairs = []
+    for i in range(n):
+        shape = float(rng.uniform(0.1, 0.8))
+        scale = float(rng.uniform(0.01, 0.2))
+        dist = Gev(shape=shape, scale=scale, loc=scale / shape + float(rng.uniform(0.0, 1.0)))
+        if i % 3 == 0:
+            f = Step(tv=float(rng.uniform(0.1, 1.5)))
+        elif i % 3 == 1:
+            f = ExpDecay(k=float(rng.uniform(0.3, 3.0)))
+        else:
+            te = float(rng.uniform(0.05, 0.8))
+            f = WaitReadyFirst(te=te, ts=te + float(rng.uniform(0.1, 1.0)))
+        pairs.append((dist, f))
+    return pairs
+
+
+# The 1e-15 target sits below roundoff on flat panels; quad says so and
+# still returns its best estimate.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("pairs", [_inflight_pairs, _random_gev_pairs], ids=["inflight", "random-gev"])
+def test_matches_t_space_reference(pairs):
+    errors = [(abs(expect_transform(d, f) - t_space_reference(d, f)), d, f) for d, f in pairs()]
+    worst = max(errors, key=lambda e: e[0])
+    assert worst[0] <= 1e-12, worst
 
 
 class TestGevFromQuantiles:

@@ -154,6 +154,23 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="duplicate node"):
             load_scenario(write(tmp_path, cfg))
 
+    @pytest.mark.parametrize("index, match", [
+        (0, "every task, node 'a', option 'x'"),
+        (1, "task 't1', node 'b', option 'y'"),
+    ], ids=["shared", "task-specific"])
+    def test_duplicate_latency_entry(self, tmp_path, index, match):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["latency"].append(cfg["latency"][index])
+        with pytest.raises(ScenarioError, match=f"duplicate latency entry for {match}"):
+            load_scenario(write(tmp_path, cfg))
+
+    def test_task_entry_overrides_shared_entry(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["latency"].append(
+            {"task": "t1", "node": "a", "option": "x", "dist": {"kind": "degenerate", "value": 0.3}}
+        )
+        assert load_scenario(write(tmp_path, cfg)).dist("t1", "a", "x").value == 0.3
+
     def test_empty_tasks_is_valid(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["tasks"] = []

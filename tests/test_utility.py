@@ -71,6 +71,21 @@ class TestLatencyBudget:
         assert f.latency_budget(1.0) == pytest.approx(0.3)
         assert f.latency_budget(0.5) == pytest.approx(0.35)
 
+    @pytest.mark.parametrize("f", [Step(0.5), ExpDecay(2.0), WaitReadyFirst(0.3, 0.4)],
+                             ids=["step", "exp", "wrf"])
+    def test_accepts_arrays(self, f):
+        s = np.array([0.0, 0.5, 1.0])
+        budget = f.latency_budget(s)
+        assert budget.shape == s.shape
+        assert np.all(np.diff(budget) <= 0.0)
+
+    def test_exp_budget_at_zero_is_infinite(self):
+        # s = 0 bounds the layer-cake integral; a node there must give F = 1
+        # without a RuntimeWarning (an error under the test configuration).
+        budget = ExpDecay(2.0).latency_budget(np.array([0.0]))
+        assert budget[0] == np.inf
+        assert Gev(0.3, 0.1, 0.5).cdf(budget)[0] == 1.0
+
 
 class TestRisk:
     def test_step_uniform(self):
@@ -127,6 +142,13 @@ class TestExpectedUtility:
         rep = expected_utility(make_task(Step(tv), a=a, q=0.5), "z", "x", dist)
         assert rep.utility == pytest.approx(a * dist.cdf(tv), abs=1e-9)
         assert rep.feasible  # budget 1 never binds
+
+    def test_step_deep_in_gev_lower_tail(self):
+        # F(tv) is about 1.3e-18: tiny but positive, so the option is scored.
+        dist, f, a = Gev(0.6518, 0.1896, 0.6627), Step(0.3976), 0.7
+        rep = expected_utility(make_task(f, a=a), "z", "x", dist)
+        assert 1e-19 < dist.cdf(f.tv) < 1e-17
+        assert rep.utility == pytest.approx(a * dist.cdf(f.tv), rel=1e-9)
 
     def test_infeasible_scores_zero(self):
         task = make_task(Step(0.5), a=0.9, q=0.5, budget=0.1)
