@@ -13,7 +13,7 @@ chosen to stress different subsystems:
 Responses are JSON and always carry ``exec_ms``, the server-side compute
 time, so probes can split transport from execution.  The probing client
 invokes endpoints strictly sequentially (it must never compete with
-itself), measures wall-clock end-to-end latency, tracks the realized gap
+itself), measures wall-clock end-to-end latency, tracks the actual gap
 since the previous invocation of the same endpoint (start to start), and
 appends one CSV row per invocation; failures become rows with an error
 status rather than being dropped.
@@ -47,6 +47,7 @@ __all__ = [
     "PSF_LINE_RANGE",
     "FSP_LINE_RANGE",
     "MIN_DATASET_LINES",
+    "FSP_MAX_BODY_BYTES",
     "BenchTask",
     "ProbeTarget",
     "ProbeSchedule",
@@ -66,6 +67,8 @@ PIC_ITER_RANGE = (5_000, 500_000)
 PSF_LINE_RANGE = (500, 50_000)
 FSP_LINE_RANGE = (500, 10_000)
 MIN_DATASET_LINES = 50_000
+# Largest /fsp body read; a longer Content-Length is answered 413 unread.
+FSP_MAX_BODY_BYTES = 1 << 24
 
 PROBE_HEADER = ["delta_t_s", "latency_s", "endpoint", "option", "timestamp_unix_ms", "status"]
 
@@ -213,6 +216,9 @@ class _Handler(BaseHTTPRequestHandler):
             if length < 0:
                 # rfile.read(-1) would block until the client hangs up.
                 raise ValueError(f"Content-Length must be >= 0 (got {length})")
+            if length > FSP_MAX_BODY_BYTES:
+                self._reply(413, {"error": f"body exceeds {FSP_MAX_BODY_BYTES} bytes"})
+                return
             body = self.rfile.read(length).decode()
             t0 = time.perf_counter()
             values = []
@@ -434,13 +440,12 @@ def nearest_rank(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[min(max(idx, 0), n - 1)])
 
 
-def summarize(rows_or_path) -> dict[tuple[str, str], dict]:
+def summarize(rows: list[ProbeRow]) -> dict[tuple[str, str], dict]:
     """Per-(endpoint, option) latency summary of successful probe rows.
 
     Quantiles use the nearest-rank convention, so every reported value is
     an observed latency; ``sp`` is the 10th-to-90th percentile span.
     """
-    rows = load_probe_rows(rows_or_path) if not isinstance(rows_or_path, list) else rows_or_path
     ok = [r for r in rows if r.status == "ok" and not math.isnan(r.latency_s)]
     if not ok:
         raise EmptySummaryError("no successful probe records to summarize")

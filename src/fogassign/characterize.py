@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+GRID_PROBS = np.linspace(0.5 / 1000, 1.0 - 0.5 / 1000, 1000)  # quantile points of every grid
+WARM_WEIGHTS = np.round(np.arange(0.0, 1.0001, 0.05), 10)  # candidates per mixed-band bucket
+
+
 class InsufficientDataError(ValueError):
     pass
 
@@ -51,20 +55,16 @@ def estimate_cdf(samples) -> Empirical:
     return Empirical(arr)
 
 
-def _grid_for(a, b, quantile_points: int = 1000) -> np.ndarray:
+def _grid_for(a: LatencyDistribution, b: LatencyDistribution) -> np.ndarray:
     """Evaluation grid: both CDFs' breakpoints plus quantile points of a."""
-    pts = list(getattr(a, "breakpoints", tuple)())
-    pts += list(getattr(b, "breakpoints", tuple)())
-    qs = np.linspace(0.5 / quantile_points, 1.0 - 0.5 / quantile_points, quantile_points)
-    pts += list(np.atleast_1d(a.quantile(qs)))
-    return np.unique(np.asarray(pts, dtype=float))
+    return np.unique(np.concatenate([a.breakpoints(), b.breakpoints(), a.quantile(GRID_PROBS)]))
 
 
 def cdf_distance(a, b, grid=None) -> tuple[float, float]:
-    """(average, maximum) pointwise gap between two CDFs over a grid.
+    """(average, maximum) pointwise gap between two distributions' CDFs.
 
-    Accepts anything exposing ``cdf``; when no grid is given one is built
-    from the breakpoints of both plus 1000 quantile points of ``a``.
+    When no grid is given one is built from the breakpoints of both
+    distributions plus 1000 quantile points of ``a``.
     """
     g = np.asarray(grid, dtype=float) if grid is not None else _grid_for(a, b)
     if g.size == 0:
@@ -206,24 +206,21 @@ def fit_serverless_regimes(
     records,
     thresholds: tuple[float, float] = (10.0, 60.0),
     bucket_width: float = 10.0,
-    weight_grid=None,
 ) -> ServerlessModel:
     """Learn a spin-down model from (inter-invocation gap, latency) pairs.
 
     Records at or below the lower threshold form the warm regime, at or
     above the upper one the cold regime (boundary gaps go to the adjacent
     pure regime).  In the intermediate band, each ``bucket_width``-wide
-    bucket gets the warm weight whose two-component mixture is closest (in
-    average CDF distance) to the bucket's own step estimate; the fitted
-    per-bucket weights are exposed on the returned model's mixing object.
+    bucket gets the warm weight in ``WARM_WEIGHTS`` whose two-component
+    mixture is closest (in average CDF distance) to the bucket's own step
+    estimate; the fitted weights are exposed on the model's mixing object.
     """
     lo, hi = thresholds
     if not (0.0 <= lo < hi):
         raise ValueError("thresholds require 0 <= lo < hi")
     if len(records) < 30:
         raise InsufficientDataError(f"need at least 30 records, got {len(records)}")
-    if weight_grid is None:
-        weight_grid = np.round(np.arange(0.0, 1.0001, 0.05), 10)
     warm_lat, cold_lat = [], []
     n_buckets = int(np.ceil((hi - lo) / bucket_width - 1e-12))
     buckets: list[list[float]] = [[] for _ in range(n_buckets)]
@@ -256,8 +253,8 @@ def fit_serverless_regimes(
         f_cold = cold.cdf(grid)
         dists = [
             float(np.mean(np.abs(f_obs - (w * f_warm + (1.0 - w) * f_cold))))
-            for w in weight_grid
+            for w in WARM_WEIGHTS
         ]
-        weights.append(float(weight_grid[int(np.argmin(dists))]))
+        weights.append(float(WARM_WEIGHTS[int(np.argmin(dists))]))
     mixing = BucketMixing(lo=lo, hi=hi, width=bucket_width, weights=tuple(weights))
     return ServerlessModel(warm=warm, cold=cold, lo=lo, hi=hi, mixing=mixing)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -105,7 +106,7 @@ def baseline(scenario_path, strategy, out, fmt):
 @click.option("--with-baselines", is_flag=True, help="Also simulate both reference strategies.")
 @click.option("--out", type=click.Path(), default=None)
 def simulate_cmd(scenario_path, reps, seed, solver, with_baselines, out):
-    """Monte-Carlo realized utilities of the solved plan."""
+    """Monte-Carlo mean utilities (with standard errors) of the solved plan."""
     scen = _load(scenario_path)
     table = UtilityTable(scen)
     try:
@@ -125,15 +126,17 @@ def simulate_cmd(scenario_path, reps, seed, solver, with_baselines, out):
 @main.command()
 @click.argument("experiment", required=False)
 def reproduce(experiment):
-    """Re-run a bundled experiment (or all of them) and check reference values."""
+    """Re-run bundled experiments and check reference values (timings on stderr)."""
     ids = sorted(repro.EXPERIMENTS) if experiment in (None, "all") else [experiment]
     ok = True
     for eid in ids:
+        t0 = time.perf_counter()
         try:
             report = repro.run_experiment(eid)
         except ValueError as exc:
             raise click.ClickException(str(exc))
         click.echo(repro.format_report(report))
+        click.echo(f"  ({eid}: {time.perf_counter() - t0:.2f}s)", err=True)
         ok = ok and report.passed
     sys.exit(0 if ok else 1)
 

@@ -168,7 +168,8 @@ class Gev(LatencyDistribution):
         return out
 
     def _quantile(self, p):
-        return self.loc + self.scale * ((-np.log(p)) ** (-self.shape) - 1.0) / self.shape
+        with np.errstate(over="ignore"):  # a steep upper tail saturates at inf
+            return self.loc + self.scale * ((-np.log(p)) ** (-self.shape) - 1.0) / self.shape
 
     def support_lo(self):
         return self.loc - self.scale / self.shape

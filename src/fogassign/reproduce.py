@@ -128,18 +128,18 @@ def _cap_sweep() -> ExperimentReport:
     return rep
 
 
-def _random_quality(runs: int = RQ_RUNS, seed: int | None = None) -> ExperimentReport:
+def _random_quality() -> ExperimentReport:
     rep = ExperimentReport("random_quality")
     base = bundled_scenario("vii_d_base")
     scen = base.with_node_capacity("gateway", RQ_GATEWAY_CAPACITY)
-    rng = make_rng(scen.seed if seed is None else seed)
+    rng = make_rng(scen.seed)
     k = RQ_SAMPLES_PER_ESTIMATE
     gw_dist = scen.dist("t01", "gateway", "o1")
     cl_dist = scen.dist("t01", "cloud", "o1")
     tasks = scen.tasks
     n = len(tasks)
     counts = {t.id: 0 for t in tasks}
-    for _ in range(runs):
+    for _ in range(RQ_RUNS):
         a2 = rng.uniform(0.6, 0.9, n)
         gw_draws = gw_dist.sample(rng, k * n).reshape(k, n)
         cl_draws = cl_dist.sample(rng, k * n).reshape(k, n)
@@ -154,13 +154,13 @@ def _random_quality(runs: int = RQ_RUNS, seed: int | None = None) -> ExperimentR
         for j in plan.placed_on("gateway"):
             counts[j] += 1
     for tid, (paper, tol) in RQ_FREQS.items():
-        got = 100.0 * counts[tid] / runs
+        got = 100.0 * counts[tid] / RQ_RUNS
         rep.add(
             f"gateway frequency of {tid} (%)", paper, round(got, 3), tol,
             abs(got - paper) <= tol,
         )
     rep.notes = (
-        f"{runs} executions, utilities re-estimated from {k} latency draws per "
+        f"{RQ_RUNS} executions, utilities re-estimated from {k} latency draws per "
         "placement per run; cloud intrinsic utility redrawn U(0.6, 0.9) per task per run"
     )
     return rep

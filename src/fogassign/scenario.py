@@ -82,12 +82,6 @@ class Scenario:
                 return n
         raise KeyError(node_id)
 
-    def task(self, task_id: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
     def dist(self, task_id: str, node_id: str, option_id: str) -> LatencyDistribution:
         return self.latency[(task_id, node_id, option_id)]
 

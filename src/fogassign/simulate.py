@@ -1,9 +1,9 @@
 """Monte-Carlo realization of plans, reference strategies, and result files.
 
-``simulate`` draws completion times for every placed task and scores the
-realized utilities, which lets the planning expectations be checked
-against averages with error bars.  The two reference strategies collapse
-the latency distribution to a single consideration — lowest median
+``simulate`` draws completion times for every placed task and keeps only
+the mean and standard error of the utilities they earn, which lets the
+planning expectations be checked against averages with error bars.  The
+two reference strategies collapse the latency distribution to a single consideration — lowest median
 latency, or highest intrinsic quality — exactly the single-statistic
 habits the expected-utility planner improves on; they pick per task and
 ignore node capacities.
@@ -40,7 +40,6 @@ BASELINES = ("min-latency", "max-quality")
 class SimulationResult:
     plan: AssignmentPlan
     reps: int
-    realized: dict[str, np.ndarray]
     per_task_mean: dict[str, float]
     per_task_se: dict[str, float]
     overall_mean: float
@@ -82,19 +81,16 @@ def simulate(
         raise ValueError("reps must be >= 1")
     rng = make_rng(rng)
     streams = rng.spawn(len(scenario.tasks))
-    realized: dict[str, np.ndarray] = {}
     means: dict[str, float] = {}
     ses: dict[str, float] = {}
     for t, stream in zip(scenario.tasks, streams):
         p = plan.decisions.get(t.id)
         if p is None:
-            realized[t.id] = np.zeros(reps)
             means[t.id] = 0.0
             ses[t.id] = 0.0
             continue
         draws = scenario.dist(t.id, p.node, p.option).sample(stream, reps)
         vals = t.intrinsic[(p.node, p.option)] * t.time_utility.value(draws)
-        realized[t.id] = vals
         means[t.id] = float(vals.mean())
         ses[t.id] = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     n_tasks = max(len(scenario.tasks), 1)
@@ -106,7 +102,6 @@ def simulate(
     return SimulationResult(
         plan=plan,
         reps=reps,
-        realized=realized,
         per_task_mean=means,
         per_task_se=ses,
         overall_mean=overall,

@@ -412,7 +412,7 @@ def brute_force_optimum(scenario: Scenario, table: UtilityTable | None = None) -
     return AssignmentPlan.from_decisions(decisions, solver="oracle")
 
 
-def validate_plan(scenario: Scenario, plan: AssignmentPlan, tol: float = TOTAL_TOL) -> list[str]:
+def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> list[str]:
     """Check a plan against every feasibility constraint; [] means valid.
 
     Verifies: one decision per task, placements reference offered options,
@@ -446,7 +446,7 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan, tol: float = TOTAL_T
         load[p.node] = load.get(p.node, 0) + 1
         dist = scenario.dist(t.id, p.node, p.option)
         risk = risk_probability(t.time_utility, dist, t.quality_floor)
-        if risk > t.risk_budget + tol:
+        if risk > t.risk_budget + TOTAL_TOL:
             problems.append(
                 f"task {t.id}: risk {risk!r} exceeds budget {t.risk_budget!r} on ({p.node}, {p.option})"
             )
@@ -465,7 +465,7 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan, tol: float = TOTAL_T
             )
     if not math.isfinite(plan.total_utility):
         problems.append(f"total utility {plan.total_utility!r} is not finite")
-    elif abs(total - plan.total_utility) > tol:
+    elif abs(total - plan.total_utility) > TOTAL_TOL:
         problems.append(
             f"total utility {plan.total_utility!r} differs from sum of placements {total!r}"
         )

@@ -98,7 +98,8 @@ class ExpDecay(TimeUtility):
             raise ValueError("decay rate k must be > 0")
 
     def _value(self, t):
-        return np.exp(-self.k * t)
+        with np.errstate(over="ignore"):  # k * t beyond the float range is worth 0
+            return np.exp(-self.k * t)
 
     def latency_budget(self, q):
         with np.errstate(divide="ignore"):  # q = 0: any latency is worth 0
@@ -121,7 +122,8 @@ class WaitReadyFirst(TimeUtility):
             raise ValueError("wait-readily-first requires te < ts")
 
     def _value(self, t):
-        return np.clip((self.ts - np.maximum(t, self.te)) / (self.ts - self.te), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a ramp overflowing to -inf clips to 0
+            return np.clip((self.ts - np.maximum(t, self.te)) / (self.ts - self.te), 0.0, 1.0)
 
     def latency_budget(self, q):
         return self.te + (1.0 - q) * (self.ts - self.te)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fogassign.benchnet import (
+    FSP_MAX_BODY_BYTES,
     BenchTask,
     EmptySummaryError,
     ProbeRow,
@@ -124,6 +125,16 @@ class TestServer:
             with sock.makefile("rb") as reply:
                 status_line = reply.readline()
         assert status_line.split()[1] == b"400"
+
+    def test_oversized_body_rejected_without_reading(self, server):
+        host, port = server.server_address[:2]
+        request = (b"POST /fsp HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: %d\r\n\r\n" % (FSP_MAX_BODY_BYTES + 1))
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request)  # headers only: a server reading the body waits
+            with sock.makefile("rb") as reply:
+                status_line = reply.readline()
+        assert status_line.split()[1] == b"413"
 
     def test_range_enforced_without_override(self, strict_server):
         with pytest.raises(urllib.error.HTTPError) as err:

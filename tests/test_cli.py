@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -87,6 +88,12 @@ class TestReproduceCmd:
         res = runner.invoke(main, ["reproduce", "uncap_split"])
         assert res.exit_code == 0, res.output
         assert "PASS" in res.output
+
+    def test_timing_goes_to_stderr(self, runner):
+        res = runner.invoke(main, ["reproduce", "uncap_split"])
+        assert res.exit_code == 0, res.output
+        assert re.fullmatch(r"  \(uncap_split: \d+\.\d\ds\)\n", res.stderr)
+        assert res.stderr.strip() not in res.stdout
 
     def test_unknown_experiment(self, runner):
         res = runner.invoke(main, ["reproduce", "bogus"])

@@ -68,6 +68,13 @@ class TestQuantile:
     def test_gev_inverse_of_location_identity(self):
         assert TABLE_GEV.quantile(math.exp(-1)) == pytest.approx(0.48, abs=1e-12)
 
+    def test_gev_upper_tail_saturates_without_overflow_warning(self):
+        # A steep shape overflows the upper quantiles; the run treats
+        # RuntimeWarning as an error, so this also checks none is raised.
+        steep = Gev(shape=1000.0, scale=1.0, loc=1.0)
+        assert steep.quantile(1.0 - 1e-14) == math.inf
+        assert expect_transform(steep, Step(1.0)) == pytest.approx(math.exp(-1.0), abs=1e-12)
+
     def test_empirical_generalized_inverse(self):
         assert Empirical([1.0, 2.0, 3.0]).quantile(0.5) == 2.0
         d = Empirical([0.2, 0.4, 0.6, 0.8])

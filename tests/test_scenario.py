@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogassign.scenario import (
     NodeSpec,
@@ -9,8 +12,9 @@ from fogassign.scenario import (
     bundled_scenario,
     bundled_scenario_names,
     load_scenario,
+    scenario_from_config,
 )
-from fogassign.solver import solve_capacitated, solve_uncapacitated
+from fogassign.solver import UtilityTable, solve_capacitated, solve_uncapacitated, validate_plan
 from fogassign.utility import Step, TaskSpec
 
 MINIMAL = {
@@ -66,7 +70,8 @@ class TestLoad:
         assert all(n.infinite for n in scen.nodes)
         gw = scen.dist("t03", "gateway", "o1")
         assert (gw.lo, gw.hi) == (0.1, 0.6)
-        assert scen.task("t07").time_utility.ts == pytest.approx(1.0)
+        t07 = next(t for t in scen.tasks if t.id == "t07")
+        assert t07.time_utility.ts == pytest.approx(1.0)
 
     def test_unknown_bundle(self):
         with pytest.raises(ScenarioError):
@@ -242,3 +247,109 @@ def test_programmatic_scenario_validation():
             nodes=[NodeSpec(id="z", options=("x",))],
             latency={},
         ).validate()
+
+
+# -- every scenario that loads can be planned --------------------------------
+
+_SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0])
+
+
+def _mostly(normal):
+    """``normal`` 31 times in 32, otherwise a special value."""
+    return st.integers(0, 31).flatmap(lambda i: _SPECIALS if i == 31 else normal)
+
+
+_VALUES = _mostly(st.floats(1e-3, 1e3))
+_FRACTIONS = _mostly(st.floats(0.0, 1.0))
+
+
+@st.composite
+def _weights(draw, k):
+    raw = draw(st.lists(_VALUES, min_size=k, max_size=k))
+    total = sum(raw)
+    return [w / total for w in raw] if total > 0 else raw
+
+
+@st.composite
+def _simple_dist(draw):
+    # Upper parameters are offsets from the lower ones, so that most draws
+    # are ordered and in support; a special offset (-1, NaN, ...) is not.
+    kind = draw(st.sampled_from(["gev", "uniform", "degenerate", "empirical"]))
+    if kind == "gev":
+        shape, scale = draw(_VALUES), draw(_VALUES)
+        return {"kind": kind, "shape": shape, "scale": scale,
+                "loc": scale / shape + draw(_VALUES) if shape else draw(_VALUES)}
+    if kind == "uniform":
+        lo = draw(_VALUES)
+        return {"kind": kind, "lo": lo, "hi": lo + draw(_VALUES)}
+    if kind == "degenerate":
+        return {"kind": kind, "value": draw(_VALUES)}
+    return {"kind": kind, "samples": draw(st.lists(_VALUES, min_size=1, max_size=5))}
+
+
+_DISTS = st.one_of(
+    _simple_dist(),
+    st.integers(1, 3).flatmap(
+        lambda k: st.fixed_dictionaries(
+            {
+                "kind": st.just("mixture"),
+                "components": st.lists(_simple_dist(), min_size=k, max_size=k),
+                "weights": _weights(k),
+            }
+        )
+    ),
+)
+_UTILITIES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("step"), "tv": _VALUES}),
+    st.fixed_dictionaries({"kind": st.just("exp"), "k": _VALUES}),
+    _VALUES.flatmap(
+        lambda te: _VALUES.map(lambda dt: {"kind": "wrf", "te": te, "ts": te + dt})
+    ),
+)
+
+
+@st.composite
+def _scenario_configs(draw):
+    n_nodes = draw(st.integers(1, 3))
+    n_finite = draw(st.integers(0, min(2, n_nodes)))
+    nodes = []
+    for z in range(n_nodes):
+        capacity = draw(_mostly(st.integers(1, 3))) if z < n_finite else "inf"
+        options = [f"x{i}" for i in range(draw(st.integers(1, 2)))]
+        nodes.append({"id": f"z{z}", "capacity": capacity, "options": options})
+    pairs = [(n["id"], x) for n in nodes for x in n["options"]]
+    shared = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    tasks = []
+    latency = [{"node": z, "option": x, "dist": draw(_DISTS)} for z, x in shared]
+    for j in range(draw(st.integers(0, 4))):
+        offered = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        tasks.append(
+            {
+                "id": f"j{j}",
+                "utility": draw(_UTILITIES),
+                "quality_floor": draw(_FRACTIONS),
+                "risk_budget": draw(_FRACTIONS),
+                "intrinsic": [
+                    {"node": z, "option": x, "value": draw(_FRACTIONS)} for z, x in offered
+                ],
+            }
+        )
+        latency += [
+            {"task": f"j{j}", "node": z, "option": x, "dist": draw(_DISTS)} for z, x in offered
+        ]
+    return {"name": "prop", "seed": 0, "nodes": nodes, "tasks": tasks, "latency": latency}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scenario_configs())
+def test_loaded_scenarios_plan_cleanly(cfg):
+    try:
+        scen = scenario_from_config(cfg)
+    except ScenarioError:
+        return
+    table = UtilityTable(scen)
+    for t in scen.tasks:
+        for z, x in t.intrinsic:
+            u = table.report(t.id, z, x).utility
+            assert math.isfinite(u) and 0.0 <= u <= 1.0, (t.id, z, x, u)
+    assert validate_plan(scen, solve_capacitated(scen)) == []

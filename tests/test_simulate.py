@@ -1,12 +1,13 @@
 import json
+import tracemalloc
 
-import numpy as np
 import pytest
 
-from fogassign.latency import Degenerate, make_rng
-from fogassign.scenario import bundled_scenario
+from fogassign.latency import Degenerate, Uniform, make_rng
+from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
 from fogassign.simulate import emit, round9, run_baseline, simulate
 from fogassign.solver import UtilityTable, solve_uncapacitated, validate_plan
+from fogassign.utility import Step, TaskSpec
 
 # Analytic average utilities of the three strategies on the base bundle.
 UA_AVG = 0.5084321428571428
@@ -64,9 +65,8 @@ class TestSimulate:
         scen2.latency = {k: Degenerate(0.35) for k in scen2.latency}
         plan = solve_uncapacitated(scen2)
         result = simulate(scen2, plan, reps=50, rng=make_rng(1))
-        for tid, vals in result.realized.items():
-            assert np.all(vals == vals[0])
-            assert result.per_task_se[tid] < 1e-12
+        for se in result.per_task_se.values():
+            assert se < 1e-12
 
     def test_reps_must_be_positive(self, base):
         scen, table = base
@@ -108,7 +108,31 @@ class TestSimulate:
         plan = solve_uncapacitated(scen)
         assert plan.decisions["t01"] is None
         result = simulate(scen, plan, reps=100, rng=make_rng(2))
-        assert np.all(result.realized["t01"] == 0.0)
+        assert result.per_task_mean["t01"] == result.per_task_se["t01"] == 0.0
+
+    def test_memory_does_not_grow_with_reps_times_tasks(self):
+        # Keeping every draw would take n_tasks * reps * 8 B = 32 MB here.
+        n_tasks, reps = 200, 20_000
+        dist = Uniform(0.1, 0.9)
+        tasks = [
+            TaskSpec(id=f"j{i:03d}", time_utility=Step(0.5), intrinsic={("z", "x"): 1.0})
+            for i in range(n_tasks)
+        ]
+        scen = Scenario(
+            name="memory",
+            tasks=tasks,
+            nodes=[NodeSpec(id="z", options=("x",))],
+            latency={(t.id, "z", "x"): dist for t in tasks},
+        )
+        plan = solve_uncapacitated(scen)
+        tracemalloc.start()
+        try:
+            result = simulate(scen, plan, reps=reps, rng=make_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.overall_mean == pytest.approx(0.5, abs=0.01)
+        assert peak < n_tasks * reps * 8 / 4
 
 
 class TestEmit:

@@ -387,7 +387,7 @@ class TestBruteForce:
             n.id: len(plan.placed_on(n.id)) for n in scen.nodes if not n.infinite
         }
         for tid in plan.rejected():
-            task = scen.task(tid)
+            task = next(t for t in scen.tasks if t.id == tid)
             for node in scen.nodes:
                 for x in node.options:
                     if (node.id, x) not in task.intrinsic:

@@ -40,6 +40,14 @@ class TestEval:
     def test_exp_decay_at_zero(self):
         assert ExpDecay(1.0).value(0.0) == 1.0
 
+    @pytest.mark.parametrize("f", [ExpDecay(156.0), WaitReadyFirst(1000.0, 1000.001)],
+                             ids=["exp", "wrf"])
+    def test_huge_latency_is_worth_zero_without_overflow_warning(self, f):
+        # A steep latency model puts quantile-ladder edges near the float
+        # maximum; the run treats RuntimeWarning as an error.
+        assert f.value(1e307) == 0.0
+        assert f.value(np.array([0.0, 1e307])).tolist() == [1.0, 0.0]
+
     def test_vectorized(self):
         t = np.array([0.0, 0.35, 1.0])
         assert np.allclose(WaitReadyFirst(0.3, 0.4).value(t), [1.0, 0.5, 0.0])
