@@ -100,7 +100,7 @@ def baseline(scenario_path, strategy, out, fmt):
 
 @main.command(name="simulate")
 @click.argument("scenario_path", type=click.Path(exists=True))
-@click.option("--reps", type=int, default=10_000, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--seed", type=int, default=None, help="Defaults to the scenario seed.")
 @click.option("--solver", type=click.Choice(sorted(SOLVERS)), default="at", show_default=True)
 @click.option("--with-baselines", is_flag=True, help="Also simulate both reference strategies.")

@@ -14,7 +14,10 @@ solver runs a four-stage pipeline:
    best slot on each constrained node minus its best unlimited fallback,
 3. pick the gain-maximizing slot occupants with a dynamic program over
    (task index, slots used on node 1, slots used on node 2); supported
-   for up to two finite-capacity nodes,
+   for up to two finite-capacity nodes.  Each task updates the whole
+   slot grid at once with numpy, each fill axis is clipped to the task
+   count n, and the backtrack keeps two boolean take-masks of
+   n * (min(c1, n) + 1) * (min(c2, n) + 1) bytes each,
 4. send everyone unchosen to their unlimited fallback, rejecting tasks
    with no positive-utility fallback.
 
@@ -32,6 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .scenario import Scenario
 from .utility import TaskSpec, UtilityReport, expected_utility, risk_probability
@@ -243,6 +248,14 @@ def choose_for_capacitated(
     (never spend a slot for zero gain, and on equal gains the earlier task
     keeps the slot), then node 1.
 
+    Each task updates the whole (a, b) grid at once with numpy: shifted
+    slices of h(i - 1) are the node-1 and node-2 candidates, each compared
+    with a strict ``>`` in the tie order, so every cell makes the same
+    float additions and comparisons as a cell-by-cell loop would.  Slots
+    beyond the task count cannot be filled, so each axis is clipped to
+    ``n``; the two take-masks kept for the backtrack cost
+    n * (min(c1, n) + 1) * (min(c2, n) + 1) bytes each.
+
     Returns (tasks for node 1, tasks for node 2, unplaced tasks) in input
     order; the unplaced go on to the fallback/rejection stage.
     """
@@ -250,38 +263,46 @@ def choose_for_capacitated(
     n = len(task_ids)
     if c1 < 0 or c2 < 0:
         raise ValueError("capacities must be >= 0")
-    h = [[0.0] * (c2 + 1) for _ in range(c1 + 1)]
-    choices = []
-    for i in range(1, n + 1):
-        g1, g2 = gain1[i - 1], gain2[i - 1]
-        prev = h
-        h = [[0.0] * (c2 + 1) for _ in range(c1 + 1)]
-        ch = [[0] * (c2 + 1) for _ in range(c1 + 1)]
-        for a in range(c1 + 1):
-            for b in range(c2 + 1):
-                best, which = prev[a][b], 0
-                if a >= 1 and prev[a - 1][b] + g1 > best:
-                    best, which = prev[a - 1][b] + g1, 1
-                if b >= 1 and prev[a][b - 1] + g2 > best:
-                    best, which = prev[a][b - 1] + g2, 2
-                h[a][b] = best
-                ch[a][b] = which
-        choices.append(ch)
+    if len(gain1) != n or len(gain2) != n:
+        raise ValueError(
+            f"gain lists of length {len(gain1)} and {len(gain2)} for {n} tasks"
+        )
+    c1, c2 = min(c1, n), min(c2, n)
+    h = np.zeros((c1 + 1, c2 + 1))
+    # take1[i, a, b]: task i went to node 1 at (a, b); take2: to node 2.
+    # Row a = 0 of take1 and column b = 0 of take2 stay False.
+    take1 = np.zeros((n, c1 + 1, c2 + 1), dtype=bool)
+    take2 = np.zeros((n, c1 + 1, c2 + 1), dtype=bool)
+    cand1, cand2 = np.empty((c1, c2 + 1)), np.empty((c1 + 1, c2))
+    from1, to1, takes1 = h[:-1, :], h[1:, :], take1[:, 1:, :]
+    from2, to2, takes2 = h[:, :-1], h[:, 1:], take2[:, :, 1:]
+    for i, (g1, g2) in enumerate(zip(gain1, gain2)):
+        # Both candidates read h(i - 1), so both are formed before h changes.
+        # Node 1 must beat skipping; node 2 must beat the result of that.
+        # Without node-2 slots its slices are empty; skipping those numpy
+        # calls keeps one-node grids of a few cells as fast as a scalar loop.
+        np.add(from1, g1, out=cand1)
+        if c2:
+            np.add(from2, g2, out=cand2)
+        np.greater(cand1, to1, out=takes1[i])
+        np.copyto(to1, cand1, where=takes1[i])
+        if c2:
+            np.greater(cand2, to2, out=takes2[i])
+            np.copyto(to2, cand2, where=takes2[i])
     # h(i, a, b) allows at most a and b slots, so it is monotone in capacity
     # and the full-capacity corner holds the optimum; backtracking from it
     # keeps the per-cell tie rule (skip, then node 1) as the only one.
     set1, set2, unplaced = [], [], []
     a, b = c1, c2
-    for i in range(n, 0, -1):
-        which = choices[i - 1][a][b]
-        if which == 1:
-            set1.append(task_ids[i - 1])
-            a -= 1
-        elif which == 2:
-            set2.append(task_ids[i - 1])
+    for i in reversed(range(n)):
+        if take2[i, a, b]:
+            set2.append(task_ids[i])
             b -= 1
+        elif take1[i, a, b]:
+            set1.append(task_ids[i])
+            a -= 1
         else:
-            unplaced.append(task_ids[i - 1])
+            unplaced.append(task_ids[i])
     set1.reverse()
     set2.reverse()
     unplaced.reverse()

@@ -82,6 +82,13 @@ class TestSimulateCmd:
         assert abs(record["overall_mean"] - 0.5084) < 0.02
         assert set(record["baselines"]) == {"min-latency", "max-quality"}
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_non_positive_reps_is_a_usage_error(self, runner, base_file, reps):
+        res = runner.invoke(main, ["simulate", str(base_file), "--reps", reps])
+        assert res.exit_code == 2, res.output
+        assert "--reps" in res.output
+        assert "Traceback" not in res.output
+
 
 class TestReproduceCmd:
     def test_single_experiment(self, runner):

@@ -1,6 +1,8 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,7 +212,99 @@ def _enum_gain_total(gain1, gain2, c1, c2):
     return best
 
 
+# Independent reference: the stage-3 DP as a cell-by-cell scalar loop, with
+# list-of-lists state and per-cell choices.  The numpy DP must make the
+# same additions and comparisons, so its output must be identical.
+def scalar_choose(task_ids, gain1, gain2, c1, c2):
+    task_ids = list(task_ids)
+    n = len(task_ids)
+    h = [[0.0] * (c2 + 1) for _ in range(c1 + 1)]
+    choices = []
+    for i in range(1, n + 1):
+        g1, g2 = gain1[i - 1], gain2[i - 1]
+        prev = h
+        h = [[0.0] * (c2 + 1) for _ in range(c1 + 1)]
+        ch = [[0] * (c2 + 1) for _ in range(c1 + 1)]
+        for a in range(c1 + 1):
+            for b in range(c2 + 1):
+                best, which = prev[a][b], 0
+                if a >= 1 and prev[a - 1][b] + g1 > best:
+                    best, which = prev[a - 1][b] + g1, 1
+                if b >= 1 and prev[a][b - 1] + g2 > best:
+                    best, which = prev[a][b - 1] + g2, 2
+                h[a][b] = best
+                ch[a][b] = which
+        choices.append(ch)
+    set1, set2, unplaced = [], [], []
+    a, b = c1, c2
+    for i in range(n, 0, -1):
+        which = choices[i - 1][a][b]
+        if which == 1:
+            set1.append(task_ids[i - 1])
+            a -= 1
+        elif which == 2:
+            set2.append(task_ids[i - 1])
+            b -= 1
+        else:
+            unplaced.append(task_ids[i - 1])
+    set1.reverse()
+    set2.reverse()
+    unplaced.reverse()
+    return set1, set2, unplaced
+
+
+TIE_GRID = [-0.5, 0.0, 0.25, 0.5, 1.0]
+
+
+def _gains(rng, kind, n):
+    if kind == "ties":
+        return [float(g) for g in rng.choice(TIE_GRID, n)]
+    return [float(g) for g in rng.normal(0.0, 0.5, n)]
+
+
+def _reference_instances(kind):
+    """Seeded (task_ids, gain1, gain2, c1, c2) stage-3 instances."""
+    rng = np.random.default_rng({"ties": 1, "normal": 2, "over-capacity": 3, "large": 4}[kind])
+    if kind == "large":
+        sizes = [(300, 20, 20)]
+    elif kind == "over-capacity":
+        sizes = [(int(n), int(n + rng.integers(0, 8)), int(n + rng.integers(0, 8)))
+                 for n in rng.integers(0, 8, 20)]
+    else:
+        sizes = [tuple(int(v) for v in (rng.integers(0, 26), *rng.integers(0, 7, 2)))
+                 for _ in range(300)]
+    gain_kind = "normal" if kind == "normal" else "ties"
+    return [
+        ([f"t{i}" for i in range(n)], _gains(rng, gain_kind, n), _gains(rng, gain_kind, n), c1, c2)
+        for n, c1, c2 in sizes
+    ]
+
+
 class TestChooseForCapacitated:
+    @pytest.mark.parametrize("kind", ["ties", "normal", "over-capacity", "large"])
+    def test_matches_scalar_reference(self, kind):
+        for args in _reference_instances(kind):
+            assert choose_for_capacitated(*args) == scalar_choose(*args), args[1:]
+
+    def test_capacity_far_above_task_count(self):
+        ids, g1, g2 = ["a", "b", "c"], [0.3, 0.1, 0.4], [0.2, 0.5, 0.4]
+        tracemalloc.start()
+        try:
+            got = choose_for_capacitated(ids, g1, g2, 1000, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == choose_for_capacitated(ids, g1, g2, 3, 3)
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("which", ["gain1", "gain2"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_gain_lists_must_match_task_count(self, which, length):
+        gains = {"gain1": [0.5] * 3, "gain2": [0.5] * 3}
+        gains[which] = [0.5] * length
+        with pytest.raises(ValueError, match="length"):
+            choose_for_capacitated(["a", "b", "c"], gains["gain1"], gains["gain2"], 1, 1)
+
     def test_single_node_picks_highest_gains(self):
         ids = ["a", "b", "c", "d"]
         gains = [0.5, 0.2, 0.4, -0.1]
