@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 MIXTURE_WEIGHT_TOL = 1e-9
+# Mixture._quantile's k-section splits each bracket into
+# max(2, _KSECTION_POINTS // n) parts for n probabilities at once, so each
+# mixture-CDF call sees about 64 points: 63 for a scalar quantile, and 22 or
+# more probabilities bisect.
+_KSECTION_POINTS = 64
 
 # Composite 16-point Gauss-Legendre rule in s = f(t).  The rule on [-1, 1]
 # is symmetric, so only its positive half is tabulated (computing it would
@@ -102,7 +107,7 @@ class LatencyDistribution:
     def quantile(self, p):
         """Generalized inverse of the CDF for p in the open interval (0,1)."""
         parr = _as_array(p)
-        if np.any(parr <= 0.0) or np.any(parr >= 1.0):
+        if not np.all((parr > 0.0) & (parr < 1.0)):  # also rejects NaN
             raise ValueError("quantile probability must lie strictly in (0, 1)")
         out = self._quantile(parr)
         return _maybe_scalar(out, p)
@@ -279,7 +284,9 @@ class Mixture(LatencyDistribution):
     """Convex combination of component distributions.
 
     The CDF is the weighted sum of the component CDFs; the quantile is the
-    generalized inverse obtained by bisection on the mixture CDF.
+    generalized inverse found by k-section on the mixture CDF, which
+    narrows each bracket to one of k equal parts per CDF call and stops
+    at float resolution, so quantiles on a jump land on its atom exactly.
     """
 
     def __init__(self, components, weights):
@@ -305,18 +312,29 @@ class Mixture(LatencyDistribution):
 
     def _quantile(self, p):
         comp_q = np.stack([c._quantile(p) for c in self.components])
-        lo = comp_q.min(axis=0)
-        hi = comp_q.max(axis=0)
-        # Invariant: cdf(hi) >= p and cdf(lo - eps) < p; bisect down to
-        # float resolution so the generalized inverse lands on jumps exactly.
+        # Invariant: cdf(lo) < p <= cdf(hi).  The answer is at least the
+        # smallest component quantile, so lo starts one float below it.
+        lo = np.nextafter(comp_q.min(axis=0), -np.inf).ravel()
+        hi = comp_q.max(axis=0).ravel()
+        # k-section: one CDF call per step on the k-1 interior points of
+        # every bracket.  The CDF is nondecreasing, so the count of points
+        # below p picks the new bracket [pts[cnt], pts[cnt+1]] of
+        # pts = [lo, interior..., hi].  The loop runs until no float lies
+        # strictly inside any bracket; an infinite hi (a saturated Gev
+        # quantile) cannot shrink and ends the loop as it is.
+        k = max(2, _KSECTION_POINTS // p.size)
+        frac = np.arange(1, k) / k
+        rows = np.arange(p.size)
+        p_col = p.reshape(-1, 1)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self._cdf(mid) < p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= 1e-15 * np.maximum(1.0, np.abs(hi))):
+            lo_, hi_ = lo[:, None], hi[:, None]
+            pts = np.concatenate([lo_, lo_ + (hi_ - lo_) * frac, hi_], axis=1)
+            cnt = (self._cdf(pts[:, 1:-1]) < p_col).sum(axis=1)
+            lo = pts[rows, cnt]
+            hi = pts[rows, cnt + 1]
+            if np.all((hi <= np.nextafter(lo, np.inf)) | np.isinf(hi)):
                 break
-        return hi
+        return hi.reshape(p.shape)
 
     def _sample_from_uniform(self, u):
         # Composition from a single uniform per draw: the cumulative-weight

@@ -338,6 +338,7 @@ def solve_capacitated(scenario: Scenario, table: UtilityTable | None = None) -> 
     set1, set2, unplaced = choose_for_capacitated(
         ids, gain1, gain2, node1.capacity if node1 else 0, node2.capacity if node2 else 0
     )
+    set1, set2 = set(set1), set(set2)
     decisions: dict[str, Placement | None] = {}
     for t in scenario.tasks:
         j = t.id

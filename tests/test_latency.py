@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fogassign.characterize import GRID_PROBS
 from fogassign.latency import (
     Degenerate,
     Empirical,
@@ -61,6 +62,43 @@ class TestCdf:
         assert np.allclose(out, t)
 
 
+# Independent reference: the mixture quantile as plain bisection, one CDF
+# call per halving, stopping at a relative width of 1e-15.  The k-section
+# evaluates the same CDF on a finer grid per step and stops at float
+# resolution, so both find the same generalized inverse to within the
+# bisection's stopping width.
+def bisect_quantile(mix, p):
+    comp_q = np.stack([c._quantile(p) for c in mix.components])
+    lo = comp_q.min(axis=0)
+    hi = comp_q.max(axis=0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = mix._cdf(mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo <= 1e-15 * np.maximum(1.0, np.abs(hi))):
+            break
+    return hi
+
+
+def _random_component(rng):
+    kind = int(rng.integers(4))
+    if kind == 0:
+        lo = float(rng.uniform(0.0, 2.0))
+        return Uniform(lo, lo + float(rng.uniform(0.01, 2.0)))
+    if kind == 1:
+        shape, scale = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.005, 0.5))
+        return Gev(shape, scale, scale / shape + float(rng.uniform(0.0, 1.0)))
+    if kind == 2:
+        return Degenerate(float(rng.uniform(0.0, 3.0)))
+    return Empirical(rng.uniform(0.0, 3.0, int(rng.integers(1, 20))))
+
+
+def _random_mixture(rng, component=_random_component):
+    n = int(rng.integers(2, 5))
+    return Mixture([component(rng) for _ in range(n)], rng.dirichlet(np.ones(n)))
+
+
 class TestQuantile:
     def test_uniform_median(self):
         assert Uniform(0.3, 0.8).quantile(0.5) == pytest.approx(0.55, abs=1e-12)
@@ -81,7 +119,7 @@ class TestQuantile:
         assert d.quantile(0.5) == 0.4  # F(0.4) = 0.5 already
         assert d.quantile(0.51) == 0.6
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_domain_error(self, p):
         with pytest.raises(ValueError):
             Uniform(0.0, 1.0).quantile(p)
@@ -90,6 +128,34 @@ class TestQuantile:
         mix = Mixture([Uniform(0.0, 1.0), Uniform(0.0, 1.0)], [0.3, 0.7])
         for p in (0.1, 0.5, 0.9):
             assert mix.quantile(p) == pytest.approx(p, abs=1e-9)
+
+    @pytest.mark.parametrize("probs", ["scalar", "grid"])
+    def test_matches_bisection_reference(self, probs):
+        rng = np.random.default_rng(20261018)
+        for _ in range(100 if probs == "scalar" else 30):
+            mix = _random_mixture(rng)
+            ps = rng.uniform(0.001, 0.999, 5) if probs == "scalar" else [GRID_PROBS]
+            for p in ps:
+                got = mix.quantile(p)
+                want = bisect_quantile(mix, np.asarray(p))
+                assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want))), mix
+
+    def test_quantile_lands_on_atoms(self):
+        mix = Mixture([Degenerate(0.3), Empirical([0.5, 0.7, 0.9])], [0.4, 0.6])
+        ps, atoms = [0.2, 0.4, 0.41, 0.6, 0.8], [0.3, 0.3, 0.5, 0.5, 0.7]
+        assert [mix.quantile(p) for p in ps] == atoms
+        assert mix.quantile(np.array(ps)).tolist() == atoms
+        # Discrete mixtures: the answer is the first atom whose CDF reaches p.
+        rng = np.random.default_rng(7)
+        discrete = (lambda r: Degenerate(float(r.uniform(0.0, 3.0))),
+                    lambda r: Empirical(r.uniform(0.0, 3.0, int(r.integers(1, 20)))))
+        for _ in range(100):
+            mix = _random_mixture(rng, lambda r: discrete[int(r.integers(2))](r))
+            support = np.unique(np.concatenate([c.breakpoints() for c in mix.components]))
+            cdf = mix.cdf(support)
+            for p in (*rng.uniform(0.001, 0.999, 3), GRID_PROBS):
+                want = support[np.argmax(cdf >= np.asarray(p)[..., None], axis=-1)]
+                assert np.array_equal(mix.quantile(p), want), mix
 
 
 class TestSample:
