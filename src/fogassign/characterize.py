@@ -74,8 +74,11 @@ def cdf_distance(a, b, grid=None) -> tuple[float, float]:
 
 
 def ks_statistic(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a reference CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    """One-sample Kolmogorov-Smirnov statistic against a reference CDF.
+
+    The samples go through ``estimate_cdf``'s input checks.
+    """
+    x = estimate_cdf(samples).samples
     n = x.size
     f = np.atleast_1d(cdf(x))
     upper = np.max(np.arange(1, n + 1) / n - f)

@@ -8,6 +8,7 @@ benchmark server / probe client.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -215,10 +216,8 @@ def serve(bind, dataset, allow_out_of_range):
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"serving on {server.url} (pic/psf/fsp)")
-    try:
+    with server, contextlib.suppress(KeyboardInterrupt):  # Ctrl-C closes the socket
         server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
 
 
 @main.command()

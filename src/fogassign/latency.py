@@ -101,7 +101,10 @@ class LatencyDistribution:
 
     def cdf(self, t):
         """P(T <= t); accepts scalars or arrays, total over the reals."""
-        out = self._cdf(_as_array(t))
+        tarr = _as_array(t)
+        if np.isnan(tarr).any():
+            raise ValueError("cdf argument must not be NaN")
+        out = self._cdf(tarr)
         return _maybe_scalar(out, t)
 
     def quantile(self, p):

@@ -228,6 +228,7 @@ def test_criterion_11_bench_harness(tmp_path):
         quantiles_match = hand == {"median": 5.0, "p10": 1.0, "p90": 9.0, "sp": 8.0, "n": 10}
     finally:
         server.shutdown()
+        server.server_close()
     elapsed = time.perf_counter() - t0
     _report(11, "loopback bench harness: valid records, exact kernels, quantiles",
             elapsed, 30.0, all_ok and pic_exact and stats_match and quantiles_match,

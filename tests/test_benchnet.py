@@ -35,6 +35,7 @@ def server(dataset):
     srv, _thread = start_server(dataset, allow_out_of_range=True)
     yield srv
     srv.shutdown()
+    srv.server_close()
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,7 @@ def strict_server(dataset):
     srv, _thread = start_server(dataset, allow_out_of_range=False)
     yield srv
     srv.shutdown()
+    srv.server_close()
 
 
 def get_json(url):
@@ -108,12 +110,14 @@ class TestServer:
     def test_malformed_requests_rejected(self, server, path):
         with pytest.raises(urllib.error.HTTPError) as err:
             get_json(f"{server.url}{path}")
+        err.value.close()
         assert err.value.code in (400, 404)
 
     def test_empty_fsp_body_rejected(self, server):
         req = urllib.request.Request(f"{server.url}/fsp", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
+        err.value.close()
         assert err.value.code == 400
 
     def test_negative_content_length_rejected_without_waiting(self, server):

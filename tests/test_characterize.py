@@ -83,6 +83,16 @@ class TestKs:
         x = Uniform(0.0, 1.0).sample(make_rng(3), 2000)
         assert ks_statistic(x, Uniform(0.5, 1.5).cdf) > 0.3
 
+    @pytest.mark.parametrize("samples, message", [
+        ([0.1, float("nan"), 0.3], "finite"),
+        ([0.1, float("inf")], "finite"),
+        ([], "zero samples"),
+        ([-0.1, 0.2], "nonnegative"),
+    ], ids=["nan", "inf", "empty", "negative"])
+    def test_checks_samples_like_estimate_cdf(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            ks_statistic(samples, Uniform(0.0, 1.0).cdf)
+
 
 class TestErrorCurve:
     def test_error_shrinks_with_samples(self):

@@ -4,7 +4,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from fogassign.benchnet import make_dataset, start_server
+from fogassign.benchnet import BenchServer, make_dataset, start_server
 from fogassign.cli import main
 from fogassign.scenario import bundled_scenario
 
@@ -159,6 +159,7 @@ class TestBenchCommands:
             assert "skipped" in report["regimes"]  # no cold-regime gaps here
         finally:
             server.shutdown()
+            server.server_close()
 
 
 def test_scenarios_listing(runner):
@@ -184,3 +185,18 @@ def test_serve_requires_valid_dataset(runner, tmp_path):
     res = runner.invoke(main, ["serve", "--dataset", str(short), "--bind", "127.0.0.1:0"])
     assert res.exit_code != 0
     assert "at least" in res.output
+
+
+def test_serve_closes_its_socket_on_ctrl_c(runner, tmp_path, monkeypatch):
+    dataset = make_dataset(tmp_path / "data.csv", seed=3)
+    served = []
+
+    def interrupt(self):  # runs inside serve_forever's loop, as a Ctrl-C would
+        served.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(BenchServer, "service_actions", interrupt)
+    res = runner.invoke(main, ["serve", "--dataset", str(dataset), "--bind", "127.0.0.1:0"])
+    assert res.exit_code == 0, res.output
+    assert "serving on" in res.output
+    assert served[0].socket.fileno() == -1

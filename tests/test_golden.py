@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` hold the CLI output for both bundled
 scenarios: ``fogassign solve`` as JSON (stdout) and CSV (``--out``), and
-``fogassign simulate --reps 2000 --seed 7 --with-baselines`` (stdout).
+``fogassign simulate --reps 2000 --seed 7 --with-baselines`` (stdout),
+and ``fogassign reproduce`` (stdout; its timings go to stderr).
 A change that alters any of them changes a result; regenerate them only
 when that is the intent, and say so in the change description.
 """
@@ -48,3 +49,7 @@ def test_simulate_with_baselines(name):
         ["simulate", _bundled_path(name), "--reps", "2000", "--seed", "7", "--with-baselines"]
     )
     assert got == (GOLDEN / f"{name}.simulate.json").read_bytes()
+
+
+def test_reproduce_stdout():
+    assert _invoke(["reproduce"]) == (GOLDEN / "reproduce.stdout").read_bytes()

@@ -61,6 +61,21 @@ class TestCdf:
         out = Uniform(0.0, 1.0).cdf(t)
         assert np.allclose(out, t)
 
+    @pytest.mark.parametrize("dist", [
+        Empirical([1.0, 2.0, 3.0]),
+        TABLE_GEV,
+        Uniform(0.0, 1.0),
+        Degenerate(0.5),
+        Mixture([Uniform(0.0, 1.0), Degenerate(0.5)], [0.5, 0.5]),
+    ], ids=["empirical", "gev", "uniform", "degenerate", "mixture"])
+    def test_nan_rejected(self, dist):
+        with pytest.raises(ValueError, match="NaN"):
+            dist.cdf(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            dist.cdf(np.array([0.5, math.nan]))
+        assert dist.cdf(math.inf) == 1.0
+        assert dist.cdf(-math.inf) == 0.0
+
 
 # Independent reference: the mixture quantile as plain bisection, one CDF
 # call per halving, stopping at a relative width of 1e-15.  The k-section

@@ -1,0 +1,62 @@
+"""Batched scoring of the randomized-quality experiment.
+
+``_rq_scores`` evaluates each task's time utility once per node for a
+whole batch of runs.  The reference below is the per-run loop it
+replaced, kept verbatim; the batch must give the same floats, compared
+with ``==``.
+"""
+
+import numpy as np
+import pytest
+
+from fogassign.latency import Gev, make_rng
+from fogassign.reproduce import (
+    RQ_GATEWAY_CAPACITY,
+    RQ_SAMPLES_PER_ESTIMATE,
+    _RQ_BATCH,
+    _rq_scores,
+)
+from fogassign.scenario import bundled_scenario
+from fogassign.utility import ExpDecay, Step, TaskSpec, UtilityReport
+
+
+def per_run_reports(tasks, a2, gw_draws, cl_draws):
+    """One run scored task by task, as the experiment did before batching."""
+    reports = {}
+    for i, t in enumerate(tasks):
+        f = t.time_utility
+        u_gw = 0.6 * float(f.value(gw_draws[:, i]).mean())
+        u_cl = float(a2[i]) * float(f.value(cl_draws[:, i]).mean())
+        reports[(t.id, "gateway", "o1")] = UtilityReport(u_gw, 0.0, True)
+        reports[(t.id, "cloud", "o1")] = UtilityReport(u_cl, 0.0, True)
+    return reports
+
+
+@pytest.mark.parametrize("runs", [_RQ_BATCH, 3], ids=["full", "partial"])
+@pytest.mark.parametrize("cloud", ["scenario", "gev"])
+def test_batch_matches_per_run_reference(runs, cloud):
+    scen = bundled_scenario("vii_d_base").with_node_capacity("gateway", RQ_GATEWAY_CAPACITY)
+    # The experiment's ten ramp tasks plus one of each other utility kind.
+    tasks = list(scen.tasks) + [
+        TaskSpec(id="step", time_utility=Step(0.45)),
+        TaskSpec(id="exp", time_utility=ExpDecay(3.0)),
+    ]
+    k, n = RQ_SAMPLES_PER_ESTIMATE, len(tasks)
+    gw_dist = scen.dist("t01", "gateway", "o1")
+    cl_dist = scen.dist("t01", "cloud", "o1") if cloud == "scenario" else Gev(0.3, 0.1, 0.6)
+    rng = make_rng(runs)
+    a2 = np.empty((_RQ_BATCH, n))
+    gw_draws = np.empty((_RQ_BATCH, k, n))
+    cl_draws = np.empty((_RQ_BATCH, k, n))
+    want = []
+    for r in range(runs):
+        a2[r] = rng.uniform(0.6, 0.9, n)
+        gw_draws[r] = gw_dist.sample(rng, k * n).reshape(k, n)
+        cl_draws[r] = cl_dist.sample(rng, k * n).reshape(k, n)
+        want.append(per_run_reports(tasks, a2[r], gw_draws[r], cl_draws[r]))
+    u_gw, u_cl = _rq_scores(tasks, a2[:runs], gw_draws[:runs], cl_draws[:runs])
+    assert u_gw.shape == u_cl.shape == (runs, n)
+    for r in range(runs):
+        for i, t in enumerate(tasks):
+            assert u_gw[r, i] == want[r][(t.id, "gateway", "o1")].utility
+            assert u_cl[r, i] == want[r][(t.id, "cloud", "o1")].utility
