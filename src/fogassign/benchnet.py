@@ -13,10 +13,13 @@ chosen to stress different subsystems:
 Responses are JSON and always carry ``exec_ms``, the server-side compute
 time, so probes can split transport from execution.  The probing client
 invokes endpoints strictly sequentially (it must never compete with
-itself), measures wall-clock end-to-end latency, tracks the actual gap
-since the previous invocation of the same endpoint (start to start), and
-appends one CSV row per invocation; failures become rows with an error
-status rather than being dropped.
+itself), tracks the actual gap since the previous invocation of the same
+endpoint (start to start), and appends one CSV row per invocation;
+failures become rows with an error status rather than being dropped.
+Its ``latency_s`` is wall-clock time from just before the request is sent
+to the parsed JSON response.  Each target's request is built once per
+run, before the first invocation, so building it (for ``/fsp``, formatting
+the whole CSV body) is not part of any recorded latency.
 
 Probe record CSV columns: ``delta_t_s,latency_s,endpoint,option,
 timestamp_unix_ms,status`` (the first five are the shared
@@ -58,6 +61,7 @@ __all__ = [
     "leibniz_pi",
     "probe",
     "load_probe_rows",
+    "ok_rows",
     "summarize",
     "load_schedule",
     "EmptySummaryError",
@@ -353,8 +357,12 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
 
     Rows are flushed as they happen so an interrupted run still leaves a
     valid file.  Connection errors and HTTP errors are recorded with a
-    status tag and the run continues.
+    status tag and the run continues.  Each target's request is built once,
+    before the first invocation, and sent again on every invocation of that
+    target, so the timed region holds only the exchange; a target whose URL
+    cannot form a request raises ``ValueError`` before anything is sent.
     """
+    requests = [target.build_request() for target in schedule.targets]
     rng = make_rng(schedule.seed)
     rows: list[ProbeRow] = []
     last_start: dict[tuple[str, str], float] = {}
@@ -364,7 +372,8 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
         writer = csv.writer(fh)
         writer.writerow(PROBE_HEADER)
         for i in range(schedule.count):
-            target = schedule.targets[i % len(schedule.targets)]
+            k = i % len(schedule.targets)
+            target, request = schedule.targets[k], requests[k]
             if i > 0 and schedule.mode == "fixed":
                 wait = prev_start + schedule.delta_s - time.perf_counter()
                 if wait > 0:
@@ -379,7 +388,7 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
             last_start[key] = start
             status, latency, exec_ms = "ok", float("nan"), float("nan")
             try:
-                with urllib.request.urlopen(target.build_request(), timeout=schedule.timeout_s) as resp:
+                with urllib.request.urlopen(request, timeout=schedule.timeout_s) as resp:
                     payload = json.loads(resp.read().decode())
                 latency = time.perf_counter() - start
                 exec_ms = float(payload.get("exec_ms", float("nan")))
@@ -440,13 +449,22 @@ def nearest_rank(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[min(max(idx, 0), n - 1)])
 
 
+def ok_rows(rows: list[ProbeRow]) -> list[ProbeRow]:
+    """Rows with status ``ok`` and a finite latency: the ones to characterize.
+
+    A five-column file has no status, so a row with an empty latency cell
+    reads as ``ok`` with a NaN latency; it is dropped here.
+    """
+    return [r for r in rows if r.status == "ok" and math.isfinite(r.latency_s)]
+
+
 def summarize(rows: list[ProbeRow]) -> dict[tuple[str, str], dict]:
-    """Per-(endpoint, option) latency summary of successful probe rows.
+    """Per-(endpoint, option) latency summary of the ``ok_rows``.
 
     Quantiles use the nearest-rank convention, so every reported value is
     an observed latency; ``sp`` is the 10th-to-90th percentile span.
     """
-    ok = [r for r in rows if r.status == "ok" and not math.isnan(r.latency_s)]
+    ok = ok_rows(rows)
     if not ok:
         raise EmptySummaryError("no successful probe records to summarize")
     out: dict[tuple[str, str], dict] = {}

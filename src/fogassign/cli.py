@@ -161,7 +161,7 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
         "records": len(rows),
         "per_endpoint": {f"{e} {o}": s for (e, o), s in summary.items()},
     }
-    ok_rows = [r for r in rows if r.status == "ok"]
+    ok_rows = benchnet.ok_rows(rows)
     pairs = [
         (r.delta_t_s, r.latency_s) for r in ok_rows if not math.isnan(r.delta_t_s)
     ]
@@ -225,8 +225,10 @@ def serve(bind, dataset, allow_out_of_range):
 @click.option("--out", type=click.Path(), required=True)
 def probe(schedule, out):
     """Run a probe schedule against live endpoints and record latencies."""
-    sched = benchnet.load_schedule(schedule)
-    rows = benchnet.probe(sched, out)
+    try:
+        rows = benchnet.probe(benchnet.load_schedule(schedule), out)
+    except ValueError as exc:  # a bad target, or a URL no request can go to
+        raise click.ClickException(str(exc))
     failures = sum(1 for r in rows if r.status != "ok")
     click.echo(f"wrote {len(rows)} records to {out} ({failures} failures)")
 

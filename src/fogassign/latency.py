@@ -344,16 +344,19 @@ class Mixture(LatencyDistribution):
         # bracket picks the component and the rescaled residual drives it.
         # Unlike bisection on the mixture CDF this reproduces atoms of
         # discrete components exactly.
+        # Counting thresholds and integer-index gathers cost less here than
+        # searchsorted and boolean masks.
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        cum[-1] = 1.0
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(self.components) - 1)
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for threshold in cum[1:-1]:
+            idx += u >= threshold
         out = np.empty_like(u)
         for i, c in enumerate(self.components):
-            mask = idx == i
-            if not mask.any():
+            sel = np.flatnonzero(idx == i)
+            if sel.size == 0:
                 continue
-            residual = (u[mask] - cum[i]) / self.weights[i]
-            out[mask] = c._sample_from_uniform(np.clip(residual, 1e-15, 1.0 - 1e-16))
+            residual = (u[sel] - cum[i]) / self.weights[i]
+            out[sel] = c._sample_from_uniform(np.clip(residual, 1e-15, 1.0 - 1e-16))
         return out
 
     def support_lo(self):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -203,6 +204,58 @@ class TestProbe:
         rows = probe(schedule, tmp_path / "paced.csv")
         for r in rows[1:]:
             assert 0.05 - 1e-3 <= r.delta_t_s <= 0.05 + 0.5  # generous slack bound
+
+    def test_builds_each_request_once_per_run(self, server, tmp_path, monkeypatch):
+        calls = []
+        build = ProbeTarget.build_request
+
+        def counting(self):
+            calls.append(self.task.kind)
+            return build(self)
+
+        monkeypatch.setattr(ProbeTarget, "build_request", counting)
+        schedule = ProbeSchedule(
+            targets=(
+                ProbeTarget(server.url, BenchTask("pic", 10)),
+                ProbeTarget(server.url, BenchTask("fsp", 500)),
+            ),
+            count=6,
+        )
+        rows = probe(schedule, tmp_path / "once.csv")
+        assert [r.status for r in rows] == ["ok"] * 6
+        assert calls == ["pic", "fsp"]
+
+    def test_request_building_is_not_timed(self, server, tmp_path, monkeypatch):
+        build = ProbeTarget.build_request
+
+        def slow(self):
+            time.sleep(0.2)
+            return build(self)
+
+        monkeypatch.setattr(ProbeTarget, "build_request", slow)
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(server.url, BenchTask("pic", 10)),), count=3
+        )
+        rows = probe(schedule, tmp_path / "slow.csv")
+        assert [r.status for r in rows] == ["ok"] * 3
+        assert all(r.latency_s < 0.2 for r in rows)
+
+    def test_fsp_request_is_resent_intact(self, server, tmp_path):
+        # One prebuilt POST request goes out six times; a body that could be
+        # sent only once would come back 400 (empty body) or time out.
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(server.url, BenchTask("fsp", 500)),), count=6, timeout_s=5.0
+        )
+        rows = probe(schedule, tmp_path / "fsp.csv")
+        assert [r.status for r in rows] == ["ok"] * 6
+
+    def test_unusable_url_fails_before_sending(self, tmp_path):
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget("not-a-url", BenchTask("pic", 10)),), count=2
+        )
+        with pytest.raises(ValueError):
+            probe(schedule, tmp_path / "bad.csv")
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_dead_endpoint_recorded_not_dropped(self, tmp_path):
         schedule = ProbeSchedule(

@@ -161,6 +161,35 @@ class TestBenchCommands:
             server.shutdown()
             server.server_close()
 
+    def test_probe_unusable_url_is_clean_error(self, runner, tmp_path):
+        schedule = tmp_path / "sched.json"
+        schedule.write_text(json.dumps({
+            "endpoints": [{"url": "not-a-url", "task": {"kind": "pic", "size": 10}}],
+            "count": 2,
+        }))
+        res = runner.invoke(main, ["probe", "--schedule", str(schedule),
+                                   "--out", str(tmp_path / "r.csv")])
+        assert res.exit_code == 1
+        assert "unknown url type" in res.output
+
+    def test_characterize_skips_empty_latency_cells(self, runner, tmp_path):
+        # The five-column format has no status, so an empty latency cell
+        # reads as an ok row with no latency; it must not reach the fits.
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+            ",0.12,e,o,1700000000000\n"
+            "0.5,,e,o,1700000000500\n"
+            "0.5,0.15,e,o,1700000001000\n"
+        )
+        reference = tmp_path / "ref.json"
+        reference.write_text(json.dumps({"kind": "uniform", "lo": 0.1, "hi": 0.2}))
+        res = runner.invoke(main, ["characterize", str(records), "--reference", str(reference)])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["per_endpoint"]["e o"]["n"] == 2
+        assert 0.0 <= report["reference_distance"]["max"] <= 1.0
+
 
 def test_scenarios_listing(runner):
     res = runner.invoke(main, ["scenarios"])

@@ -173,6 +173,23 @@ class TestQuantile:
                 assert np.array_equal(mix.quantile(p), want), mix
 
 
+# Reference: the mixture's composition sampler as a searchsorted bracket
+# and boolean masks per component.  The sampler must match it bit for bit.
+def masked_mixture_sample(mix, u):
+    cum = np.concatenate([[0.0], np.cumsum(mix.weights)])
+    cum[-1] = 1.0
+    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(mix.components) - 1)
+    out = np.empty_like(u)
+    for i, c in enumerate(mix.components):
+        mask = idx == i
+        if not mask.any():
+            continue
+        residual = np.clip((u[mask] - cum[i]) / mix.weights[i], 1e-15, 1.0 - 1e-16)
+        sample = masked_mixture_sample if isinstance(c, Mixture) else type(c)._sample_from_uniform
+        out[mask] = sample(c, residual)
+    return out
+
+
 class TestSample:
     def test_degenerate_point_mass(self, rng):
         assert Degenerate(0.5).sample(rng, 3).tolist() == [0.5, 0.5, 0.5]
@@ -208,6 +225,27 @@ class TestSample:
     def test_rejects_empty(self, rng):
         with pytest.raises(ValueError):
             Uniform(0, 1).sample(rng, 0)
+
+    def test_mixture_matches_masked_reference(self):
+        rng = np.random.default_rng(20261019)
+        mixes = [_random_mixture(rng) for _ in range(60)]
+        # Zero weights (first, inner, last), and mixtures nested in mixtures.
+        mixes += [
+            Mixture([Uniform(0.0, 1.0), Degenerate(2.0), Uniform(3.0, 4.0)], [0.0, 0.5, 0.5]),
+            Mixture([Uniform(0.0, 1.0), Degenerate(2.0), Uniform(3.0, 4.0)], [0.5, 0.0, 0.5]),
+            Mixture([Uniform(0.0, 1.0), Degenerate(2.0), Uniform(3.0, 4.0)], [0.5, 0.5, 0.0]),
+            Mixture([_random_mixture(rng), TABLE_GEV, _random_mixture(rng)], [0.3, 0.0, 0.7]),
+            Mixture([Mixture([_random_mixture(rng), Degenerate(0.5)], [0.6, 0.4]),
+                     Uniform(0.2, 0.9)], [0.45, 0.55]),
+        ]
+        for mix in mixes:
+            u = np.clip(rng.random(2000), 1e-15, None)
+            # Draws exactly on an interior cumulative weight take the upper
+            # component; sample() never passes u >= 1.
+            edges = np.cumsum(mix.weights)[:-1]
+            edges = edges[edges < 1.0]
+            u[:edges.size] = edges
+            assert np.array_equal(mix._sample_from_uniform(u), masked_mixture_sample(mix, u)), mix
 
 
 class TestExpectTransform:
