@@ -318,26 +318,62 @@ class ProbeSchedule:
             raise ValueError("schedule count must be >= 1")
         if self.mode not in ("round_robin", "fixed", "random"):
             raise ValueError(f"unknown probe mode {self.mode!r}")
+        for name in ("delta_s", "max_s"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"schedule {name} must be finite and >= 0 "
+                                 f"(got {getattr(self, name)})")
+        if not (0.0 < self.timeout_s < math.inf):
+            raise ValueError(f"schedule timeout_s must be finite and > 0 (got {self.timeout_s})")
+        if self.seed < 0:
+            raise ValueError(f"schedule seed must be >= 0 (got {self.seed})")
+
+
+_REQUIRED = object()
+
+
+def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
+    """``record[key]`` through ``convert``, or a ValueError naming the field."""
+    if not isinstance(record, dict):
+        raise ValueError(f"schedule {where or 'file'} must be a JSON object")
+    name = f"{where}.{key}" if where else key
+    if key not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"schedule is missing {name}")
+        return default
+    if convert is None:
+        return record[key]
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"schedule {name} must be {convert.__name__}, got {record[key]!r}"
+        ) from None
 
 
 def load_schedule(path) -> ProbeSchedule:
+    """Read a JSON probe schedule.
+
+    A missing or malformed field raises ``ValueError`` naming it, so a bad
+    schedule fails before anything is sent.
+    """
     cfg = json.loads(Path(path).read_text())
-    targets = tuple(
-        ProbeTarget(
-            base_url=e["url"],
-            task=BenchTask(kind=e["task"]["kind"], size=int(e["task"]["size"])),
-        )
-        for e in cfg["endpoints"]
-    )
-    mode = cfg.get("mode", {"kind": "round_robin"})
+    targets = []
+    for i, e in enumerate(_field(cfg, "endpoints", "", list)):
+        task = _field(e, "task", f"endpoints[{i}]")
+        targets.append(ProbeTarget(
+            base_url=_field(e, "url", f"endpoints[{i}]", str),
+            task=BenchTask(kind=_field(task, "kind", f"endpoints[{i}].task"),
+                           size=_field(task, "size", f"endpoints[{i}].task", int)),
+        ))
+    mode = _field(cfg, "mode", "", default={})
     return ProbeSchedule(
-        targets=targets,
-        count=int(cfg["count"]),
-        mode=mode.get("kind", "round_robin"),
-        delta_s=float(mode.get("delta_s", 0.0)),
-        max_s=float(mode.get("max_s", 0.0)),
-        seed=int(cfg.get("seed", 0)),
-        timeout_s=float(cfg.get("timeout_s", 30.0)),
+        targets=tuple(targets),
+        count=_field(cfg, "count", "", int),
+        mode=_field(mode, "kind", "mode", default="round_robin"),
+        delta_s=_field(mode, "delta_s", "mode", float, 0.0),
+        max_s=_field(mode, "max_s", "mode", float, 0.0),
+        seed=_field(cfg, "seed", "", int, 0),
+        timeout_s=_field(cfg, "timeout_s", "", float, 30.0),
     )
 
 

@@ -220,12 +220,19 @@ def fit_serverless_regimes(
     estimate; the fitted weights are exposed on the model's mixing object.
     """
     lo, hi = thresholds
-    if not (0.0 <= lo < hi):
-        raise ValueError("thresholds require 0 <= lo < hi")
+    if not (0.0 <= lo < hi < np.inf):
+        raise ValueError(f"thresholds require 0 <= lo < hi < inf (got {lo}, {hi})")
+    if not (0.0 < bucket_width < np.inf):
+        raise ValueError(f"bucket_width must be finite and > 0 (got {bucket_width})")
     if len(records) < 30:
         raise InsufficientDataError(f"need at least 30 records, got {len(records)}")
     warm_lat, cold_lat = [], []
     n_buckets = int(np.ceil((hi - lo) / bucket_width - 1e-12))
+    if n_buckets > len(records):  # some bucket must then be empty; do not allocate them
+        raise InsufficientDataError(
+            f"bucket_width {bucket_width:g} makes {n_buckets} band buckets "
+            f"for {len(records)} records"
+        )
     buckets: list[list[float]] = [[] for _ in range(n_buckets)]
     for dt, lat in records:
         if dt <= lo:

@@ -177,6 +177,8 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
         }
     except characterize.InsufficientDataError as exc:
         report["regimes"] = {"skipped": str(exc)}
+    except ValueError as exc:  # thresholds or bucket width out of range
+        raise click.ClickException(str(exc))
     if reference is not None:
         ref = dist_from_config(json.loads(Path(reference).read_text()),
                                base_dir=Path(reference).parent)
@@ -235,7 +237,8 @@ def probe(schedule, out):
 
 @main.command(name="make-dataset")
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--lines", type=int, default=benchnet.MIN_DATASET_LINES, show_default=True)
+@click.option("--lines", type=click.IntRange(min=1), default=benchnet.MIN_DATASET_LINES,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def make_dataset(out, lines, seed):
     """Generate the seeded numeric CSV fixture served by /psf."""

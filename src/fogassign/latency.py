@@ -16,6 +16,9 @@ time-utility f is nonincreasing with values in [0, 1], so
 
 where ``f^-1(s)`` is the largest latency still worth s.  The integrand is
 a CDF over a bounded interval, so the tail never has to be truncated.
+
+Importing this module does not load scipy: ``gev_from_quantiles`` imports
+its root finder when it first runs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "LatencyDistribution",
@@ -456,6 +458,8 @@ def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
             f"asymmetry ratio {target:.4f} above the shape=2 limit {hi:.4f}; "
             "upper tail too heavy for shapes in (0, 2]"
         )
+    from scipy.optimize import brentq  # here, not at the top: most of a cold import
+
     xi = brentq(lambda x: _quantile_ratio(x) - target, _XI_MIN, _XI_MAX, xtol=1e-14, rtol=8.9e-16)
     scale = (p90 - p10) / (_gev_a(0.9, xi) - _gev_a(0.1, xi))
     loc = median - scale * _gev_a(0.5, xi)

@@ -18,6 +18,7 @@ from fogassign.benchnet import (
     ProbeTarget,
     leibniz_pi,
     load_probe_rows,
+    load_schedule,
     make_dataset,
     nearest_rank,
     probe,
@@ -304,6 +305,83 @@ class TestProbe:
                 targets=(ProbeTarget("http://x", BenchTask("pic", 10)),),
                 count=0,
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta_s", -1.0),
+            ("max_s", -1.0),
+            ("max_s", float("nan")),
+            ("timeout_s", 0.0),
+            ("timeout_s", float("inf")),
+        ],
+    )
+    def test_schedule_rejects_bad_timing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProbeSchedule(
+                targets=(ProbeTarget("http://x", BenchTask("pic", 10)),),
+                count=1,
+                mode="random",
+                **{field: value},
+            )
+
+
+GOOD_SCHEDULE = {
+    "endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
+    "mode": {"kind": "random", "max_s": 0.1},
+    "count": 2,
+}
+
+
+class TestLoadSchedule:
+    def write(self, tmp_path, cfg):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_reads_every_field(self, tmp_path):
+        cfg = dict(GOOD_SCHEDULE, seed=3, timeout_s=2.5)
+        schedule = load_schedule(self.write(tmp_path, cfg))
+        assert schedule.targets == (ProbeTarget("http://127.0.0.1:9", BenchTask("pic", 10)),)
+        assert (schedule.count, schedule.mode, schedule.max_s) == (2, "random", 0.1)
+        assert (schedule.delta_s, schedule.seed, schedule.timeout_s) == (0.0, 3, 2.5)
+
+    @pytest.mark.parametrize(
+        "path, match",
+        [
+            (("count",), "missing count"),
+            (("endpoints",), "missing endpoints"),
+            (("endpoints", 0, "url"), r"missing endpoints\[0\]\.url"),
+            (("endpoints", 0, "task"), r"missing endpoints\[0\]\.task"),
+            (("endpoints", 0, "task", "kind"), r"missing endpoints\[0\]\.task\.kind"),
+            (("endpoints", 0, "task", "size"), r"missing endpoints\[0\]\.task\.size"),
+        ],
+    )
+    def test_missing_field_is_named(self, tmp_path, path, match):
+        cfg = json.loads(json.dumps(GOOD_SCHEDULE))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(ValueError, match=match):
+            load_schedule(self.write(tmp_path, cfg))
+
+    @pytest.mark.parametrize(
+        "update, match",
+        [
+            ({"count": "many"}, "count must be int"),
+            ({"count": None}, "count must be int"),
+            ({"endpoints": [5]}, r"endpoints\[0\] must be a JSON object"),
+            ({"mode": "random"}, "mode must be a JSON object"),
+            ({"mode": {"kind": "random", "max_s": -1}}, "max_s must be finite and >= 0"),
+            ({"mode": {"kind": "fixed", "delta_s": -1}}, "delta_s must be finite and >= 0"),
+            ({"timeout_s": 0}, "timeout_s must be finite and > 0"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+    )
+    def test_bad_value_is_named(self, tmp_path, update, match):
+        with pytest.raises(ValueError, match=match):
+            load_schedule(self.write(tmp_path, dict(GOOD_SCHEDULE, **update)))
 
 
 class TestSummarize:

@@ -222,6 +222,25 @@ class TestFitServerlessRegimes:
         with pytest.raises(InsufficientDataError, match="bucket 2"):
             fit_serverless_regimes(records)
 
+    @pytest.mark.parametrize("width", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rejects_bad_bucket_width(self, width):
+        records = synth_records(
+            ServerlessModel.linear(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0), 20, make_rng(4)
+        )
+        with pytest.raises(ValueError, match="bucket_width"):
+            fit_serverless_regimes(records, bucket_width=width)
+
+    def test_rejects_unbounded_thresholds(self):
+        records = [(float(d), 0.1) for d in np.linspace(0, 90, 40)]
+        with pytest.raises(ValueError, match="thresholds"):
+            fit_serverless_regimes(records, thresholds=(10.0, float("inf")))
+
+    def test_more_buckets_than_records_is_insufficient(self):
+        # Some bucket would be empty; the error comes before the buckets exist.
+        records = [(float(d), 0.1) for d in np.linspace(0, 90, 40)]
+        with pytest.raises(InsufficientDataError, match="500000 band buckets for 40 records"):
+            fit_serverless_regimes(records, bucket_width=1e-4)
+
     def test_bucket_mixing_conventions(self):
         mixing = BucketMixing(lo=10.0, hi=60.0, width=10.0, weights=(0.9, 0.7, 0.5, 0.3, 0.1))
         assert mixing(10.0) == 1.0

@@ -132,6 +132,14 @@ class TestBenchCommands:
         assert res.exit_code == 0
         assert len(out.read_text().splitlines()) == 100
 
+    @pytest.mark.parametrize("lines", ["0", "-5"])
+    def test_make_dataset_needs_a_line(self, runner, tmp_path, lines):
+        out = tmp_path / "d.csv"
+        res = runner.invoke(main, ["make-dataset", "--out", str(out), "--lines", lines])
+        assert res.exit_code == 2
+        assert "--lines" in res.output
+        assert not out.exists()
+
     def test_probe_and_characterize(self, runner, tmp_path):
         dataset = make_dataset(tmp_path / "data.csv", seed=3)
         server, _ = start_server(dataset, allow_out_of_range=True)
@@ -171,6 +179,47 @@ class TestBenchCommands:
                                    "--out", str(tmp_path / "r.csv")])
         assert res.exit_code == 1
         assert "unknown url type" in res.output
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}]},
+             "missing count"),
+            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
+              "mode": {"kind": "random", "max_s": -1}, "count": 3},
+             "max_s must be finite and >= 0"),
+        ],
+    )
+    def test_probe_bad_schedule_fails_before_sending(self, runner, tmp_path, cfg, message):
+        schedule = tmp_path / "sched.json"
+        schedule.write_text(json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        res = runner.invoke(main, ["probe", "--schedule", str(schedule), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "Error: schedule" in res.output and message in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--bucket-width", "0"], "bucket_width must be finite and > 0"),
+            (["--bucket-width", "-5"], "bucket_width must be finite and > 0"),
+            (["--bucket-width", "nan"], "bucket_width must be finite and > 0"),
+            (["--thresholds", "60", "10"], "thresholds require 0 <= lo < hi"),
+        ],
+    )
+    def test_characterize_bad_arguments_fail_cleanly(self, runner, tmp_path, args, message):
+        # 60 records whose gaps span the warm, mixed and cold regimes.
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+            + "".join(f"{1.5 * i},{0.1 + 0.01 * (i % 7)},e,o,{1700000000000 + i}\n"
+                      for i in range(60))
+        )
+        assert runner.invoke(main, ["characterize", str(records)]).exit_code == 0
+        res = runner.invoke(main, ["characterize", str(records), *args])
+        assert res.exit_code == 1
+        assert f"Error: {message}" in res.output
 
     def test_characterize_skips_empty_latency_cells(self, runner, tmp_path):
         # The five-column format has no status, so an empty latency cell
