@@ -114,11 +114,14 @@ def error_curve(
     For each N the reference is sampled ``reps`` times; every repetition
     records its (avg, max) distance to the true CDF.  Repetitions use
     independent child streams spawned from the caller's generator, so the
-    curve is reproducible from one master seed.
+    curve is reproducible from one master seed.  The reference's share of
+    each evaluation grid is built once per curve; with the estimate's
+    samples added it is the point set ``cdf_distance`` would build.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rng = make_rng(rng)
+    ref_points = np.concatenate([reference.breakpoints(), reference.quantile(GRID_PROBS)])
     points = []
     for n in n_grid:
         streams = rng.spawn(reps)
@@ -126,7 +129,8 @@ def error_curve(
         maxs = np.empty(reps)
         for r, stream in enumerate(streams):
             est = estimate_cdf(reference.sample(stream, int(n)))
-            avgs[r], maxs[r] = cdf_distance(reference, est)
+            grid = np.unique(np.concatenate([ref_points, est.samples]))
+            avgs[r], maxs[r] = cdf_distance(reference, est, grid=grid)
         points.append(
             ErrorCurvePoint(
                 n=int(n),

@@ -102,7 +102,8 @@ def baseline(scenario_path, strategy, out, fmt):
 @main.command(name="simulate")
 @click.argument("scenario_path", type=click.Path(exists=True))
 @click.option("--reps", type=click.IntRange(min=1), default=10_000, show_default=True)
-@click.option("--seed", type=int, default=None, help="Defaults to the scenario seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Defaults to the scenario seed.")
 @click.option("--solver", type=click.Choice(sorted(SOLVERS)), default="at", show_default=True)
 @click.option("--with-baselines", is_flag=True, help="Also simulate both reference strategies.")
 @click.option("--out", type=click.Path(), default=None)
@@ -180,8 +181,13 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
     except ValueError as exc:  # thresholds or bucket width out of range
         raise click.ClickException(str(exc))
     if reference is not None:
-        ref = dist_from_config(json.loads(Path(reference).read_text()),
-                               base_dir=Path(reference).parent)
+        try:
+            ref = dist_from_config(json.loads(Path(reference).read_text()),
+                                   base_dir=Path(reference).parent)
+        except KeyError as exc:
+            raise click.ClickException(f"reference {reference}: missing field {exc}")
+        except (ValueError, TypeError, OSError) as exc:
+            raise click.ClickException(f"reference {reference}: {exc}")
         est = characterize.estimate_cdf([r.latency_s for r in ok_rows])
         avg, mx = characterize.cdf_distance(ref, est)
         report["reference_distance"] = {
@@ -239,7 +245,7 @@ def probe(schedule, out):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--lines", type=click.IntRange(min=1), default=benchnet.MIN_DATASET_LINES,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def make_dataset(out, lines, seed):
     """Generate the seeded numeric CSV fixture served by /psf."""
     benchnet.make_dataset(out, lines=lines, seed=seed)

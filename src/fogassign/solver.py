@@ -28,6 +28,10 @@ Tie-breaking is deterministic throughout: higher utility first, then
 unlimited-capacity nodes over finite ones (to conserve constrained
 slots), then node order, then option order.  Tasks whose best utility is
 exactly 0 are rejected rather than placed.
+
+The shared ``UtilityTable`` also caches each task's best option per node,
+so each node's options are scanned once per task: stage 1, stage 2 and
+the exhaustive oracle all read those per-node bests.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import NodeSpec, Scenario
 from .utility import TaskSpec, UtilityReport, expected_utility, risk_probability
 
 __all__ = [
@@ -121,13 +125,17 @@ class UtilityTable:
 
     Solvers share one table per scenario so each expectation integral runs
     once.  Reproduction experiments inject pre-built tables to rescore a
-    fixed topology under varying intrinsic utilities.
+    fixed topology under varying intrinsic utilities.  The table also
+    caches each task's best option per node (``best_on_node``), which
+    solver stages 1 and 2 and the exhaustive oracle read, so a node's
+    options are scanned once per task.
     """
 
     def __init__(self, scenario: Scenario, reports=None):
         self.scenario = scenario
         self._tasks = {t.id: t for t in scenario.tasks}
         self._reports: dict[tuple[str, str, str], UtilityReport] = dict(reports or {})
+        self._node_best: dict[tuple[str, str], Placement | None] = {}
 
     def report(self, task_id: str, node_id: str, option_id: str) -> UtilityReport:
         key = (task_id, node_id, option_id)
@@ -138,6 +146,26 @@ class UtilityTable:
             self._reports[key] = rep
         return rep
 
+    def best_on_node(self, task: TaskSpec, node: NodeSpec) -> Placement | None:
+        """The task's best positive placement on one node, or None.
+
+        Options of utility <= 0 (including risk-infeasible ones) are
+        skipped; on equal utility the earlier option wins.  Memoized per
+        (task, node), so each node's options are read once per task.
+        """
+        key = (task.id, node.id)
+        if key in self._node_best:
+            return self._node_best[key]
+        best: Placement | None = None
+        for x in node.options:
+            if (node.id, x) not in task.intrinsic:
+                continue
+            rep = self.report(task.id, node.id, x)
+            if rep.utility > 0.0 and (best is None or rep.utility > best.utility):
+                best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
+        self._node_best[key] = best
+        return best
+
 
 def _best_placement(table: UtilityTable, task: TaskSpec, nodes) -> Placement | None:
     """Scan nodes for the task's best placement, or None if none is positive.
@@ -145,22 +173,19 @@ def _best_placement(table: UtilityTable, task: TaskSpec, nodes) -> Placement | N
     Options of utility <= 0 (including risk-infeasible ones) are skipped.
     Equal utilities prefer unlimited-capacity nodes (conserving finite
     slots), then earlier nodes, then earlier options; the ordering is what
-    makes every solver deterministic.  Called with one node it gives the
-    best option on that node.
+    makes every solver deterministic.  The option order is settled inside
+    each node by ``UtilityTable.best_on_node``, so this reduces the
+    per-node bests by (utility, unlimited first, node position).
     """
     best: Placement | None = None
     best_key = None
     for zpos, node in enumerate(nodes):
-        for xpos, x in enumerate(node.options):
-            if (node.id, x) not in task.intrinsic:
-                continue
-            rep = table.report(task.id, node.id, x)
-            if rep.utility <= 0.0:
-                continue
-            key = (-rep.utility, 0 if node.infinite else 1, zpos, xpos)
-            if best is None or key < best_key:
-                best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
-                best_key = key
+        p = table.best_on_node(task, node)
+        if p is None:
+            continue
+        key = (-p.utility, 0 if node.infinite else 1, zpos)
+        if best is None or key < best_key:
+            best, best_key = p, key
     return best
 
 
@@ -190,11 +215,12 @@ def complete_uncapacitated(
     option anywhere) stays in the residual set.
     """
     table = table or UtilityTable(scenario)
+    infinite_ids = {n.id for n in scenario.nodes if n.infinite}
     placed: dict[str, Placement] = {}
     residual: list[TaskSpec] = []
     for t in scenario.tasks:
         best = _best_placement(table, t, scenario.nodes)
-        if best is not None and scenario.node(best.node).infinite:
+        if best is not None and best.node in infinite_ids:
             placed[t.id] = best
         else:
             residual.append(t)
@@ -228,7 +254,7 @@ def capacitated_gains(
         out.fallback[t.id] = fb
         u_inf = fb.utility if fb is not None else 0.0
         for node in finite_nodes:
-            best = _best_placement(table, t, [node])
+            best = table.best_on_node(t, node)
             out.cap_best[(t.id, node.id)] = best
             u_z = best.utility if best is not None else 0.0
             out.gains[(t.id, node.id)] = u_z - u_inf
@@ -382,7 +408,7 @@ def brute_force_optimum(scenario: Scenario, table: UtilityTable | None = None) -
     infinite_nodes = [n for n in scenario.nodes if n.infinite]
     task_ids = [t.id for t in scenario.tasks]
     node_best = {
-        (t.id, n.id): _best_placement(table, t, [n])
+        (t.id, n.id): table.best_on_node(t, n)
         for t in scenario.tasks
         for n in finite_nodes
     }

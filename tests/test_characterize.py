@@ -109,6 +109,25 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             error_curve(TABLE_GEV, [10], 0, make_rng(0))
 
+    @pytest.mark.parametrize("reference", [
+        TABLE_GEV,
+        Uniform(0.1, 0.4),
+        Degenerate(0.3),
+        Empirical([0.2, 0.25, 0.25, 0.4]),
+        Mixture([Uniform(0.1, 0.3), Degenerate(0.35)], [0.6, 0.4]),
+    ], ids=["gev", "uniform", "degenerate", "empirical", "mixture"])
+    def test_distances_equal_the_default_grid(self, reference):
+        # The curve builds the reference's grid points once; every distance
+        # must still be the one cdf_distance computes on its own grid.
+        n_grid, reps = [1, 7, 40], 6
+        curve = error_curve(reference, n_grid, reps, make_rng(21))
+        rng = make_rng(21)
+        for n, point in zip(n_grid, curve.points):
+            expect = [cdf_distance(reference, estimate_cdf(reference.sample(stream, n)))
+                      for stream in rng.spawn(reps)]
+            assert point.avg_distances.tolist() == [a for a, _ in expect]
+            assert point.max_distances.tolist() == [m for _, m in expect]
+
     def test_rate_matches_root_n(self):
         curve = error_curve(TABLE_GEV, n_grid=[10, 90], reps=100, rng=make_rng(77))
         ratio = curve.mean_avg_at(10) / curve.mean_avg_at(90)

@@ -90,6 +90,13 @@ class TestSimulateCmd:
         assert "Traceback" not in res.output
 
 
+    def test_negative_seed_is_a_usage_error(self, runner, base_file):
+        res = runner.invoke(main, ["simulate", str(base_file), "--reps", "10", "--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.output
+        assert "Traceback" not in res.output
+
+
 class TestReproduceCmd:
     def test_single_experiment(self, runner):
         res = runner.invoke(main, ["reproduce", "uncap_split"])
@@ -138,6 +145,13 @@ class TestBenchCommands:
         res = runner.invoke(main, ["make-dataset", "--out", str(out), "--lines", lines])
         assert res.exit_code == 2
         assert "--lines" in res.output
+        assert not out.exists()
+
+    def test_make_dataset_negative_seed_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "d.csv"
+        res = runner.invoke(main, ["make-dataset", "--out", str(out), "--seed", "-1"])
+        assert res.exit_code == 2
+        assert "--seed" in res.output
         assert not out.exists()
 
     def test_probe_and_characterize(self, runner, tmp_path):
@@ -220,6 +234,34 @@ class TestBenchCommands:
         res = runner.invoke(main, ["characterize", str(records), *args])
         assert res.exit_code == 1
         assert f"Error: {message}" in res.output
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"kind": "uniform", "lo": 0.1}', "missing field 'hi'"),
+            ("[1, 2]", "must be a mapping with a 'kind'"),
+            ('{"kind": "uniform", "lo": 0.1, "hi": "abc"}', "could not convert string"),
+            ("not json", "Expecting value"),
+            ('{"kind": "empirical", "samples": []}', "at least one sample"),
+            ('{"kind": "mixture", "components": 3, "weights": [1.0]}', "not iterable"),
+            ('{"kind": "empirical", "file": "missing.csv"}', "not found"),
+        ],
+        ids=["missing-field", "not-a-mapping", "bad-number", "not-json", "no-samples",
+             "wrong-type", "missing-file"],
+    )
+    def test_characterize_bad_reference_fails_cleanly(self, runner, tmp_path, text, message):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+            ",0.12,e,o,1700000000000\n"
+            "0.5,0.15,e,o,1700000001000\n"
+        )
+        reference = tmp_path / "ref.json"
+        reference.write_text(text)
+        res = runner.invoke(main, ["characterize", str(records), "--reference", str(reference)])
+        assert res.exit_code == 1, res.output
+        assert f"Error: reference {reference}: " in res.output
+        assert message in res.output
 
     def test_characterize_skips_empty_latency_cells(self, runner, tmp_path):
         # The five-column format has no status, so an empty latency cell

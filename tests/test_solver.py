@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -70,10 +71,68 @@ def step_scenario(task_values, capacities, budgets=None, name="synthetic"):
 
 
 def best_on_node(task, node, dists):
-    """_best_placement over a single node, as stage 2 and the oracle use it."""
+    """UtilityTable.best_on_node on a one-node scenario."""
     latency = {(task.id, node.id, x): d for x, d in dists.items()}
     scen = Scenario(name="one-node", tasks=[task], nodes=[node], latency=latency)
-    return _best_placement(UtilityTable(scen), task, [node])
+    return UtilityTable(scen).best_on_node(task, node)
+
+
+class CountingTable(UtilityTable):
+    """UtilityTable that counts its report reads per (task, node, option)."""
+
+    def __init__(self, scenario, reports=None):
+        super().__init__(scenario, reports)
+        self.reads = Counter()
+
+    def report(self, task_id, node_id, option_id):
+        self.reads[(task_id, node_id, option_id)] += 1
+        return super().report(task_id, node_id, option_id)
+
+
+# Independent reference: the best-placement scan over every (node, option)
+# pair with the full tie key.  _best_placement reduces the memoized per-node
+# bests instead, so the two must agree exactly.
+def scan_best_placement(table, task, nodes):
+    best, best_key = None, None
+    for zpos, node in enumerate(nodes):
+        for xpos, x in enumerate(node.options):
+            if (node.id, x) not in task.intrinsic:
+                continue
+            rep = table.report(task.id, node.id, x)
+            if rep.utility <= 0.0:
+                continue
+            key = (-rep.utility, 0 if node.infinite else 1, zpos, xpos)
+            if best is None or key < best_key:
+                best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
+                best_key = key
+    return best
+
+
+TIE_UTILITIES = [0.0, 0.25, 0.5]
+
+
+def tie_heavy_scenario(seed):
+    """Utilities on a three-value grid, 1-3 options per node, mixed capacities.
+
+    Step(1.0) over Degenerate(0.5) makes each utility its intrinsic value,
+    so equal utilities across options and nodes are the common case.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [
+        NodeSpec(id=f"z{i}", options=tuple(f"x{k}" for k in range(int(rng.integers(1, 4)))),
+                 capacity=None if rng.random() < 0.5 else int(rng.integers(1, 4)))
+        for i in range(int(rng.integers(1, 5)))
+    ]
+    tasks, latency = [], {}
+    for j in range(int(rng.integers(1, 6))):
+        intrinsic = {}
+        for node in nodes:
+            for x in node.options:
+                if rng.random() < 0.85:
+                    intrinsic[(node.id, x)] = float(rng.choice(TIE_UTILITIES))
+                    latency[(f"j{j}", node.id, x)] = Degenerate(0.5)
+        tasks.append(TaskSpec(id=f"j{j}", time_utility=Step(1.0), intrinsic=intrinsic))
+    return Scenario(name="ties", tasks=tasks, nodes=nodes, latency=latency)
 
 
 class TestBestOnOneNode:
@@ -98,6 +157,38 @@ class TestBestOnOneNode:
                         intrinsic={("z", "x0"): 0.45, ("z", "x1"): 0.45})
         dists = {"x0": Degenerate(0.5), "x1": Degenerate(0.5)}
         assert best_on_node(task, node, dists).option == "x0"
+
+
+class TestBestOnNodeCache:
+    def test_best_placement_matches_option_scan(self):
+        for seed in range(300):
+            scen = tie_heavy_scenario(seed)
+            table, ref_table = UtilityTable(scen), UtilityTable(scen)
+            unlimited = [n for n in scen.nodes if n.infinite]
+            node_sets = [scen.nodes, unlimited, *([n] for n in scen.nodes)]
+            for t in scen.tasks:
+                for nodes in node_sets:
+                    assert _best_placement(table, t, nodes) == scan_best_placement(
+                        ref_table, t, nodes
+                    ), (seed, t.id, [n.id for n in nodes])
+
+    def test_second_call_returns_the_cached_object(self):
+        scen = bundled_scenario("vii_d_base")
+        table = CountingTable(scen)
+        t, node = scen.tasks[3], scen.node("gateway")
+        first = table.best_on_node(t, node)
+        reads = sum(table.reads.values())
+        assert first is not None and reads == len(node.options)
+        assert table.best_on_node(t, node) is first
+        assert sum(table.reads.values()) == reads
+
+    def test_no_positive_option_is_cached_as_none(self):
+        scen = step_scenario([[0.0, 0.5]], [1, None])
+        table = CountingTable(scen)
+        node = scen.node("z0")
+        assert table.best_on_node(scen.tasks[0], node) is None
+        assert table.best_on_node(scen.tasks[0], node) is None
+        assert table.reads[("j0", "z0", "x")] == 1
 
 
 class TestUncapacitated:
@@ -405,6 +496,19 @@ class TestSolveCapacitated:
         ]
         totals.append(solve_capacitated(base).total_utility)
         assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
+
+    @pytest.mark.parametrize("seed", [None, *range(50)])
+    def test_reads_each_offered_pair_once(self, seed):
+        # seed None: the base scenario with three gateway slots
+        if seed is None:
+            scen = bundled_scenario("vii_d_base").with_node_capacity("gateway", 3)
+        else:
+            scen = random_scenario(seed)
+        table = CountingTable(scen)
+        solve_capacitated(scen, table)
+        offered = {(t.id, z, x) for t in scen.tasks for (z, x) in t.intrinsic}
+        assert set(table.reads) == offered
+        assert max(table.reads.values(), default=1) == 1
 
     def test_refuses_three_finite_nodes(self):
         scen = step_scenario([[0.5, 0.5, 0.5]], [1, 1, 1])
