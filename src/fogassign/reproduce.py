@@ -21,7 +21,7 @@ go into (runs, samples, tasks) buffers, and each task's time utility is
 evaluated once per node per batch.  Every row of that evaluation is
 C-contiguous, so each run's mean is numpy's pairwise sum over its
 samples and the estimates are bit-identical to scoring runs one by one.
-Each run is then solved on its own.
+Each batch of scores is then solved at once by ``solver.solve_batch``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from .latency import FitError, Gev, Uniform, gev_from_quantiles, make_rng
 from .scenario import NodeSpec, Scenario, bundled_scenario
 from .simulate import run_baseline
-from .solver import UtilityTable, solve_capacitated, solve_uncapacitated
-from .utility import TaskSpec, UtilityReport, WaitReadyFirst
+from .solver import UtilityTable, solve_batch, solve_capacitated, solve_uncapacitated
+from .utility import TaskSpec, WaitReadyFirst
 
 __all__ = ["CheckResult", "ExperimentReport", "EXPERIMENTS", "run_experiment", "format_report"]
 
@@ -170,8 +170,10 @@ def _random_quality() -> ExperimentReport:
     cl_dist = scen.dist("t01", "cloud", "o1")
     tasks = scen.tasks
     n = len(tasks)
-    keys = [((t.id, "gateway", "o1"), (t.id, "cloud", "o1")) for t in tasks]
-    counts = {t.id: 0 for t in tasks}
+    columns = UtilityTable(scen).columns
+    gw, cl = columns.index(("gateway", "o1")), columns.index(("cloud", "o1"))
+    on_gateway = np.zeros(n, dtype=int)
+    utility = np.zeros((_RQ_BATCH, n, len(columns)))
     a2 = np.empty((_RQ_BATCH, n))
     gw_draws = np.empty((_RQ_BATCH, k, n))
     cl_draws = np.empty((_RQ_BATCH, k, n))
@@ -181,15 +183,11 @@ def _random_quality() -> ExperimentReport:
             a2[r] = rng.uniform(0.6, 0.9, n)
             gw_draws[r] = gw_dist.sample(rng, k * n).reshape(k, n)
             cl_draws[r] = cl_dist.sample(rng, k * n).reshape(k, n)
-        u_gw, u_cl = _rq_scores(tasks, a2[:b], gw_draws[:b], cl_draws[:b])
-        for row_gw, row_cl in zip(u_gw.tolist(), u_cl.tolist()):
-            reports = {}
-            for (key_gw, key_cl), ug, uc in zip(keys, row_gw, row_cl):
-                reports[key_gw] = UtilityReport(ug, 0.0, True)
-                reports[key_cl] = UtilityReport(uc, 0.0, True)
-            plan = solve_capacitated(scen, UtilityTable(scen, reports))
-            for j in plan.placed_on("gateway"):
-                counts[j] += 1
+        utility[:b, :, gw], utility[:b, :, cl] = _rq_scores(
+            tasks, a2[:b], gw_draws[:b], cl_draws[:b]
+        )
+        on_gateway += (solve_batch(scen, utility[:b]) == gw).sum(axis=0)
+    counts = dict(zip((t.id for t in tasks), on_gateway.tolist()))
     for tid, (paper, tol) in RQ_FREQS.items():
         got = 100.0 * counts[tid] / RQ_RUNS
         rep.add(

@@ -59,6 +59,9 @@ class NodeSpec:
     def __post_init__(self):
         if len(self.options) == 0:
             raise ScenarioError(f"node {self.id}: must offer at least one option")
+        for i, x in enumerate(self.options):
+            if x in self.options[:i]:
+                raise ScenarioError(f"node {self.id}: option {x!r} listed twice")
         if self.capacity is not None and self.capacity < 1:
             raise ScenarioError(f"node {self.id}: finite capacity must be >= 1")
 
@@ -188,16 +191,20 @@ class Scenario:
         Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n")
 
 
+def _integer(value, minimum: int, error: str) -> int:
+    """``value`` as an int >= ``minimum``; a bool, a fraction, a string or
+    a smaller number raises ``error``."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise ScenarioError(f"{error} (got {value!r})")
+    return int(value)
+
+
 def _capacity_from_config(n: dict) -> int | None:
     cap = n.get("capacity", "inf")
     if cap == "inf":
         return None
-    value = float(cap)
-    if not value.is_integer():
-        raise ScenarioError(
-            f"node {n['id']}: capacity must be an integer or 'inf' (got {cap!r})"
-        )
-    return int(value)
+    return _integer(cap, 1, f"node {n['id']}: capacity must be 'inf' or an integer >= 1")
 
 
 def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
@@ -212,10 +219,15 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         ]
         tasks = []
         for trec in cfg["tasks"]:
-            intrinsic = {
-                (str(e["node"]), str(e["option"])): float(e["value"])
-                for e in trec.get("intrinsic", [])
-            }
+            intrinsic = {}
+            for e in trec.get("intrinsic", []):
+                pair = (str(e["node"]), str(e["option"]))
+                if pair in intrinsic:
+                    raise ScenarioError(
+                        f"task {str(trec['id'])!r}: duplicate intrinsic entry for node "
+                        f"{pair[0]!r}, option {pair[1]!r}"
+                    )
+                intrinsic[pair] = float(e["value"])
             tasks.append(
                 TaskSpec(
                     id=str(trec["id"]),
@@ -250,7 +262,7 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
             tasks=tasks,
             nodes=nodes,
             latency=latency,
-            seed=int(cfg.get("seed", 0)),
+            seed=_integer(cfg.get("seed", 0), 0, "seed must be an integer >= 0"),
             notes=str(cfg.get("notes", "")),
         )
     except ScenarioError:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .latency import make_rng
 from .scenario import Scenario
-from .solver import AssignmentPlan, Placement, UtilityTable
+from .solver import AssignmentPlan, UtilityTable
 
 __all__ = [
     "SimulationResult",
@@ -122,27 +122,19 @@ def run_baseline(scenario: Scenario, strategy: str, table: UtilityTable | None =
     if strategy not in BASELINES:
         raise ValueError(f"unknown baseline {strategy!r}; expected one of {BASELINES}")
     table = table or UtilityTable(scenario)
-    decisions: dict[str, Placement | None] = {}
-    for t in scenario.tasks:
-        best_key = None
-        best: Placement | None = None
-        for zpos, node in enumerate(scenario.nodes):
-            for xpos, x in enumerate(node.options):
-                if (node.id, x) not in t.intrinsic:
-                    continue
-                rep = table.report(t.id, node.id, x)
-                if not rep.feasible:
-                    continue
-                if strategy == "min-latency":
-                    score = float(scenario.dist(t.id, node.id, x).quantile(0.5))
-                else:
-                    score = -t.intrinsic[(node.id, x)]
-                key = (score, zpos, xpos)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
-        decisions[t.id] = best
-    return AssignmentPlan.from_decisions(decisions, solver=strategy)
+    feasible = table.feasible
+    score = np.full(feasible.shape, np.inf)
+    rows, cols = np.nonzero(feasible)
+    for i, k in zip(rows.tolist(), cols.tolist()):
+        t, (z, x) = scenario.tasks[i], table.columns[k]
+        if strategy == "min-latency":
+            score[i, k] = float(scenario.dist(t.id, z, x).quantile(0.5))
+        else:
+            score[i, k] = -t.intrinsic[(z, x)]
+    # The first minimum in column order: earlier nodes, then earlier options.
+    # (argmin has no answer for a scenario without nodes, where all are rejected.)
+    first = score.argmin(axis=1) if table.columns else -1
+    return table.plan(np.where(feasible.any(axis=1), first, -1), solver=strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -4,54 +4,57 @@ Each task is placed on at most one (node, option) pair or rejected; the
 objective is the sum of expected utilities, subject to per-node task
 capacities and per-task timeliness-risk budgets.
 
-With only unlimited-capacity nodes the problem decomposes per task and an
-exhaustive per-task scan is optimal.  With capacitated nodes present the
-solver runs a four-stage pipeline:
+A scenario's scores are one array: ``UtilityTable`` holds ``utility``,
+``risk`` and ``feasible`` of shape (tasks, columns), one column per
+(node, option) pair in node order, then option order.  Every solver reads
+it, and a decision is a column index, or -1 for a rejected task.
 
-1. finalize tasks whose best placement is on an unlimited node (they do
-   not compete for constrained slots),
-2. compute each remaining task's *capacitated gain*: the utility of its
-   best slot on each constrained node minus its best unlimited fallback,
-3. pick the gain-maximizing slot occupants with a dynamic program over
-   (task index, slots used on node 1, slots used on node 2); supported
-   for up to two finite-capacity nodes.  Each task updates the whole
-   slot grid at once with numpy, each fill axis is clipped to the task
-   count n, and the backtrack keeps two boolean take-masks of
-   n * (min(c1, n) + 1) * (min(c2, n) + 1) bytes each,
-4. send everyone unchosen to their unlimited fallback, rejecting tasks
-   with no positive-utility fallback.
+``solve_batch`` solves a stack of score arrays, shape (runs, tasks,
+columns), in four stages:
 
-Negative gains are representable and never chosen: the DP's skip branch
-dominates, so constrained slots are never filled at a loss.
+1. each task's best option per node is the first ``argmax`` in the node's
+   column block; a task whose overall best (the first ``argmax`` over the
+   nodes ordered unlimited first) is on an unlimited node is final, since
+   it does not compete for constrained slots,
+2. every task's *capacitated gain* on each finite node is its best utility
+   there minus its best unlimited fallback,
+3. each run's gain-maximizing slot occupants among the remaining tasks are
+   picked by a dynamic program over (task index, slots used on node 1,
+   slots used on node 2), for up to two finite-capacity nodes
+   (``choose_for_capacitated``),
+4. everyone unchosen goes to their unlimited fallback, and tasks with no
+   positive-utility fallback are rejected.
+
+``solve_capacitated`` and ``solve_uncapacitated`` turn one table's chosen
+columns into ``Placement``s.  Negative gains are representable and never
+chosen: the DP's skip branch dominates, so constrained slots are never
+filled at a loss.
 
 Tie-breaking is deterministic throughout: higher utility first, then
 unlimited-capacity nodes over finite ones (to conserve constrained
 slots), then node order, then option order.  Tasks whose best utility is
 exactly 0 are rejected rather than placed.
-
-The shared ``UtilityTable`` also caches each task's best option per node,
-so each node's options are scanned once per task: stage 1, stage 2 and
-the exhaustive oracle all read those per-node bests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .scenario import NodeSpec, Scenario
-from .utility import TaskSpec, UtilityReport, expected_utility, risk_probability
+from .scenario import Scenario
+from .utility import UtilityReport, expected_utility, risk_probability
 
 __all__ = [
     "Placement",
     "AssignmentPlan",
     "UtilityTable",
-    "CapGainTable",
     "solve_uncapacitated",
     "solve_capacitated",
+    "solve_batch",
     "complete_uncapacitated",
     "capacitated_gains",
     "choose_for_capacitated",
@@ -78,7 +81,7 @@ class SizeGuardError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     node: str
     option: str
@@ -121,21 +124,23 @@ class AssignmentPlan:
 
 
 class UtilityTable:
-    """Lazy cache of utility reports for every offered (task, node, option).
+    """The scenario's score array.
 
-    Solvers share one table per scenario so each expectation integral runs
-    once.  Reproduction experiments inject pre-built tables to rescore a
-    fixed topology under varying intrinsic utilities.  The table also
-    caches each task's best option per node (``best_on_node``), which
-    solver stages 1 and 2 and the exhaustive oracle read, so a node's
-    options are scanned once per task.
+    ``utility``, ``risk`` and ``feasible`` have shape (tasks, columns), with
+    one column per (node, option) pair in node order, then option order, as
+    listed in ``columns``.  A pair not offered to a task has utility 0 and
+    is infeasible; a risk-infeasible pair has utility 0.  The arrays are
+    filled on first use by reading each offered pair once through
+    ``report``, so each expectation integral runs once per table.  Injected
+    ``reports``, keyed by (task, node, option), stand in for the integrals,
+    which lets experiments rescore a fixed topology.
     """
 
     def __init__(self, scenario: Scenario, reports=None):
         self.scenario = scenario
+        self.columns = [(n.id, x) for n in scenario.nodes for x in n.options]
         self._tasks = {t.id: t for t in scenario.tasks}
         self._reports: dict[tuple[str, str, str], UtilityReport] = dict(reports or {})
-        self._node_best: dict[tuple[str, str], Placement | None] = {}
 
     def report(self, task_id: str, node_id: str, option_id: str) -> UtilityReport:
         key = (task_id, node_id, option_id)
@@ -146,119 +151,108 @@ class UtilityTable:
             self._reports[key] = rep
         return rep
 
-    def best_on_node(self, task: TaskSpec, node: NodeSpec) -> Placement | None:
-        """The task's best positive placement on one node, or None.
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        shape = (len(self.scenario.tasks), len(self.columns))
+        utility, risk, feasible = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+        for i, t in enumerate(self.scenario.tasks):
+            for k, (z, x) in enumerate(self.columns):
+                if (z, x) in t.intrinsic:
+                    rep = self.report(t.id, z, x)
+                    utility[i, k], risk[i, k], feasible[i, k] = rep.utility, rep.risk, rep.feasible
+        for a in (utility, risk, feasible):
+            a.flags.writeable = False  # shared by every solver that reads the table
+        return utility, risk, feasible
 
-        Options of utility <= 0 (including risk-infeasible ones) are
-        skipped; on equal utility the earlier option wins.  Memoized per
-        (task, node), so each node's options are read once per task.
+    utility = property(lambda self: self._arrays[0])
+    risk = property(lambda self: self._arrays[1])
+    feasible = property(lambda self: self._arrays[2])
+
+    def plan(self, chosen, solver: str) -> AssignmentPlan:
+        """The plan placing task i on column ``chosen[i]`` (-1: rejected).
+
+        A placement holds the utility and risk floats of the report its
+        cell was filled from, so a plan adds no floats to the table's.
         """
-        key = (task.id, node.id)
-        if key in self._node_best:
-            return self._node_best[key]
-        best: Placement | None = None
-        for x in node.options:
-            if (node.id, x) not in task.intrinsic:
-                continue
-            rep = self.report(task.id, node.id, x)
-            if rep.utility > 0.0 and (best is None or rep.utility > best.utility):
-                best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
-        self._node_best[key] = best
-        return best
+        self._arrays  # the fill reads every offered pair's report
+        decisions = {}
+        for t, k in zip(self.scenario.tasks, np.asarray(chosen).tolist()):
+            if k < 0:
+                decisions[t.id] = None
+            else:
+                z, x = self.columns[k]
+                rep = self._reports[(t.id, z, x)]
+                decisions[t.id] = Placement(z, x, rep.utility, rep.risk)
+        return AssignmentPlan.from_decisions(decisions, solver=solver)
 
 
-def _best_placement(table: UtilityTable, task: TaskSpec, nodes) -> Placement | None:
-    """Scan nodes for the task's best placement, or None if none is positive.
+def _node_kinds(scenario: Scenario) -> tuple[list[int], list[int]]:
+    """Positions of the unlimited nodes and of the finite ones."""
+    unlimited = [z for z, n in enumerate(scenario.nodes) if n.infinite]
+    return unlimited, [z for z, n in enumerate(scenario.nodes) if not n.infinite]
 
-    Options of utility <= 0 (including risk-infeasible ones) are skipped.
-    Equal utilities prefer unlimited-capacity nodes (conserving finite
-    slots), then earlier nodes, then earlier options; the ordering is what
-    makes every solver deterministic.  The option order is settled inside
-    each node by ``UtilityTable.best_on_node``, so this reduces the
-    per-node bests by (utility, unlimited first, node position).
+
+def _node_bests(scenario: Scenario, utility: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each task's best positive option on each node.
+
+    The best is the first ``argmax`` in the node's column block, so the
+    earlier option wins a tie.  Returns utilities and columns of shape
+    (..., tasks, nodes), 0 and -1 where the node offers nothing positive.
     """
-    best: Placement | None = None
-    best_key = None
-    for zpos, node in enumerate(nodes):
-        p = table.best_on_node(task, node)
-        if p is None:
-            continue
-        key = (-p.utility, 0 if node.infinite else 1, zpos)
-        if best is None or key < best_key:
-            best, best_key = p, key
-    return best
+    shape = (*utility.shape[:-1], len(scenario.nodes))
+    node_u, node_col = np.zeros(shape), np.full(shape, -1)
+    start = 0
+    for z, node in enumerate(scenario.nodes):
+        block = utility[..., start:start + len(node.options)]
+        k = block.argmax(axis=-1)
+        u = np.take_along_axis(block, k[..., None], axis=-1)[..., 0]
+        positive = u > 0.0
+        node_u[..., z] = np.where(positive, u, 0.0)
+        node_col[..., z] = np.where(positive, start + k, -1)
+        start += len(node.options)
+    return node_u, node_col
 
 
-def solve_uncapacitated(scenario: Scenario, table: UtilityTable | None = None) -> AssignmentPlan:
-    """Optimal plan when every node has unlimited capacity.
+def _first_best(node_u, node_col, zs: list[int]):
+    """The first maximum over nodes ``zs``: its position in ``zs``, utility
+    and column, with column -1 where no node in ``zs`` offers anything."""
+    shape = node_u.shape[:-1]
+    if not zs:
+        return np.zeros(shape, dtype=int), np.zeros(shape), np.full(shape, -1)
+    u, col = node_u[..., zs], node_col[..., zs]
+    pos = u.argmax(axis=-1)[..., None]
+    return pos[..., 0], np.take_along_axis(u, pos, -1)[..., 0], np.take_along_axis(col, pos, -1)[..., 0]
 
-    The objective decomposes across tasks, so the per-task best placement
-    is globally optimal.  Tasks with best utility 0 are rejected.
+
+def complete_uncapacitated(scenario: Scenario, utility: np.ndarray):
+    """Stage 1: each task's best option per node, and the final tasks.
+
+    ``utility`` has shape (runs, tasks, columns).  A task is final when
+    its overall best, the first maximum of its per-node bests over the
+    nodes ordered unlimited first, is on an unlimited node: it cannot gain
+    from a constrained slot.  Returns the per-node bests (``node_u``,
+    ``node_col``, see ``_node_bests``) and the chosen column of each final
+    task, -1 for the rest (a finite best, or nothing positive anywhere).
     """
-    finite = [n.id for n in scenario.nodes if not n.infinite]
-    if finite:
-        raise WrongSolverError(
-            f"scenario has capacitated nodes {finite}; use solve_capacitated"
-        )
-    table = table or UtilityTable(scenario)
-    decisions = {t.id: _best_placement(table, t, scenario.nodes) for t in scenario.tasks}
-    return AssignmentPlan.from_decisions(decisions, solver="ua")
+    node_u, node_col = _node_bests(scenario, utility)
+    unlimited, finite = _node_kinds(scenario)
+    pos, _, col = _first_best(node_u, node_col, unlimited + finite)
+    return node_u, node_col, np.where(pos < len(unlimited), col, -1)
 
 
-def complete_uncapacitated(
-    scenario: Scenario, table: UtilityTable | None = None
-) -> tuple[dict[str, Placement], list[TaskSpec]]:
-    """Stage 1: finalize tasks whose overall best node is unlimited.
+def capacitated_gains(scenario: Scenario, node_u: np.ndarray, node_col: np.ndarray):
+    """Stage 2: each task's gain on each finite node over its fallback.
 
-    Those tasks cannot benefit from a constrained slot, so their placement
-    is already optimal.  Everyone else (including tasks with no positive
-    option anywhere) stays in the residual set.
+    The fallback is the task's best over the unlimited nodes; its utility
+    is 0 and its column -1 when none offers anything positive.  The gain
+    array, of shape (runs, tasks, finite nodes), is the node's best
+    utility minus the fallback's exactly; it is negative when the finite
+    node is worse.  Stage 3 reads the rows of the tasks stage 1 left.
+    Returns (gains, fallback utility, fallback column).
     """
-    table = table or UtilityTable(scenario)
-    infinite_ids = {n.id for n in scenario.nodes if n.infinite}
-    placed: dict[str, Placement] = {}
-    residual: list[TaskSpec] = []
-    for t in scenario.tasks:
-        best = _best_placement(table, t, scenario.nodes)
-        if best is not None and best.node in infinite_ids:
-            placed[t.id] = best
-        else:
-            residual.append(t)
-    return placed, residual
-
-
-@dataclass
-class CapGainTable:
-    """Stage-2 output: per-(task, finite node) gains over the best fallback.
-
-    ``gains[(j, z)] = u_j_on_z - u_j_fallback`` exactly; it is negative when
-    the constrained node is worse than the task's unlimited fallback.  A
-    missing fallback means no unlimited node offers positive utility, in
-    which case the fallback utility is 0 and rejection looms.
-    """
-
-    gains: dict[tuple[str, str], float] = field(default_factory=dict)
-    cap_best: dict[tuple[str, str], Placement | None] = field(default_factory=dict)
-    fallback: dict[str, Placement | None] = field(default_factory=dict)
-
-
-def capacitated_gains(
-    residual: list[TaskSpec], scenario: Scenario, table: UtilityTable | None = None
-) -> CapGainTable:
-    table = table or UtilityTable(scenario)
-    infinite_nodes = [n for n in scenario.nodes if n.infinite]
-    finite_nodes = [n for n in scenario.nodes if not n.infinite]
-    out = CapGainTable()
-    for t in residual:
-        fb = _best_placement(table, t, infinite_nodes)
-        out.fallback[t.id] = fb
-        u_inf = fb.utility if fb is not None else 0.0
-        for node in finite_nodes:
-            best = table.best_on_node(t, node)
-            out.cap_best[(t.id, node.id)] = best
-            u_z = best.utility if best is not None else 0.0
-            out.gains[(t.id, node.id)] = u_z - u_inf
-    return out
+    unlimited, finite = _node_kinds(scenario)
+    _, fb_u, fb_col = _first_best(node_u, node_col, unlimited)
+    return node_u[..., finite] - fb_u[..., None], fb_u, fb_col
 
 
 def choose_for_capacitated(
@@ -335,48 +329,70 @@ def choose_for_capacitated(
     return set1, set2, unplaced
 
 
-def reject_unassignable(unplaced_ids, gains: CapGainTable) -> dict[str, Placement | None]:
-    """Stage 4: route unchosen tasks to their unlimited fallback or reject."""
-    out: dict[str, Placement | None] = {}
-    for j in unplaced_ids:
-        fb = gains.fallback.get(j)
-        out[j] = fb if (fb is not None and fb.utility > 0.0) else None
-    return out
+def _slot_nodes(scenario: Scenario) -> list[int]:
+    """Positions of the finite nodes, at most two of them."""
+    _, finite = _node_kinds(scenario)
+    if len(finite) > 2:
+        raise UnsupportedTopologyError(
+            f"{len(finite)} capacitated nodes; the slot-selection DP handles at most 2"
+        )
+    return finite
+
+
+def reject_unassignable(chosen: np.ndarray, fallback_u: np.ndarray, fallback_col: np.ndarray):
+    """Stage 4: send unchosen tasks (-1) to their fallback, or reject them
+    when it has no positive utility."""
+    return np.where(chosen < 0, np.where(fallback_u > 0.0, fallback_col, -1), chosen)
+
+
+def solve_batch(scenario: Scenario, utility) -> np.ndarray:
+    """Each run's optimal decisions from a stack of score arrays.
+
+    ``utility`` has shape (runs, tasks, columns), with the columns of
+    ``UtilityTable(scenario)``.  A pair scored 0 or less is never chosen,
+    so unoffered and risk-infeasible pairs score 0, as in the table.
+    Returns each task's chosen column per run, -1 for a rejected task.
+    Stages 1, 2 and 4 run on the whole stack; stage 3 runs once per run on
+    the tasks stage 1 left.
+    """
+    finite = _slot_nodes(scenario)
+    utility = np.asarray(utility, dtype=float)
+    node_u, node_col, chosen = complete_uncapacitated(scenario, utility)
+    gains, fb_u, fb_col = capacitated_gains(scenario, node_u, node_col)
+    # A missing second (or first) finite node is a node of no slots.
+    gains = np.concatenate([gains, np.zeros((*gains.shape[:-1], 2 - len(finite)))], axis=-1)
+    c1, c2 = ([scenario.nodes[z].capacity for z in finite] + [0, 0])[:2]
+    for r in range(len(chosen)):
+        ids = np.flatnonzero(chosen[r] < 0).tolist()
+        g = gains[r, ids]
+        set1, set2, _ = choose_for_capacitated(ids, g[:, 0].tolist(), g[:, 1].tolist(), c1, c2)
+        for z, taken in zip(finite, (set1, set2)):
+            chosen[r, taken] = node_col[r, taken, z]
+    return reject_unassignable(chosen, fb_u, fb_col)
+
+
+def solve_uncapacitated(scenario: Scenario, table: UtilityTable | None = None) -> AssignmentPlan:
+    """Optimal plan when every node has unlimited capacity.
+
+    The objective decomposes across tasks, so stage 1 places every task on
+    its best placement, which is globally optimal.  Tasks with best
+    utility 0 are rejected.
+    """
+    finite = [n.id for n in scenario.nodes if not n.infinite]
+    if finite:
+        raise WrongSolverError(
+            f"scenario has capacitated nodes {finite}; use solve_capacitated"
+        )
+    table = table or UtilityTable(scenario)
+    _, _, chosen = complete_uncapacitated(scenario, table.utility[None])
+    return table.plan(chosen[0], solver="ua")
 
 
 def solve_capacitated(scenario: Scenario, table: UtilityTable | None = None) -> AssignmentPlan:
     """Optimal plan with up to two finite-capacity nodes present."""
-    finite_nodes = [n for n in scenario.nodes if not n.infinite]
-    if len(finite_nodes) > 2:
-        raise UnsupportedTopologyError(
-            f"{len(finite_nodes)} capacitated nodes; the slot-selection DP is "
-            "implemented for at most 2 (extend the state with one fill-level "
-            "axis per extra node to generalize)"
-        )
+    _slot_nodes(scenario)  # refuse an unsupported topology before scoring it
     table = table or UtilityTable(scenario)
-    placed, residual = complete_uncapacitated(scenario, table)
-    gains = capacitated_gains(residual, scenario, table)
-    node1 = finite_nodes[0] if finite_nodes else None
-    node2 = finite_nodes[1] if len(finite_nodes) > 1 else None
-    ids = [t.id for t in residual]
-    gain1 = [gains.gains.get((j, node1.id), 0.0) if node1 else 0.0 for j in ids]
-    gain2 = [gains.gains.get((j, node2.id), 0.0) if node2 else 0.0 for j in ids]
-    set1, set2, unplaced = choose_for_capacitated(
-        ids, gain1, gain2, node1.capacity if node1 else 0, node2.capacity if node2 else 0
-    )
-    set1, set2 = set(set1), set(set2)
-    decisions: dict[str, Placement | None] = {}
-    for t in scenario.tasks:
-        j = t.id
-        if j in placed:
-            decisions[j] = placed[j]
-        elif node1 and j in set1:
-            decisions[j] = gains.cap_best[(j, node1.id)]
-        elif node2 and j in set2:
-            decisions[j] = gains.cap_best[(j, node2.id)]
-    decisions.update(reject_unassignable(unplaced, gains))
-    decisions = {t.id: decisions[t.id] for t in scenario.tasks}
-    return AssignmentPlan.from_decisions(decisions, solver="at")
+    return table.plan(solve_batch(scenario, table.utility[None])[0], solver="at")
 
 
 # ---------------------------------------------------------------------------
@@ -404,60 +420,41 @@ def brute_force_optimum(scenario: Scenario, table: UtilityTable | None = None) -
         raise SizeGuardError(f"brute force limited to {BRUTE_MAX_OPTIONS} options per node")
     table = table or UtilityTable(scenario)
 
-    finite_nodes = [n for n in scenario.nodes if not n.infinite]
-    infinite_nodes = [n for n in scenario.nodes if n.infinite]
-    task_ids = [t.id for t in scenario.tasks]
-    node_best = {
-        (t.id, n.id): table.best_on_node(t, n)
-        for t in scenario.tasks
-        for n in finite_nodes
-    }
-    inf_best = {t.id: _best_placement(table, t, infinite_nodes) for t in scenario.tasks}
+    unlimited, finite = _node_kinds(scenario)
+    node_u, node_col = _node_bests(scenario, table.utility)
+    _, fb_u, fb_col = _first_best(node_u, node_col, unlimited)
+    node_u, node_col, fb_u = node_u.tolist(), node_col.tolist(), fb_u.tolist()
+    tasks = range(len(scenario.tasks))
 
     best_total = -1.0
-    best_assign: dict[str, Placement] = {}
+    best_assign: dict[int, int] = {}
 
-    def rest_value(assigned):
-        val = 0.0
-        for j in task_ids:
-            if j not in assigned:
-                fb = inf_best[j]
-                if fb is not None:
-                    val += fb.utility
-        return val
-
-    def recurse(node_idx: int, assigned: dict[str, Placement], total: float):
+    def recurse(f: int, assigned: dict[int, int], total: float):
         nonlocal best_total, best_assign
-        if node_idx == len(finite_nodes):
-            grand = total + rest_value(assigned)
+        if f == len(finite):
+            rest = 0.0
+            for i in tasks:
+                if i not in assigned:
+                    rest += fb_u[i]
+            grand = total + rest
             if grand > best_total + TOTAL_TOL / 10:
                 best_total = grand
                 best_assign = dict(assigned)
             return
-        node = finite_nodes[node_idx]
-        candidates = [
-            j for j in task_ids
-            if j not in assigned and node_best[(j, node.id)] is not None
-        ]
-        for size in range(0, min(node.capacity, len(candidates)) + 1):
+        z = finite[f]
+        candidates = [i for i in tasks if i not in assigned and node_col[i][z] >= 0]
+        for size in range(0, min(scenario.nodes[z].capacity, len(candidates)) + 1):
             for subset in itertools.combinations(candidates, size):
                 added = 0.0
-                for j in subset:
-                    assigned[j] = node_best[(j, node.id)]
-                    added += node_best[(j, node.id)].utility
-                recurse(node_idx + 1, assigned, total + added)
-                for j in subset:
-                    del assigned[j]
+                for i in subset:
+                    assigned[i] = node_col[i][z]
+                    added += node_u[i][z]
+                recurse(f + 1, assigned, total + added)
+                for i in subset:
+                    del assigned[i]
 
     recurse(0, {}, 0.0)
-    decisions: dict[str, Placement | None] = {}
-    for j in task_ids:
-        if j in best_assign:
-            decisions[j] = best_assign[j]
-        else:
-            fb = inf_best[j]
-            decisions[j] = fb if (fb is not None and fb.utility > 0.0) else None
-    return AssignmentPlan.from_decisions(decisions, solver="oracle")
+    return table.plan([best_assign.get(i, fb_col[i]) for i in tasks], solver="oracle")
 
 
 def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> list[str]:

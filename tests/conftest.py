@@ -93,3 +93,30 @@ def random_scenario(seed: int) -> Scenario:
     )
     scen.validate()
     return scen
+
+
+TIE_UTILITIES = [0.0, 0.25, 0.5]
+
+
+def tie_heavy_scenario(seed):
+    """Utilities on a three-value grid, 1-3 options per node, mixed capacities.
+
+    Step(1.0) over Degenerate(0.5) makes each utility its intrinsic value,
+    so equal utilities across options and nodes are the common case.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [
+        NodeSpec(id=f"z{i}", options=tuple(f"x{k}" for k in range(int(rng.integers(1, 4)))),
+                 capacity=None if rng.random() < 0.5 else int(rng.integers(1, 4)))
+        for i in range(int(rng.integers(1, 5)))
+    ]
+    tasks, latency = [], {}
+    for j in range(int(rng.integers(1, 6))):
+        intrinsic = {}
+        for node in nodes:
+            for x in node.options:
+                if rng.random() < 0.85:
+                    intrinsic[(node.id, x)] = float(rng.choice(TIE_UTILITIES))
+                    latency[(f"j{j}", node.id, x)] = Degenerate(0.5)
+        tasks.append(TaskSpec(id=f"j{j}", time_utility=Step(1.0), intrinsic=intrinsic))
+    return Scenario(name="ties", tasks=tasks, nodes=nodes, latency=latency)

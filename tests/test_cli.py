@@ -96,6 +96,15 @@ class TestSimulateCmd:
         assert "--seed" in res.output
         assert "Traceback" not in res.output
 
+    def test_negative_scenario_seed_is_a_clean_error(self, runner, base_file):
+        cfg = json.loads(base_file.read_text())
+        cfg["seed"] = -1
+        base_file.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["simulate", str(base_file), "--reps", "10"])
+        assert res.exit_code == 1, res.output
+        assert "seed must be an integer >= 0 (got -1)" in res.output
+        assert "Traceback" not in res.output
+
 
 class TestReproduceCmd:
     def test_single_experiment(self, runner):

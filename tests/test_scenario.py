@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -115,9 +116,14 @@ class TestValidation:
             (("tasks", 0, "utility", "tv"), float("nan"), "step tv"),
             (("tasks", 0, "utility", "tv"), -0.5, "step tv"),
             (("nodes", 1, "capacity"), 2.7, "capacity"),
+            (("nodes", 1, "capacity"), True, "capacity"),
+            (("seed",), -1, "seed"),
+            (("seed",), 1.5, "seed"),
+            (("seed",), True, "seed"),
         ],
         ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
-             "step-negative-tv", "fractional-capacity"],
+             "step-negative-tv", "fractional-capacity", "bool-capacity", "negative-seed",
+             "fractional-seed", "bool-seed"],
     )
     def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -167,6 +173,19 @@ class TestValidation:
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["latency"].append(cfg["latency"][index])
         with pytest.raises(ScenarioError, match=f"duplicate latency entry for {match}"):
+            load_scenario(write(tmp_path, cfg))
+
+    def test_duplicate_intrinsic_entry(self, tmp_path):
+        cfg = json.loads((resources.files("fogassign") / "scenarios" / "vii_d_base.json").read_text())
+        cfg["tasks"][0]["intrinsic"].append({"node": "cloud", "option": "o1", "value": 0.1})
+        with pytest.raises(ScenarioError,
+                           match="task 't01': duplicate intrinsic entry for node 'cloud', option 'o1'"):
+            load_scenario(write(tmp_path, cfg))
+
+    def test_duplicate_node_option(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["nodes"][1]["options"] = ["x", "y", "x"]
+        with pytest.raises(ScenarioError, match="node b: option 'x' listed twice"):
             load_scenario(write(tmp_path, cfg))
 
     def test_task_entry_overrides_shared_entry(self, tmp_path):

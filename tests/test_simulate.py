@@ -5,14 +5,49 @@ import pytest
 
 from fogassign.latency import Degenerate, Uniform, make_rng
 from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
-from fogassign.simulate import emit, round9, run_baseline, simulate
-from fogassign.solver import UtilityTable, solve_uncapacitated, validate_plan
+from fogassign.simulate import BASELINES, emit, round9, run_baseline, simulate
+from fogassign.solver import (
+    AssignmentPlan,
+    Placement,
+    UtilityTable,
+    solve_uncapacitated,
+    validate_plan,
+)
 from fogassign.utility import Step, TaskSpec
+
+from conftest import random_scenario, tie_heavy_scenario
 
 # Analytic average utilities of the three strategies on the base bundle.
 UA_AVG = 0.5084321428571428
 MIN_LATENCY_AVG = 0.4688357142857142
 MAX_QUALITY_AVG = 0.4397321428571428
+
+
+# Independent reference: the per-option scan run_baseline made before it
+# read the score array, kept verbatim.  Both must give equal plans.
+def reference_baseline(scenario, strategy, table=None):
+    table = table or UtilityTable(scenario)
+    decisions: dict[str, Placement | None] = {}
+    for t in scenario.tasks:
+        best_key = None
+        best: Placement | None = None
+        for zpos, node in enumerate(scenario.nodes):
+            for xpos, x in enumerate(node.options):
+                if (node.id, x) not in t.intrinsic:
+                    continue
+                rep = table.report(t.id, node.id, x)
+                if not rep.feasible:
+                    continue
+                if strategy == "min-latency":
+                    score = float(scenario.dist(t.id, node.id, x).quantile(0.5))
+                else:
+                    score = -t.intrinsic[(node.id, x)]
+                key = (score, zpos, xpos)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
+        decisions[t.id] = best
+    return AssignmentPlan.from_decisions(decisions, solver=strategy)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +84,25 @@ class TestBaselines:
     def test_unknown_strategy(self, base):
         with pytest.raises(ValueError):
             run_baseline(base[0], "fastest")
+
+    @pytest.mark.parametrize("make, seeds", [
+        (random_scenario, range(200)),
+        (tie_heavy_scenario, range(300)),
+    ], ids=["random", "tie-heavy"])
+    def test_matches_reference_scan(self, make, seeds):
+        for seed in seeds:
+            scen = make(seed)
+            table = UtilityTable(scen)
+            for strategy in BASELINES:
+                assert run_baseline(scen, strategy, table) == reference_baseline(
+                    scen, strategy, table
+                ), (seed, strategy)
+
+    @pytest.mark.parametrize("strategy", BASELINES)
+    def test_no_nodes_rejects_every_task(self, strategy):
+        scen = Scenario(name="empty", tasks=[TaskSpec(id="t", time_utility=Step(1.0))],
+                        nodes=[], latency={})
+        assert run_baseline(scen, strategy).decisions == {"t": None}
 
     def test_infeasible_task_rejected(self):
         scen = bundled_scenario("vii_d_base")

@@ -11,25 +11,24 @@ from hypothesis import strategies as st
 from fogassign.latency import Degenerate, Uniform
 from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
 from fogassign.solver import (
-    CapGainTable,
     Placement,
     SizeGuardError,
     UnsupportedTopologyError,
     UtilityTable,
     WrongSolverError,
-    _best_placement,
     brute_force_optimum,
     capacitated_gains,
     choose_for_capacitated,
     complete_uncapacitated,
     reject_unassignable,
+    solve_batch,
     solve_capacitated,
     solve_uncapacitated,
     validate_plan,
 )
-from fogassign.utility import Step, TaskSpec
+from fogassign.utility import Step, TaskSpec, UtilityReport
 
-from conftest import random_scenario
+from conftest import random_scenario, tie_heavy_scenario
 
 # Closed-form expected utilities for the bundled base scenario, derived by
 # integrating the ramp utilities against the two uniform latency models:
@@ -70,11 +69,41 @@ def step_scenario(task_values, capacities, budgets=None, name="synthetic"):
     return Scenario(name=name, tasks=tasks, nodes=nodes, latency=latency)
 
 
+def decisions(table, chosen):
+    """Placements (None for -1) of one column per task, in task order."""
+    return list(table.plan(chosen, solver="columns").decisions.values())
+
+
 def best_on_node(task, node, dists):
-    """UtilityTable.best_on_node on a one-node scenario."""
+    """The score array's per-node best on a one-node scenario."""
     latency = {(task.id, node.id, x): d for x, d in dists.items()}
     scen = Scenario(name="one-node", tasks=[task], nodes=[node], latency=latency)
-    return UtilityTable(scen).best_on_node(task, node)
+    table = UtilityTable(scen)
+    _, node_col, _ = complete_uncapacitated(scen, table.utility[None])
+    return decisions(table, node_col[0, :, 0])[0]
+
+
+def stage1(scen):
+    """Stage 1 on a fresh table: (placements of the final tasks, residual tasks)."""
+    table = UtilityTable(scen)
+    _, _, chosen = complete_uncapacitated(scen, table.utility[None])
+    placed = {t.id: p for t, p in zip(scen.tasks, decisions(table, chosen[0])) if p is not None}
+    return placed, [t for t in scen.tasks if t.id not in placed]
+
+
+def stage2(scen):
+    """Stages 1 and 2 on a fresh table: the residual tasks' gains, keyed by
+    (task, finite node), and their fallback placements."""
+    table = UtilityTable(scen)
+    node_u, node_col, chosen = complete_uncapacitated(scen, table.utility[None])
+    gains, _, fb_col = capacitated_gains(scen, node_u, node_col)
+    finite = [n.id for n in scen.nodes if not n.infinite]
+    fallback = decisions(table, fb_col[0])
+    residual = np.flatnonzero(chosen[0] < 0).tolist()
+    return (
+        {(scen.tasks[i].id, z): gains[0, i, f] for i in residual for f, z in enumerate(finite)},
+        {scen.tasks[i].id: fallback[i] for i in residual},
+    )
 
 
 class CountingTable(UtilityTable):
@@ -90,8 +119,8 @@ class CountingTable(UtilityTable):
 
 
 # Independent reference: the best-placement scan over every (node, option)
-# pair with the full tie key.  _best_placement reduces the memoized per-node
-# bests instead, so the two must agree exactly.
+# pair with the full tie key.  The solver takes first maxima over the score
+# array's column blocks instead, so the two must agree exactly.
 def scan_best_placement(table, task, nodes):
     best, best_key = None, None
     for zpos, node in enumerate(nodes):
@@ -106,33 +135,6 @@ def scan_best_placement(table, task, nodes):
                 best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
                 best_key = key
     return best
-
-
-TIE_UTILITIES = [0.0, 0.25, 0.5]
-
-
-def tie_heavy_scenario(seed):
-    """Utilities on a three-value grid, 1-3 options per node, mixed capacities.
-
-    Step(1.0) over Degenerate(0.5) makes each utility its intrinsic value,
-    so equal utilities across options and nodes are the common case.
-    """
-    rng = np.random.default_rng(seed)
-    nodes = [
-        NodeSpec(id=f"z{i}", options=tuple(f"x{k}" for k in range(int(rng.integers(1, 4)))),
-                 capacity=None if rng.random() < 0.5 else int(rng.integers(1, 4)))
-        for i in range(int(rng.integers(1, 5)))
-    ]
-    tasks, latency = [], {}
-    for j in range(int(rng.integers(1, 6))):
-        intrinsic = {}
-        for node in nodes:
-            for x in node.options:
-                if rng.random() < 0.85:
-                    intrinsic[(node.id, x)] = float(rng.choice(TIE_UTILITIES))
-                    latency[(f"j{j}", node.id, x)] = Degenerate(0.5)
-        tasks.append(TaskSpec(id=f"j{j}", time_utility=Step(1.0), intrinsic=intrinsic))
-    return Scenario(name="ties", tasks=tasks, nodes=nodes, latency=latency)
 
 
 class TestBestOnOneNode:
@@ -165,29 +167,36 @@ class TestBestOnNodeCache:
             scen = tie_heavy_scenario(seed)
             table, ref_table = UtilityTable(scen), UtilityTable(scen)
             unlimited = [n for n in scen.nodes if n.infinite]
-            node_sets = [scen.nodes, unlimited, *([n] for n in scen.nodes)]
-            for t in scen.tasks:
-                for nodes in node_sets:
-                    assert _best_placement(table, t, nodes) == scan_best_placement(
-                        ref_table, t, nodes
-                    ), (seed, t.id, [n.id for n in nodes])
+            node_u, node_col, chosen = complete_uncapacitated(scen, table.utility[None])
+            _, _, fb_col = capacitated_gains(scen, node_u, node_col)
+            per_node = [decisions(table, node_col[0, :, z]) for z in range(len(scen.nodes))]
+            fallback, final = decisions(table, fb_col[0]), decisions(table, chosen[0])
+            for i, t in enumerate(scen.tasks):
+                where = (seed, t.id)
+                for z, node in enumerate(scen.nodes):
+                    assert per_node[z][i] == scan_best_placement(ref_table, t, [node]), where
+                assert fallback[i] == scan_best_placement(ref_table, t, unlimited), where
+                # Stage 1 finalizes exactly the tasks whose overall best is unlimited.
+                best = scan_best_placement(ref_table, t, scen.nodes)
+                on_unlimited = best is not None and scen.node(best.node).infinite
+                assert final[i] == (best if on_unlimited else None), where
 
     def test_second_call_returns_the_cached_object(self):
         scen = bundled_scenario("vii_d_base")
         table = CountingTable(scen)
-        t, node = scen.tasks[3], scen.node("gateway")
-        first = table.best_on_node(t, node)
+        first = table.utility
         reads = sum(table.reads.values())
-        assert first is not None and reads == len(node.options)
-        assert table.best_on_node(t, node) is first
+        assert reads == sum(len(t.intrinsic) for t in scen.tasks)
+        assert table.utility is first
+        assert table.risk.shape == table.feasible.shape == first.shape
         assert sum(table.reads.values()) == reads
 
     def test_no_positive_option_is_cached_as_none(self):
         scen = step_scenario([[0.0, 0.5]], [1, None])
         table = CountingTable(scen)
-        node = scen.node("z0")
-        assert table.best_on_node(scen.tasks[0], node) is None
-        assert table.best_on_node(scen.tasks[0], node) is None
+        for _ in range(2):
+            _, node_col, _ = complete_uncapacitated(scen, table.utility[None])
+            assert node_col[0, 0, 0] == -1
         assert table.reads[("j0", "z0", "x")] == 1
 
 
@@ -237,14 +246,14 @@ class TestCompleteUncapacitated:
     def test_cloud_best_finalized_gateway_best_residual(self):
         # j0 best on infinite z1; j1 best on finite z0
         scen = step_scenario([[0.3, 0.8], [0.8, 0.3]], [2, None])
-        placed, residual = complete_uncapacitated(scen)
+        placed, residual = stage1(scen)
         assert set(placed) == {"j0"}
         assert placed["j0"].node == "z1"
         assert [t.id for t in residual] == ["j1"]
 
     def test_tie_finalizes_on_infinite_node(self):
         scen = step_scenario([[0.6, 0.6]], [1, None])
-        placed, residual = complete_uncapacitated(scen)
+        placed, residual = stage1(scen)
         assert placed["j0"].node == "z1"
         assert residual == []
         # and total utility is unchanged versus the exhaustive optimum
@@ -256,17 +265,15 @@ class TestCompleteUncapacitated:
 class TestCapacitatedGains:
     def test_gain_is_difference(self):
         scen = step_scenario([[0.49, 0.45]], [1, None])
-        _, residual = complete_uncapacitated(scen)
-        gains = capacitated_gains(residual, scen)
-        assert gains.gains[("j0", "z0")] == pytest.approx(0.04, abs=1e-12)
-        assert gains.fallback["j0"].node == "z1"
+        gains, fallback = stage2(scen)
+        assert gains[("j0", "z0")] == pytest.approx(0.04, abs=1e-12)
+        assert fallback["j0"].node == "z1"
 
     def test_no_infinite_option_means_full_gain(self):
         scen = step_scenario([[0.3, None]], [1, None])
-        _, residual = complete_uncapacitated(scen)
-        gains = capacitated_gains(residual, scen)
-        assert gains.gains[("j0", "z0")] == pytest.approx(0.3)
-        assert gains.fallback["j0"] is None
+        gains, fallback = stage2(scen)
+        assert gains[("j0", "z0")] == pytest.approx(0.3)
+        assert fallback["j0"] is None
 
     def test_infeasible_node_never_chosen_over_fallback(self):
         # j0 is risk-infeasible on finite z0 (gain -u_inf < 0) and gets
@@ -276,10 +283,10 @@ class TestCapacitatedGains:
         )
         scen.tasks[0].quality_floor = 0.5
         scen.latency[("j0", "z0", "x")] = Uniform(0.0, 2.5)  # risk 0.8 > 0.1
-        _, residual = complete_uncapacitated(scen)
+        _, residual = stage1(scen)
         assert [t.id for t in residual] == ["j0", "j1"]
-        gains = capacitated_gains(residual, scen)
-        assert gains.gains[("j0", "z0")] == pytest.approx(-0.45)
+        gains, _ = stage2(scen)
+        assert gains[("j0", "z0")] == pytest.approx(-0.45)
         plan = solve_capacitated(scen)
         assert plan.decisions["j0"].node == "z2"
         assert plan.decisions["j1"].node == "z1"
@@ -451,17 +458,16 @@ class TestChooseForCapacitated:
 
 class TestRejectUnassignable:
     def test_fallback_or_reject(self):
-        gains = CapGainTable(
-            fallback={
-                "a": Placement("cloud", "x", 0.45, 0.0),
-                "b": None,
-                "c": Placement("cloud", "x", 0.0, 0.0),
-            }
-        )
-        out = reject_unassignable(["a", "b", "c"], gains)
-        assert out["a"].utility == 0.45
-        assert out["b"] is None
-        assert out["c"] is None  # zero-utility fallback is a rejection
+        # Tasks a, b and c are unchosen (-1); d holds column 0.  a falls back
+        # to column 1 at utility 0.45, b has no fallback, c one of utility 0.
+        chosen = np.array([[-1, -1, -1, 0]])
+        fb_u = np.array([[0.45, 0.0, 0.0, 0.3]])
+        fb_col = np.array([[1, -1, 1, 1]])
+        a, b, c, d = reject_unassignable(chosen, fb_u, fb_col)[0].tolist()
+        assert a == 1
+        assert b == -1
+        assert c == -1  # zero-utility fallback is a rejection
+        assert d == 0
 
 
 class TestSolveCapacitated:
@@ -512,8 +518,10 @@ class TestSolveCapacitated:
 
     def test_refuses_three_finite_nodes(self):
         scen = step_scenario([[0.5, 0.5, 0.5]], [1, 1, 1])
+        table = CountingTable(scen)
         with pytest.raises(UnsupportedTopologyError):
-            solve_capacitated(scen)
+            solve_capacitated(scen, table)
+        assert not table.reads  # refused before any pair was scored
 
     def test_determinism(self):
         scen = bundled_scenario("vii_d_two_cap")
@@ -541,6 +549,58 @@ class TestSolveCapacitated:
         assert plan.decisions["j0"].node == "z0"
         assert plan.decisions["j1"].node == "z1"
         assert plan.total_utility == pytest.approx(1.05)
+
+
+BATCH_UTILITIES = [0.0, 0.25, 0.5, 0.75]
+
+
+def batch_instance(seed):
+    """A scenario with two finite nodes (one or none for every fourth
+    seed) and a batch of injected scores on a four-value grid."""
+    rng = np.random.default_rng(seed)
+    n_finite = (2, 2, 1, 0)[seed % 4]
+    caps = [int(c) for c in rng.integers(1, 4, n_finite)] + [None] * int(rng.integers(1, 3))
+    nodes = [
+        NodeSpec(id=f"z{i}", options=tuple(f"x{k}" for k in range(int(rng.integers(1, 3)))),
+                 capacity=c)
+        for i, c in enumerate(rng.permutation(np.array(caps, dtype=object)).tolist())
+    ]
+    tasks, latency = [], {}
+    for j in range(int(rng.integers(1, 9))):
+        intrinsic = {(n.id, x): 1.0 for n in nodes for x in n.options if rng.random() < 0.85}
+        latency.update({(f"j{j}", z, x): Degenerate(0.5) for z, x in intrinsic})
+        tasks.append(TaskSpec(id=f"j{j}", time_utility=Step(1.0), intrinsic=intrinsic))
+    scen = Scenario(name="batch", tasks=tasks, nodes=nodes, latency=latency)
+    columns = UtilityTable(scen).columns
+    offered = np.array([[zx in t.intrinsic for zx in columns] for t in tasks])
+    utility = rng.choice(BATCH_UTILITIES, (8, len(tasks), len(columns))) * offered
+    return scen, utility
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_row_matches_solve_capacitated(self, seed):
+        scen, utility = batch_instance(seed)
+        columns = UtilityTable(scen).columns
+        chosen = solve_batch(scen, utility)
+        assert chosen.shape == utility.shape[:2]
+        for r, row in enumerate(utility):
+            reports = {
+                (t.id, z, x): UtilityReport(float(row[i, k]), 0.0, True)
+                for i, t in enumerate(scen.tasks)
+                for k, (z, x) in enumerate(columns)
+                if (z, x) in t.intrinsic
+            }
+            table = UtilityTable(scen, reports)
+            plan = table.plan(chosen[r], solver="at")
+            assert plan == solve_capacitated(scen, table), (seed, r)
+            oracle = brute_force_optimum(scen, table).total_utility
+            assert plan.total_utility == pytest.approx(oracle, abs=1e-9), (seed, r)
+
+    def test_refuses_three_finite_nodes(self):
+        scen = step_scenario([[0.5, 0.5, 0.5]], [1, 1, 1])
+        with pytest.raises(UnsupportedTopologyError):
+            solve_batch(scen, np.full((2, 1, 3), 0.5))
 
 
 class TestBruteForce:
