@@ -233,9 +233,17 @@ class _Handler(BaseHTTPRequestHandler):
                 values.append(float(line.split(",")[0]))
             if not values:
                 raise ValueError("empty request body; expected CSV lines")
+            values = np.asarray(values)
+            finite = np.isfinite(values)
+            if not finite.all():
+                # Only a rejected body pays for finding the bad line's number.
+                numbered = [(i, line.strip()) for i, line in enumerate(body.splitlines(), 1)
+                            if line.strip()]
+                i, line = numbered[int(np.argmin(finite))]
+                raise ValueError(f"line {i} ({line!r}) is not a finite number")
             task = BenchTask("fsp", len(values))
             self._check_range(task)
-            stats = _column_stats(np.asarray(values))
+            stats = _column_stats(values)
             exec_ms = (time.perf_counter() - t0) * 1e3
             self._reply(200, {**stats, "exec_ms": exec_ms})
         except ValueError as exc:

@@ -211,16 +211,28 @@ def fit_gev(median, p10, p90):
     click.echo(json.dumps(round9(dist.to_config()), sort_keys=True))
 
 
+def _host_port(ctx, param, value):
+    """``host:port`` with a port in 0-65535; a bare host serves on 8080."""
+    host, _, port = value.partition(":")
+    try:
+        port = int(port or 8080)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise click.BadParameter(f"{value!r} is not host:port with a port in 0-65535")
+    return host, port
+
+
 @main.command()
-@click.option("--bind", default="127.0.0.1:8080", show_default=True, help="host:port")
+@click.option("--bind", default="127.0.0.1:8080", show_default=True, help="host:port",
+              callback=_host_port)
 @click.option("--dataset", type=click.Path(exists=True), required=True)
 @click.option("--allow-out-of-range", is_flag=True,
               help="Accept benchmark sizes outside the supported ranges.")
 def serve(bind, dataset, allow_out_of_range):
     """Run the benchmark server (blocks until interrupted)."""
-    host, _, port = bind.partition(":")
     try:
-        server = benchnet.BenchServer((host, int(port or 8080)), dataset, allow_out_of_range)
+        server = benchnet.BenchServer(bind, dataset, allow_out_of_range)
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"serving on {server.url} (pic/psf/fsp)")

@@ -21,7 +21,9 @@ go into (runs, samples, tasks) buffers, and each task's time utility is
 evaluated once per node per batch.  Every row of that evaluation is
 C-contiguous, so each run's mean is numpy's pairwise sum over its
 samples and the estimates are bit-identical to scoring runs one by one.
-Each batch of scores is then solved at once by ``solver.solve_batch``.
+Each batch of scores is then solved at once by ``solver.solve_batch``:
+its array stages run on the whole batch, and one slot-DP sweep solves the
+constrained slots of all its runs, over the tasks left in any run.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ columns), in four stages:
 3. each run's gain-maximizing slot occupants among the remaining tasks are
    picked by a dynamic program over (task index, slots used on node 1,
    slots used on node 2), for up to two finite-capacity nodes
-   (``choose_for_capacitated``),
+   (``choose_for_capacitated``); one sweep solves every run of the batch,
+   over the tasks remaining in any run,
 4. everyone unchosen goes to their unlimited fallback, and tasks with no
    positive-utility fallback are rejected.
 
@@ -255,78 +256,89 @@ def capacitated_gains(scenario: Scenario, node_u: np.ndarray, node_col: np.ndarr
     return node_u[..., finite] - fb_u[..., None], fb_u, fb_col
 
 
-def choose_for_capacitated(
-    task_ids, gain1, gain2, c1: int, c2: int
-) -> tuple[list, list, list]:
+def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
     """Stage 3: pick constrained-slot occupants by dynamic programming.
 
-    ``gain1[i]``/``gain2[i]`` are task i's capacitated gains on the first
-    and second finite node; a missing second node is modeled as c2 = 0.
-    State value h(i, a, b) is the best achievable gain from the first i
-    tasks using at most a slots on node 1 and b on node 2; each task is
-    taken by node 1, taken by node 2, or skipped.  Ties prefer skipping
-    (never spend a slot for zero gain, and on equal gains the earlier task
-    keeps the slot), then node 1.
+    ``gain1[..., i]``/``gain2[..., i]`` are task i's capacitated gains on
+    the first and second finite node; a missing second node is modeled as
+    c2 = 0.  State value h(i, a, b) is the best achievable gain from the
+    first i tasks using at most a slots on node 1 and b on node 2; each
+    task is taken by node 1, taken by node 2, or skipped.  Ties prefer
+    skipping (never spend a slot for zero gain, and on equal gains the
+    earlier task keeps the slot), then node 1.
 
-    Each task updates the whole (a, b) grid at once with numpy: shifted
-    slices of h(i - 1) are the node-1 and node-2 candidates, each compared
-    with a strict ``>`` in the tie order, so every cell makes the same
-    float additions and comparisons as a cell-by-cell loop would.  Slots
-    beyond the task count cannot be filled, so each axis is clipped to
-    ``n``; the two take-masks kept for the backtrack cost
-    n * (min(c1, n) + 1) * (min(c2, n) + 1) bytes each.
+    Gains of shape (runs, n) solve every run in one sweep: each task
+    updates the (runs, a, b) grid at once with numpy.  Shifted slices of
+    h(i - 1) are the node-1 and node-2 candidates, each compared with a
+    strict ``>`` in the tie order, so every cell makes the same float
+    additions and comparisons as a cell-by-cell loop over one run would.
+    A task with gain ``-inf`` in a run is absent from that run: h is never
+    negative, so ``-inf`` never beats it and the task's step changes
+    nothing there.  Slots beyond the task count cannot be filled, so each
+    axis is clipped to ``n``; a run with fewer tasks present holds the
+    same decisions in the cells beyond its own count.  The two take-masks
+    kept for the backtrack cost 2 * n * runs * (min(c1, n) + 1) *
+    (min(c2, n) + 1) bytes together.
 
-    Returns (tasks for node 1, tasks for node 2, unplaced tasks) in input
-    order; the unplaced go on to the fallback/rejection stage.
+    With gains of shape (runs, n), returns a (runs, n) slot array: 0 for
+    a task taken by node 1, 1 for node 2, -1 for none.  One-dimensional
+    gains are one run, returned as (tasks for node 1, tasks for node 2,
+    unplaced tasks) in input order; the unplaced go on to the
+    fallback/rejection stage.
     """
-    task_ids = list(task_ids)
     n = len(task_ids)
     if c1 < 0 or c2 < 0:
         raise ValueError("capacities must be >= 0")
-    if len(gain1) != n or len(gain2) != n:
+    g1, g2 = np.asarray(gain1, dtype=float), np.asarray(gain2, dtype=float)
+    if g1.shape != g2.shape or g1.ndim not in (1, 2) or g1.shape[-1] != n:
         raise ValueError(
-            f"gain lists of length {len(gain1)} and {len(gain2)} for {n} tasks"
+            f"gain arrays of shapes {g1.shape} and {g2.shape} for {n} tasks; "
+            f"each needs length {n} on its last axis"
         )
+    runs = len(g1) if g1.ndim == 2 else 1
     c1, c2 = min(c1, n), min(c2, n)
-    h = np.zeros((c1 + 1, c2 + 1))
-    # take1[i, a, b]: task i went to node 1 at (a, b); take2: to node 2.
-    # Row a = 0 of take1 and column b = 0 of take2 stay False.
-    take1 = np.zeros((n, c1 + 1, c2 + 1), dtype=bool)
-    take2 = np.zeros((n, c1 + 1, c2 + 1), dtype=bool)
-    cand1, cand2 = np.empty((c1, c2 + 1)), np.empty((c1 + 1, c2))
-    from1, to1, takes1 = h[:-1, :], h[1:, :], take1[:, 1:, :]
-    from2, to2, takes2 = h[:, :-1], h[:, 1:], take2[:, :, 1:]
-    for i, (g1, g2) in enumerate(zip(gain1, gain2)):
+    h = np.zeros((runs, c1 + 1, c2 + 1))
+    # take1[i, r, a, b]: task i went to node 1 at (a, b) in run r; take2:
+    # to node 2.  Row a = 0 of take1 and column b = 0 of take2 stay False.
+    take1 = np.zeros((n, runs, c1 + 1, c2 + 1), dtype=bool)
+    take2 = np.zeros((n, runs, c1 + 1, c2 + 1), dtype=bool)
+    cand1, cand2 = np.empty((runs, c1, c2 + 1)), np.empty((runs, c1 + 1, c2))
+    from1, to1, takes1 = h[:, :-1, :], h[:, 1:, :], take1[:, :, 1:, :]
+    from2, to2, takes2 = h[:, :, :-1], h[:, :, 1:], take2[:, :, :, 1:]
+    # Each task's gains as (runs, 1, 1) columns broadcast over each run's grid.
+    col1 = g1.reshape(runs, n).T.reshape(n, runs, 1, 1)
+    col2 = g2.reshape(runs, n).T.reshape(n, runs, 1, 1)
+    for x1, x2, t1, t2 in zip(col1, col2, takes1, takes2):
         # Both candidates read h(i - 1), so both are formed before h changes.
         # Node 1 must beat skipping; node 2 must beat the result of that.
         # Without node-2 slots its slices are empty; skipping those numpy
         # calls keeps one-node grids of a few cells as fast as a scalar loop.
-        np.add(from1, g1, out=cand1)
+        np.add(from1, x1, out=cand1)
         if c2:
-            np.add(from2, g2, out=cand2)
-        np.greater(cand1, to1, out=takes1[i])
-        np.copyto(to1, cand1, where=takes1[i])
+            np.add(from2, x2, out=cand2)
+        np.greater(cand1, to1, out=t1)
+        np.copyto(to1, cand1, where=t1)
         if c2:
-            np.greater(cand2, to2, out=takes2[i])
-            np.copyto(to2, cand2, where=takes2[i])
+            np.greater(cand2, to2, out=t2)
+            np.copyto(to2, cand2, where=t2)
     # h(i, a, b) allows at most a and b slots, so it is monotone in capacity
     # and the full-capacity corner holds the optimum; backtracking from it
     # keeps the per-cell tie rule (skip, then node 1) as the only one.
-    set1, set2, unplaced = [], [], []
-    a, b = c1, c2
-    for i in reversed(range(n)):
-        if take2[i, a, b]:
-            set2.append(task_ids[i])
-            b -= 1
-        elif take1[i, a, b]:
-            set1.append(task_ids[i])
-            a -= 1
-        else:
-            unplaced.append(task_ids[i])
-    set1.reverse()
-    set2.reverse()
-    unplaced.reverse()
-    return set1, set2, unplaced
+    slots = []
+    for r in range(runs):
+        t1, t2, row = take1[:, r], take2[:, r], [-1] * n
+        a, b = c1, c2
+        for i in reversed(range(n)):
+            if t2[i, a, b]:
+                row[i] = 1
+                b -= 1
+            elif t1[i, a, b]:
+                row[i] = 0
+                a -= 1
+        slots.append(row)
+    if g1.ndim == 2:
+        return np.array(slots, dtype=int).reshape(runs, n)
+    return tuple([t for t, s in zip(task_ids, slots[0]) if s == slot] for slot in (0, 1, -1))
 
 
 def _slot_nodes(scenario: Scenario) -> list[int]:
@@ -352,8 +364,8 @@ def solve_batch(scenario: Scenario, utility) -> np.ndarray:
     ``UtilityTable(scenario)``.  A pair scored 0 or less is never chosen,
     so unoffered and risk-infeasible pairs score 0, as in the table.
     Returns each task's chosen column per run, -1 for a rejected task.
-    Stages 1, 2 and 4 run on the whole stack; stage 3 runs once per run on
-    the tasks stage 1 left.
+    Every stage runs once on the whole stack; stage 3 sees the union of
+    the tasks stage 1 left in any run.
     """
     finite = _slot_nodes(scenario)
     utility = np.asarray(utility, dtype=float)
@@ -362,12 +374,15 @@ def solve_batch(scenario: Scenario, utility) -> np.ndarray:
     # A missing second (or first) finite node is a node of no slots.
     gains = np.concatenate([gains, np.zeros((*gains.shape[:-1], 2 - len(finite)))], axis=-1)
     c1, c2 = ([scenario.nodes[z].capacity for z in finite] + [0, 0])[:2]
-    for r in range(len(chosen)):
-        ids = np.flatnonzero(chosen[r] < 0).tolist()
-        g = gains[r, ids]
-        set1, set2, _ = choose_for_capacitated(ids, g[:, 0].tolist(), g[:, 1].tolist(), c1, c2)
-        for z, taken in zip(finite, (set1, set2)):
-            chosen[r, taken] = node_col[r, taken, z]
+    # Stage 3 sees every task residual in some run; where a task is final,
+    # its gain -inf keeps it out of that run's DP.
+    ids = np.flatnonzero((chosen < 0).any(axis=0))
+    g = np.where((chosen[:, ids] < 0)[..., None], gains[:, ids], -np.inf)
+    slots = choose_for_capacitated(ids, g[..., 0], g[..., 1], c1, c2)
+    sub = chosen[:, ids]
+    for slot, z in enumerate(finite):
+        sub = np.where(slots == slot, node_col[:, ids, z], sub)
+    chosen[:, ids] = sub
     return reject_unassignable(chosen, fb_u, fb_col)
 
 

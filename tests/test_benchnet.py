@@ -122,6 +122,17 @@ class TestServer:
         err.value.close()
         assert err.value.code == 400
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_fsp_value_rejected(self, server, token):
+        body = f"1.5\n\n2.5\n{token},7\n3.5\n".encode()
+        req = urllib.request.Request(f"{server.url}/fsp", data=body, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        payload = json.loads(err.value.read().decode())
+        err.value.close()
+        assert err.value.code == 400
+        assert payload["error"].startswith(f"line 4 ('{token},7')")
+
     def test_negative_content_length_rejected_without_waiting(self, server):
         host, port = server.server_address[:2]
         request = (b"POST /fsp HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n"

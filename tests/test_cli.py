@@ -316,6 +316,15 @@ def test_serve_requires_valid_dataset(runner, tmp_path):
     assert "at least" in res.output
 
 
+@pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:http"])
+def test_serve_bad_port_is_a_usage_error(runner, tmp_path, bind):
+    dataset = make_dataset(tmp_path / "data.csv", seed=3)
+    res = runner.invoke(main, ["serve", "--dataset", str(dataset), "--bind", bind])
+    assert res.exit_code == 2, res.output
+    assert "--bind" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_serve_closes_its_socket_on_ctrl_c(runner, tmp_path, monkeypatch):
     dataset = make_dataset(tmp_path / "data.csv", seed=3)
     served = []

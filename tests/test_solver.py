@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogassign import solver
 from fogassign.latency import Degenerate, Uniform
 from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
 from fogassign.solver import (
@@ -456,6 +457,58 @@ class TestChooseForCapacitated:
         assert total == pytest.approx(_enum_gain_total(g1, g2, c1, c2), abs=1e-9)
 
 
+def _batch_instances(kind):
+    """Seeded (gain1, gain2, present, c1, c2) stage-3 batches of shape
+    (runs, n): task i is residual in run r where ``present[r, i]``.  Every
+    tenth batch has no residual task; in the others, one task is residual
+    in no run.  Odd batches have one finite node, and capacities reach
+    past n."""
+    rng = np.random.default_rng({"ties": 5, "normal": 6}[kind])
+    batches = []
+    for k in range(150):
+        runs, n = int(rng.integers(1, 6)), int(rng.integers(0, 12))
+        two_nodes = k % 2 == 0
+        c1 = int(rng.integers(0, n + 4))
+        c2 = int(rng.integers(0, n + 4)) if two_nodes else 0
+        g1 = np.array([_gains(rng, kind, n) for _ in range(runs)]).reshape(runs, n)
+        g2 = (np.array([_gains(rng, kind, n) for _ in range(runs)]).reshape(runs, n)
+              if two_nodes else np.zeros((runs, n)))
+        present = rng.random((runs, n)) < rng.uniform(0.3, 1.0)
+        if k % 10 == 0:
+            present[:] = False
+        elif n:
+            present[:, rng.integers(n)] = False
+        batches.append((g1, g2, present, c1, c2))
+    return batches
+
+
+class TestChooseForBatch:
+    @pytest.mark.parametrize("kind", ["ties", "normal"])
+    def test_each_row_matches_its_one_run_call(self, kind):
+        for g1, g2, present, c1, c2 in _batch_instances(kind):
+            ids = list(range(present.shape[1]))
+            slots = choose_for_capacitated(
+                ids, np.where(present, g1, -np.inf), np.where(present, g2, -np.inf), c1, c2
+            )
+            assert slots.shape == present.shape
+            for r, row in enumerate(present):
+                row_ids = np.flatnonzero(row).tolist()
+                set1, set2, _ = choose_for_capacitated(
+                    row_ids, g1[r, row_ids].tolist(), g2[r, row_ids].tolist(), c1, c2
+                )
+                expected = np.full(len(ids), -1)
+                expected[set1], expected[set2] = 0, 1
+                assert slots[r].tolist() == expected.tolist(), (kind, r, c1, c2)
+
+    def test_no_tasks(self):
+        slots = choose_for_capacitated([], np.zeros((3, 0)), np.zeros((3, 0)), 2, 1)
+        assert slots.shape == (3, 0)
+
+    def test_gain_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="length"):
+            choose_for_capacitated(["a", "b"], np.zeros((2, 2)), np.zeros((3, 2)), 1, 1)
+
+
 class TestRejectUnassignable:
     def test_fallback_or_reject(self):
         # Tasks a, b and c are unchosen (-1); d holds column 0.  a falls back
@@ -596,6 +649,19 @@ class TestSolveBatch:
             assert plan == solve_capacitated(scen, table), (seed, r)
             oracle = brute_force_optimum(scen, table).total_utility
             assert plan.total_utility == pytest.approx(oracle, abs=1e-9), (seed, r)
+
+    def test_stage3_runs_once_per_batch(self, monkeypatch):
+        scen, utility = batch_instance(1)
+        expected = solve_batch(scen, utility)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return choose_for_capacitated(*args)
+
+        monkeypatch.setattr(solver, "choose_for_capacitated", counting)
+        assert solve_batch(scen, utility).tolist() == expected.tolist()
+        assert len(utility) == 8 and len(calls) == 1
 
     def test_refuses_three_finite_nodes(self):
         scen = step_scenario([[0.5, 0.5, 0.5]], [1, 1, 1])
