@@ -121,10 +121,18 @@ class LatencyDistribution:
         """Draw n values by transforming one uniform variate per draw."""
         if n < 1:
             raise ValueError("sample size must be >= 1")
-        u = rng.random(n)
+        return self.from_uniform(rng.random(n))
+
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """Draws from uniform variates in [0, 1), one per element; any shape.
+
+        ``u`` is clamped in place and a new array of its shape is returned,
+        so ``from_uniform(rng.random(n))`` is ``sample(rng, n)``.
+        """
         # Guard against u == 0.0, which rng.random can emit but the
-        # quantile functions treat as a limit.
-        np.clip(u, 1e-15, None, out=u)
+        # quantile functions treat as a limit.  np.maximum is np.clip's
+        # lower bound without its wrapper; u is never NaN.
+        np.maximum(u, 1e-15, out=u)
         return self._sample_from_uniform(u)
 
     def _sample_from_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -348,18 +356,21 @@ class Mixture(LatencyDistribution):
         # discrete components exactly.
         # Counting thresholds and integer-index gathers cost less here than
         # searchsorted and boolean masks.
+        # The draws are flattened first, so the flat gather indices fit
+        # an input of any shape.
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        idx = np.zeros(u.shape, dtype=np.intp)
+        flat = u.ravel()
+        idx = np.zeros(flat.shape, dtype=np.intp)
         for threshold in cum[1:-1]:
-            idx += u >= threshold
-        out = np.empty_like(u)
+            idx += flat >= threshold
+        out = np.empty(flat.shape)
         for i, c in enumerate(self.components):
             sel = np.flatnonzero(idx == i)
             if sel.size == 0:
                 continue
-            residual = (u[sel] - cum[i]) / self.weights[i]
+            residual = (flat[sel] - cum[i]) / self.weights[i]
             out[sel] = c._sample_from_uniform(np.clip(residual, 1e-15, 1.0 - 1e-16))
-        return out
+        return out.reshape(u.shape)
 
     def support_lo(self):
         return min(c.support_lo() for c in self.components)

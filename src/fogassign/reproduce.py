@@ -14,16 +14,19 @@ near-tied comparisons; with exact expectations the 5th and 6th tasks win
 a constrained slot far less often than published (4.4% and 0.06%), while
 sampled estimates reproduce the published rates.
 
-Its runs are scored in batches of ``_RQ_BATCH``.  Each run still draws
-its cloud intrinsic utilities and its latency samples in turn from one
-generator, so the random stream is that of a run-by-run loop; the draws
-go into (runs, samples, tasks) buffers, and each task's time utility is
-evaluated once per node per batch.  Every row of that evaluation is
-C-contiguous, so each run's mean is numpy's pairwise sum over its
-samples and the estimates are bit-identical to scoring runs one by one.
-Each batch of scores is then solved at once by ``solver.solve_batch``:
-its array stages run on the whole batch, and one slot-DP sweep solves the
-constrained slots of all its runs, over the tasks left in any run.
+Its runs are drawn and scored in blocks of ``_RQ_BATCH``.  One generator
+call draws a block's uniforms, laid out run by run as a run-by-run loop
+drew them (cloud intrinsic utilities, then the gateway's latency draws,
+then the cloud's), so the random stream is unchanged.  Each node's draws
+are transformed at once and stored as a (runs, node, task, sample) block,
+and every task's time utility is evaluated over it in place, one formula
+call per utility family (``utility.UtilityColumns``).  Each block row of
+samples is C-contiguous, so each run's mean is numpy's pairwise sum over
+its samples and the estimates are bit-identical to scoring runs one by
+one.  Scores collect in a ``_RQ_SOLVE``-run array that
+``solver.solve_batch`` solves at once: its array stages run on all those
+runs, and one slot-DP sweep solves the constrained slots of all of them,
+over the tasks left in any run.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .latency import FitError, Gev, Uniform, gev_from_quantiles, make_rng
 from .scenario import NodeSpec, Scenario, bundled_scenario
 from .simulate import run_baseline
 from .solver import UtilityTable, solve_batch, solve_capacitated, solve_uncapacitated
-from .utility import TaskSpec, WaitReadyFirst
+from .utility import TaskSpec, UtilityColumns, WaitReadyFirst
 
 __all__ = ["CheckResult", "ExperimentReport", "EXPERIMENTS", "run_experiment", "format_report"]
 
@@ -52,9 +55,13 @@ RQ_FREQS = {"t04": (32.0, 3.0), "t05": (6.8, 1.5), "t06": (0.6, 0.4)}
 RQ_RUNS = 10_000
 RQ_SAMPLES_PER_ESTIMATE = 400
 RQ_GATEWAY_CAPACITY = 3
-# Runs scored per batch: the two (16, 400, 10) float draw buffers take
-# about 1 MB.
-_RQ_BATCH = 16
+# Runs drawn and scored per generator call.  Their uniforms and their
+# (4, 2, 10, 400) time-utility block take 0.26 MB each and are reused for
+# every block: larger blocks raise peak memory, and fresh buffers per block
+# page-fault.
+_RQ_BATCH = 4
+# Runs per solve_batch call: a (512, 10, 2) score array of 80 KB.
+_RQ_SOLVE = 512
 
 # In-flight demo: cloud latency quantile summaries (median, p10, p90) for
 # progressively worse connectivity, and the local-node latency model.
@@ -144,22 +151,37 @@ def _cap_sweep() -> ExperimentReport:
     return rep
 
 
-def _rq_scores(tasks, a2, gw_draws, cl_draws):
-    """Sampled gateway and cloud utilities of a batch of runs.
+def _rq_draw(rng, dists, u, t):
+    """Draw the next ``len(u)`` runs with one generator call.
 
-    ``a2`` holds each run's cloud intrinsic utilities, shape (runs, tasks);
-    ``gw_draws`` and ``cl_draws`` hold its latency draws, shape (runs,
-    samples, tasks).  Returns two (runs, tasks) arrays.  Each row of a
-    time-utility evaluation is C-contiguous, so its mean is the same
-    pairwise sum as the mean of one run's column.
+    Each row of ``u``, shape (runs, tasks + 2 * samples * tasks), takes one
+    run's uniforms in the order a run-by-run loop drew them: its cloud
+    intrinsic utilities, then (samples, tasks) latency draws from each of
+    ``dists``, the gateway's and the cloud's models.  The draws go into
+    ``t``, shape (runs, node, tasks, samples).  Returns the cloud intrinsic
+    utilities, shape (runs, tasks).
     """
-    u_gw = np.empty(a2.shape)
-    u_cl = np.empty(a2.shape)
-    for i, t in enumerate(tasks):
-        f = t.time_utility
-        u_gw[:, i] = 0.6 * f.value(gw_draws[:, :, i]).mean(axis=1)
-        u_cl[:, i] = a2[:, i] * f.value(cl_draws[:, :, i]).mean(axis=1)
-    return u_gw, u_cl
+    rng.random(out=u)
+    runs, _, n, k = t.shape
+    for node, dist in enumerate(dists):
+        seg = u[:, n + node * k * n:n + (node + 1) * k * n]
+        t[:, node] = dist.from_uniform(seg).reshape(runs, k, n).transpose(0, 2, 1)
+    return 0.6 + (0.9 - 0.6) * u[:, :n]  # numpy's uniform(0.6, 0.9) of each variate
+
+
+def _rq_scores(utilities, a2, t):
+    """Sampled gateway and cloud utilities of a block of runs.
+
+    ``utilities`` is the tasks' ``UtilityColumns``; ``a2`` holds each run's
+    cloud intrinsic utilities, shape (runs, tasks); ``t`` holds its latency
+    draws, shape (runs, node, tasks, samples), gateway first, and is
+    overwritten with their time utilities.  Returns two (runs, tasks)
+    arrays.  ``t`` must be C-contiguous: each mean is then numpy's pairwise
+    sum over one contiguous row of samples, the same sum as the mean of one
+    run's column.
+    """
+    m = utilities.value(t, out=t).mean(axis=-1)
+    return 0.6 * m[:, 0], a2 * m[:, 1]
 
 
 def _random_quality() -> ExperimentReport:
@@ -168,27 +190,23 @@ def _random_quality() -> ExperimentReport:
     scen = base.with_node_capacity("gateway", RQ_GATEWAY_CAPACITY)
     rng = make_rng(scen.seed)
     k = RQ_SAMPLES_PER_ESTIMATE
-    gw_dist = scen.dist("t01", "gateway", "o1")
-    cl_dist = scen.dist("t01", "cloud", "o1")
+    dists = (scen.dist("t01", "gateway", "o1"), scen.dist("t01", "cloud", "o1"))
     tasks = scen.tasks
     n = len(tasks)
+    utilities = UtilityColumns(t.time_utility for t in tasks)
     columns = UtilityTable(scen).columns
     gw, cl = columns.index(("gateway", "o1")), columns.index(("cloud", "o1"))
     on_gateway = np.zeros(n, dtype=int)
-    utility = np.zeros((_RQ_BATCH, n, len(columns)))
-    a2 = np.empty((_RQ_BATCH, n))
-    gw_draws = np.empty((_RQ_BATCH, k, n))
-    cl_draws = np.empty((_RQ_BATCH, k, n))
-    for start in range(0, RQ_RUNS, _RQ_BATCH):
-        b = min(_RQ_BATCH, RQ_RUNS - start)
-        for r in range(b):
-            a2[r] = rng.uniform(0.6, 0.9, n)
-            gw_draws[r] = gw_dist.sample(rng, k * n).reshape(k, n)
-            cl_draws[r] = cl_dist.sample(rng, k * n).reshape(k, n)
-        utility[:b, :, gw], utility[:b, :, cl] = _rq_scores(
-            tasks, a2[:b], gw_draws[:b], cl_draws[:b]
-        )
-        on_gateway += (solve_batch(scen, utility[:b]) == gw).sum(axis=0)
+    utility = np.zeros((_RQ_SOLVE, n, len(columns)))
+    u = np.empty((_RQ_BATCH, n + 2 * k * n))
+    t = np.empty((_RQ_BATCH, 2, n, k))
+    for start in range(0, RQ_RUNS, _RQ_SOLVE):
+        runs = min(_RQ_SOLVE, RQ_RUNS - start)
+        for r in range(0, runs, _RQ_BATCH):
+            b = min(_RQ_BATCH, runs - r)
+            a2 = _rq_draw(rng, dists, u[:b], t[:b])
+            utility[r:r + b, :, gw], utility[r:r + b, :, cl] = _rq_scores(utilities, a2, t[:b])
+        on_gateway += (solve_batch(scen, utility[:runs]) == gw).sum(axis=0)
     counts = dict(zip((t.id for t in tasks), on_gateway.tolist()))
     for tid, (paper, tol) in RQ_FREQS.items():
         got = 100.0 * counts[tid] / RQ_RUNS

@@ -16,6 +16,10 @@ Three time-utility families are provided:
 
 All three are monotone, so the tail-risk event ``f(T) < q`` maps exactly
 to a latency threshold and no sampling is needed to check risk budgets.
+
+Each family computes its values with one formula over its parameters,
+which are floats for one utility and (tasks, 1) columns when
+``UtilityColumns`` evaluates many tasks' utilities at once.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "Step",
     "ExpDecay",
     "WaitReadyFirst",
+    "UtilityColumns",
     "TaskSpec",
     "UtilityReport",
     "risk_probability",
@@ -45,13 +50,22 @@ class OptionNotOffered(LookupError):
 
 
 class TimeUtility:
-    """Nonincreasing map from completion time to residual value in [0, 1]."""
+    """Nonincreasing map from completion time to residual value in [0, 1].
+
+    A family names its parameter fields in ``_params`` and computes its
+    values with ``_value(t, *params, out)``, which writes into ``out`` and
+    returns it.
+    """
+
+    _params = ()
 
     def value(self, t):
-        out = self._value(np.asarray(t, dtype=float))
-        return float(out) if np.ndim(t) == 0 else out
+        t = np.asarray(t, dtype=float)
+        out = self._value(t, *(getattr(self, p) for p in self._params), out=np.empty_like(t))
+        return float(out) if t.ndim == 0 else out
 
-    def _value(self, t: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _value(t: np.ndarray, *params, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def latency_budget(self, q):
@@ -72,14 +86,16 @@ class Step(TimeUtility):
     """1 for t <= tv, 0 afterwards (hard deadline, boundary inclusive)."""
 
     tv: float
+    _params = ("tv",)
 
     def __post_init__(self):
         _require_finite("step", tv=self.tv)
         if self.tv < 0.0:
             raise ValueError(f"step tv must be >= 0 (got {self.tv!r})")
 
-    def _value(self, t):
-        return np.where(t <= self.tv, 1.0, 0.0)
+    @staticmethod
+    def _value(t, tv, out):
+        return np.less_equal(t, tv, out=out)
 
     def latency_budget(self, q):
         return np.full(np.shape(q), self.tv)
@@ -91,15 +107,18 @@ class Step(TimeUtility):
 @dataclass(frozen=True)
 class ExpDecay(TimeUtility):
     k: float
+    _params = ("k",)
 
     def __post_init__(self):
         _require_finite("exp", k=self.k)
         if not (self.k > 0.0):
             raise ValueError("decay rate k must be > 0")
 
-    def _value(self, t):
+    @staticmethod
+    def _value(t, k, out):
         with np.errstate(over="ignore"):  # k * t beyond the float range is worth 0
-            return np.exp(-self.k * t)
+            np.multiply(-k, t, out=out)
+            return np.exp(out, out=out)
 
     def latency_budget(self, q):
         with np.errstate(divide="ignore"):  # q = 0: any latency is worth 0
@@ -115,21 +134,61 @@ class WaitReadyFirst(TimeUtility):
 
     te: float
     ts: float
+    _params = ("te", "ts")
 
     def __post_init__(self):
         _require_finite("wrf", te=self.te, ts=self.ts)
         if not (self.te < self.ts):
             raise ValueError("wait-readily-first requires te < ts")
 
-    def _value(self, t):
+    @staticmethod
+    def _value(t, te, ts, out):
+        # (ts - max(t, te)) / (ts - te) clipped to [0, 1]; np.maximum and
+        # np.minimum give np.clip's values without its wrapper.
+        np.maximum(t, te, out=out)
         with np.errstate(over="ignore"):  # a ramp overflowing to -inf clips to 0
-            return np.clip((self.ts - np.maximum(t, self.te)) / (self.ts - self.te), 0.0, 1.0)
+            np.subtract(ts, out, out=out)
+            np.divide(out, ts - te, out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.minimum(out, 1.0, out=out)
 
     def latency_budget(self, q):
         return self.te + (1.0 - q) * (self.ts - self.te)
 
     def to_config(self):
         return {"kind": "wrf", "te": self.te, "ts": self.ts}
+
+
+class UtilityColumns:
+    """Many tasks' time utilities, evaluated one family at a time.
+
+    ``value(t, out)`` puts ``utilities[i].value(t[..., i, :])`` into
+    ``out[..., i, :]`` for every i with one formula call per family, whose
+    parameters are (tasks, 1) columns built here once; ``out`` may be
+    ``t``.  A family whose tasks are one contiguous range is evaluated in
+    place through views; any other family is gathered and scattered back.
+    """
+
+    def __init__(self, utilities):
+        utilities = list(utilities)
+        members: dict[type, list[int]] = {}
+        for i, f in enumerate(utilities):
+            members.setdefault(type(f), []).append(i)
+        self._families = []
+        for family, idx in members.items():
+            cols = [np.array([getattr(utilities[i], p) for i in idx])[:, None]
+                    for p in family._params]
+            contiguous = idx[-1] - idx[0] == len(idx) - 1
+            rows = slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx)
+            self._families.append((family._value, rows, cols))
+
+    def value(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for formula, rows, cols in self._families:
+            sub = out[..., rows, :]
+            formula(t[..., rows, :], *cols, out=sub)
+            if not isinstance(rows, slice):
+                out[..., rows, :] = sub
+        return out
 
 
 def utility_from_config(cfg: dict) -> TimeUtility:

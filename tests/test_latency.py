@@ -30,6 +30,17 @@ from fogassign.utility import ExpDecay, Step, WaitReadyFirst
 from conftest import ks_critical
 
 TABLE_GEV = Gev(shape=0.34, scale=0.04, loc=0.48)
+# One distribution of each kind; the mixture nests a mixture.
+EVERY_KIND = {
+    "gev": TABLE_GEV,
+    "uniform": Uniform(0.1, 0.6),
+    "empirical": Empirical([0.2, 0.25, 0.25, 0.4, 0.9]),
+    "degenerate": Degenerate(0.5),
+    "mixture": Mixture(
+        [Mixture([TABLE_GEV, Empirical([0.3, 0.7])], [0.4, 0.6]), Uniform(0.1, 0.6), Degenerate(0.2)],
+        [0.5, 0.3, 0.2],
+    ),
+}
 
 
 class TestCdf:
@@ -225,6 +236,23 @@ class TestSample:
     def test_rejects_empty(self, rng):
         with pytest.raises(ValueError):
             Uniform(0, 1).sample(rng, 0)
+
+    @pytest.mark.parametrize("dist", EVERY_KIND.values(), ids=EVERY_KIND.keys())
+    def test_sample_matches_clip_path(self, dist):
+        # The uniforms used to be clamped by np.clip(u, 1e-15, None).
+        for seed in range(5):
+            want = dist._sample_from_uniform(np.clip(make_rng(seed).random(2000), 1e-15, None))
+            assert np.array_equal(dist.sample(make_rng(seed), 2000), want)
+
+    @pytest.mark.parametrize("dist", EVERY_KIND.values(), ids=EVERY_KIND.keys())
+    def test_from_uniform_block_matches_rows(self, dist):
+        u = make_rng(17).random((6, 1000))
+        u[:, 0] = 0.0  # clamped to 1e-15, as sample() does
+        want = np.stack([dist.from_uniform(row.copy()) for row in u])
+        assert np.array_equal(dist.from_uniform(u.copy()), want)
+        # A strided block: one segment of each row of a wider buffer.
+        wide = np.concatenate([u, u], axis=1)
+        assert np.array_equal(dist.from_uniform(wide[:, 1000:]), want)
 
     def test_mixture_matches_masked_reference(self):
         rng = np.random.default_rng(20261019)

@@ -1,9 +1,10 @@
-"""Batched scoring of the randomized-quality experiment.
+"""Block drawing and scoring of the randomized-quality experiment.
 
-``_rq_scores`` evaluates each task's time utility once per node for a
-whole batch of runs.  The reference below is the per-run loop it
-replaced, kept verbatim; the batch must give the same floats, compared
-with ``==``.
+``_rq_draw`` draws a block of runs with one generator call and
+``_rq_scores`` evaluates each utility family once over the block.  The
+references below are the per-run loops they replaced, kept verbatim;
+the blocks must give the same floats, compared with ``==``, and leave
+the generator in the same state.
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ from fogassign.reproduce import (
     RQ_GATEWAY_CAPACITY,
     RQ_SAMPLES_PER_ESTIMATE,
     _RQ_BATCH,
+    _rq_draw,
     _rq_scores,
 )
 from fogassign.scenario import bundled_scenario
-from fogassign.utility import ExpDecay, Step, TaskSpec, UtilityReport
+from fogassign.utility import ExpDecay, Step, TaskSpec, UtilityColumns, UtilityReport
 
 
 def per_run_reports(tasks, a2, gw_draws, cl_draws):
@@ -32,7 +34,7 @@ def per_run_reports(tasks, a2, gw_draws, cl_draws):
     return reports
 
 
-@pytest.mark.parametrize("runs", [_RQ_BATCH, 3], ids=["full", "partial"])
+@pytest.mark.parametrize("runs", [_RQ_BATCH, 16, 3], ids=["full", "16", "partial"])
 @pytest.mark.parametrize("cloud", ["scenario", "gev"])
 def test_batch_matches_per_run_reference(runs, cloud):
     scen = bundled_scenario("vii_d_base").with_node_capacity("gateway", RQ_GATEWAY_CAPACITY)
@@ -45,18 +47,42 @@ def test_batch_matches_per_run_reference(runs, cloud):
     gw_dist = scen.dist("t01", "gateway", "o1")
     cl_dist = scen.dist("t01", "cloud", "o1") if cloud == "scenario" else Gev(0.3, 0.1, 0.6)
     rng = make_rng(runs)
-    a2 = np.empty((_RQ_BATCH, n))
-    gw_draws = np.empty((_RQ_BATCH, k, n))
-    cl_draws = np.empty((_RQ_BATCH, k, n))
+    a2 = np.empty((runs, n))
+    gw_draws = np.empty((runs, k, n))
+    cl_draws = np.empty((runs, k, n))
     want = []
     for r in range(runs):
         a2[r] = rng.uniform(0.6, 0.9, n)
         gw_draws[r] = gw_dist.sample(rng, k * n).reshape(k, n)
         cl_draws[r] = cl_dist.sample(rng, k * n).reshape(k, n)
         want.append(per_run_reports(tasks, a2[r], gw_draws[r], cl_draws[r]))
-    u_gw, u_cl = _rq_scores(tasks, a2[:runs], gw_draws[:runs], cl_draws[:runs])
+    block = np.ascontiguousarray(np.stack([gw_draws, cl_draws], axis=1).transpose(0, 1, 3, 2))
+    u_gw, u_cl = _rq_scores(UtilityColumns(task.time_utility for task in tasks), a2, block)
     assert u_gw.shape == u_cl.shape == (runs, n)
     for r in range(runs):
         for i, t in enumerate(tasks):
             assert u_gw[r, i] == want[r][(t.id, "gateway", "o1")].utility
             assert u_cl[r, i] == want[r][(t.id, "cloud", "o1")].utility
+
+
+@pytest.mark.parametrize("runs", [_RQ_BATCH, 3], ids=["full", "partial"])
+@pytest.mark.parametrize("cloud", ["scenario", "gev"])
+def test_block_draw_keeps_the_random_stream(runs, cloud):
+    scen = bundled_scenario("vii_d_base")
+    k, n = RQ_SAMPLES_PER_ESTIMATE, len(scen.tasks)
+    gw_dist = scen.dist("t01", "gateway", "o1")
+    cl_dist = scen.dist("t01", "cloud", "o1") if cloud == "scenario" else Gev(0.3, 0.1, 0.6)
+    ref = make_rng(runs)
+    want_a2 = np.empty((runs, n))
+    want_t = np.empty((runs, 2, n, k))
+    for r in range(runs):
+        want_a2[r] = ref.uniform(0.6, 0.9, n)
+        want_t[r, 0] = gw_dist.sample(ref, k * n).reshape(k, n).T
+        want_t[r, 1] = cl_dist.sample(ref, k * n).reshape(k, n).T
+    rng = make_rng(runs)
+    u = np.empty((_RQ_BATCH, n + 2 * k * n))
+    t = np.empty((_RQ_BATCH, 2, n, k))
+    a2 = _rq_draw(rng, (gw_dist, cl_dist), u[:runs], t[:runs])
+    assert np.array_equal(a2, want_a2)
+    assert np.array_equal(t[:runs], want_t)
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -9,6 +9,7 @@ from fogassign.utility import (
     OptionNotOffered,
     Step,
     TaskSpec,
+    UtilityColumns,
     WaitReadyFirst,
     expected_utility,
     risk_probability,
@@ -61,6 +62,58 @@ class TestEval:
                     lambda: ExpDecay(float("inf")), lambda: WaitReadyFirst(0.1, float("inf"))):
             with pytest.raises(ValueError):
                 bad()
+
+
+# The families' formulas before they took parameter columns, kept as the
+# reference that value() must match bit for bit.
+def reference_value(f, t):
+    if isinstance(f, Step):
+        return np.where(t <= f.tv, 1.0, 0.0)
+    with np.errstate(over="ignore"):
+        if isinstance(f, ExpDecay):
+            return np.exp(-f.k * t)
+        return np.clip((f.ts - np.maximum(t, f.te)) / (f.ts - f.te), 0.0, 1.0)
+
+
+# Families interleaved, so no family's tasks are contiguous.
+MIXED = [WaitReadyFirst(0.3, 0.4), Step(0.45), ExpDecay(3.0), WaitReadyFirst(0.2, 0.9),
+         Step(0.1), ExpDecay(0.5), WaitReadyFirst(0.35, 0.36)]
+# Every te, ts and tv of MIXED exactly, times below each te, 0 and inf.
+SPECIAL_TIMES = [0.0, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.36, 0.4, 0.45, 0.9, np.inf]
+
+
+def time_block(tasks, seed=0):
+    """(runs, node, task, sample) latencies: SPECIAL_TIMES, then random ones."""
+    t = np.random.default_rng(seed).uniform(0.0, 1.5, (2, 2, tasks, 64))
+    t[..., :len(SPECIAL_TIMES)] = SPECIAL_TIMES
+    return t
+
+
+class TestFormulas:
+    @pytest.mark.parametrize("f", MIXED, ids=repr)
+    def test_value_matches_reference(self, f):
+        t = time_block(1).ravel()
+        assert np.array_equal(f.value(t), reference_value(f, t))
+        for x in SPECIAL_TIMES:
+            v = f.value(x)
+            assert type(v) is float
+            assert v == float(reference_value(f, np.float64(x)))
+
+    @pytest.mark.parametrize("order", [
+        range(7),                  # interleaved
+        [0, 3, 6, 1, 4, 2, 5],     # each family contiguous
+        [0, 1, 4, 2, 5, 3, 6],     # the steps contiguous, the others not
+    ], ids=["interleaved", "grouped", "one-grouped"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    def test_columns_match_per_task_values(self, order, in_place):
+        utilities = [MIXED[i] for i in order]
+        t = time_block(len(utilities))
+        want = [f.value(t[..., i, :]) for i, f in enumerate(utilities)]
+        out = t if in_place else np.empty_like(t)
+        got = UtilityColumns(utilities).value(t, out=out)
+        assert got is out
+        for i in range(len(utilities)):
+            assert np.array_equal(got[..., i, :], want[i]), utilities[i]
 
 
 class TestLatencyBudget:
