@@ -467,22 +467,46 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     return rows
 
 
+def _optional_float(text: str) -> float:
+    return float(text) if text else float("nan")
+
+
+# The five columns every probe file has, each with its cell parser.
+_PROBE_CELLS = (
+    ("delta_t_s", _optional_float),
+    ("latency_s", _optional_float),
+    ("endpoint", str),
+    ("option", str),
+    ("timestamp_unix_ms", lambda text: int(text or 0)),
+)
+
+
 def load_probe_rows(path) -> list[ProbeRow]:
-    """Read a probe CSV; 5-column files (no status) are treated as all-ok."""
+    """Read a probe CSV; 5-column files (no status) are treated as all-ok.
+
+    A missing column, a short row or a cell that does not parse raises
+    ValueError naming the file, the line and the column.
+    """
+    path = Path(path)
     rows = []
-    with Path(path).open(newline="") as fh:
+    with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
+        for column, _ in _PROBE_CELLS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: line 1: missing column {column!r}")
         for rec in reader:
-            rows.append(
-                ProbeRow(
-                    delta_t_s=float(rec["delta_t_s"]) if rec["delta_t_s"] else float("nan"),
-                    latency_s=float(rec["latency_s"]) if rec["latency_s"] else float("nan"),
-                    endpoint=rec["endpoint"],
-                    option=rec["option"],
-                    timestamp_unix_ms=int(rec["timestamp_unix_ms"] or 0),
-                    status=rec.get("status") or "ok",
-                )
-            )
+            cells = []
+            for column, parse in _PROBE_CELLS:
+                text = rec[column]
+                if text is not None:
+                    try:
+                        cells.append(parse(text))
+                        continue
+                    except ValueError:
+                        pass
+                problem = "the row ends before it" if text is None else f"cannot read {text!r}"
+                raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: {problem}")
+            rows.append(ProbeRow(*cells, status=rec.get("status") or "ok"))
     return rows
 
 

@@ -25,7 +25,7 @@ from .scenario import (
     bundled_scenario_names,
     load_scenario,
 )
-from .simulate import emit, round9, run_baseline, simulate
+from .simulate import BASELINES, emit, round9, run_baseline, simulate
 from .solver import (
     SizeGuardError,
     UnsupportedTopologyError,
@@ -88,7 +88,7 @@ def solve(scenario_path, solver, out, fmt):
 
 @main.command()
 @click.argument("scenario_path", type=click.Path(exists=True))
-@click.option("--strategy", type=click.Choice(["min-latency", "max-quality"]), required=True)
+@click.option("--strategy", type=click.Choice(BASELINES), required=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
@@ -116,7 +116,7 @@ def simulate_cmd(scenario_path, reps, seed, solver, with_baselines, out):
     except SOLVE_ERRORS as exc:
         raise click.ClickException(str(exc))
     baselines = (
-        {s: run_baseline(scen, s, table) for s in ("min-latency", "max-quality")}
+        {s: run_baseline(scen, s, table) for s in BASELINES}
         if with_baselines
         else None
     )
@@ -153,10 +153,10 @@ def reproduce(experiment):
 @click.option("--out", type=click.Path(), default=None)
 def characterize_cmd(records, thresholds, bucket_width, reference, out):
     """Summarize probe records and fit the gap-conditional latency model."""
-    rows = benchnet.load_probe_rows(records)
     try:
+        rows = benchnet.load_probe_rows(records)
         summary = benchnet.summarize(rows)
-    except benchnet.EmptySummaryError as exc:
+    except ValueError as exc:  # a malformed file, or no ok record in it
         raise click.ClickException(str(exc))
     report: dict = {
         "records": len(rows),
@@ -255,8 +255,8 @@ def probe(schedule, out):
 
 @main.command(name="make-dataset")
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--lines", type=click.IntRange(min=1), default=benchnet.MIN_DATASET_LINES,
-              show_default=True)
+@click.option("--lines", type=click.IntRange(min=benchnet.MIN_DATASET_LINES),
+              default=benchnet.MIN_DATASET_LINES, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def make_dataset(out, lines, seed):
     """Generate the seeded numeric CSV fixture served by /psf."""

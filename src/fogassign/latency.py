@@ -133,9 +133,6 @@ class LatencyDistribution:
         # quantile functions treat as a limit.  np.maximum is np.clip's
         # lower bound without its wrapper; u is never NaN.
         np.maximum(u, 1e-15, out=u)
-        return self._sample_from_uniform(u)
-
-    def _sample_from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self._quantile(u)
 
     # Subclass surface -----------------------------------------------------
@@ -349,7 +346,7 @@ class Mixture(LatencyDistribution):
                 break
         return hi.reshape(p.shape)
 
-    def _sample_from_uniform(self, u):
+    def from_uniform(self, u):
         # Composition from a single uniform per draw: the cumulative-weight
         # bracket picks the component and the rescaled residual drives it.
         # Unlike bisection on the mixture CDF this reproduces atoms of
@@ -358,6 +355,7 @@ class Mixture(LatencyDistribution):
         # searchsorted and boolean masks.
         # The draws are flattened first, so the flat gather indices fit
         # an input of any shape.
+        np.maximum(u, 1e-15, out=u)  # in place, as the base class does
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         flat = u.ravel()
         idx = np.zeros(flat.shape, dtype=np.intp)
@@ -368,8 +366,10 @@ class Mixture(LatencyDistribution):
             sel = np.flatnonzero(idx == i)
             if sel.size == 0:
                 continue
+            # Rounding can carry the residual to 1; the component's own
+            # from_uniform clamps the lower end in place.
             residual = (flat[sel] - cum[i]) / self.weights[i]
-            out[sel] = c._sample_from_uniform(np.clip(residual, 1e-15, 1.0 - 1e-16))
+            out[sel] = c.from_uniform(np.minimum(residual, 1.0 - 1e-16, out=residual))
         return out.reshape(u.shape)
 
     def support_lo(self):

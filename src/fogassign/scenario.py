@@ -99,14 +99,7 @@ class Scenario:
         nodes = [
             replace(n, capacity=capacity) if n.id == node_id else n for n in self.nodes
         ]
-        return Scenario(
-            name=self.name,
-            tasks=self.tasks,
-            nodes=nodes,
-            latency=self.latency,
-            seed=self.seed,
-            notes=self.notes,
-        )
+        return replace(self, nodes=nodes)
 
     def validate(self) -> None:
         node_ids = [n.id for n in self.nodes]
@@ -207,56 +200,75 @@ def _capacity_from_config(n: dict) -> int | None:
     return _integer(cap, 1, f"node {n['id']}: capacity must be 'inf' or an integer >= 1")
 
 
+def _record_name(cfg: dict, path: tuple) -> str:
+    """How errors name the record at ``path``, e.g. ("tasks", 0, "utility")."""
+    if not path:
+        return "invalid scenario config"
+    section, i, *sub = path
+    kind = {"nodes": "node", "tasks": "task"}.get(section)
+    try:  # by id where the record has one, else by position
+        name = f"{kind} {str(cfg[section][i]['id'])!r}" if kind else f"{section}[{i}]"
+    except (LookupError, TypeError):
+        name = f"{section}[{i}]"
+    if sub:
+        name += f" {sub[0]}" + "".join(f"[{k}]" for k in sub[1:])
+    return name
+
+
 def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
+    where: tuple = ()  # the record being read, for the error message
     try:
-        nodes = [
-            NodeSpec(
+        nodes = []
+        for i, n in enumerate(cfg["nodes"]):
+            where = ("nodes", i)
+            nodes.append(NodeSpec(
                 id=str(n["id"]),
                 options=tuple(str(x) for x in n["options"]),
                 capacity=_capacity_from_config(n),
-            )
-            for n in cfg["nodes"]
-        ]
+            ))
         tasks = []
-        for trec in cfg["tasks"]:
+        for i, trec in enumerate(cfg["tasks"]):
+            where = ("tasks", i)
             intrinsic = {}
-            for e in trec.get("intrinsic", []):
+            for k, e in enumerate(trec.get("intrinsic", [])):
+                where = ("tasks", i, "intrinsic", k)
                 pair = (str(e["node"]), str(e["option"]))
                 if pair in intrinsic:
                     raise ScenarioError(
-                        f"task {str(trec['id'])!r}: duplicate intrinsic entry for node "
+                        f"{_record_name(cfg, where[:2])}: duplicate intrinsic entry for node "
                         f"{pair[0]!r}, option {pair[1]!r}"
                     )
                 intrinsic[pair] = float(e["value"])
-            tasks.append(
-                TaskSpec(
-                    id=str(trec["id"]),
-                    time_utility=utility_from_config(trec["utility"]),
-                    intrinsic=intrinsic,
-                    quality_floor=float(trec.get("quality_floor", 0.0)),
-                    risk_budget=float(trec.get("risk_budget", 1.0)),
-                )
-            )
+            where = ("tasks", i)
+            utility_cfg = trec["utility"]
+            where = ("tasks", i, "utility")
+            time_utility = utility_from_config(utility_cfg)
+            where = ("tasks", i)
+            task_id = str(trec["id"])
+            floor, budget = float(trec.get("quality_floor", 0.0)), float(trec.get("risk_budget", 1.0))
+            where = ()  # TaskSpec names the task in its own errors
+            tasks.append(TaskSpec(task_id, time_utility, intrinsic, floor, budget))
+        where = ()
         latency: dict[tuple[str, str, str], LatencyDistribution] = {}
-        shared = [e for e in cfg.get("latency", []) if "task" not in e]
-        specific = [e for e in cfg.get("latency", []) if "task" in e]
+        entries = cfg.get("latency", [])
+        # Shared entries first, so an entry for one task overrides them.
+        order = [i for i, e in enumerate(entries) if "task" not in e]
+        order += [i for i, e in enumerate(entries) if "task" in e]
         seen = set()
-        for e in shared + specific:
-            task = f"task {str(e['task'])!r}" if "task" in e else "every task"
-            triple = (task, str(e["node"]), str(e["option"]))
-            if triple in seen:
+        for i in order:
+            e, where = entries[i], ("latency", i)
+            node, option, dist_cfg = str(e["node"]), str(e["option"]), e["dist"]
+            owner = f"task {str(e['task'])!r}" if "task" in e else "every task"
+            if (owner, node, option) in seen:
                 raise ScenarioError(
-                    f"duplicate latency entry for {task}, node {triple[1]!r}, option {triple[2]!r}"
+                    f"duplicate latency entry for {owner}, node {node!r}, option {option!r}"
                 )
-            seen.add(triple)
-        for e in shared:
-            dist = dist_from_config(e["dist"], base_dir)
-            for t in tasks:
-                latency[(t.id, str(e["node"]), str(e["option"]))] = dist
-        for e in specific:
-            latency[(str(e["task"]), str(e["node"]), str(e["option"]))] = dist_from_config(
-                e["dist"], base_dir
-            )
+            seen.add((owner, node, option))
+            where = ("latency", i, "dist")
+            dist = dist_from_config(dist_cfg, base_dir)
+            for j in [str(e["task"])] if "task" in e else [t.id for t in tasks]:
+                latency[(j, node, option)] = dist
+        where = ()
         scenario = Scenario(
             name=str(cfg.get("name", "unnamed")),
             tasks=tasks,
@@ -267,8 +279,10 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario config: {exc}") from exc
+    except KeyError as exc:
+        raise ScenarioError(f"{_record_name(cfg, where)}: missing field {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{_record_name(cfg, where)}: {exc}") from exc
     scenario.validate()
     return scenario
 

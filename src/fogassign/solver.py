@@ -18,18 +18,19 @@ columns), in four stages:
    it does not compete for constrained slots,
 2. every task's *capacitated gain* on each finite node is its best utility
    there minus its best unlimited fallback,
-3. each run's gain-maximizing slot occupants among the remaining tasks are
-   picked by a dynamic program over (task index, slots used on node 1,
-   slots used on node 2), for up to two finite-capacity nodes
-   (``choose_for_capacitated``); one sweep solves every run of the batch,
-   over the tasks remaining in any run,
+3. each run's gain-maximizing slot occupants are picked by a dynamic
+   program over (task index, slots used on node 1, slots used on node 2),
+   for up to two finite-capacity nodes (``choose_for_capacitated``); one
+   sweep solves every run of the batch, over the tasks with a positive
+   gain in any run,
 4. everyone unchosen goes to their unlimited fallback, and tasks with no
    positive-utility fallback are rejected.
 
 ``solve_capacitated`` and ``solve_uncapacitated`` turn one table's chosen
-columns into ``Placement``s.  Negative gains are representable and never
-chosen: the DP's skip branch dominates, so constrained slots are never
-filled at a loss.
+columns into ``Placement``s.  A gain of 0 or less is never chosen: the
+DP's skip branch dominates, so constrained slots are never filled at a
+loss.  A final task's gains are never positive, so stage 3 needs no
+separate rule to keep it out.
 
 Tie-breaking is deterministic throughout: higher utility first, then
 unlimited-capacity nodes over finite ones (to conserve constrained
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .scenario import Scenario
-from .utility import UtilityReport, expected_utility, risk_probability
+from .utility import UtilityReport, expected_utility
 
 __all__ = [
     "Placement",
@@ -272,13 +273,13 @@ def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
     h(i - 1) are the node-1 and node-2 candidates, each compared with a
     strict ``>`` in the tie order, so every cell makes the same float
     additions and comparisons as a cell-by-cell loop over one run would.
-    A task with gain ``-inf`` in a run is absent from that run: h is never
-    negative, so ``-inf`` never beats it and the task's step changes
-    nothing there.  Slots beyond the task count cannot be filled, so each
-    axis is clipped to ``n``; a run with fewer tasks present holds the
-    same decisions in the cells beyond its own count.  The two take-masks
-    kept for the backtrack cost 2 * n * runs * (min(c1, n) + 1) *
-    (min(c2, n) + 1) bytes together.
+    A task whose gain is 0 or less in a run changes nothing there: h is
+    monotone in capacity, so neither candidate beats the cell it would
+    replace, and the task's step leaves h and every other task's slot as
+    they were.  Slots beyond the task count cannot be filled, so each
+    axis is clipped to ``n``.  The two take-masks kept for the backtrack
+    cost 2 * n * runs * (min(c1, n) + 1) * (min(c2, n) + 1) bytes
+    together.
 
     With gains of shape (runs, n), returns a (runs, n) slot array: 0 for
     a task taken by node 1, 1 for node 2, -1 for none.  One-dimensional
@@ -311,16 +312,12 @@ def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
     for x1, x2, t1, t2 in zip(col1, col2, takes1, takes2):
         # Both candidates read h(i - 1), so both are formed before h changes.
         # Node 1 must beat skipping; node 2 must beat the result of that.
-        # Without node-2 slots its slices are empty; skipping those numpy
-        # calls keeps one-node grids of a few cells as fast as a scalar loop.
         np.add(from1, x1, out=cand1)
-        if c2:
-            np.add(from2, x2, out=cand2)
+        np.add(from2, x2, out=cand2)
         np.greater(cand1, to1, out=t1)
         np.copyto(to1, cand1, where=t1)
-        if c2:
-            np.greater(cand2, to2, out=t2)
-            np.copyto(to2, cand2, where=t2)
+        np.greater(cand2, to2, out=t2)
+        np.copyto(to2, cand2, where=t2)
     # h(i, a, b) allows at most a and b slots, so it is monotone in capacity
     # and the full-capacity corner holds the optimum; backtracking from it
     # keeps the per-cell tie rule (skip, then node 1) as the only one.
@@ -364,8 +361,8 @@ def solve_batch(scenario: Scenario, utility) -> np.ndarray:
     ``UtilityTable(scenario)``.  A pair scored 0 or less is never chosen,
     so unoffered and risk-infeasible pairs score 0, as in the table.
     Returns each task's chosen column per run, -1 for a rejected task.
-    Every stage runs once on the whole stack; stage 3 sees the union of
-    the tasks stage 1 left in any run.
+    Every stage runs once on the whole stack; stage 3 sees the tasks with
+    a positive gain in any run.
     """
     finite = _slot_nodes(scenario)
     utility = np.asarray(utility, dtype=float)
@@ -374,11 +371,8 @@ def solve_batch(scenario: Scenario, utility) -> np.ndarray:
     # A missing second (or first) finite node is a node of no slots.
     gains = np.concatenate([gains, np.zeros((*gains.shape[:-1], 2 - len(finite)))], axis=-1)
     c1, c2 = ([scenario.nodes[z].capacity for z in finite] + [0, 0])[:2]
-    # Stage 3 sees every task residual in some run; where a task is final,
-    # its gain -inf keeps it out of that run's DP.
-    ids = np.flatnonzero((chosen < 0).any(axis=0))
-    g = np.where((chosen[:, ids] < 0)[..., None], gains[:, ids], -np.inf)
-    slots = choose_for_capacitated(ids, g[..., 0], g[..., 1], c1, c2)
+    ids = np.flatnonzero((gains > 0).any(axis=(0, 2)))
+    slots = choose_for_capacitated(ids, gains[:, ids, 0], gains[:, ids, 1], c1, c2)
     sub = chosen[:, ids]
     for slot, z in enumerate(finite):
         sub = np.where(slots == slot, node_col[:, ids, z], sub)
@@ -504,13 +498,12 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> list[str]:
             problems.append(f"task {t.id}: pair ({p.node}, {p.option}) not offered to the task")
             continue
         load[p.node] = load.get(p.node, 0) + 1
-        dist = scenario.dist(t.id, p.node, p.option)
-        risk = risk_probability(t.time_utility, dist, t.quality_floor)
-        if risk > t.risk_budget + TOTAL_TOL:
+        rep = expected_utility(t, p.node, p.option, scenario.dist(t.id, p.node, p.option))
+        if rep.risk > t.risk_budget + TOTAL_TOL:
             problems.append(
-                f"task {t.id}: risk {risk!r} exceeds budget {t.risk_budget!r} on ({p.node}, {p.option})"
+                f"task {t.id}: risk {rep.risk!r} exceeds budget {t.risk_budget!r} "
+                f"on ({p.node}, {p.option})"
             )
-        rep = expected_utility(t, p.node, p.option, dist)
         if not math.isfinite(p.utility):
             problems.append(f"task {t.id}: recorded utility {p.utility!r} is not finite")
         elif abs(rep.utility - p.utility) > 1e-6:

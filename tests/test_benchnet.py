@@ -308,6 +308,29 @@ class TestProbe:
         assert rows[0].status == "ok"
         assert rows[0].latency_s == 0.12
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,abc,e,o,1\n",
+             "line 2: column 'latency_s': cannot read 'abc'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+             "0.5,0.1,e,o,1\n0.5,0.1,e,o,x\n",
+             "line 3: column 'timestamp_unix_ms': cannot read 'x'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,0.1,e\n",
+             "line 2: column 'option': the row ends before it"),
+            ("delta_t_s,latency_s,endpoint,timestamp_unix_ms\n0.5,0.1,e,1\n",
+             "line 1: missing column 'option'"),
+            ("", "line 1: missing column 'delta_t_s'"),
+        ],
+        ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file"],
+    )
+    def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError) as info:
+            load_probe_rows(path)
+        assert str(info.value) == f"{path}: {where}"
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ProbeSchedule(targets=(), count=1)

@@ -4,7 +4,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from fogassign.benchnet import BenchServer, make_dataset, start_server
+from fogassign.benchnet import MIN_DATASET_LINES, BenchServer, make_dataset, start_server
 from fogassign.cli import main
 from fogassign.scenario import bundled_scenario
 
@@ -144,11 +144,13 @@ class TestFitGev:
 class TestBenchCommands:
     def test_make_dataset(self, runner, tmp_path):
         out = tmp_path / "d.csv"
-        res = runner.invoke(main, ["make-dataset", "--out", str(out), "--lines", "100"])
+        lines = MIN_DATASET_LINES + 1
+        res = runner.invoke(main, ["make-dataset", "--out", str(out), "--lines", str(lines)])
         assert res.exit_code == 0
-        assert len(out.read_text().splitlines()) == 100
+        assert len(out.read_text().splitlines()) == lines
 
-    @pytest.mark.parametrize("lines", ["0", "-5"])
+    # Fewer lines than serve accepts are refused too.
+    @pytest.mark.parametrize("lines", ["0", "-5", str(MIN_DATASET_LINES - 1)])
     def test_make_dataset_needs_a_line(self, runner, tmp_path, lines):
         out = tmp_path / "d.csv"
         res = runner.invoke(main, ["make-dataset", "--out", str(out), "--lines", lines])
@@ -271,6 +273,24 @@ class TestBenchCommands:
         assert res.exit_code == 1, res.output
         assert f"Error: reference {reference}: " in res.output
         assert message in res.output
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+             "0.5,0.12,e,o,1700000000000\n0.5,abc,e,o,1700000000500\n",
+             "line 3: column 'latency_s': cannot read 'abc'"),
+            ("delta_t_s,latency_s,endpoint,timestamp_unix_ms\n0.5,0.12,e,1700000000000\n",
+             "line 1: missing column 'option'"),
+        ],
+        ids=["bad-number", "missing-column"],
+    )
+    def test_characterize_malformed_records_fail_cleanly(self, runner, tmp_path, text, message):
+        records = tmp_path / "records.csv"
+        records.write_text(text)
+        res = runner.invoke(main, ["characterize", str(records)])
+        assert res.exit_code == 1, res.output
+        assert f"Error: {records}: {message}" in res.output
 
     def test_characterize_skips_empty_latency_cells(self, runner, tmp_path):
         # The five-column format has no status, so an empty latency cell

@@ -134,6 +134,32 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=field):
             load_scenario(write(tmp_path, cfg))
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("tasks", 0, "utility", "tv"), "task 't1' utility: missing field 'tv'"),
+            (("tasks", 0, "utility"), "task 't1': missing field 'utility'"),
+            (("tasks", 0, "id"), "tasks[0]: missing field 'id'"),
+            (("tasks", 0, "intrinsic", 1, "value"),
+             "task 't1' intrinsic[1]: missing field 'value'"),
+            (("nodes", 1, "options"), "node 'b': missing field 'options'"),
+            (("latency", 0, "dist", "hi"), "latency[0] dist: missing field 'hi'"),
+            (("latency", 1, "option"), "latency[1]: missing field 'option'"),
+            (("nodes",), "invalid scenario config: missing field 'nodes'"),
+        ],
+        ids=["utility-field", "utility", "task-id", "intrinsic-value", "node-options",
+             "dist-field", "latency-option", "nodes"],
+    )
+    def test_missing_field_names_its_record(self, path, message):
+        cfg = json.loads(json.dumps(MINIMAL))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_config(cfg)
+        assert str(info.value) == message
+
     def test_dangling_intrinsic(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["tasks"][0]["intrinsic"].append({"node": "ghost", "option": "x", "value": 0.5})

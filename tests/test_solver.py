@@ -500,6 +500,33 @@ class TestChooseForBatch:
                 expected[set1], expected[set2] = 0, 1
                 assert slots[r].tolist() == expected.tolist(), (kind, r, c1, c2)
 
+    def test_tasks_that_never_gain_change_no_slot(self):
+        # solve_batch passes stage 3 only the tasks with a positive gain in
+        # some run.  That is exact: tasks whose gains are 0 or less in every
+        # run, inserted anywhere, take no slot and move no other task's.
+        rng = np.random.default_rng(8)
+        never = np.array([0.0, -0.0, -0.5, -np.inf])
+        for k in range(200):
+            runs, n, extra = (int(v) for v in rng.integers((1, 0, 1), (5, 10, 5)))
+            c1 = int(rng.integers(0, n + 3))
+            c2 = int(rng.integers(0, n + 3)) if k % 2 else 0
+            g1, g2 = (np.array([_gains(rng, "ties", n) for _ in range(runs)]).reshape(runs, n)
+                      for _ in range(2))
+            where = np.sort(rng.integers(0, n + 1, extra))
+            slots = choose_for_capacitated(
+                list(range(n + extra)),
+                np.insert(g1, where, rng.choice(never, (runs, extra)), axis=1),
+                np.insert(g2, where, rng.choice(never, (runs, extra)), axis=1),
+                c1, c2,
+            )
+            inserted = where + np.arange(extra)
+            assert (slots[:, inserted] == -1).all()
+            for r in range(runs):
+                set1, set2, _ = scalar_choose(range(n), g1[r].tolist(), g2[r].tolist(), c1, c2)
+                expected = np.full(n, -1)
+                expected[set1], expected[set2] = 0, 1
+                assert np.delete(slots[r], inserted).tolist() == expected.tolist(), (k, r)
+
     def test_no_tasks(self):
         slots = choose_for_capacitated([], np.zeros((3, 0)), np.zeros((3, 0)), 2, 1)
         assert slots.shape == (3, 0)
