@@ -21,10 +21,10 @@ to the parsed JSON response.  Each target's request is built once per
 run, before the first invocation, so building it (for ``/fsp``, formatting
 the whole CSV body) is not part of any recorded latency.
 
-Probe record CSV columns: ``delta_t_s,latency_s,endpoint,option,
-timestamp_unix_ms,status`` (the first five are the shared
+Probe record CSV columns (``PROBE_COLUMNS``): ``delta_t_s,latency_s,
+endpoint,option,timestamp_unix_ms,status`` (the first five are the shared
 characterization format; status extends it so failed invocations stay in
-the file).
+the file, and a file without it reads as all ``ok``).
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ MIN_DATASET_LINES = 50_000
 # Largest /fsp body read; a longer Content-Length is answered 413 unread.
 FSP_MAX_BODY_BYTES = 1 << 24
 
-PROBE_HEADER = ["delta_t_s", "latency_s", "endpoint", "option", "timestamp_unix_ms", "status"]
-
 
 class EmptySummaryError(ValueError):
     pass
@@ -85,8 +83,7 @@ class EmptySummaryError(ValueError):
 class BenchTask:
     """One benchmark invocation: kind plus its size parameter.
 
-    Sizes outside the supported ranges are rejected unless
-    ``allow_out_of_range`` is set (useful for tiny smoke-test requests).
+    A server started without ``allow_out_of_range`` rejects sizes outside ``range_ok``.
     """
 
     kind: str  # "pic" | "psf" | "fsp"
@@ -396,6 +393,27 @@ class ProbeRow:
     exec_ms: float = float("nan")
 
 
+def _optional_float(text: str) -> float:
+    return float(text) if text else float("nan")
+
+
+def _optional_float_cell(value: float) -> str:
+    return "" if math.isnan(value) else f"{value:.6f}"
+
+
+# Each probe CSV column in file order, which is ProbeRow's field order, with
+# the parser of its cell and the formatter of its value.  Status comes last
+# and is optional on read: a five-column file or an empty cell reads as ok.
+PROBE_COLUMNS = (
+    ("delta_t_s", _optional_float, _optional_float_cell),
+    ("latency_s", _optional_float, _optional_float_cell),
+    ("endpoint", str, str),
+    ("option", str, str),
+    ("timestamp_unix_ms", lambda text: int(text or 0), str),
+    ("status", lambda text: text or "ok", str),
+)
+
+
 def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     """Run the schedule, appending one CSV row per invocation.
 
@@ -414,7 +432,7 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     out_path = Path(out_path)
     with out_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PROBE_HEADER)
+        writer.writerow([column for column, _, _ in PROBE_COLUMNS])
         for i in range(schedule.count):
             k = i % len(schedule.targets)
             target, request = schedule.targets[k], requests[k]
@@ -453,32 +471,9 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
                 exec_ms=exec_ms,
             )
             rows.append(row)
-            writer.writerow(
-                [
-                    "" if math.isnan(row.delta_t_s) else f"{row.delta_t_s:.6f}",
-                    "" if math.isnan(row.latency_s) else f"{row.latency_s:.6f}",
-                    row.endpoint,
-                    row.option,
-                    row.timestamp_unix_ms,
-                    row.status,
-                ]
-            )
+            writer.writerow([fmt(getattr(row, column)) for column, _, fmt in PROBE_COLUMNS])
             fh.flush()
     return rows
-
-
-def _optional_float(text: str) -> float:
-    return float(text) if text else float("nan")
-
-
-# The five columns every probe file has, each with its cell parser.
-_PROBE_CELLS = (
-    ("delta_t_s", _optional_float),
-    ("latency_s", _optional_float),
-    ("endpoint", str),
-    ("option", str),
-    ("timestamp_unix_ms", lambda text: int(text or 0)),
-)
 
 
 def load_probe_rows(path) -> list[ProbeRow]:
@@ -491,13 +486,13 @@ def load_probe_rows(path) -> list[ProbeRow]:
     rows = []
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        for column, _ in _PROBE_CELLS:
+        for column, _, _ in PROBE_COLUMNS[:-1]:
             if column not in (reader.fieldnames or ()):
                 raise ValueError(f"{path}: line 1: missing column {column!r}")
         for rec in reader:
             cells = []
-            for column, parse in _PROBE_CELLS:
-                text = rec[column]
+            for column, parse, _ in PROBE_COLUMNS:
+                text = rec.get(column, "")  # "" in a file without status
                 if text is not None:
                     try:
                         cells.append(parse(text))
@@ -506,7 +501,7 @@ def load_probe_rows(path) -> list[ProbeRow]:
                         pass
                 problem = "the row ends before it" if text is None else f"cannot read {text!r}"
                 raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: {problem}")
-            rows.append(ProbeRow(*cells, status=rec.get("status") or "ok"))
+            rows.append(ProbeRow(*cells))
     return rows
 
 

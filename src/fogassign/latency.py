@@ -17,6 +17,9 @@ time-utility f is nonincreasing with values in [0, 1], so
 where ``f^-1(s)`` is the largest latency still worth s.  The integrand is
 a CDF over a bounded interval, so the tail never has to be truncated.
 
+A model's config record is its ``kind`` tag plus its fields (see
+``ConfigRecord``); ``empirical`` and ``mixture`` records have their own code.
+
 Importing this module does not load scipy: ``gev_from_quantiles`` imports
 its root finder when it first runs.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -85,11 +89,14 @@ def _as_array(t):
     return np.asarray(t, dtype=float)
 
 
-def _require_finite(kind: str, **params) -> None:
-    """Reject NaN and infinite model parameters, naming the offending field."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{kind} {name} must be finite (got {value!r})")
+def _number(value, *name: str) -> float:
+    """``value`` as a float, or a ValueError naming the field ``" ".join(name)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{' '.join(name)} must be a number (got {value!r})")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{' '.join(name)} must be finite (got {value!r})") from None
 
 
 def _maybe_scalar(out, t):
@@ -98,7 +105,31 @@ def _maybe_scalar(out, t):
     return out
 
 
-class LatencyDistribution:
+class ConfigRecord:
+    """A model stored as ``{"kind": kind, field: value, ...}``.
+
+    A parametric kind lists its numeric fields in ``_params``, in constructor
+    order, and ``to_config``, ``_require_finite`` and
+    ``_parametric_from_config`` read that list; other kinds override
+    ``to_config``."""
+
+    kind: str
+    _params: tuple[str, ...] = ()
+
+    def to_config(self) -> dict:
+        cfg = {"kind": self.kind}
+        for p in self._params:
+            cfg[p] = getattr(self, p)
+        return cfg
+
+    def _require_finite(self) -> None:
+        """Reject NaN and infinite parameters, naming the offending field."""
+        for p in self._params:
+            if not math.isfinite(getattr(self, p)):
+                raise ValueError(f"{self.kind} {p} must be finite (got {getattr(self, p)!r})")
+
+
+class LatencyDistribution(ConfigRecord):
     """Base class for completion-time distributions (values in seconds)."""
 
     def cdf(self, t):
@@ -151,9 +182,6 @@ class LatencyDistribution:
         """Points where the CDF has kinks or jumps (for grid construction)."""
         return ()
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Gev(LatencyDistribution):
@@ -166,9 +194,11 @@ class Gev(LatencyDistribution):
     shape: float
     scale: float
     loc: float
+    kind = "gev"
+    _params = ("shape", "scale", "loc")
 
     def __post_init__(self):
-        _require_finite("gev", shape=self.shape, scale=self.scale, loc=self.loc)
+        self._require_finite()
         if not (self.shape > 0.0):
             raise ValueError("shape must be > 0 (heavy-tailed type only)")
         if not (self.scale > 0.0):
@@ -192,17 +222,16 @@ class Gev(LatencyDistribution):
     def breakpoints(self):
         return (self.support_lo(),)
 
-    def to_config(self):
-        return {"kind": "gev", "shape": self.shape, "scale": self.scale, "loc": self.loc}
-
 
 @dataclass(frozen=True)
 class Uniform(LatencyDistribution):
     lo: float
     hi: float
+    kind = "uniform"
+    _params = ("lo", "hi")
 
     def __post_init__(self):
-        _require_finite("uniform", lo=self.lo, hi=self.hi)
+        self._require_finite()
         if not (self.lo < self.hi):
             raise ValueError("uniform bounds require lo < hi")
 
@@ -217,9 +246,6 @@ class Uniform(LatencyDistribution):
 
     def breakpoints(self):
         return (self.lo, self.hi)
-
-    def to_config(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 class Empirical(LatencyDistribution):
@@ -270,9 +296,11 @@ class Degenerate(LatencyDistribution):
     """Point mass; handy for deterministic latencies and edge-case tests."""
 
     value: float
+    kind = "degenerate"
+    _params = ("value",)
 
     def __post_init__(self):
-        _require_finite("degenerate", value=self.value)
+        self._require_finite()
 
     def _cdf(self, t):
         return np.where(t >= self.value, 1.0, 0.0)
@@ -285,9 +313,6 @@ class Degenerate(LatencyDistribution):
 
     def breakpoints(self):
         return (self.value,)
-
-    def to_config(self):
-        return {"kind": "degenerate", "value": self.value}
 
 
 class Mixture(LatencyDistribution):
@@ -488,32 +513,35 @@ def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
 # Config (de)serialization
 # ---------------------------------------------------------------------------
 
+def _parametric_from_config(cfg, kinds: dict, what: str):
+    """The model ``cfg`` records, for a kind in ``kinds`` (tag -> class);
+    ``what`` names the model family in errors."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ValueError(f"{what} config must be a mapping with a 'kind': {cfg!r}")
+    cls = kinds.get(cfg["kind"]) if isinstance(cfg["kind"], str) else None
+    if cls is None:
+        raise ValueError(f"unknown {what} kind {cfg['kind']!r}")
+    return cls(*[_number(cfg[p], cls.kind, p) for p in cls._params])
+
+
+PARAMETRIC_KINDS = {cls.kind: cls for cls in (Gev, Uniform, Degenerate)}
+
+
 def dist_from_config(cfg: dict, base_dir=None) -> LatencyDistribution:
     """Build a distribution from its tagged config record.
 
     ``{"kind": "empirical", "file": "lat.csv"}`` reads one latency per line,
     resolved relative to base_dir when the path is not absolute.
     """
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError(f"distribution config must be a mapping with a 'kind': {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "gev":
-        return Gev(shape=float(cfg["shape"]), scale=float(cfg["scale"]), loc=float(cfg["loc"]))
-    if kind == "uniform":
-        return Uniform(lo=float(cfg["lo"]), hi=float(cfg["hi"]))
-    if kind == "degenerate":
-        return Degenerate(value=float(cfg["value"]))
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if kind == "empirical":
         if "file" in cfg:
-            import pathlib
-
-            path = pathlib.Path(cfg["file"])
+            path = Path(cfg["file"])
             if base_dir is not None and not path.is_absolute():
-                path = pathlib.Path(base_dir) / path
-            values = np.loadtxt(path, ndmin=1)
-            return Empirical(values)
+                path = Path(base_dir) / path
+            return Empirical(np.loadtxt(path, ndmin=1))
         return Empirical(cfg["samples"])
     if kind == "mixture":
         comps = [dist_from_config(c, base_dir) for c in cfg["components"]]
-        return Mixture(comps, cfg["weights"])
-    raise ValueError(f"unknown distribution kind {kind!r}")
+        return Mixture(comps, [_number(w, "mixture", "weights") for w in cfg["weights"]])
+    return _parametric_from_config(cfg, PARAMETRIC_KINDS, "distribution")

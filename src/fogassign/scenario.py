@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .latency import LatencyDistribution, dist_from_config
+from .latency import LatencyDistribution, _number, dist_from_config
 from .utility import TaskSpec, utility_from_config
 
 __all__ = [
@@ -238,25 +238,22 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
                         f"{_record_name(cfg, where[:2])}: duplicate intrinsic entry for node "
                         f"{pair[0]!r}, option {pair[1]!r}"
                     )
-                intrinsic[pair] = float(e["value"])
+                intrinsic[pair] = _number(e["value"], "value")
             where = ("tasks", i)
             utility_cfg = trec["utility"]
             where = ("tasks", i, "utility")
             time_utility = utility_from_config(utility_cfg)
             where = ("tasks", i)
             task_id = str(trec["id"])
-            floor, budget = float(trec.get("quality_floor", 0.0)), float(trec.get("risk_budget", 1.0))
+            floor = _number(trec.get("quality_floor", 0.0), "quality_floor")
+            budget = _number(trec.get("risk_budget", 1.0), "risk_budget")
             where = ()  # TaskSpec names the task in its own errors
             tasks.append(TaskSpec(task_id, time_utility, intrinsic, floor, budget))
         where = ()
         latency: dict[tuple[str, str, str], LatencyDistribution] = {}
-        entries = cfg.get("latency", [])
-        # Shared entries first, so an entry for one task overrides them.
-        order = [i for i, e in enumerate(entries) if "task" not in e]
-        order += [i for i, e in enumerate(entries) if "task" in e]
         seen = set()
-        for i in order:
-            e, where = entries[i], ("latency", i)
+        for i, e in enumerate(cfg.get("latency", [])):
+            where = ("latency", i)
             node, option, dist_cfg = str(e["node"]), str(e["option"]), e["dist"]
             owner = f"task {str(e['task'])!r}" if "task" in e else "every task"
             if (owner, node, option) in seen:
@@ -266,8 +263,11 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
             seen.add((owner, node, option))
             where = ("latency", i, "dist")
             dist = dist_from_config(dist_cfg, base_dir)
-            for j in [str(e["task"])] if "task" in e else [t.id for t in tasks]:
-                latency[(j, node, option)] = dist
+            if "task" in e:  # an entry for one task overrides a shared one
+                latency[(str(e["task"]), node, option)] = dist
+            else:
+                for t in tasks:
+                    latency.setdefault((t.id, node, option), dist)
         where = ()
         scenario = Scenario(
             name=str(cfg.get("name", "unnamed")),
@@ -281,7 +281,7 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         raise
     except KeyError as exc:
         raise ScenarioError(f"{_record_name(cfg, where)}: missing field {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OSError) as exc:  # OSError: an empirical file
         raise ScenarioError(f"{_record_name(cfg, where)}: {exc}") from exc
     scenario.validate()
     return scenario

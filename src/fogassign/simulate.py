@@ -23,7 +23,7 @@ import numpy as np
 
 from .latency import make_rng
 from .scenario import Scenario
-from .solver import AssignmentPlan, UtilityTable
+from .solver import PLAN_COLUMNS, AssignmentPlan, UtilityTable
 
 __all__ = [
     "SimulationResult",
@@ -164,17 +164,9 @@ def emit(record: dict, fmt: str, path) -> Path:
             raise ValueError("CSV emission expects a plan record with task rows")
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["task_id", "status", "node", "option", "utility", "risk"])
+            writer.writerow(PLAN_COLUMNS)
             for row in record["tasks"]:
-                writer.writerow(
-                    [
-                        row["task_id"],
-                        row["status"],
-                        row["node"],
-                        row["option"],
-                        f"{row['utility']:.9g}",
-                        f"{row['risk']:.9g}",
-                    ]
-                )
+                cells = (row[column] for column in PLAN_COLUMNS)
+                writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in cells])
         return path
     raise ValueError(f"unknown emit format {fmt!r}")

@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 TOTAL_TOL = 1e-9
+# The fields of one plan row, in the order the plan CSV writes them.
+PLAN_COLUMNS = ("task_id", "status", "node", "option", "utility", "risk")
 
 
 class WrongSolverError(ValueError):
@@ -111,14 +113,11 @@ class AssignmentPlan:
         return [j for j, p in self.decisions.items() if p is None]
 
     def to_record(self, scenario_hash: str | None = None) -> dict:
-        rows = []
-        for j, p in self.decisions.items():
-            if p is None:
-                rows.append({"task_id": j, "status": "rejected", "node": "", "option": "",
-                             "utility": 0.0, "risk": 0.0})
-            else:
-                rows.append({"task_id": j, "status": "placed", "node": p.node,
-                             "option": p.option, "utility": p.utility, "risk": p.risk})
+        rows = [
+            dict(zip(PLAN_COLUMNS, (j, "rejected", "", "", 0.0, 0.0) if p is None
+                     else (j, "placed", p.node, p.option, p.utility, p.risk)))
+            for j, p in self.decisions.items()
+        ]
         rec = {"tasks": rows, "total_utility": self.total_utility, "solver": self.solver}
         if scenario_hash is not None:
             rec["scenario_hash"] = scenario_hash

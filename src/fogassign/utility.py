@@ -19,7 +19,9 @@ to a latency threshold and no sampling is needed to check risk budgets.
 
 Each family computes its values with one formula over its parameters,
 which are floats for one utility and (tasks, 1) columns when
-``UtilityColumns`` evaluates many tasks' utilities at once.
+``UtilityColumns`` evaluates many tasks' utilities at once.  The same
+parameter list is the family's config record: its ``kind`` tag (``step``,
+``exp``, ``wrf``) plus one number per parameter.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import LatencyDistribution, _require_finite, expect_transform
+from .latency import ConfigRecord, LatencyDistribution, _parametric_from_config, expect_transform
 
 __all__ = [
     "TimeUtility",
@@ -49,15 +51,13 @@ class OptionNotOffered(LookupError):
     """The requested (node, option) pair is not offered for this task."""
 
 
-class TimeUtility:
+class TimeUtility(ConfigRecord):
     """Nonincreasing map from completion time to residual value in [0, 1].
 
     A family names its parameter fields in ``_params`` and computes its
     values with ``_value(t, *params, out)``, which writes into ``out`` and
     returns it.
     """
-
-    _params = ()
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -77,19 +77,17 @@ class TimeUtility:
         """
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Step(TimeUtility):
     """1 for t <= tv, 0 afterwards (hard deadline, boundary inclusive)."""
 
     tv: float
+    kind = "step"
     _params = ("tv",)
 
     def __post_init__(self):
-        _require_finite("step", tv=self.tv)
+        self._require_finite()
         if self.tv < 0.0:
             raise ValueError(f"step tv must be >= 0 (got {self.tv!r})")
 
@@ -100,17 +98,15 @@ class Step(TimeUtility):
     def latency_budget(self, q):
         return np.full(np.shape(q), self.tv)
 
-    def to_config(self):
-        return {"kind": "step", "tv": self.tv}
-
 
 @dataclass(frozen=True)
 class ExpDecay(TimeUtility):
     k: float
+    kind = "exp"
     _params = ("k",)
 
     def __post_init__(self):
-        _require_finite("exp", k=self.k)
+        self._require_finite()
         if not (self.k > 0.0):
             raise ValueError("decay rate k must be > 0")
 
@@ -124,9 +120,6 @@ class ExpDecay(TimeUtility):
         with np.errstate(divide="ignore"):  # q = 0: any latency is worth 0
             return -np.log(q) / self.k
 
-    def to_config(self):
-        return {"kind": "exp", "k": self.k}
-
 
 @dataclass(frozen=True)
 class WaitReadyFirst(TimeUtility):
@@ -134,10 +127,11 @@ class WaitReadyFirst(TimeUtility):
 
     te: float
     ts: float
+    kind = "wrf"
     _params = ("te", "ts")
 
     def __post_init__(self):
-        _require_finite("wrf", te=self.te, ts=self.ts)
+        self._require_finite()
         if not (self.te < self.ts):
             raise ValueError("wait-readily-first requires te < ts")
 
@@ -154,9 +148,6 @@ class WaitReadyFirst(TimeUtility):
 
     def latency_budget(self, q):
         return self.te + (1.0 - q) * (self.ts - self.te)
-
-    def to_config(self):
-        return {"kind": "wrf", "te": self.te, "ts": self.ts}
 
 
 class UtilityColumns:
@@ -191,17 +182,11 @@ class UtilityColumns:
         return out
 
 
+PARAMETRIC_KINDS = {cls.kind: cls for cls in (Step, ExpDecay, WaitReadyFirst)}
+
+
 def utility_from_config(cfg: dict) -> TimeUtility:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError(f"time-utility config must be a mapping with a 'kind': {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "step":
-        return Step(tv=float(cfg["tv"]))
-    if kind == "exp":
-        return ExpDecay(k=float(cfg["k"]))
-    if kind == "wrf":
-        return WaitReadyFirst(te=float(cfg["te"]), ts=float(cfg["ts"]))
-    raise ValueError(f"unknown time-utility kind {kind!r}")
+    return _parametric_from_config(cfg, PARAMETRIC_KINDS, "time-utility")
 
 
 @dataclass

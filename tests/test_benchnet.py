@@ -1,14 +1,18 @@
 import csv
+import io
 import json
 import math
 import socket
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fogassign import benchnet
 from fogassign.benchnet import (
     FSP_MAX_BODY_BYTES,
     BenchTask,
@@ -297,6 +301,41 @@ class TestProbe:
         assert [r.endpoint for r in loaded] == [r.endpoint for r in rows]
         assert loaded[2].latency_s == pytest.approx(rows[2].latency_s, abs=1e-6)
 
+    def test_written_file_is_pinned_and_reads_back(self, tmp_path, monkeypatch):
+        # A scripted clock and server: an ok invocation (no gap yet), a 503,
+        # a refused connection (both with no latency) and another ok one.
+        ticks = iter(0.125 * n for n in range(1, 100))
+        stamps = iter(1_700_000_000.0 + n for n in range(100))
+        monkeypatch.setattr(benchnet, "time", SimpleNamespace(
+            perf_counter=lambda: next(ticks), time=lambda: next(stamps), sleep=time.sleep))
+        outcomes = iter([
+            {"exec_ms": 1.5},
+            urllib.error.HTTPError("http://fake/pic", 503, "busy", None, None),
+            urllib.error.URLError("refused"),
+            {"exec_ms": 2.0},
+        ])
+
+        def urlopen(request, timeout):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return io.BytesIO(json.dumps(outcome).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        schedule = ProbeSchedule(targets=(ProbeTarget("http://fake", BenchTask("pic", 10)),),
+                                 count=4)
+        out = tmp_path / "pinned.csv"
+        rows = probe(schedule, out)
+        assert out.read_bytes() == (
+            b"delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status\r\n"
+            b",0.125000,http://fake/pic,iters=10,1700000000000,ok\r\n"
+            b"0.250000,,http://fake/pic,iters=10,1700000001000,http_503\r\n"
+            b"0.250000,,http://fake/pic,iters=10,1700000002000,connection_error\r\n"
+            b"0.125000,0.125000,http://fake/pic,iters=10,1700000003000,ok\r\n"
+        )
+        # The file holds every field but the server's exec_ms.
+        assert repr(load_probe_rows(out)) == repr([replace(r, exec_ms=math.nan) for r in rows])
+
     def test_reads_five_column_files(self, tmp_path):
         # the shared characterization format has no status column
         legacy = tmp_path / "legacy.csv"
@@ -321,8 +360,11 @@ class TestProbe:
             ("delta_t_s,latency_s,endpoint,timestamp_unix_ms\n0.5,0.1,e,1\n",
              "line 1: missing column 'option'"),
             ("", "line 1: missing column 'delta_t_s'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status\n0.5,0.1,e,o,1\n",
+             "line 2: column 'status': the row ends before it"),
         ],
-        ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file"],
+        ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file",
+             "short-row-status"],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"

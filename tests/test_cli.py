@@ -251,7 +251,7 @@ class TestBenchCommands:
         [
             ('{"kind": "uniform", "lo": 0.1}', "missing field 'hi'"),
             ("[1, 2]", "must be a mapping with a 'kind'"),
-            ('{"kind": "uniform", "lo": 0.1, "hi": "abc"}', "could not convert string"),
+            ('{"kind": "uniform", "lo": 0.1, "hi": "abc"}', "uniform hi must be a number"),
             ("not json", "Expecting value"),
             ('{"kind": "empirical", "samples": []}', "at least one sample"),
             ('{"kind": "mixture", "components": 3, "weights": [1.0]}', "not iterable"),

@@ -115,15 +115,29 @@ class TestValidation:
             (("latency", 0, "dist", "hi"), float("inf"), "uniform hi"),
             (("tasks", 0, "utility", "tv"), float("nan"), "step tv"),
             (("tasks", 0, "utility", "tv"), -0.5, "step tv"),
+            (("tasks", 0, "utility", "tv"), 10**400, "step tv"),
             (("nodes", 1, "capacity"), 2.7, "capacity"),
             (("nodes", 1, "capacity"), True, "capacity"),
             (("seed",), -1, "seed"),
             (("seed",), 1.5, "seed"),
             (("seed",), True, "seed"),
+            (("latency", 0, "dist"), {"kind": "uniform", "lo": False, "hi": True}, "uniform lo"),
+            (("tasks", 0, "utility"), {"kind": "step", "tv": True}, "step tv"),
+            (("latency", 0, "dist"), {"kind": "gev", "shape": "0.3", "scale": "0.1",
+                                      "loc": "0.5"}, "gev shape"),
+            (("latency", 0, "dist"), {"kind": "mixture", "weights": ["0.5", 0.5],
+                                      "components": [{"kind": "degenerate", "value": 0.2},
+                                                     {"kind": "degenerate", "value": 0.3}]},
+             "mixture weights"),
+            (("tasks", 0, "risk_budget"), True, "task 't1': risk_budget"),
+            (("tasks", 0, "quality_floor"), "0.5", "task 't1': quality_floor"),
+            (("tasks", 0, "intrinsic", 0, "value"), "0.6", r"task 't1' intrinsic\[0\]: value"),
         ],
         ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
-             "step-negative-tv", "fractional-capacity", "bool-capacity", "negative-seed",
-             "fractional-seed", "bool-seed"],
+             "step-negative-tv", "step-huge-tv", "fractional-capacity", "bool-capacity",
+             "negative-seed", "fractional-seed", "bool-seed", "bool-uniform-bounds",
+             "bool-step-tv", "string-gev-params", "string-mixture-weight",
+             "bool-risk-budget", "string-quality-floor", "string-intrinsic-value"],
     )
     def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -159,6 +173,23 @@ class TestValidation:
         with pytest.raises(ScenarioError) as info:
             scenario_from_config(cfg)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (3, "latency[0]: "),
+            ({"node": "a", "option": "x", "dist": {"kind": "empirical", "file": "nope.csv"}},
+             "latency[0] dist: "),
+        ],
+        ids=["not-a-mapping", "missing-empirical-file"],
+    )
+    def test_bad_latency_entry_is_located(self, tmp_path, entry, message):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["latency"][0] = entry
+        path = write(tmp_path, cfg)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
     def test_dangling_intrinsic(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))

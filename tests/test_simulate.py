@@ -206,6 +206,18 @@ class TestEmit:
         assert len(lines) == 11
         assert lines[1].startswith("t01,placed,gateway,o1,0.3,")
 
+    def test_plan_csv_bytes_with_a_rejected_task(self, tmp_path):
+        plan = AssignmentPlan.from_decisions(
+            {"a": Placement("n", "o", 0.123456789123, 1e-12), "b": None,
+             "c": Placement("m", "x", 1.0, 0.25)}, solver="at")
+        path = emit(plan.to_record("hash"), "csv", tmp_path / "plan.csv")
+        assert path.read_bytes() == (
+            b"task_id,status,node,option,utility,risk\r\n"
+            b"a,placed,n,o,0.123456789,1e-12\r\n"
+            b"b,rejected,,,0,0\r\n"
+            b"c,placed,m,x,1,0.25\r\n"
+        )
+
     def test_json_round_trips_at_nine_digits(self, base, tmp_path):
         scen, table = base
         record = solve_uncapacitated(scen, table).to_record()

@@ -1,18 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogassign.latency import Degenerate, Empirical, Gev, Mixture, Uniform
+from fogassign import latency, utility
+from fogassign.latency import Degenerate, Empirical, Gev, Mixture, Uniform, dist_from_config
 from fogassign.utility import (
     ExpDecay,
     OptionNotOffered,
     Step,
     TaskSpec,
+    TimeUtility,
     UtilityColumns,
     WaitReadyFirst,
     expected_utility,
     risk_probability,
+    utility_from_config,
 )
 
 
@@ -21,6 +26,31 @@ def make_task(f, a=1.0, q=0.0, budget=1.0, node="z", option="x"):
         id="t", time_utility=f, intrinsic={(node, option): a},
         quality_floor=q, risk_budget=budget,
     )
+
+
+# Every parametric kind with its config record as scenario files spell it:
+# the kind first, then its fields in constructor order.
+PARAMETRIC_RECORDS = [
+    (Gev(0.3, 0.1, 0.5), '{"kind": "gev", "shape": 0.3, "scale": 0.1, "loc": 0.5}'),
+    (Uniform(0.1, 0.6), '{"kind": "uniform", "lo": 0.1, "hi": 0.6}'),
+    (Degenerate(0.25), '{"kind": "degenerate", "value": 0.25}'),
+    (Step(0.5), '{"kind": "step", "tv": 0.5}'),
+    (ExpDecay(2.0), '{"kind": "exp", "k": 2.0}'),
+    (WaitReadyFirst(0.3, 0.4), '{"kind": "wrf", "te": 0.3, "ts": 0.4}'),
+]
+
+
+@pytest.mark.parametrize("model, text", PARAMETRIC_RECORDS,
+                         ids=[type(m).__name__ for m, _ in PARAMETRIC_RECORDS])
+def test_parametric_config_round_trip(model, text):
+    assert json.dumps(model.to_config()) == text
+    read = utility_from_config if isinstance(model, TimeUtility) else dist_from_config
+    assert read(json.loads(text)) == model
+
+
+def test_parametric_records_cover_the_kind_tables():
+    tables = {**latency.PARAMETRIC_KINDS, **utility.PARAMETRIC_KINDS}
+    assert sorted(tables) == sorted(model.kind for model, _ in PARAMETRIC_RECORDS)
 
 
 class TestEval:
