@@ -453,13 +453,15 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
                 with urllib.request.urlopen(request, timeout=schedule.timeout_s) as resp:
                     payload = json.loads(resp.read().decode())
                 latency = time.perf_counter() - start
+                if not isinstance(payload, dict):
+                    raise ValueError(f"reply is not a JSON object: {payload!r}")
                 exec_ms = float(payload.get("exec_ms", float("nan")))
             except urllib.error.HTTPError as exc:
                 latency = time.perf_counter() - start
                 status = f"http_{exc.code}"
             except (urllib.error.URLError, TimeoutError, OSError):
                 status = "connection_error"
-            except (ValueError, json.JSONDecodeError):
+            except (ValueError, TypeError):  # not JSON, not an object, or an exec_ms float() refuses
                 status = "bad_response"
             row = ProbeRow(
                 delta_t_s=delta,

@@ -19,9 +19,6 @@ a CDF over a bounded interval, so the tail never has to be truncated.
 
 A model's config record is its ``kind`` tag plus its fields (see
 ``ConfigRecord``); ``empirical`` and ``mixture`` records have their own code.
-
-Importing this module does not load scipy: ``gev_from_quantiles`` imports
-its root finder when it first runs.
 """
 
 from __future__ import annotations
@@ -467,14 +464,68 @@ _XI_MIN = 1e-9
 _XI_MAX = 2.0
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), operation for operation as the widely used
+    C ``brentq`` that the tests compare it with, so both return the same
+    float for the same ``f``, bracket and tolerances.  ``xcur`` is
+    the best estimate and ``xblk`` the other end of a bracket of the root.
+    A secant or inverse-quadratic step is taken when it is at most half
+    the step before last and inside 3/4 of the bracket, else the bracket
+    is bisected; no step is shorter than the tolerance.  Stops when the
+    half-bracket is below delta = (xtol + rtol*|xcur|)/2, or raises
+    FitError after 100 iterations.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise FitError(f"f({xa}) and f({xb}) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise FitError(f"root finder did not converge in 100 iterations (last x={xcur})")
+
+
 def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
     """Construct the positive-shape Gev whose 10/50/90 quantiles match.
 
     The asymmetry ratio (p90 - median)/(median - p10) pins the shape, which
-    is found by root bracketing on (0, 2]; scale and location follow in
-    closed form.  Raises FitError when the triple is not achievable, which
-    happens whenever the upper spread is not sufficiently heavier than the
-    lower one.
+    is found on (0, 2] by ``_brentq``, Brent's bracketing root finder
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4); scale and location follow in closed form.  Raises FitError
+    when the triple is not achievable, which happens whenever the upper
+    spread is not sufficiently heavier than the lower one.
     """
     if not (0.0 < p10):
         raise FitError("p10 must be positive")
@@ -494,9 +545,7 @@ def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
             f"asymmetry ratio {target:.4f} above the shape=2 limit {hi:.4f}; "
             "upper tail too heavy for shapes in (0, 2]"
         )
-    from scipy.optimize import brentq  # here, not at the top: most of a cold import
-
-    xi = brentq(lambda x: _quantile_ratio(x) - target, _XI_MIN, _XI_MAX, xtol=1e-14, rtol=8.9e-16)
+    xi = _brentq(lambda x: _quantile_ratio(x) - target, _XI_MIN, _XI_MAX, xtol=1e-14, rtol=8.9e-16)
     scale = (p90 - p10) / (_gev_a(0.9, xi) - _gev_a(0.1, xi))
     loc = median - scale * _gev_a(0.5, xi)
     fitted = Gev(shape=float(xi), scale=float(scale), loc=float(loc))
@@ -540,7 +589,14 @@ def dist_from_config(cfg: dict, base_dir=None) -> LatencyDistribution:
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
             return Empirical(np.loadtxt(path, ndmin=1))
-        return Empirical(cfg["samples"])
+        samples = cfg["samples"]
+        if not set(map(type, samples)) <= {int, float}:  # no bool, str or nested list
+            bad = next(x for x in samples if type(x) not in (int, float))
+            raise ValueError(f"empirical samples must be numbers (got {bad!r})")
+        try:
+            return Empirical(samples)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("empirical samples must be finite") from None
     if kind == "mixture":
         comps = [dist_from_config(c, base_dir) for c in cfg["components"]]
         return Mixture(comps, [_number(w, "mixture", "weights") for w in cfg["weights"]])

@@ -259,19 +259,20 @@ def capacitated_gains(scenario: Scenario, node_u: np.ndarray, node_col: np.ndarr
 def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
     """Stage 3: pick constrained-slot occupants by dynamic programming.
 
-    ``gain1[..., i]``/``gain2[..., i]`` are task i's capacitated gains on
-    the first and second finite node; a missing second node is modeled as
-    c2 = 0.  State value h(i, a, b) is the best achievable gain from the
-    first i tasks using at most a slots on node 1 and b on node 2; each
-    task is taken by node 1, taken by node 2, or skipped.  Ties prefer
-    skipping (never spend a slot for zero gain, and on equal gains the
-    earlier task keeps the slot), then node 1.
+    ``gain1[r, i]``/``gain2[r, i]`` are task i's capacitated gains in run
+    r on the first and second finite node, for the n tasks of
+    ``task_ids``; a missing second node is modeled as c2 = 0.  State
+    value h(i, a, b) is the best achievable gain from the first i tasks
+    using at most a slots on node 1 and b on node 2; each task is taken
+    by node 1, taken by node 2, or skipped.  Ties prefer skipping (never
+    spend a slot for zero gain, and on equal gains the earlier task keeps
+    the slot), then node 1.
 
-    Gains of shape (runs, n) solve every run in one sweep: each task
-    updates the (runs, a, b) grid at once with numpy.  Shifted slices of
-    h(i - 1) are the node-1 and node-2 candidates, each compared with a
-    strict ``>`` in the tie order, so every cell makes the same float
-    additions and comparisons as a cell-by-cell loop over one run would.
+    One sweep solves every run: each task updates the (runs, a, b) grid
+    at once with numpy.  Shifted slices of h(i - 1) are the node-1 and
+    node-2 candidates, each compared with a strict ``>`` in the tie order,
+    so every cell makes the same float additions and comparisons as a
+    cell-by-cell loop over one run would.
     A task whose gain is 0 or less in a run changes nothing there: h is
     monotone in capacity, so neither candidate beats the cell it would
     replace, and the task's step leaves h and every other task's slot as
@@ -280,22 +281,20 @@ def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
     cost 2 * n * runs * (min(c1, n) + 1) * (min(c2, n) + 1) bytes
     together.
 
-    With gains of shape (runs, n), returns a (runs, n) slot array: 0 for
-    a task taken by node 1, 1 for node 2, -1 for none.  One-dimensional
-    gains are one run, returned as (tasks for node 1, tasks for node 2,
-    unplaced tasks) in input order; the unplaced go on to the
-    fallback/rejection stage.
+    Returns a (runs, n) slot array: 0 for a task taken by node 1, 1 for
+    node 2, -1 for none; the unplaced go on to the fallback/rejection
+    stage.
     """
     n = len(task_ids)
     if c1 < 0 or c2 < 0:
         raise ValueError("capacities must be >= 0")
     g1, g2 = np.asarray(gain1, dtype=float), np.asarray(gain2, dtype=float)
-    if g1.shape != g2.shape or g1.ndim not in (1, 2) or g1.shape[-1] != n:
+    if g1.shape != g2.shape or g1.ndim != 2 or g1.shape[1] != n:
         raise ValueError(
             f"gain arrays of shapes {g1.shape} and {g2.shape} for {n} tasks; "
-            f"each needs length {n} on its last axis"
+            f"each needs shape (runs, {n}), length {n} on its last axis"
         )
-    runs = len(g1) if g1.ndim == 2 else 1
+    runs = len(g1)
     c1, c2 = min(c1, n), min(c2, n)
     h = np.zeros((runs, c1 + 1, c2 + 1))
     # take1[i, r, a, b]: task i went to node 1 at (a, b) in run r; take2:
@@ -306,8 +305,8 @@ def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
     from1, to1, takes1 = h[:, :-1, :], h[:, 1:, :], take1[:, :, 1:, :]
     from2, to2, takes2 = h[:, :, :-1], h[:, :, 1:], take2[:, :, :, 1:]
     # Each task's gains as (runs, 1, 1) columns broadcast over each run's grid.
-    col1 = g1.reshape(runs, n).T.reshape(n, runs, 1, 1)
-    col2 = g2.reshape(runs, n).T.reshape(n, runs, 1, 1)
+    col1 = g1.T.reshape(n, runs, 1, 1)
+    col2 = g2.T.reshape(n, runs, 1, 1)
     for x1, x2, t1, t2 in zip(col1, col2, takes1, takes2):
         # Both candidates read h(i - 1), so both are formed before h changes.
         # Node 1 must beat skipping; node 2 must beat the result of that.
@@ -332,9 +331,7 @@ def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
                 row[i] = 0
                 a -= 1
         slots.append(row)
-    if g1.ndim == 2:
-        return np.array(slots, dtype=int).reshape(runs, n)
-    return tuple([t for t, s in zip(task_ids, slots[0]) if s == slot] for slot in (0, 1, -1))
+    return np.array(slots, dtype=int).reshape(runs, n)
 
 
 def _slot_nodes(scenario: Scenario) -> list[int]:

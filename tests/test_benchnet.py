@@ -336,6 +336,18 @@ class TestProbe:
         # The file holds every field but the server's exec_ms.
         assert repr(load_probe_rows(out)) == repr([replace(r, exec_ms=math.nan) for r in rows])
 
+    @pytest.mark.parametrize(
+        "body", [b"[1, 2]", b'"ok"', b'{"exec_ms": [1.5]}', b'{"exec_ms": {}}', b"not json"],
+        ids=["list", "string", "list-exec-ms", "object-exec-ms", "not-json"],
+    )
+    def test_unusable_reply_is_bad_response(self, tmp_path, monkeypatch, body):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
+        schedule = ProbeSchedule(targets=(ProbeTarget("http://fake", BenchTask("pic", 10)),),
+                                 count=2)
+        rows = probe(schedule, tmp_path / "bad.csv")
+        assert [r.status for r in rows] == ["bad_response"] * 2
+        assert all(math.isnan(r.latency_s) and math.isnan(r.exec_ms) for r in rows)
+
     def test_reads_five_column_files(self, tmp_path):
         # the shared characterization format has no status column
         legacy = tmp_path / "legacy.csv"

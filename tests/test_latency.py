@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fogassign.characterize import GRID_PROBS
 from fogassign.latency import (
+    _XI_MAX,
+    _XI_MIN,
     Degenerate,
     Empirical,
     FitError,
@@ -18,6 +21,8 @@ from fogassign.latency import (
     expect_transform,
     gev_from_quantiles,
     make_rng,
+    _brentq,
+    _quantile_ratio,
 )
 from fogassign.reproduce import (
     INFLIGHT_LOCAL_DIST,
@@ -396,6 +401,29 @@ class TestGevFromQuantiles:
         assert fitted.quantile(0.1) == pytest.approx(0.31, rel=1e-6)
         assert fitted.quantile(0.9) == pytest.approx(0.41, rel=1e-6)
         assert 0.0 < fitted.shape <= 2.0
+
+    def test_root_finder_equals_brentq(self):
+        # _brentq makes brentq's float operations in brentq's order, so each
+        # root is the same float, not just within tolerance: 2,000 seeded
+        # asymmetry ratios, ratios next to both ends of the shape range, and
+        # the measured summary above.
+        lo, hi = _quantile_ratio(_XI_MIN), _quantile_ratio(_XI_MAX)
+        targets = np.random.default_rng(16).uniform(lo, hi, 2000).tolist()
+        targets += [math.nextafter(lo, hi), lo + 1e-9, hi - 1e-9, math.nextafter(hi, lo), hi]
+        targets.append((0.41 - 0.34) / (0.34 - 0.31))
+        for target in targets:
+            def f(x):
+                return _quantile_ratio(x) - target
+
+            got = _brentq(f, _XI_MIN, _XI_MAX, xtol=1e-14, rtol=8.9e-16)
+            assert got == brentq(f, _XI_MIN, _XI_MAX, xtol=1e-14, rtol=8.9e-16), target
+
+    def test_root_finder_failures_are_fit_errors(self):
+        with pytest.raises(FitError, match="differ in sign"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+        # With no tolerance a sign jump is never bracketed tightly enough.
+        with pytest.raises(FitError, match="100 iterations"):
+            _brentq(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, xtol=0.0, rtol=0.0)
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(FitError):

@@ -132,12 +132,22 @@ class TestValidation:
             (("tasks", 0, "risk_budget"), True, "task 't1': risk_budget"),
             (("tasks", 0, "quality_floor"), "0.5", "task 't1': quality_floor"),
             (("tasks", 0, "intrinsic", 0, "value"), "0.6", r"task 't1' intrinsic\[0\]: value"),
+            (("latency", 0, "dist"), {"kind": "empirical", "samples": [0.2, True]},
+             r"latency\[0\] dist: empirical samples must be numbers \(got True\)"),
+            (("latency", 0, "dist"), {"kind": "empirical", "samples": ["0.2"]},
+             r"latency\[0\] dist: empirical samples must be numbers \(got '0.2'\)"),
+            (("latency", 0, "dist"), {"kind": "empirical", "samples": [0.2, [0.3]]},
+             r"latency\[0\] dist: empirical samples must be numbers \(got \[0.3\]\)"),
+            (("latency", 0, "dist"), {"kind": "empirical", "samples": [0.2, 10**400]},
+             r"latency\[0\] dist: empirical samples must be finite"),
         ],
         ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
              "step-negative-tv", "step-huge-tv", "fractional-capacity", "bool-capacity",
              "negative-seed", "fractional-seed", "bool-seed", "bool-uniform-bounds",
              "bool-step-tv", "string-gev-params", "string-mixture-weight",
-             "bool-risk-budget", "string-quality-floor", "string-intrinsic-value"],
+             "bool-risk-budget", "string-quality-floor", "string-intrinsic-value",
+             "bool-empirical-sample", "string-empirical-sample", "nested-empirical-sample",
+             "huge-empirical-sample"],
     )
     def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
         cfg = json.loads(json.dumps(MINIMAL))

@@ -379,21 +379,29 @@ def _reference_instances(kind):
     ]
 
 
+def choose_one(task_ids, gain1, gain2, c1, c2):
+    """Stage 3 on one run, as (node-1 tasks, node-2 tasks, unplaced) lists in
+    input order, the form ``scalar_choose`` returns."""
+    task_ids = list(task_ids)
+    row = choose_for_capacitated(task_ids, [gain1], [gain2], c1, c2)[0].tolist()
+    return tuple([t for t, s in zip(task_ids, row) if s == slot] for slot in (0, 1, -1))
+
+
 class TestChooseForCapacitated:
     @pytest.mark.parametrize("kind", ["ties", "normal", "over-capacity", "large"])
     def test_matches_scalar_reference(self, kind):
         for args in _reference_instances(kind):
-            assert choose_for_capacitated(*args) == scalar_choose(*args), args[1:]
+            assert choose_one(*args) == scalar_choose(*args), args[1:]
 
     def test_capacity_far_above_task_count(self):
         ids, g1, g2 = ["a", "b", "c"], [0.3, 0.1, 0.4], [0.2, 0.5, 0.4]
         tracemalloc.start()
         try:
-            got = choose_for_capacitated(ids, g1, g2, 1000, 1000)
+            got = choose_one(ids, g1, g2, 1000, 1000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got == choose_for_capacitated(ids, g1, g2, 3, 3)
+        assert got == choose_one(ids, g1, g2, 3, 3)
         assert peak < 2_000_000
 
     @pytest.mark.parametrize("which", ["gain1", "gain2"])
@@ -402,19 +410,19 @@ class TestChooseForCapacitated:
         gains = {"gain1": [0.5] * 3, "gain2": [0.5] * 3}
         gains[which] = [0.5] * length
         with pytest.raises(ValueError, match="length"):
-            choose_for_capacitated(["a", "b", "c"], gains["gain1"], gains["gain2"], 1, 1)
+            choose_one(["a", "b", "c"], gains["gain1"], gains["gain2"], 1, 1)
 
     def test_single_node_picks_highest_gains(self):
         ids = ["a", "b", "c", "d"]
         gains = [0.5, 0.2, 0.4, -0.1]
-        s1, s2, unp = choose_for_capacitated(ids, gains, [0.0] * 4, 2, 0)
+        s1, s2, unp = choose_one(ids, gains, [0.0] * 4, 2, 0)
         assert s1 == ["a", "c"]
         assert s2 == []
         assert unp == ["b", "d"]
 
     def test_all_negative_gains_choose_nobody(self):
         ids = ["a", "b", "c"]
-        s1, s2, unp = choose_for_capacitated(ids, [-0.1, -0.5, -0.2], [0.0] * 3, 2, 0)
+        s1, s2, unp = choose_one(ids, [-0.1, -0.5, -0.2], [0.0] * 3, 2, 0)
         assert s1 == [] and s2 == []
         assert unp == ids
 
@@ -422,7 +430,7 @@ class TestChooseForCapacitated:
         # gains per task on (node1, node2)
         g1 = [0.9, 0.8, 0.1, 0.0]
         g2 = [0.1, 0.7, 0.6, 0.0]
-        s1, s2, unp = choose_for_capacitated(["a", "b", "c", "d"], g1, g2, 1, 1)
+        s1, s2, unp = choose_one(["a", "b", "c", "d"], g1, g2, 1, 1)
         total = sum(g1[i] for i, t in enumerate(["a", "b", "c", "d"]) if t in s1) + sum(
             g2[i] for i, t in enumerate(["a", "b", "c", "d"]) if t in s2
         )
@@ -431,10 +439,10 @@ class TestChooseForCapacitated:
         assert (s1, s2) == (["a"], ["b"])
 
     def test_tie_between_nodes_goes_to_first_node(self):
-        assert choose_for_capacitated(["a"], [0.5], [0.5], 1, 1) == (["a"], [], [])
+        assert choose_one(["a"], [0.5], [0.5], 1, 1) == (["a"], [], [])
 
     def test_zero_gain_tasks_are_skipped(self):
-        s1, s2, unp = choose_for_capacitated(["a", "b"], [0.0, 0.0], [0.0, 0.0], 2, 2)
+        s1, s2, unp = choose_one(["a", "b"], [0.0, 0.0], [0.0, 0.0], 2, 2)
         assert s1 == [] and s2 == []
         assert unp == ["a", "b"]
 
@@ -450,7 +458,7 @@ class TestChooseForCapacitated:
         ids = [f"t{i}" for i in range(len(gains))]
         g1 = [g for g, _ in gains]
         g2 = [g for _, g in gains]
-        s1, s2, _ = choose_for_capacitated(ids, g1, g2, c1, c2)
+        s1, s2, _ = choose_one(ids, g1, g2, c1, c2)
         assert len(s1) <= c1 and len(s2) <= c2
         assert not (set(s1) & set(s2))
         total = sum(g1[ids.index(t)] for t in s1) + sum(g2[ids.index(t)] for t in s2)
@@ -493,7 +501,7 @@ class TestChooseForBatch:
             assert slots.shape == present.shape
             for r, row in enumerate(present):
                 row_ids = np.flatnonzero(row).tolist()
-                set1, set2, _ = choose_for_capacitated(
+                set1, set2, _ = choose_one(
                     row_ids, g1[r, row_ids].tolist(), g2[r, row_ids].tolist(), c1, c2
                 )
                 expected = np.full(len(ids), -1)
@@ -534,6 +542,8 @@ class TestChooseForBatch:
     def test_gain_shapes_must_agree(self):
         with pytest.raises(ValueError, match="length"):
             choose_for_capacitated(["a", "b"], np.zeros((2, 2)), np.zeros((3, 2)), 1, 1)
+        with pytest.raises(ValueError, match=r"shape \(runs, 2\)"):  # one run is a (1, n) row
+            choose_for_capacitated(["a", "b"], np.zeros(2), np.zeros(2), 1, 1)
 
 
 class TestRejectUnassignable:
