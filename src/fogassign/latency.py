@@ -7,6 +7,13 @@ utilities).  Distribution objects are immutable after construction and
 safe to share across threads; all randomness comes from the RNG stream
 the caller passes in.
 
+Each kind computes its CDF and quantile with static formulas over its
+parameters, which are floats for one distribution and (rows, 1) columns
+when ``LatencyColumns`` evaluates a group of distributions at once; the
+bound methods are adapters over the same formulas.  ``expect_transforms``
+and ``LatencyColumns.median`` score many distributions in one formula call
+per group, with results ``==`` to the per-distribution calls.
+
 Heavy-tailed completion times (Frechet-type extreme value laws with a
 positive shape parameter) are first-class here because they fit measured
 fog latencies well.  Expectations use the layer-cake identity.  A
@@ -36,7 +43,9 @@ __all__ = [
     "Empirical",
     "Mixture",
     "Degenerate",
+    "LatencyColumns",
     "expect_transform",
+    "expect_transforms",
     "gev_from_quantiles",
     "dist_from_config",
     "make_rng",
@@ -44,11 +53,17 @@ __all__ = [
 ]
 
 MIXTURE_WEIGHT_TOL = 1e-9
-# Mixture._quantile's k-section splits each bracket into
-# max(2, _KSECTION_POINTS // n) parts for n probabilities at once, so each
+# The mixture quantile's k-section (``_ksection``) splits each of n
+# brackets into max(2, _KSECTION_POINTS // n) parts per step, so each
 # mixture-CDF call sees about 64 points: 63 for a scalar quantile, and 22 or
-# more probabilities bisect.
+# more brackets, such as a group of medians, bisect.  The result does not
+# depend on k.
 _KSECTION_POINTS = 64
+# Group formula calls take blocks of rows whose largest temporary holds
+# about this many elements (32 KB of float64), the panel points of two or
+# three pairs: larger blocks save formula calls on big tables but raise a
+# process's peak memory on the small ones.
+_CHUNK_ELEMENTS = 1 << 12
 
 # Composite 16-point Gauss-Legendre rule in s = f(t).  The rule on [-1, 1]
 # is symmetric, so only its positive half is tabulated (computing it would
@@ -106,9 +121,10 @@ class ConfigRecord:
     """A model stored as ``{"kind": kind, field: value, ...}``.
 
     A parametric kind lists its numeric fields in ``_params``, in constructor
-    order, and ``to_config``, ``_require_finite`` and
-    ``_parametric_from_config`` read that list; other kinds override
-    ``to_config``."""
+    order, and ``to_config``, ``_require_finite``,
+    ``_parametric_from_config`` and the formula arguments (``_args`` for
+    one record, ``_columns`` for a group) read that list; other kinds
+    override them."""
 
     kind: str
     _params: tuple[str, ...] = ()
@@ -119,6 +135,15 @@ class ConfigRecord:
             cfg[p] = getattr(self, p)
         return cfg
 
+    def _args(self) -> tuple:
+        """The arguments of the kind's formulas: the ``_params`` values."""
+        return tuple([getattr(self, p) for p in self._params])
+
+    @classmethod
+    def _columns(cls, group) -> tuple:
+        """The formula arguments of ``group``, one record per row."""
+        return tuple(np.array([getattr(r, p) for r in group])[:, None] for p in cls._params)
+
     def _require_finite(self) -> None:
         """Reject NaN and infinite parameters, naming the offending field."""
         for p in self._params:
@@ -127,23 +152,29 @@ class ConfigRecord:
 
 
 class LatencyDistribution(ConfigRecord):
-    """Base class for completion-time distributions (values in seconds)."""
+    """Base class for completion-time distributions (values in seconds).
+
+    A kind computes its CDF and quantile with static formulas
+    ``_cdf(t, *args)`` and ``_quantile(p, *args)`` over the arguments that
+    ``_args()`` returns: its ``_params`` values for one distribution, and
+    (rows, 1) columns of them (``_columns``) when ``LatencyColumns``
+    evaluates a group of distributions at once.  The methods below are
+    adapters over those formulas.
+    """
 
     def cdf(self, t):
         """P(T <= t); accepts scalars or arrays, total over the reals."""
         tarr = _as_array(t)
         if np.isnan(tarr).any():
             raise ValueError("cdf argument must not be NaN")
-        out = self._cdf(tarr)
-        return _maybe_scalar(out, t)
+        return _maybe_scalar(self._eval_cdf(tarr), t)
 
     def quantile(self, p):
         """Generalized inverse of the CDF for p in the open interval (0,1)."""
         parr = _as_array(p)
         if not np.all((parr > 0.0) & (parr < 1.0)):  # also rejects NaN
             raise ValueError("quantile probability must lie strictly in (0, 1)")
-        out = self._quantile(parr)
-        return _maybe_scalar(out, p)
+        return _maybe_scalar(self._eval_quantile(parr), p)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n values by transforming one uniform variate per draw."""
@@ -161,14 +192,27 @@ class LatencyDistribution(ConfigRecord):
         # quantile functions treat as a limit.  np.maximum is np.clip's
         # lower bound without its wrapper; u is never NaN.
         np.maximum(u, 1e-15, out=u)
-        return self._quantile(u)
+        return self._eval_quantile(u)
+
+    def _eval_cdf(self, t: np.ndarray) -> np.ndarray:
+        """The CDF formula at ``t``, unchecked; ``LatencyColumns`` has its twin."""
+        return self._cdf(t, *self._args())
+
+    def _eval_quantile(self, p: np.ndarray) -> np.ndarray:
+        return self._quantile(p, *self._args())
 
     # Subclass surface -----------------------------------------------------
 
-    def _cdf(self, t: np.ndarray) -> np.ndarray:
+    def _group_key(self):
+        """Distributions with equal keys share formula calls in ``LatencyColumns``."""
+        return type(self)
+
+    @staticmethod
+    def _cdf(t: np.ndarray, *args) -> np.ndarray:
         raise NotImplementedError
 
-    def _quantile(self, p: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _quantile(p: np.ndarray, *args) -> np.ndarray:
         raise NotImplementedError
 
     def support_lo(self) -> float:
@@ -178,6 +222,18 @@ class LatencyDistribution(ConfigRecord):
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the CDF has kinks or jumps (for grid construction)."""
         return ()
+
+
+def _power(base, exponent):
+    """``base ** exponent``, each element as numpy raises it on its own.
+
+    numpy raises one float64 scalar with C ``pow`` and an array with its
+    own vector loop, and the two can differ in the last bit, so a scalar
+    base under an exponent column is raised one element at a time.
+    """
+    if np.ndim(base) == 0 and np.ndim(exponent) > 0:
+        return np.array([base ** e for e in exponent.ravel().tolist()]).reshape(exponent.shape)
+    return base ** exponent
 
 
 @dataclass(frozen=True)
@@ -201,17 +257,34 @@ class Gev(LatencyDistribution):
         if not (self.scale > 0.0):
             raise ValueError("scale must be > 0")
 
-    def _cdf(self, t):
-        z = 1.0 + self.shape * (t - self.loc) / self.scale
+    def _group_key(self):
+        # numpy raises an array to the scalar power -1 by its reciprocal,
+        # which can differ in the last bit from its general power loop, so
+        # shape 1 forms its own group and keeps a scalar exponent.
+        return Gev, self.shape == 1.0
+
+    @classmethod
+    def _columns(cls, group):
+        shape, scale, loc = super()._columns(group)
+        return (1.0 if group[0].shape == 1.0 else shape), scale, loc
+
+    @staticmethod
+    def _cdf(t, shape, scale, loc):
+        z = 1.0 + shape * (t - loc) / scale
         out = np.zeros_like(z)
         pos = z > 0.0
+        if isinstance(shape, np.ndarray):  # a column: one exponent per point
+            shape = np.broadcast_to(shape, z.shape)[pos]
+        w = z[pos]  # raised, negated and exponentiated in place
         with np.errstate(over="ignore", divide="ignore"):
-            out[pos] = np.exp(-z[pos] ** (-1.0 / self.shape))
+            np.exp(np.negative(np.power(w, -1.0 / shape, out=w), out=w), out=w)
+        out[pos] = w
         return out
 
-    def _quantile(self, p):
+    @staticmethod
+    def _quantile(p, shape, scale, loc):
         with np.errstate(over="ignore"):  # a steep upper tail saturates at inf
-            return self.loc + self.scale * ((-np.log(p)) ** (-self.shape) - 1.0) / self.shape
+            return loc + scale * (_power(-np.log(p), -shape) - 1.0) / shape
 
     def support_lo(self):
         return self.loc - self.scale / self.shape
@@ -232,11 +305,13 @@ class Uniform(LatencyDistribution):
         if not (self.lo < self.hi):
             raise ValueError("uniform bounds require lo < hi")
 
-    def _cdf(self, t):
-        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+    @staticmethod
+    def _cdf(t, lo, hi):
+        return np.clip((t - lo) / (hi - lo), 0.0, 1.0)
 
-    def _quantile(self, p):
-        return self.lo + p * (self.hi - self.lo)
+    @staticmethod
+    def _quantile(p, lo, hi):
+        return lo + p * (hi - lo)
 
     def support_lo(self):
         return self.lo
@@ -246,7 +321,11 @@ class Uniform(LatencyDistribution):
 
 
 class Empirical(LatencyDistribution):
-    """Right-continuous step CDF with jumps of 1/N at each sorted sample."""
+    """Right-continuous step CDF with jumps of 1/N at each sorted sample.
+
+    Its formula argument is the sorted sample array; a group of equal
+    sample counts stacks them, one row per distribution.
+    """
 
     def __init__(self, samples):
         arr = np.sort(_as_array(samples).ravel())
@@ -263,14 +342,39 @@ class Empirical(LatencyDistribution):
     def n(self) -> int:
         return int(self.samples.size)
 
-    def _cdf(self, t):
-        return np.searchsorted(self.samples, t, side="right") / self.n
+    def _args(self):
+        return (self.samples,)
 
-    def _quantile(self, p):
+    def _group_key(self):
+        return Empirical, self.n
+
+    @classmethod
+    def _columns(cls, group):
+        return (np.stack([d.samples for d in group]),)
+
+    @staticmethod
+    def _cdf(t, samples):
+        n = samples.shape[-1]
+        if samples.ndim == 1:
+            return np.searchsorted(samples, t, side="right") / n
+        # Rows of t against rows of samples: count the samples at or below
+        # each point, a block of rows at a time.
+        out = np.empty(t.shape)
+        step = max(1, _CHUNK_ELEMENTS // (t.shape[1] * n))
+        for i in range(0, len(t), step):
+            rows = slice(i, i + step)
+            out[rows] = np.count_nonzero(samples[rows, None, :] <= t[rows, :, None], axis=-1) / n
+        return out
+
+    @staticmethod
+    def _quantile(p, samples):
         # Generalized inverse: the ceil(p*n)-th order statistic.  The small
         # nudge keeps p*n values that are integers up to float fuzz exact.
-        idx = np.ceil(p * self.n - 1e-12).astype(int) - 1
-        return self.samples[np.clip(idx, 0, self.n - 1)]
+        n = samples.shape[-1]
+        idx = np.clip(np.ceil(p * n - 1e-12).astype(int) - 1, 0, n - 1)
+        if samples.ndim == 1:
+            return samples[idx]
+        return samples[np.arange(len(samples))[:, None], idx]
 
     def support_lo(self):
         return float(self.samples[0])
@@ -299,11 +403,13 @@ class Degenerate(LatencyDistribution):
     def __post_init__(self):
         self._require_finite()
 
-    def _cdf(self, t):
-        return np.where(t >= self.value, 1.0, 0.0)
+    @staticmethod
+    def _cdf(t, value):
+        return np.where(t >= value, 1.0, 0.0)
 
-    def _quantile(self, p):
-        return np.full_like(p, self.value)
+    @staticmethod
+    def _quantile(p, value):
+        return np.full(np.broadcast_shapes(np.shape(p), np.shape(value)), value)
 
     def support_lo(self):
         return self.value
@@ -312,13 +418,65 @@ class Degenerate(LatencyDistribution):
         return (self.value,)
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _float_order(x) -> np.ndarray:
+    """uint64 images of float64 values, in the floats' order.
+
+    Adjacent floats map to adjacent integers, and -0.0 sits just below 0.0.
+    """
+    bits = np.asarray(x, dtype=float).view(np.uint64)
+    return np.where(bits & _SIGN_BIT, ~bits, bits | _SIGN_BIT)
+
+
+def _order_float(key) -> np.ndarray:
+    """The float64 values of ``_float_order`` images."""
+    return np.where(key & _SIGN_BIT, key ^ _SIGN_BIT, ~key).view(np.float64)
+
+
+def _ksection(cdf, p, lo, hi):
+    """The smallest float x in [lo, hi] with ``cdf(x) >= p``, elementwise,
+    or hi where there is none.
+
+    The search runs over the floats' ordered integer images
+    (``_float_order``).  One CDF call per step evaluates k - 1 floats
+    strictly inside every bracket, and the count of those below p picks the
+    new bracket.  Each step shrinks every bracket that is not yet two
+    adjacent floats, and a bracket holds at most 2^64 floats, so the search
+    ends exactly, after at most 64 steps at k = 2.  ``cdf`` must be
+    nondecreasing and receives points of shape (rows, -1) when ``lo`` has
+    any dimension (row i of a group belongs to distribution i).
+    """
+    p = np.asarray(p)[..., None]
+    klo = _float_order(lo) - np.uint64(1)
+    khi = _float_order(hi)
+    k = np.uint64(max(2, _KSECTION_POINTS // max(klo.size, 1)))
+    steps = np.arange(1, k, dtype=np.uint64)
+    # Points near an infinite hi can overflow inside the CDF formulas.
+    with np.errstate(over="ignore"):
+        while np.any(khi - klo > 1):
+            # floor((span - 1) * j / k) for j = 1..k-1, without overflow.
+            q, r = np.divmod(khi - klo - np.uint64(1), k)
+            pts = (klo + np.uint64(1))[..., None] + q[..., None] * steps + r[..., None] * steps // k
+            x = _order_float(pts)
+            values = cdf(x.reshape(len(x), -1)).reshape(x.shape) if x.ndim > 1 else cdf(x)
+            below = np.count_nonzero(values < p, axis=-1)[..., None]
+            ends = np.concatenate([klo[..., None], pts, khi[..., None]], axis=-1)
+            klo = np.take_along_axis(ends, below, axis=-1)[..., 0]
+            khi = np.take_along_axis(ends, below + 1, axis=-1)[..., 0]
+    return _order_float(khi) + 0.0  # -0.0 reads as 0.0
+
+
 class Mixture(LatencyDistribution):
     """Convex combination of component distributions.
 
     The CDF is the weighted sum of the component CDFs; the quantile is the
-    generalized inverse found by k-section on the mixture CDF, which
-    narrows each bracket to one of k equal parts per CDF call and stops
-    at float resolution, so quantiles on a jump land on its atom exactly.
+    generalized inverse, found exactly by k-section (``_ksection``) between
+    the smallest and largest component quantiles, so quantiles on a jump
+    land on its atom.  The formula arguments are the weights and the
+    components; for a group of mixtures with equal component keys they are
+    one weight column and one ``LatencyColumns`` per component position.
     """
 
     def __init__(self, components, weights):
@@ -336,37 +494,29 @@ class Mixture(LatencyDistribution):
         self.weights = w
         self.weights.setflags(write=False)
 
-    def _cdf(self, t):
-        out = np.zeros_like(_as_array(t))
-        for w, c in zip(self.weights, self.components):
-            out = out + w * c._cdf(t)
+    def _args(self):
+        return self.weights, self.components
+
+    def _group_key(self):
+        return Mixture, tuple(c._group_key() for c in self.components)
+
+    @classmethod
+    def _columns(cls, group):
+        weights = [np.array(w)[:, None] for w in zip(*(d.weights for d in group))]
+        return weights, [LatencyColumns(c) for c in zip(*(d.components for d in group))]
+
+    @staticmethod
+    def _cdf(t, weights, components):
+        out = np.zeros_like(t)
+        for w, c in zip(weights, components):
+            out = out + w * c._eval_cdf(t)
         return out
 
-    def _quantile(self, p):
-        comp_q = np.stack([c._quantile(p) for c in self.components])
-        # Invariant: cdf(lo) < p <= cdf(hi).  The answer is at least the
-        # smallest component quantile, so lo starts one float below it.
-        lo = np.nextafter(comp_q.min(axis=0), -np.inf).ravel()
-        hi = comp_q.max(axis=0).ravel()
-        # k-section: one CDF call per step on the k-1 interior points of
-        # every bracket.  The CDF is nondecreasing, so the count of points
-        # below p picks the new bracket [pts[cnt], pts[cnt+1]] of
-        # pts = [lo, interior..., hi].  The loop runs until no float lies
-        # strictly inside any bracket; an infinite hi (a saturated Gev
-        # quantile) cannot shrink and ends the loop as it is.
-        k = max(2, _KSECTION_POINTS // p.size)
-        frac = np.arange(1, k) / k
-        rows = np.arange(p.size)
-        p_col = p.reshape(-1, 1)
-        for _ in range(200):
-            lo_, hi_ = lo[:, None], hi[:, None]
-            pts = np.concatenate([lo_, lo_ + (hi_ - lo_) * frac, hi_], axis=1)
-            cnt = (self._cdf(pts[:, 1:-1]) < p_col).sum(axis=1)
-            lo = pts[rows, cnt]
-            hi = pts[rows, cnt + 1]
-            if np.all((hi <= np.nextafter(lo, np.inf)) | np.isinf(hi)):
-                break
-        return hi.reshape(p.shape)
+    @staticmethod
+    def _quantile(p, weights, components):
+        comp_q = np.stack([c._eval_quantile(p) for c in components])
+        return _ksection(lambda t: Mixture._cdf(t, weights, components), p,
+                         comp_q.min(axis=0), comp_q.max(axis=0))
 
     def from_uniform(self, u):
         # Composition from a single uniform per draw: the cumulative-weight
@@ -421,30 +571,184 @@ class Mixture(LatencyDistribution):
         }
 
 
+def _group_rows(keys) -> list[np.ndarray]:
+    """Positions of equal keys, one index array per key in first-seen order."""
+    members: dict = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in members.values()]
+
+
+class LatencyColumns:
+    """Many distributions' CDFs and quantiles, one formula call per group.
+
+    Row i of an argument belongs to ``dists[i]``.  Distributions with equal
+    ``_group_key`` (the kind; for ``Empirical`` also the sample count, for
+    ``Mixture`` the component keys, for ``Gev`` whether shape is 1) form a
+    group, and ``groups`` holds each group's rows, kind and formula
+    arguments (``_columns``), built here once.  Every result is ``==`` to
+    the one its distribution's own methods give.
+    """
+
+    def __init__(self, dists):
+        dists = list(dists)
+        self.size = len(dists)
+        self.groups = []
+        for rows in _group_rows(d._group_key() for d in dists):
+            group = [dists[i] for i in rows]
+            kind = type(group[0])
+            self.groups.append((rows, kind, kind._columns(group)))
+
+    def _eval_cdf(self, t) -> np.ndarray:
+        """Row i of ``t``, of shape (len, ...), through ``dists[i]``'s CDF."""
+        return self._rows("_cdf", t)
+
+    def _eval_quantile(self, p) -> np.ndarray:
+        """Row i of ``p`` through ``dists[i]``'s quantile; a 0-d ``p`` is
+        every distribution's quantile at p, as ``quantile(p)`` gives it."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim:
+            return self._rows("_quantile", p)
+        out = np.empty(self.size)
+        for rows, kind, args in self.groups:
+            out[rows] = kind._quantile(p, *args).reshape(len(rows))
+        return out
+
+    def median(self) -> np.ndarray:
+        """Each distribution's ``quantile(0.5)``."""
+        return self._eval_quantile(0.5)
+
+    def _rows(self, formula: str, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self.size:
+            return np.empty(x.shape)
+        flat = x.reshape(self.size, -1)
+        out = np.empty(flat.shape)
+        for rows, kind, args in self.groups:
+            out[rows] = getattr(kind, formula)(flat[rows], *args)
+        return out.reshape(x.shape)
+
+
 def expect_transform(dist: LatencyDistribution, f) -> float:
-    """E[f(T)] for a time-utility f: nonincreasing, with values in [0, 1].
+    """E[f(T)] for a time-utility f: ``expect_transforms`` of one pair."""
+    return float(expect_transforms([dist], [f])[0])
+
+
+def expect_transforms(dists, utilities) -> np.ndarray:
+    """E[f(T)] for each distribution ``dists[i]`` under the time-utility
+    ``utilities[i]``: f nonincreasing, with values in [0, 1].
 
     Discrete distributions are averaged exactly and mixtures are the
     weighted sum of their components.  Continuous ones use the layer-cake
     identity ``E[f(T)] = integral over (0, 1) of F(f.latency_budget(s)) ds``
-    on a fixed composite Gauss-Legendre rule with one vectorized CDF call;
-    the panel edges (module constants above) keep kinks and steep
-    stretches of the integrand off panel interiors.
+    on a fixed composite Gauss-Legendre rule; the panel edges (module
+    constants above) keep kinks and steep stretches of the integrand off
+    panel interiors.
+
+    A time-utility family computes values and budgets with static formulas
+    ``_value(t, *params, out)`` and ``_latency_budget(q, *params)`` over
+    its ``_params``.  Mixtures are split into their components, level by
+    level, and summed back in component order.  The other pairs are grouped
+    by latency group key and time-utility family and scored a block of
+    rows at a time: a point mass or a sample set with one formula call, a
+    continuous kind with one layer-cake call per panel count
+    (``_layer_cake``).  A pair's result does not depend on the other pairs
+    scored with it.
     """
-    if isinstance(dist, Degenerate):
-        return f.value(dist.value)
-    if isinstance(dist, Empirical):
-        return float(np.mean(f.value(dist.samples)))
-    if isinstance(dist, Mixture):
-        return float(
-            sum(w * expect_transform(c, f) for w, c in zip(dist.weights, dist.components))
-        )
-    knots = np.concatenate([dist.breakpoints(), dist._quantile(_QUANTILE_LADDER)])
-    edges = np.unique(np.concatenate([[0.0, 1.0], f.value(knots), _DYADIC_EDGES]))
-    width = np.diff(edges)
-    s = edges[:-1, None] + width[:, None] * _GL_NODES
-    val = float(width @ (dist._cdf(f.latency_budget(s)) @ _GL_WEIGHTS))
-    return min(max(val, 0.0), 1.0)
+    dists, fs = list(dists), list(utilities)
+    n = len(dists)
+    leaves, levels, todo = [], [], range(n)
+    while len(todo):
+        sums, nested = [], []
+        for i in todo:
+            d = dists[i]
+            if isinstance(d, Mixture):
+                parts = range(len(dists), len(dists) + len(d.components))
+                dists.extend(d.components)
+                fs.extend([fs[i]] * len(parts))
+                sums.append((i, d.weights, parts))
+                nested.extend(parts)
+            else:
+                leaves.append(i)
+        levels.append(sums)
+        todo = nested
+    out = np.empty(len(dists))
+    leaves = np.array(leaves, dtype=int)
+    for idx in _group_rows((dists[i]._group_key(), type(fs[i])) for i in leaves):
+        rows = leaves[idx]
+        group = [dists[i] for i in rows]
+        kind, family = type(group[0]), type(fs[rows[0]])
+        fargs = family._columns([fs[i] for i in rows])
+        # Blocks of rows keep each call's arrays near _CHUNK_ELEMENTS: a
+        # sample set's row holds its samples, a continuous row about 128
+        # candidate panel edges.
+        block = max(1, _CHUNK_ELEMENTS // (group[0].n if kind is Empirical else 128))
+        for i in range(0, len(rows), block):
+            sub = slice(i, i + block)
+            part, fa = group[sub], _select(fargs, sub)
+            largs = kind._columns(part)
+            if kind is Degenerate:
+                out[rows[sub]] = family._value(largs[0], *fa, out=np.empty((len(part), 1)))[:, 0]
+            elif kind is Empirical:
+                out[rows[sub]] = family._value(largs[0], *fa, out=np.empty(largs[0].shape)).mean(axis=1)
+            else:
+                breakpoints = np.array([d.breakpoints() for d in part], dtype=float)
+                out[rows[sub]] = _layer_cake(kind, largs, family, fa, breakpoints)
+    # Innermost mixtures first; each sum starts at 0.0 and adds the
+    # weighted components in order.
+    for sums in reversed(levels):
+        for idx in _group_rows(len(parts) for _, _, parts in sums):
+            slots = np.array([sums[j][0] for j in idx])
+            weights = np.array([sums[j][1] for j in idx])
+            parts = np.array([sums[j][2] for j in idx])
+            total = np.zeros(len(idx))
+            for c in range(parts.shape[1]):
+                total = total + weights[:, c] * out[parts[:, c]]
+            out[slots] = total
+    return out[:n]
+
+
+def _select(args, rows) -> list:
+    """Rows ``rows`` of each column argument; a scalar argument stays."""
+    return [a[rows] if np.ndim(a) else a for a in args]
+
+
+def _layer_cake(kind, largs, family, fargs, breakpoints) -> np.ndarray:
+    """``expect_transforms`` for rows of one continuous kind (formula
+    arguments ``largs``) under time-utilities of one family (``fargs``).
+
+    Each row's panel edges are its sorted distinct candidates, as
+    ``np.unique`` gives them.  Rows are grouped by panel count rather than
+    padded, so each row's dot products keep their length and order, and
+    each formula call takes a block of rows whose point array stays near
+    ``_CHUNK_ELEMENTS``.
+    """
+    knots = np.concatenate([breakpoints, kind._quantile(_QUANTILE_LADDER, *largs)], axis=1)
+    rows = len(knots)
+    cand = np.concatenate([
+        np.broadcast_to([0.0, 1.0], (rows, 2)),
+        family._value(knots, *fargs, out=np.empty_like(knots)),
+        np.broadcast_to(_DYADIC_EDGES, (rows, _DYADIC_EDGES.size)),
+    ], axis=1)
+    cand.sort(axis=1)
+    keep = np.ones(cand.shape, dtype=bool)
+    np.not_equal(cand[:, 1:], cand[:, :-1], out=keep[:, 1:])
+    counts = keep.sum(axis=1)
+    out = np.empty(rows)
+    for n_edges in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == n_edges)
+        edges = cand[sel][keep[sel]].reshape(len(sel), n_edges)
+        block = max(1, _CHUNK_ELEMENTS // (n_edges * _GL_NODES.size))
+        for i in range(0, len(sel), block):
+            r = sel[i:i + block]
+            e = edges[i:i + block]
+            width = np.diff(e, axis=1)
+            s = e[:, :-1, None] + width[:, :, None] * _GL_NODES
+            budget = family._latency_budget(s.reshape(len(r), -1), *_select(fargs, r))
+            cdf = kind._cdf(budget, *_select(largs, r))
+            inner = cdf.reshape(s.shape) @ _GL_WEIGHTS
+            out[r] = (width[:, None, :] @ inner[:, :, None])[:, 0, 0]
+    return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import make_rng
+from .latency import LatencyColumns, make_rng
 from .scenario import Scenario
 from .solver import PLAN_COLUMNS, AssignmentPlan, UtilityTable
 
@@ -123,14 +123,15 @@ def run_baseline(scenario: Scenario, strategy: str, table: UtilityTable | None =
         raise ValueError(f"unknown baseline {strategy!r}; expected one of {BASELINES}")
     table = table or UtilityTable(scenario)
     feasible = table.feasible
-    score = np.full(feasible.shape, np.inf)
-    rows, cols = np.nonzero(feasible)
-    for i, k in zip(rows.tolist(), cols.tolist()):
-        t, (z, x) = scenario.tasks[i], table.columns[k]
-        if strategy == "min-latency":
-            score[i, k] = float(scenario.dist(t.id, z, x).quantile(0.5))
-        else:
-            score[i, k] = -t.intrinsic[(z, x)]
+    if strategy == "min-latency":
+        score = np.full(feasible.shape, np.inf)
+        rows, cols = np.nonzero(feasible)
+        tasks = scenario.tasks
+        dists = [scenario.dist(tasks[i].id, *table.columns[k])
+                 for i, k in zip(rows.tolist(), cols.tolist())]
+        score[rows, cols] = LatencyColumns(dists).median()
+    else:
+        score = np.where(feasible, -table.intrinsic, np.inf)
     # The first minimum in column order: earlier nodes, then earlier options.
     # (argmin has no answer for a scenario without nodes, where all are rejected.)
     first = score.argmin(axis=1) if table.columns else -1

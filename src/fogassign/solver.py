@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .scenario import Scenario
-from .utility import UtilityReport, expected_utility
+from .utility import OptionNotOffered, UtilityReport, expected_utilities
 
 __all__ = [
     "Placement",
@@ -131,10 +131,11 @@ class UtilityTable:
     one column per (node, option) pair in node order, then option order, as
     listed in ``columns``.  A pair not offered to a task has utility 0 and
     is infeasible; a risk-infeasible pair has utility 0.  The arrays are
-    filled on first use by reading each offered pair once through
-    ``report``, so each expectation integral runs once per table.  Injected
-    ``reports``, keyed by (task, node, option), stand in for the integrals,
-    which lets experiments rescore a fixed topology.
+    filled on first use.  Injected ``reports``, keyed by (task, node,
+    option), stand in for their pairs' integrals, which lets experiments
+    rescore a fixed topology; every other offered pair is scored once, all
+    of them together (``utility.expected_utilities``), and kept as a report
+    too.  ``report`` reads one pair's report.
     """
 
     def __init__(self, scenario: Scenario, reports=None):
@@ -144,26 +145,52 @@ class UtilityTable:
         self._reports: dict[tuple[str, str, str], UtilityReport] = dict(reports or {})
 
     def report(self, task_id: str, node_id: str, option_id: str) -> UtilityReport:
-        key = (task_id, node_id, option_id)
-        rep = self._reports.get(key)
+        """The utility, risk and feasibility of one offered pair."""
+        self._arrays  # the fill keeps every offered pair's report
+        rep = self._reports.get((task_id, node_id, option_id))
         if rep is None:
-            task = self._tasks[task_id]
-            rep = expected_utility(task, node_id, option_id, self.scenario.dist(*key))
-            self._reports[key] = rep
+            raise OptionNotOffered(f"task {task_id} is not offered ({node_id}, {option_id})")
         return rep
+
+    def _score(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Utility, risk and feasibility of the (task, node, option) pairs ``keys``."""
+        return expected_utilities(
+            [self._tasks[j] for j, _, _ in keys],
+            [(z, x) for _, z, x in keys],
+            [self.scenario.dist(*key) for key in keys],
+        )
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shape = (len(self.scenario.tasks), len(self.columns))
         utility, risk, feasible = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+        cells, keys = [], []  # the offered pairs no report stands in for
         for i, t in enumerate(self.scenario.tasks):
             for k, (z, x) in enumerate(self.columns):
                 if (z, x) in t.intrinsic:
-                    rep = self.report(t.id, z, x)
-                    utility[i, k], risk[i, k], feasible[i, k] = rep.utility, rep.risk, rep.feasible
+                    rep = self._reports.get((t.id, z, x))
+                    if rep is None:
+                        cells.append((i, k))
+                        keys.append((t.id, z, x))
+                    else:
+                        utility[i, k], risk[i, k], feasible[i, k] = rep.utility, rep.risk, rep.feasible
+        if keys:
+            scores = self._score(keys)
+            rows, cols = np.array(cells).T
+            for a, score in zip((utility, risk, feasible), scores):
+                a[rows, cols] = score
+            self._reports.update(zip(keys, map(UtilityReport, *(a.tolist() for a in scores))))
         for a in (utility, risk, feasible):
             a.flags.writeable = False  # shared by every solver that reads the table
         return utility, risk, feasible
+
+    @cached_property
+    def intrinsic(self) -> np.ndarray:
+        """Each task's intrinsic quality per column, 0 where not offered."""
+        out = np.array([[t.intrinsic.get(zx, 0.0) for zx in self.columns] for t in self.scenario.tasks])
+        out = out.reshape(len(self.scenario.tasks), len(self.columns))
+        out.flags.writeable = False
+        return out
 
     utility = property(lambda self: self._arrays[0])
     risk = property(lambda self: self._arrays[1])
@@ -477,7 +504,7 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> list[str]:
         problems.append("plan decisions do not cover exactly the scenario task set")
         return problems
     load: dict[str, int] = {}
-    total = 0.0
+    checked: list = []  # in task order: a problem, or a placement to rescore
     for t in scenario.tasks:
         p = plan.decisions[t.id]
         if p is None:
@@ -485,26 +512,39 @@ def validate_plan(scenario: Scenario, plan: AssignmentPlan) -> list[str]:
         try:
             node = scenario.node(p.node)
         except KeyError:
-            problems.append(f"task {t.id}: placed on unknown node {p.node!r}")
+            checked.append(f"task {t.id}: placed on unknown node {p.node!r}")
             continue
         if p.option not in node.options:
-            problems.append(f"task {t.id}: option {p.option!r} not offered by node {p.node}")
+            checked.append(f"task {t.id}: option {p.option!r} not offered by node {p.node}")
             continue
         if (p.node, p.option) not in t.intrinsic:
-            problems.append(f"task {t.id}: pair ({p.node}, {p.option}) not offered to the task")
+            checked.append(f"task {t.id}: pair ({p.node}, {p.option}) not offered to the task")
             continue
         load[p.node] = load.get(p.node, 0) + 1
-        rep = expected_utility(t, p.node, p.option, scenario.dist(t.id, p.node, p.option))
-        if rep.risk > t.risk_budget + TOTAL_TOL:
+        checked.append((t, p))
+    placed = [c for c in checked if not isinstance(c, str)]
+    utility, risk, _ = expected_utilities(
+        [t for t, _ in placed],
+        [(p.node, p.option) for _, p in placed],
+        [scenario.dist(t.id, p.node, p.option) for t, p in placed],
+    )
+    scores = zip(utility.tolist(), risk.tolist())
+    total = 0.0
+    for c in checked:
+        if isinstance(c, str):
+            problems.append(c)
+            continue
+        (t, p), (u, r) = c, next(scores)
+        if r > t.risk_budget + TOTAL_TOL:
             problems.append(
-                f"task {t.id}: risk {rep.risk!r} exceeds budget {t.risk_budget!r} "
+                f"task {t.id}: risk {r!r} exceeds budget {t.risk_budget!r} "
                 f"on ({p.node}, {p.option})"
             )
         if not math.isfinite(p.utility):
             problems.append(f"task {t.id}: recorded utility {p.utility!r} is not finite")
-        elif abs(rep.utility - p.utility) > 1e-6:
+        elif abs(u - p.utility) > 1e-6:
             problems.append(
-                f"task {t.id}: recorded utility {p.utility!r} differs from recomputed {rep.utility!r}"
+                f"task {t.id}: recorded utility {p.utility!r} differs from recomputed {u!r}"
             )
         total += p.utility
     for node in scenario.nodes:

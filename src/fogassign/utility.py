@@ -17,11 +17,14 @@ Three time-utility families are provided:
 All three are monotone, so the tail-risk event ``f(T) < q`` maps exactly
 to a latency threshold and no sampling is needed to check risk budgets.
 
-Each family computes its values with one formula over its parameters,
-which are floats for one utility and (tasks, 1) columns when
-``UtilityColumns`` evaluates many tasks' utilities at once.  The same
-parameter list is the family's config record: its ``kind`` tag (``step``,
-``exp``, ``wrf``) plus one number per parameter.
+Each family computes its values and latency budgets with one formula
+each over its parameters, which are floats for one utility and (tasks, 1)
+columns when ``UtilityColumns`` evaluates many tasks' utilities at once.
+The same parameter list is the family's config record: its ``kind`` tag
+(``step``, ``exp``, ``wrf``) plus one number per parameter.
+
+``expected_utilities`` scores many placements at once, grouped by family
+and latency kind; ``expected_utility`` is its one-placement form.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import ConfigRecord, LatencyDistribution, _parametric_from_config, expect_transform
+from .latency import (
+    ConfigRecord,
+    LatencyColumns,
+    LatencyDistribution,
+    _parametric_from_config,
+    expect_transforms,
+)
 
 __all__ = [
     "TimeUtility",
@@ -41,7 +50,9 @@ __all__ = [
     "TaskSpec",
     "UtilityReport",
     "risk_probability",
+    "risk_probabilities",
     "expected_utility",
+    "expected_utilities",
     "utility_from_config",
     "OptionNotOffered",
 ]
@@ -56,17 +67,13 @@ class TimeUtility(ConfigRecord):
 
     A family names its parameter fields in ``_params`` and computes its
     values with ``_value(t, *params, out)``, which writes into ``out`` and
-    returns it.
+    returns it, and its budgets with ``_latency_budget(q, *params)``.
     """
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = self._value(t, *(getattr(self, p) for p in self._params), out=np.empty_like(t))
+        out = self._value(t, *self._args(), out=np.empty_like(t))
         return float(out) if t.ndim == 0 else out
-
-    @staticmethod
-    def _value(t: np.ndarray, *params, out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def latency_budget(self, q):
         """Largest t with value(t) >= q, for q in (0, 1]; accepts arrays.
@@ -75,6 +82,14 @@ class TimeUtility(ConfigRecord):
         ``f(T) < q`` into the exact latency event ``T > budget``, and the
         integrand ``F(budget(s))`` of the layer-cake expectation.
         """
+        return self._latency_budget(q, *self._args())
+
+    @staticmethod
+    def _value(t: np.ndarray, *params, out: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @staticmethod
+    def _latency_budget(q, *params):
         raise NotImplementedError
 
 
@@ -95,8 +110,9 @@ class Step(TimeUtility):
     def _value(t, tv, out):
         return np.less_equal(t, tv, out=out)
 
-    def latency_budget(self, q):
-        return np.full(np.shape(q), self.tv)
+    @staticmethod
+    def _latency_budget(q, tv):
+        return np.full(np.broadcast_shapes(np.shape(q), np.shape(tv)), tv)
 
 
 @dataclass(frozen=True)
@@ -116,9 +132,10 @@ class ExpDecay(TimeUtility):
             np.multiply(-k, t, out=out)
             return np.exp(out, out=out)
 
-    def latency_budget(self, q):
+    @staticmethod
+    def _latency_budget(q, k):
         with np.errstate(divide="ignore"):  # q = 0: any latency is worth 0
-            return -np.log(q) / self.k
+            return -np.log(q) / k
 
 
 @dataclass(frozen=True)
@@ -146,8 +163,9 @@ class WaitReadyFirst(TimeUtility):
         np.maximum(out, 0.0, out=out)
         return np.minimum(out, 1.0, out=out)
 
-    def latency_budget(self, q):
-        return self.te + (1.0 - q) * (self.ts - self.te)
+    @staticmethod
+    def _latency_budget(q, te, ts):
+        return te + (1.0 - q) * (ts - te)
 
 
 class UtilityColumns:
@@ -158,6 +176,7 @@ class UtilityColumns:
     parameters are (tasks, 1) columns built here once; ``out`` may be
     ``t``.  A family whose tasks are one contiguous range is evaluated in
     place through views; any other family is gathered and scattered back.
+    ``latency_budget(q)`` does the same for the budgets.
     """
 
     def __init__(self, utilities):
@@ -167,18 +186,23 @@ class UtilityColumns:
             members.setdefault(type(f), []).append(i)
         self._families = []
         for family, idx in members.items():
-            cols = [np.array([getattr(utilities[i], p) for i in idx])[:, None]
-                    for p in family._params]
+            cols = family._columns([utilities[i] for i in idx])
             contiguous = idx[-1] - idx[0] == len(idx) - 1
             rows = slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx)
-            self._families.append((family._value, rows, cols))
+            self._families.append((family, rows, cols))
 
     def value(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for formula, rows, cols in self._families:
+        for family, rows, cols in self._families:
             sub = out[..., rows, :]
-            formula(t[..., rows, :], *cols, out=sub)
+            family._value(t[..., rows, :], *cols, out=sub)
             if not isinstance(rows, slice):
                 out[..., rows, :] = sub
+        return out
+
+    def latency_budget(self, q: np.ndarray) -> np.ndarray:
+        out = np.empty(np.shape(q))
+        for family, rows, cols in self._families:
+            out[..., rows, :] = family._latency_budget(q[..., rows, :], *cols)
         return out
 
 
@@ -229,33 +253,66 @@ class UtilityReport:
 
 
 def risk_probability(f: TimeUtility, dist: LatencyDistribution, q: float) -> float:
-    """Exact P(f(T) < q) via the monotone inverse of f.
+    """Exact P(f(T) < q): ``risk_probabilities`` of one pair."""
+    return float(risk_probabilities([f], [dist], [q])[0])
+
+
+def risk_probabilities(utilities, dists, q) -> np.ndarray:
+    """Exact P(f(T) < q) for each time-utility ``utilities[i]``, latency
+    ``dists[i]`` and quality floor ``q[i]``, via the monotone inverse of f.
 
     For q in (0, 1], ``f(T) < q`` holds exactly when T exceeds the largest
-    latency still worth q, so the probability is one CDF evaluation; q = 0
-    is impossible because f is nonnegative.
+    latency still worth q, so each probability is one CDF evaluation: one
+    budget formula per time-utility family (``UtilityColumns``) and one CDF
+    call per latency group (``LatencyColumns``).  q = 0 is impossible
+    because f is nonnegative.
     """
-    if not (0.0 <= q <= 1.0):
+    if not all(0.0 <= x <= 1.0 for x in q):  # also rejects NaN
         raise ValueError("quality floor q must lie in [0,1]")
-    if q == 0.0:
-        return 0.0
-    return float(1.0 - dist.cdf(f.latency_budget(q)))
+    q = np.asarray(q, dtype=float)
+    risk = np.zeros(len(q))
+    bound = np.flatnonzero(q > 0.0)
+    if bound.size:
+        budget = UtilityColumns(utilities[i] for i in bound).latency_budget(q[bound, None])
+        risk[bound] = 1.0 - LatencyColumns(dists[i] for i in bound)._eval_cdf(budget)[:, 0]
+    return risk
 
 
 def expected_utility(
     task: TaskSpec, node_id: str, option_id: str, dist: LatencyDistribution
 ) -> UtilityReport:
-    """Score placing ``task`` on (node_id, option_id) with latency ``dist``."""
+    """Score placing ``task`` on (node_id, option_id) with latency ``dist``:
+    ``expected_utilities`` of one placement."""
+    utility, risk, feasible = expected_utilities([task], [(node_id, option_id)], [dist])
+    return UtilityReport(utility=float(utility[0]), risk=float(risk[0]), feasible=bool(feasible[0]))
+
+
+def expected_utilities(tasks, pairs, dists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score placing each task ``tasks[i]`` on the (node, option) pair
+    ``pairs[i]`` with latency ``dists[i]``.
+
+    Returns arrays of utility, risk and feasibility, the fields of each
+    placement's ``UtilityReport``.  A placement is feasible when its risk
+    (``risk_probabilities`` at the task's quality floor) fits the task's
+    risk budget; its utility is then the intrinsic quality of the pair
+    times ``expect_transforms`` of its latency and time-utility, and 0
+    otherwise.  Raises ``OptionNotOffered`` for a pair the task has no
+    intrinsic quality for.
+    """
+    a = np.array([_intrinsic(t, z, x) for t, (z, x) in zip(tasks, pairs)], dtype=float)
+    fs = [t.time_utility for t in tasks]
+    risk = risk_probabilities(fs, dists, [t.quality_floor for t in tasks])
+    feasible = risk <= np.array([t.risk_budget for t in tasks], dtype=float)
+    ok = np.flatnonzero(feasible)
+    utility = np.zeros(len(tasks))
+    utility[ok] = a[ok] * expect_transforms([dists[i] for i in ok], [fs[i] for i in ok])
+    return utility, risk, feasible
+
+
+def _intrinsic(task: TaskSpec, node_id: str, option_id: str) -> float:
     try:
-        a = task.intrinsic[(node_id, option_id)]
+        return task.intrinsic[(node_id, option_id)]
     except KeyError:
         raise OptionNotOffered(
             f"task {task.id} has no intrinsic utility for ({node_id}, {option_id})"
         ) from None
-    f = task.time_utility
-    risk = risk_probability(f, dist, task.quality_floor)
-    feasible = risk <= task.risk_budget
-    if not feasible:
-        return UtilityReport(utility=0.0, risk=risk, feasible=False)
-    u = a * expect_transform(dist, f)
-    return UtilityReport(utility=u, risk=risk, feasible=True)

@@ -15,6 +15,7 @@ from fogassign.latency import (
     Empirical,
     FitError,
     Gev,
+    LatencyColumns,
     Mixture,
     Uniform,
     dist_from_config,
@@ -99,12 +100,12 @@ class TestCdf:
 # resolution, so both find the same generalized inverse to within the
 # bisection's stopping width.
 def bisect_quantile(mix, p):
-    comp_q = np.stack([c._quantile(p) for c in mix.components])
+    comp_q = np.stack([c.quantile(p) for c in mix.components])
     lo = comp_q.min(axis=0)
     hi = comp_q.max(axis=0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = mix._cdf(mid) < p
+        below = mix.cdf(mid) < p
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.all(hi - lo <= 1e-15 * np.maximum(1.0, np.abs(hi))):
@@ -188,6 +189,36 @@ class TestQuantile:
                 want = support[np.argmax(cdf >= np.asarray(p)[..., None], axis=-1)]
                 assert np.array_equal(mix.quantile(p), want), mix
 
+    @pytest.mark.parametrize("n", [None, 2, 31])
+    def test_quantile_exact_near_zero(self, n):
+        # Answers next to 0 lie many floats below a bracket's width; the
+        # search must still end on the smallest float whose CDF reaches p.
+        mix = Mixture([Degenerate(0.0), Uniform(0.0, 1.0)], [0.5, 0.5])
+        p = 0.25 if n is None else np.full(n, 0.25)
+        assert np.all(mix.quantile(p) == 0.0)
+
+    def test_saturated_component_quantile_is_finite(self):
+        # The Gev quantile saturates at inf, but the mixture CDF reaches p
+        # at a finite latency.
+        mix = Mixture([Uniform(0.0, 1.0), Gev(1000.0, 1.0, 1.0)], [0.5, 0.5])
+        assert mix.cdf(1e300) >= 0.7
+        q = mix.quantile(0.7)
+        assert math.isfinite(q)
+        assert mix.cdf(q) >= 0.7 > mix.cdf(np.nextafter(q, -math.inf))
+        assert mix.quantile(np.array([0.7, 0.7])).tolist() == [q, q]
+
+    def test_quantile_is_smallest_float_reaching_p(self):
+        # The answer depends neither on how many probabilities share the
+        # call nor on the points per step.
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            mix = _random_mixture(rng)
+            ps = rng.uniform(0.001, 0.999, int(rng.integers(1, 70)))
+            got = mix.quantile(ps)
+            assert got.tolist() == [mix.quantile(p) for p in ps], mix
+            assert np.all(mix.cdf(got) >= ps), mix
+            assert np.all(mix.cdf(np.nextafter(got, -math.inf)) < ps), mix
+
 
 # Reference: the mixture's composition sampler as a searchsorted bracket
 # and boolean masks per component.  The sampler must match it bit for bit.
@@ -201,9 +232,78 @@ def masked_mixture_sample(mix, u):
         if not mask.any():
             continue
         residual = np.clip((u[mask] - cum[i]) / mix.weights[i], 1e-15, 1.0 - 1e-16)
-        sample = masked_mixture_sample if isinstance(c, Mixture) else type(c)._quantile
+        sample = masked_mixture_sample if isinstance(c, Mixture) else type(c).quantile
         out[mask] = sample(c, residual)
     return out
+
+
+def _column_dists():
+    """Distributions of every kind for the group kernels, interleaved."""
+    rng = np.random.default_rng(20261019)
+    dists = [Gev(shape, float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.3, 1.0)))
+             for shape in (0.5, 1.0, 2.0) for _ in range(20)]
+    dists += [Gev(float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.01, 0.3)),
+                  float(rng.uniform(0.3, 1.0))) for _ in range(60)]
+    dists += [_random_component(rng) for _ in range(80)]
+    dists += [Empirical(rng.uniform(0.0, 2.0, n)) for n in (1, 2, 3, 3, 7, 25, 25, 400)]
+    dists += [Degenerate(0.0), Empirical([0.0, 0.0, 0.3]), Uniform(0.0, 0.2)]
+    dists += [_random_mixture(rng) for _ in range(40)]
+    dists += [
+        Mixture([Degenerate(0.0), Uniform(0.0, 1.0)], [0.5, 0.5]),
+        Mixture([Uniform(0.0, 1.0), Gev(1000.0, 1.0, 1.0)], [0.5, 0.5]),
+        Mixture([Gev(1.0, 0.1, 0.5), Empirical([0.0, 0.4])], [0.3, 0.7]),
+        Mixture([Gev(2.0, 0.1, 0.5), Degenerate(0.0), Gev(0.5, 0.2, 0.4)], [0.2, 0.3, 0.5]),
+        EVERY_KIND["mixture"],
+        EVERY_KIND["mixture"],
+    ]
+    return [dists[i] for i in rng.permutation(len(dists))]
+
+
+class TestColumns:
+    """``LatencyColumns`` makes one formula call per group; every row must be
+    == to its own distribution's methods."""
+
+    DISTS = _column_dists()
+
+    def test_groups_cover_each_kind(self):
+        cols = LatencyColumns(self.DISTS)
+        kinds = {kind for _, kind, _ in cols.groups}
+        assert kinds == {Gev, Uniform, Empirical, Degenerate, Mixture}
+        assert sorted(np.concatenate([rows for rows, _, _ in cols.groups])) == list(range(len(self.DISTS)))
+        # Gev of shape 1 keeps a scalar exponent in a group of its own.
+        shape_one = [args for _, kind, args in cols.groups if kind is Gev and np.ndim(args[0]) == 0]
+        assert len(shape_one) == 1 and shape_one[0][0] == 1.0
+
+    def test_cdf_rows_match(self):
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-0.5, 4.0, (len(self.DISTS), 2, 40))
+        t[:, 0, 0] = 0.0
+        t[:, 0, 1] = [d.breakpoints()[0] for d in self.DISTS]
+        t[:, 0, 2] = np.inf
+        got = LatencyColumns(self.DISTS)._eval_cdf(t)
+        for row, d, g in zip(t, self.DISTS, got):
+            assert np.array_equal(g, d.cdf(row)), d
+
+    def test_quantile_rows_match(self):
+        rng = np.random.default_rng(6)
+        p = rng.uniform(1e-12, 1.0, (len(self.DISTS), 30))
+        p[:, :10] = GRID_PROBS[:10]
+        got = LatencyColumns(self.DISTS)._eval_quantile(p)
+        for row, d, g in zip(p, self.DISTS, got):
+            assert np.array_equal(g, d.quantile(row)), d
+
+    @pytest.mark.parametrize("p", [0.5, 0.25, 1e-9, 0.999])
+    def test_one_probability_matches_scalar_quantile(self, p):
+        # A scalar probability takes numpy's scalar arithmetic in the bound
+        # methods (C pow for a Gev quantile); the group call must too.
+        cols = LatencyColumns(self.DISTS)
+        got = cols.median() if p == 0.5 else cols._eval_quantile(p)
+        assert got.tolist() == [d.quantile(p) for d in self.DISTS]
+
+    def test_no_distributions(self):
+        cols = LatencyColumns([])
+        assert cols.median().shape == (0,)
+        assert cols.groups == []
 
 
 class TestSample:
@@ -245,7 +345,7 @@ class TestSample:
     @pytest.mark.parametrize("dist", EVERY_KIND.values(), ids=EVERY_KIND.keys())
     def test_sample_matches_clip_path(self, dist):
         # The uniforms used to be clamped by np.clip(u, 1e-15, None).
-        transform = masked_mixture_sample if isinstance(dist, Mixture) else type(dist)._quantile
+        transform = masked_mixture_sample if isinstance(dist, Mixture) else type(dist).quantile
         for seed in range(5):
             want = transform(dist, np.clip(make_rng(seed).random(2000), 1e-15, None))
             assert np.array_equal(dist.sample(make_rng(seed), 2000), want)

@@ -9,7 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogassign import solver
-from fogassign.latency import Degenerate, Uniform
+from fogassign.latency import (
+    _DYADIC_EDGES,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _QUANTILE_LADDER,
+    Degenerate,
+    Empirical,
+    Gev,
+    Mixture,
+    Uniform,
+    expect_transform,
+)
 from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
 from fogassign.solver import (
     Placement,
@@ -27,7 +38,15 @@ from fogassign.solver import (
     solve_uncapacitated,
     validate_plan,
 )
-from fogassign.utility import Step, TaskSpec, UtilityReport
+from fogassign.utility import (
+    ExpDecay,
+    Step,
+    TaskSpec,
+    UtilityReport,
+    WaitReadyFirst,
+    expected_utility,
+    risk_probability,
+)
 
 from conftest import random_scenario, tie_heavy_scenario
 
@@ -108,15 +127,15 @@ def stage2(scen):
 
 
 class CountingTable(UtilityTable):
-    """UtilityTable that counts its report reads per (task, node, option)."""
+    """UtilityTable that counts the pairs its fill scores, per (task, node, option)."""
 
     def __init__(self, scenario, reports=None):
         super().__init__(scenario, reports)
         self.reads = Counter()
 
-    def report(self, task_id, node_id, option_id):
-        self.reads[(task_id, node_id, option_id)] += 1
-        return super().report(task_id, node_id, option_id)
+    def _score(self, keys):
+        self.reads.update(keys)
+        return super()._score(keys)
 
 
 # Independent reference: the best-placement scan over every (node, option)
@@ -199,6 +218,205 @@ class TestBestOnNodeCache:
             _, node_col, _ = complete_uncapacitated(scen, table.utility[None])
             assert node_col[0, 0, 0] == -1
         assert table.reads[("j0", "z0", "x")] == 1
+
+
+# Independent reference: each pair scored on its own, as the table was
+# filled before it scored pairs by groups.  The functions are kept
+# verbatim from that version, and so are the formulas they used: each
+# latency kind's CDF and quantile and each time-utility family's latency
+# budget are written out here, so no formula is shared with the grouped
+# code.  The fill must give == arrays.
+def reference_cdf(dist, t):
+    t = np.asarray(t, dtype=float)
+    if isinstance(dist, Gev):
+        z = 1.0 + dist.shape * (t - dist.loc) / dist.scale
+        out = np.zeros_like(z)
+        pos = z > 0.0
+        with np.errstate(over="ignore", divide="ignore"):
+            out[pos] = np.exp(-z[pos] ** (-1.0 / dist.shape))
+        return out
+    if isinstance(dist, Uniform):
+        return np.clip((t - dist.lo) / (dist.hi - dist.lo), 0.0, 1.0)
+    if isinstance(dist, Empirical):
+        return np.searchsorted(dist.samples, t, side="right") / dist.n
+    if isinstance(dist, Degenerate):
+        return np.where(t >= dist.value, 1.0, 0.0)
+    out = np.zeros_like(t)
+    for w, c in zip(dist.weights, dist.components):
+        out = out + w * reference_cdf(c, t)
+    return out
+
+
+def reference_quantile(dist, p):
+    """The continuous kinds' quantiles, the only ones the reference reads."""
+    if isinstance(dist, Gev):
+        with np.errstate(over="ignore"):
+            return dist.loc + dist.scale * ((-np.log(p)) ** (-dist.shape) - 1.0) / dist.shape
+    assert isinstance(dist, Uniform)
+    return dist.lo + p * (dist.hi - dist.lo)
+
+
+def reference_budget(f, q):
+    if isinstance(f, Step):
+        return np.full(np.shape(q), f.tv)
+    if isinstance(f, ExpDecay):
+        with np.errstate(divide="ignore"):
+            return -np.log(q) / f.k
+    return f.te + (1.0 - q) * (f.ts - f.te)
+
+
+def reference_expect_transform(dist, f):
+    if isinstance(dist, Degenerate):
+        return f.value(dist.value)
+    if isinstance(dist, Empirical):
+        return float(np.mean(f.value(dist.samples)))
+    if isinstance(dist, Mixture):
+        return float(
+            sum(w * reference_expect_transform(c, f) for w, c in zip(dist.weights, dist.components))
+        )
+    knots = np.concatenate([dist.breakpoints(), reference_quantile(dist, _QUANTILE_LADDER)])
+    edges = np.unique(np.concatenate([[0.0, 1.0], f.value(knots), _DYADIC_EDGES]))
+    width = np.diff(edges)
+    s = edges[:-1, None] + width[:, None] * _GL_NODES
+    val = float(width @ (reference_cdf(dist, reference_budget(f, s)) @ _GL_WEIGHTS))
+    return min(max(val, 0.0), 1.0)
+
+
+def reference_risk_probability(f, dist, q):
+    if not (0.0 <= q <= 1.0):
+        raise ValueError("quality floor q must lie in [0,1]")
+    if q == 0.0:
+        return 0.0
+    return float(1.0 - reference_cdf(dist, reference_budget(f, q)))
+
+
+def reference_expected_utility(task, node_id, option_id, dist):
+    a = task.intrinsic[(node_id, option_id)]
+    f = task.time_utility
+    risk = reference_risk_probability(f, dist, task.quality_floor)
+    feasible = risk <= task.risk_budget
+    if not feasible:
+        return UtilityReport(utility=0.0, risk=risk, feasible=False)
+    u = a * reference_expect_transform(dist, f)
+    return UtilityReport(utility=u, risk=risk, feasible=True)
+
+
+def mixed_scenario(seed, n_tasks=300):
+    """Every latency kind under every time-utility family on three nodes.
+
+    Gev shapes include 0.5, 1 and 2, sample sets vary in size, mixtures
+    mix component kinds (atoms at 0 and nested mixtures among them), and
+    two tasks in five, under every family, carry a binding risk budget.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [NodeSpec(id="z0", options=("x0", "x1"), capacity=5),
+             NodeSpec(id="z1", options=("x0",), capacity=None),
+             NodeSpec(id="z2", options=("x0", "x1"), capacity=None)]
+
+    def gev():
+        shape = float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 0.8)]))
+        scale = float(rng.uniform(0.01, 0.2))
+        return Gev(shape, scale, scale / shape + float(rng.uniform(0.0, 1.0)))
+
+    def simple(kind):
+        if kind == 0:
+            lo = float(rng.uniform(0.0, 1.0))
+            return Uniform(lo, lo + float(rng.uniform(0.05, 1.0)))
+        if kind == 1:
+            return Degenerate(float(rng.choice([0.0, rng.uniform(0.0, 1.5)])))
+        if kind == 2:
+            return Empirical(rng.uniform(0.0, 2.0, int(rng.choice([1, 3, 8, 25, 300]))))
+        return gev()
+
+    def dist(kind):
+        if kind < 4:
+            return simple(kind)
+        parts = [simple(int(k)) for k in rng.integers(0, 4, int(rng.integers(2, 4)))]
+        if rng.random() < 0.2:
+            parts.append(Mixture([Degenerate(0.0), simple(0)], [0.5, 0.5]))
+        return Mixture(parts, rng.dirichlet(np.ones(len(parts))))
+
+    families = [lambda: Step(float(rng.uniform(0.1, 1.5))),
+                lambda: ExpDecay(float(rng.uniform(0.3, 3.0))),
+                lambda: WaitReadyFirst(te := float(rng.uniform(0.05, 0.8)),
+                                       te + float(rng.uniform(0.1, 1.0)))]
+    tasks, latency = [], {}
+    pairs = [(n.id, x) for n in nodes for x in n.options]
+    for j in range(n_tasks):
+        binding = j % 5 < 2
+        tasks.append(TaskSpec(
+            id=f"j{j:03d}", time_utility=families[j % 3](),
+            intrinsic={zx: float(rng.uniform(0.05, 1.0)) for zx in pairs},
+            quality_floor=float(rng.uniform(0.1, 0.8)) if binding else 0.0,
+            risk_budget=float(rng.uniform(0.2, 0.9)) if binding else 1.0,
+        ))
+        for k, (z, x) in enumerate(pairs):
+            latency[(f"j{j:03d}", z, x)] = dist((j + k) % 5)
+    return Scenario(name=f"mixed-{seed}", tasks=tasks, nodes=nodes, latency=latency)
+
+
+class TestFill:
+    @pytest.mark.parametrize("make, seeds", [
+        (random_scenario, range(200)),
+        (tie_heavy_scenario, range(300)),
+        (mixed_scenario, range(2)),
+    ], ids=["random", "tie-heavy", "mixed"])
+    def test_matches_pairwise_reference(self, make, seeds):
+        for seed in seeds:
+            scen = make(seed)
+            table = UtilityTable(scen)
+            want = [np.zeros(table.utility.shape), np.zeros(table.utility.shape),
+                    np.zeros(table.utility.shape, dtype=bool)]
+            for i, t in enumerate(scen.tasks):
+                for k, (z, x) in enumerate(table.columns):
+                    if (z, x) in t.intrinsic:
+                        rep = reference_expected_utility(t, z, x, scen.dist(t.id, z, x))
+                        for a, v in zip(want, (rep.utility, rep.risk, rep.feasible)):
+                            a[i, k] = v
+                        assert table.report(t.id, z, x) == rep, (seed, t.id, z, x)
+            for got, a in zip((table.utility, table.risk, table.feasible), want):
+                assert np.array_equal(got, a), seed
+
+    def test_one_pair_forms_match_reference(self):
+        scen = mixed_scenario(2, n_tasks=45)
+        for t in scen.tasks:
+            f = t.time_utility
+            for z, x in t.intrinsic:
+                d = scen.dist(t.id, z, x)
+                assert expected_utility(t, z, x, d) == reference_expected_utility(t, z, x, d), (t.id, z, x)
+                assert expect_transform(d, f) == reference_expect_transform(d, f), (t.id, z, x)
+                for q in (0.0, 0.3, 1.0):
+                    assert risk_probability(f, d, q) == reference_risk_probability(f, d, q), (t.id, z, x, q)
+
+    def test_mixed_scenario_covers_every_kind_and_family(self):
+        scen = mixed_scenario(0)
+        pairs = {(type(d), type(scen.tasks[int(j[1:])].time_utility)) for (j, _, _), d in scen.latency.items()}
+        assert len(pairs) == 15
+        binding = {(type(d), type(scen.tasks[int(j[1:])].time_utility)) for (j, _, _), d in scen.latency.items()
+                    if scen.tasks[int(j[1:])].quality_floor > 0.0}
+        assert binding == pairs
+        assert {d.shape for d in scen.latency.values() if isinstance(d, Gev)} >= {0.5, 1.0, 2.0}
+        assert not UtilityTable(scen).feasible.all()
+
+    def test_injected_reports_keep_their_floats_and_compute_nothing(self):
+        scen = mixed_scenario(1, n_tasks=40)
+        rng = np.random.default_rng(3)
+        reports = {(t.id, z, x): UtilityReport(float(rng.uniform()), float(rng.uniform()), bool(rng.random() < 0.8))
+                   for t in scen.tasks for (z, x) in t.intrinsic}
+        table = CountingTable(scen, reports)
+        chosen = solve_batch(scen, table.utility[None])[0]
+        assert not table.reads
+        for i, t in enumerate(scen.tasks):
+            for k, (z, x) in enumerate(table.columns):
+                rep = reports[(t.id, z, x)]
+                assert table.report(t.id, z, x) is rep
+                assert (table.utility[i, k], table.risk[i, k], table.feasible[i, k]) == (
+                    rep.utility, rep.risk, rep.feasible)
+        plan = table.plan(chosen, solver="at")
+        for t in scen.tasks:
+            p = plan.decisions[t.id]
+            if p is not None:
+                assert p.utility is reports[(t.id, p.node, p.option)].utility
 
 
 class TestUncapacitated:
