@@ -43,7 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import make_rng
+from .latency import Empirical, _number, make_rng
+from .scenario import _integer
 
 __all__ = [
     "PIC_ITER_RANGE",
@@ -334,6 +335,10 @@ class ProbeSchedule:
 
 
 _REQUIRED = object()
+# Numbers are read by the scenario reader's rules: a float is any JSON
+# number (``latency._number``), an int a whole one (``scenario._integer``),
+# and a bool or a string is neither.
+_STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, "")}
 
 
 def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
@@ -348,7 +353,7 @@ def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
     if convert is None:
         return record[key]
     try:
-        return convert(record[key])
+        return _STRICT.get(convert, convert)(record[key])
     except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"schedule {name} must be {convert.__name__}, got {record[key]!r}"
@@ -509,9 +514,7 @@ def load_probe_rows(path) -> list[ProbeRow]:
 
 def nearest_rank(sorted_values: np.ndarray, p: float) -> float:
     """ceil(p*N)-th order statistic; always a member of the sample."""
-    n = sorted_values.size
-    idx = int(np.ceil(p * n - 1e-12)) - 1
-    return float(sorted_values[min(max(idx, 0), n - 1)])
+    return float(Empirical._quantile(p, sorted_values))
 
 
 def ok_rows(rows: list[ProbeRow]) -> list[ProbeRow]:

@@ -53,11 +53,12 @@ __all__ = [
 ]
 
 MIXTURE_WEIGHT_TOL = 1e-9
-# The mixture quantile's k-section (``_ksection``) splits each of n
-# brackets into max(2, _KSECTION_POINTS // n) parts per step, so each
-# mixture-CDF call sees about 64 points: 63 for a scalar quantile, and 22 or
-# more brackets, such as a group of medians, bisect.  The result does not
-# depend on k.
+# The k-section (``_ksection``) behind the mixture quantile and the shape
+# fit of ``gev_from_quantiles`` splits each of n brackets into
+# max(2, _KSECTION_POINTS // n) parts per step, so each call of the
+# inverted function sees about 64 points: 63 for a scalar quantile or a
+# shape fit, and 22 or more brackets, such as a group of medians, bisect.
+# For a nondecreasing function the result does not depend on k.
 _KSECTION_POINTS = 64
 # Group formula calls take blocks of rows whose largest temporary holds
 # about this many elements (32 KB of float64), the panel points of two or
@@ -444,9 +445,14 @@ def _ksection(cdf, p, lo, hi):
     strictly inside every bracket, and the count of those below p picks the
     new bracket.  Each step shrinks every bracket that is not yet two
     adjacent floats, and a bracket holds at most 2^64 floats, so the search
-    ends exactly, after at most 64 steps at k = 2.  ``cdf`` must be
-    nondecreasing and receives points of shape (rows, -1) when ``lo`` has
-    any dimension (row i of a group belongs to distribution i).
+    ends exactly, after at most 64 steps at k = 2.  ``cdf`` receives points
+    of shape (rows, -1) when ``lo`` has any dimension (row i of a group
+    belongs to distribution i).
+
+    The package's one root finder: ``Mixture._quantile`` inverts the
+    mixture CDF with it and ``gev_from_quantiles`` the Gev quantile ratio.
+    ``cdf`` should be nondecreasing; where its float values wobble, as the
+    ratio's do, the search still ends, next to one of the crossings of p.
     """
     p = np.asarray(p)[..., None]
     klo = _float_order(lo) - np.uint64(1)
@@ -755,12 +761,12 @@ def _layer_cake(kind, largs, family, fargs, breakpoints) -> np.ndarray:
 # Quantile-matched construction
 # ---------------------------------------------------------------------------
 
-def _gev_a(p: float, xi: float) -> float:
-    """(Q(p) - loc)/scale for the positive-shape extreme value CDF."""
+def _gev_a(p: float, xi):
+    """(Q(p) - loc)/scale for the positive-shape extreme value CDF; xi may be an array."""
     return ((-math.log(p)) ** (-xi) - 1.0) / xi
 
 
-def _quantile_ratio(xi: float) -> float:
+def _quantile_ratio(xi):
     return (_gev_a(0.9, xi) - _gev_a(0.5, xi)) / (_gev_a(0.5, xi) - _gev_a(0.1, xi))
 
 
@@ -768,68 +774,17 @@ _XI_MIN = 1e-9
 _XI_MAX = 2.0
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
-
-    Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4), operation for operation as the widely used
-    C ``brentq`` that the tests compare it with, so both return the same
-    float for the same ``f``, bracket and tolerances.  ``xcur`` is
-    the best estimate and ``xblk`` the other end of a bracket of the root.
-    A secant or inverse-quadratic step is taken when it is at most half
-    the step before last and inside 3/4 of the bracket, else the bracket
-    is bisected; no step is shorter than the tolerance.  Stops when the
-    half-bracket is below delta = (xtol + rtol*|xcur|)/2, or raises
-    FitError after 100 iterations.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise FitError(f"f({xa}) and f({xb}) must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise FitError(f"root finder did not converge in 100 iterations (last x={xcur})")
-
-
 def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
     """Construct the positive-shape Gev whose 10/50/90 quantiles match.
 
-    The asymmetry ratio (p90 - median)/(median - p10) pins the shape, which
-    is found on (0, 2] by ``_brentq``, Brent's bracketing root finder
-    (Brent, *Algorithms for Minimization without Derivatives*, 1973,
-    ch. 4); scale and location follow in closed form.  Raises FitError
-    when the triple is not achievable, which happens whenever the upper
-    spread is not sufficiently heavier than the lower one.
+    The asymmetry ratio (p90 - median)/(median - p10) pins the shape on
+    [1e-9, 2], found by ``_ksection`` (which also inverts the mixture CDF)
+    over ``_quantile_ratio``.  That ratio is increasing only up to
+    rounding: near shape 1e-9 its float values wobble by about 1e-7
+    relative, and any crossing of the target is returned there, as Brent's
+    method returned one.  Scale and location follow in closed form.
+    Raises FitError when the triple is not achievable, which happens
+    whenever the upper spread is not sufficiently heavier than the lower one.
     """
     if not (0.0 < p10):
         raise FitError("p10 must be positive")
@@ -849,7 +804,7 @@ def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
             f"asymmetry ratio {target:.4f} above the shape=2 limit {hi:.4f}; "
             "upper tail too heavy for shapes in (0, 2]"
         )
-    xi = _brentq(lambda x: _quantile_ratio(x) - target, _XI_MIN, _XI_MAX, xtol=1e-14, rtol=8.9e-16)
+    xi = float(_ksection(_quantile_ratio, target, _XI_MIN, _XI_MAX))
     scale = (p90 - p10) / (_gev_a(0.9, xi) - _gev_a(0.1, xi))
     loc = median - scale * _gev_a(0.5, xi)
     fitted = Gev(shape=float(xi), scale=float(scale), loc=float(loc))

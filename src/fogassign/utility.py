@@ -37,6 +37,7 @@ from .latency import (
     ConfigRecord,
     LatencyColumns,
     LatencyDistribution,
+    _group_rows,
     _parametric_from_config,
     expect_transforms,
 )
@@ -181,14 +182,12 @@ class UtilityColumns:
 
     def __init__(self, utilities):
         utilities = list(utilities)
-        members: dict[type, list[int]] = {}
-        for i, f in enumerate(utilities):
-            members.setdefault(type(f), []).append(i)
         self._families = []
-        for family, idx in members.items():
+        for idx in _group_rows(type(f) for f in utilities):
+            family = type(utilities[idx[0]])
             cols = family._columns([utilities[i] for i in idx])
             contiguous = idx[-1] - idx[0] == len(idx) - 1
-            rows = slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx)
+            rows = slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx
             self._families.append((family, rows, cols))
 
     def value(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:

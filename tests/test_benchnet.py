@@ -421,6 +421,11 @@ GOOD_SCHEDULE = {
 }
 
 
+def _with_size(size):
+    """A ``GOOD_SCHEDULE`` update whose one endpoint asks for ``size``."""
+    return {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": size}}]}
+
+
 class TestLoadSchedule:
     def write(self, tmp_path, cfg):
         path = tmp_path / "sched.json"
@@ -465,6 +470,13 @@ class TestLoadSchedule:
             ({"mode": {"kind": "fixed", "delta_s": -1}}, "delta_s must be finite and >= 0"),
             ({"timeout_s": 0}, "timeout_s must be finite and > 0"),
             ({"seed": -1}, "seed must be >= 0"),
+            # Numbers are never coerced: no fraction, string or bool.
+            (_with_size(5.7), r"endpoints\[0\]\.task\.size must be int"),
+            (_with_size("5000"), r"endpoints\[0\]\.task\.size must be int"),
+            (_with_size(True), r"endpoints\[0\]\.task\.size must be int"),
+            ({"count": 2.9}, "count must be int"),
+            ({"seed": True}, "seed must be int"),
+            ({"timeout_s": "3"}, "timeout_s must be float"),
         ],
     )
     def test_bad_value_is_named(self, tmp_path, update, match):

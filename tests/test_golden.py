@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` hold the CLI output for both bundled
 scenarios: ``fogassign solve`` as JSON (stdout) and CSV (``--out``), and
 ``fogassign simulate --reps 2000 --seed 7 --with-baselines`` (stdout),
-and ``fogassign reproduce`` (stdout; its timings go to stderr).
+``fogassign reproduce`` (stdout; its timings go to stderr), and
+``fogassign fit-gev`` on the measured summary (stdout).
 A change that alters any of them changes a result; regenerate them only
 when that is the intent, and say so in the change description.
 """
@@ -53,3 +54,8 @@ def test_simulate_with_baselines(name):
 
 def test_reproduce_stdout():
     assert _invoke(["reproduce"]) == (GOLDEN / "reproduce.stdout").read_bytes()
+
+
+def test_fit_gev_stdout():
+    got = _invoke(["fit-gev", "--median", "0.34", "--p10", "0.31", "--p90", "0.41"])
+    assert got == (GOLDEN / "fit_gev.json").read_bytes()
