@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .latency import Empirical, _number, make_rng
-from .scenario import _integer
+from .scenario import _integer, _text
 
 __all__ = [
     "PIC_ITER_RANGE",
@@ -335,10 +335,11 @@ class ProbeSchedule:
 
 
 _REQUIRED = object()
-# Numbers are read by the scenario reader's rules: a float is any JSON
+# Fields are read by the scenario reader's rules: a float is any JSON
 # number (``latency._number``), an int a whole one (``scenario._integer``),
-# and a bool or a string is neither.
-_STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, "")}
+# and a bool or a string is neither; a str is a JSON string
+# (``scenario._text``), never a number or a list spelled as one.
+_STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, ""), str: _text}
 
 
 def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
@@ -399,7 +400,11 @@ class ProbeRow:
 
 
 def _optional_float(text: str) -> float:
-    return float(text) if text else float("nan")
+    """A time in seconds: finite and >= 0, or NaN for an empty cell."""
+    value = float(text) if text else float("nan")
+    if value < 0.0 or value == math.inf:
+        raise ValueError(f"time {text!r} must be finite and >= 0")
+    return value
 
 
 def _optional_float_cell(value: float) -> str:
@@ -486,8 +491,9 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
 def load_probe_rows(path) -> list[ProbeRow]:
     """Read a probe CSV; 5-column files (no status) are treated as all-ok.
 
-    A missing column, a short row or a cell that does not parse raises
-    ValueError naming the file, the line and the column.
+    A missing column, a short row, a cell that does not parse, or a
+    negative or infinite gap or latency raises ValueError naming the
+    file, the line and the column.
     """
     path = Path(path)
     rows = []

@@ -12,7 +12,9 @@ parameters, which are floats for one distribution and (rows, 1) columns
 when ``LatencyColumns`` evaluates a group of distributions at once; the
 bound methods are adapters over the same formulas.  ``expect_transforms``
 and ``LatencyColumns.median`` score many distributions in one formula call
-per group, with results ``==`` to the per-distribution calls.
+per group, with results ``==`` to the per-distribution calls.  A group of
+mixtures is handled one component position at a time in both: its
+components at each position form a group of their own.
 
 Heavy-tailed completion times (Frechet-type extreme value laws with a
 positive shape parameter) are first-class here because they fit measured
@@ -653,38 +655,29 @@ def expect_transforms(dists, utilities) -> np.ndarray:
 
     A time-utility family computes values and budgets with static formulas
     ``_value(t, *params, out)`` and ``_latency_budget(q, *params)`` over
-    its ``_params``.  Mixtures are split into their components, level by
-    level, and summed back in component order.  The other pairs are grouped
-    by latency group key and time-utility family and scored a block of
-    rows at a time: a point mass or a sample set with one formula call, a
+    its ``_params``.  Pairs are grouped by latency group key and
+    time-utility family and scored a block of rows at a time: a sample set
+    or a point mass (a one-sample column) with one formula call, a
     continuous kind with one layer-cake call per panel count
-    (``_layer_cake``).  A pair's result does not depend on the other pairs
+    (``_layer_cake``).  A group of mixtures, whose members share their
+    component keys, scores its components by position, as ``LatencyColumns``
+    evaluates them: one recursive call per position, summed from 0.0 in
+    component order.  A pair's result does not depend on the other pairs
     scored with it.
     """
     dists, fs = list(dists), list(utilities)
-    n = len(dists)
-    leaves, levels, todo = [], [], range(n)
-    while len(todo):
-        sums, nested = [], []
-        for i in todo:
-            d = dists[i]
-            if isinstance(d, Mixture):
-                parts = range(len(dists), len(dists) + len(d.components))
-                dists.extend(d.components)
-                fs.extend([fs[i]] * len(parts))
-                sums.append((i, d.weights, parts))
-                nested.extend(parts)
-            else:
-                leaves.append(i)
-        levels.append(sums)
-        todo = nested
     out = np.empty(len(dists))
-    leaves = np.array(leaves, dtype=int)
-    for idx in _group_rows((dists[i]._group_key(), type(fs[i])) for i in leaves):
-        rows = leaves[idx]
-        group = [dists[i] for i in rows]
-        kind, family = type(group[0]), type(fs[rows[0]])
-        fargs = family._columns([fs[i] for i in rows])
+    for rows in _group_rows((d._group_key(), type(f)) for d, f in zip(dists, fs)):
+        group, gfs = [dists[i] for i in rows], [fs[i] for i in rows]
+        kind, family = type(group[0]), type(gfs[0])
+        if kind is Mixture:
+            total = np.zeros(len(rows))
+            for c in range(len(group[0].components)):
+                weights = np.array([d.weights[c] for d in group])
+                total = total + weights * expect_transforms([d.components[c] for d in group], gfs)
+            out[rows] = total
+            continue
+        fargs = family._columns(gfs)
         # Blocks of rows keep each call's arrays near _CHUNK_ELEMENTS: a
         # sample set's row holds its samples, a continuous row about 128
         # candidate panel edges.
@@ -693,25 +686,13 @@ def expect_transforms(dists, utilities) -> np.ndarray:
             sub = slice(i, i + block)
             part, fa = group[sub], _select(fargs, sub)
             largs = kind._columns(part)
-            if kind is Degenerate:
-                out[rows[sub]] = family._value(largs[0], *fa, out=np.empty((len(part), 1)))[:, 0]
-            elif kind is Empirical:
-                out[rows[sub]] = family._value(largs[0], *fa, out=np.empty(largs[0].shape)).mean(axis=1)
+            if kind in (Empirical, Degenerate):
+                values = family._value(largs[0], *fa, out=np.empty(largs[0].shape))
+                out[rows[sub]] = values.mean(axis=1)
             else:
                 breakpoints = np.array([d.breakpoints() for d in part], dtype=float)
                 out[rows[sub]] = _layer_cake(kind, largs, family, fa, breakpoints)
-    # Innermost mixtures first; each sum starts at 0.0 and adds the
-    # weighted components in order.
-    for sums in reversed(levels):
-        for idx in _group_rows(len(parts) for _, _, parts in sums):
-            slots = np.array([sums[j][0] for j in idx])
-            weights = np.array([sums[j][1] for j in idx])
-            parts = np.array([sums[j][2] for j in idx])
-            total = np.zeros(len(idx))
-            for c in range(parts.shape[1]):
-                total = total + weights[:, c] * out[parts[:, c]]
-            out[slots] = total
-    return out[:n]
+    return out
 
 
 def _select(args, rows) -> list:

@@ -193,6 +193,14 @@ def _integer(value, minimum: int, error: str) -> int:
     return int(value)
 
 
+def _text(value, *name: str) -> str:
+    """``value`` if it is a string, or a ValueError naming the field
+    ``" ".join(name)``; nothing else is coerced to one."""
+    if not isinstance(value, str):
+        raise ValueError(f"{' '.join(name)} must be a string (got {value!r})")
+    return value
+
+
 def _capacity_from_config(n: dict) -> int | None:
     cap = n.get("capacity", "inf")
     if cap == "inf":
@@ -206,10 +214,11 @@ def _record_name(cfg: dict, path: tuple) -> str:
         return "invalid scenario config"
     section, i, *sub = path
     kind = {"nodes": "node", "tasks": "task"}.get(section)
-    try:  # by id where the record has one, else by position
-        name = f"{kind} {str(cfg[section][i]['id'])!r}" if kind else f"{section}[{i}]"
+    try:  # by id where the record has a valid one, else by position
+        record_id = cfg[section][i]["id"] if kind else None
     except (LookupError, TypeError):
-        name = f"{section}[{i}]"
+        record_id = None
+    name = f"{kind} {record_id!r}" if isinstance(record_id, str) else f"{section}[{i}]"
     if sub:
         name += f" {sub[0]}" + "".join(f"[{k}]" for k in sub[1:])
     return name
@@ -221,9 +230,12 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         nodes = []
         for i, n in enumerate(cfg["nodes"]):
             where = ("nodes", i)
+            options = n["options"]
+            if not isinstance(options, list):
+                raise ValueError(f"options must be a list of strings (got {options!r})")
             nodes.append(NodeSpec(
-                id=str(n["id"]),
-                options=tuple(str(x) for x in n["options"]),
+                id=_text(n["id"], "id"),
+                options=tuple(_text(x, "options") for x in options),
                 capacity=_capacity_from_config(n),
             ))
         tasks = []
@@ -232,7 +244,7 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
             intrinsic = {}
             for k, e in enumerate(trec.get("intrinsic", [])):
                 where = ("tasks", i, "intrinsic", k)
-                pair = (str(e["node"]), str(e["option"]))
+                pair = (_text(e["node"], "node"), _text(e["option"], "option"))
                 if pair in intrinsic:
                     raise ScenarioError(
                         f"{_record_name(cfg, where[:2])}: duplicate intrinsic entry for node "
@@ -244,7 +256,7 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
             where = ("tasks", i, "utility")
             time_utility = utility_from_config(utility_cfg)
             where = ("tasks", i)
-            task_id = str(trec["id"])
+            task_id = _text(trec["id"], "id")
             floor = _number(trec.get("quality_floor", 0.0), "quality_floor")
             budget = _number(trec.get("risk_budget", 1.0), "risk_budget")
             where = ()  # TaskSpec names the task in its own errors
@@ -254,8 +266,10 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         seen = set()
         for i, e in enumerate(cfg.get("latency", [])):
             where = ("latency", i)
-            node, option, dist_cfg = str(e["node"]), str(e["option"]), e["dist"]
-            owner = f"task {str(e['task'])!r}" if "task" in e else "every task"
+            node, option = _text(e["node"], "node"), _text(e["option"], "option")
+            dist_cfg = e["dist"]
+            task = _text(e["task"], "task") if "task" in e else None
+            owner = "every task" if task is None else f"task {task!r}"
             if (owner, node, option) in seen:
                 raise ScenarioError(
                     f"duplicate latency entry for {owner}, node {node!r}, option {option!r}"
@@ -263,19 +277,19 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
             seen.add((owner, node, option))
             where = ("latency", i, "dist")
             dist = dist_from_config(dist_cfg, base_dir)
-            if "task" in e:  # an entry for one task overrides a shared one
-                latency[(str(e["task"]), node, option)] = dist
+            if task is not None:  # an entry for one task overrides a shared one
+                latency[(task, node, option)] = dist
             else:
                 for t in tasks:
                     latency.setdefault((t.id, node, option), dist)
         where = ()
         scenario = Scenario(
-            name=str(cfg.get("name", "unnamed")),
+            name=_text(cfg.get("name", "unnamed"), "name"),
             tasks=tasks,
             nodes=nodes,
             latency=latency,
             seed=_integer(cfg.get("seed", 0), 0, "seed must be an integer >= 0"),
-            notes=str(cfg.get("notes", "")),
+            notes=_text(cfg.get("notes", ""), "notes"),
         )
     except ScenarioError:
         raise

@@ -374,9 +374,20 @@ class TestProbe:
             ("", "line 1: missing column 'delta_t_s'"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status\n0.5,0.1,e,o,1\n",
              "line 2: column 'status': the row ends before it"),
+            # Gaps and latencies are times: finite and >= 0.
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,-0.1,e,o,1\n",
+             "line 2: column 'latency_s': cannot read '-0.1'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,inf,e,o,1\n",
+             "line 2: column 'latency_s': cannot read 'inf'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n-2,0.1,e,o,1\n",
+             "line 2: column 'delta_t_s': cannot read '-2'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n,0.1,e,o,1\n"
+             "Infinity,0.1,e,o,2\n",
+             "line 3: column 'delta_t_s': cannot read 'Infinity'"),
         ],
         ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file",
-             "short-row-status"],
+             "short-row-status", "negative-latency", "infinite-latency", "negative-gap",
+             "infinite-gap"],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"
@@ -424,6 +435,11 @@ GOOD_SCHEDULE = {
 def _with_size(size):
     """A ``GOOD_SCHEDULE`` update whose one endpoint asks for ``size``."""
     return {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": size}}]}
+
+
+def _with_url(url):
+    """A ``GOOD_SCHEDULE`` update whose one endpoint is at ``url``."""
+    return {"endpoints": [{"url": url, "task": {"kind": "pic", "size": 10}}]}
 
 
 class TestLoadSchedule:
@@ -477,6 +493,10 @@ class TestLoadSchedule:
             ({"count": 2.9}, "count must be int"),
             ({"seed": True}, "seed must be int"),
             ({"timeout_s": "3"}, "timeout_s must be float"),
+            # A url is a JSON string, never a number, null or list made one.
+            (_with_url(5), r"endpoints\[0\]\.url must be str, got 5"),
+            (_with_url(None), r"endpoints\[0\]\.url must be str, got None"),
+            (_with_url(["http://x"]), r"endpoints\[0\]\.url must be str, got \['http://x'\]"),
         ],
     )
     def test_bad_value_is_named(self, tmp_path, update, match):

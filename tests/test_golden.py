@@ -5,6 +5,14 @@ scenarios: ``fogassign solve`` as JSON (stdout) and CSV (``--out``), and
 ``fogassign simulate --reps 2000 --seed 7 --with-baselines`` (stdout),
 ``fogassign reproduce`` (stdout; its timings go to stderr), and
 ``fogassign fit-gev`` on the measured summary (stdout).
+
+The bundled scenarios use only Uniform latencies and WRF time-utilities,
+so ``every_kind.scenario.json`` adds one with every latency kind the
+scorer handles: a nested mixture, mixtures of 2 and 3 components, sample
+sets of 1 to 9 samples, point masses, Gev shapes 0.5, 1 and 2, all three
+time-utility families, binding risk budgets and a full capacitated node.
+Its ``solve`` and ``simulate`` stdout are kept the same way.
+
 A change that alters any of them changes a result; regenerate them only
 when that is the intent, and say so in the change description.
 """
@@ -50,6 +58,17 @@ def test_simulate_with_baselines(name):
         ["simulate", _bundled_path(name), "--reps", "2000", "--seed", "7", "--with-baselines"]
     )
     assert got == (GOLDEN / f"{name}.simulate.json").read_bytes()
+
+
+def test_every_kind_solve_json():
+    got = _invoke(["solve", str(GOLDEN / "every_kind.scenario.json")])
+    assert got == (GOLDEN / "every_kind.solve.json").read_bytes()
+
+
+def test_every_kind_simulate_with_baselines():
+    got = _invoke(["simulate", str(GOLDEN / "every_kind.scenario.json"),
+                   "--reps", "2000", "--seed", "7", "--with-baselines"])
+    assert got == (GOLDEN / "every_kind.simulate.json").read_bytes()
 
 
 def test_reproduce_stdout():

@@ -140,6 +140,22 @@ class TestValidation:
              r"latency\[0\] dist: empirical samples must be numbers \(got \[0.3\]\)"),
             (("latency", 0, "dist"), {"kind": "empirical", "samples": [0.2, 10**400]},
              r"latency\[0\] dist: empirical samples must be finite"),
+            # Ids, references and text are JSON strings, never coerced to one.
+            (("tasks", 0, "id"), 5, r"tasks\[0\]: id must be a string \(got 5\)"),
+            (("tasks", 0, "id"), ["t1"], r"tasks\[0\]: id must be a string \(got \['t1'\]\)"),
+            (("nodes", 0, "id"), 5, r"nodes\[0\]: id must be a string \(got 5\)"),
+            (("nodes", 1, "options"), "xy",
+             r"node 'b': options must be a list of strings \(got 'xy'\)"),
+            (("nodes", 1, "options"), ["x", 5], r"node 'b': options must be a string \(got 5\)"),
+            (("tasks", 0, "intrinsic", 0, "node"), 5,
+             r"task 't1' intrinsic\[0\]: node must be a string \(got 5\)"),
+            (("tasks", 0, "intrinsic", 1, "option"), None,
+             r"task 't1' intrinsic\[1\]: option must be a string \(got None\)"),
+            (("latency", 0, "node"), ["a"], r"latency\[0\]: node must be a string"),
+            (("latency", 0, "option"), 5, r"latency\[0\]: option must be a string"),
+            (("latency", 1, "task"), ["t1"], r"latency\[1\]: task must be a string"),
+            (("name",), ["x"], r"name must be a string \(got \['x'\]\)"),
+            (("notes",), 5, r"notes must be a string \(got 5\)"),
         ],
         ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
              "step-negative-tv", "step-huge-tv", "fractional-capacity", "bool-capacity",
@@ -147,7 +163,10 @@ class TestValidation:
              "bool-step-tv", "string-gev-params", "string-mixture-weight",
              "bool-risk-budget", "string-quality-floor", "string-intrinsic-value",
              "bool-empirical-sample", "string-empirical-sample", "nested-empirical-sample",
-             "huge-empirical-sample"],
+             "huge-empirical-sample", "int-task-id", "list-task-id", "int-node-id",
+             "string-options", "int-option", "int-intrinsic-node", "null-intrinsic-option",
+             "list-latency-node", "int-latency-option", "list-latency-task", "list-name",
+             "int-notes"],
     )
     def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
         cfg = json.loads(json.dumps(MINIMAL))
