@@ -166,11 +166,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _int_param(self, query: dict, name: str):
         try:
-            return int(query[name][0])
+            text = query[name][0]
         except (KeyError, IndexError):
             raise ValueError(f"missing required parameter {name!r}")
-        except ValueError:
-            raise ValueError(f"parameter {name!r} must be an integer")
+        # int() would also take signs, spaces, underscores and non-ASCII digits.
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"parameter {name!r} must be ASCII decimal digits (got {text!r})")
+        return int(text)
 
     def _check_range(self, task: BenchTask):
         if not self.server.allow_out_of_range and not task.range_ok():

@@ -189,17 +189,21 @@ class ServerlessModel:
     mixing: object
 
     def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi):
-            raise ValueError("thresholds require 0 <= lo < hi")
+        _check_thresholds(self.lo, self.hi)
 
     @classmethod
     def linear(cls, warm, cold, lo, hi) -> "ServerlessModel":
         return cls(warm=warm, cold=cold, lo=lo, hi=hi, mixing=LinearMixing(lo, hi))
 
 
+def _check_thresholds(lo: float, hi: float) -> None:
+    if not (0.0 <= lo < hi < np.inf):
+        raise ValueError(f"thresholds require 0 <= lo < hi < inf (got {lo}, {hi})")
+
+
 def serverless_latency(model: ServerlessModel, delta_t: float) -> LatencyDistribution:
     """Latency distribution for one invocation arriving delta_t after the last."""
-    if delta_t < 0.0:
+    if not delta_t >= 0.0:  # NaN too
         raise ValueError("inter-invocation time must be >= 0")
     if delta_t <= model.lo:
         return model.warm
@@ -224,8 +228,7 @@ def fit_serverless_regimes(
     estimate; the fitted weights are exposed on the model's mixing object.
     """
     lo, hi = thresholds
-    if not (0.0 <= lo < hi < np.inf):
-        raise ValueError(f"thresholds require 0 <= lo < hi < inf (got {lo}, {hi})")
+    _check_thresholds(lo, hi)
     if not (0.0 < bucket_width < np.inf):
         raise ValueError(f"bucket_width must be finite and > 0 (got {bucket_width})")
     if len(records) < 30:

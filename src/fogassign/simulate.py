@@ -92,7 +92,10 @@ def simulate(
         draws = scenario.dist(t.id, p.node, p.option).sample(stream, reps)
         vals = t.intrinsic[(p.node, p.option)] * t.time_utility.value(draws)
         means[t.id] = float(vals.mean())
-        ses[t.id] = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        se = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        # Equal draws have no spread, but std leaves a rounding residue on
+        # them, far below 1e-9 for values in [0, 1]: only such an se is checked.
+        ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se
     n_tasks = max(len(scenario.tasks), 1)
     overall = float(sum(means.values()) / n_tasks)
     overall_se = float(np.sqrt(sum(se**2 for se in ses.values())) / n_tasks)

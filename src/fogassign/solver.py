@@ -13,9 +13,7 @@ it, and a decision is a column index, or -1 for a rejected task.
 columns), in four stages:
 
 1. each task's best option per node is the first ``argmax`` in the node's
-   column block; a task whose overall best (the first ``argmax`` over the
-   nodes ordered unlimited first) is on an unlimited node is final, since
-   it does not compete for constrained slots,
+   column block,
 2. every task's *capacitated gain* on each finite node is its best utility
    there minus its best unlimited fallback,
 3. each run's gain-maximizing slot occupants are picked by a dynamic
@@ -23,14 +21,14 @@ columns), in four stages:
    for up to two finite-capacity nodes (``choose_for_capacitated``); one
    sweep solves every run of the batch, over the tasks with a positive
    gain in any run,
-4. everyone unchosen goes to their unlimited fallback, and tasks with no
-   positive-utility fallback are rejected.
+4. every task stage 3 did not choose goes to its unlimited fallback, and
+   tasks with no positive-utility fallback are rejected.
 
 ``solve_capacitated`` and ``solve_uncapacitated`` turn one table's chosen
 columns into ``Placement``s.  A gain of 0 or less is never chosen: the
 DP's skip branch dominates, so constrained slots are never filled at a
-loss.  A final task's gains are never positive, so stage 3 needs no
-separate rule to keep it out.
+loss.  A task whose best is on an unlimited node has no positive gain, so
+it ends on that best through stage 4.
 
 Tie-breaking is deterministic throughout: higher utility first, then
 unlimited-capacity nodes over finite ones (to conserve constrained
@@ -220,12 +218,13 @@ def _node_kinds(scenario: Scenario) -> tuple[list[int], list[int]]:
     return unlimited, [z for z, n in enumerate(scenario.nodes) if not n.infinite]
 
 
-def _node_bests(scenario: Scenario, utility: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each task's best positive option on each node.
+def complete_uncapacitated(scenario: Scenario, utility: np.ndarray):
+    """Stage 1: each task's best positive option on each node.
 
-    The best is the first ``argmax`` in the node's column block, so the
-    earlier option wins a tie.  Returns utilities and columns of shape
-    (..., tasks, nodes), 0 and -1 where the node offers nothing positive.
+    ``utility`` has shape (..., tasks, columns).  The best is the first
+    ``argmax`` in the node's column block, so the earlier option wins a
+    tie.  Returns utilities and columns of shape (..., tasks, nodes), 0 and
+    -1 where the node offers nothing positive.
     """
     shape = (*utility.shape[:-1], len(scenario.nodes))
     node_u, node_col = np.zeros(shape), np.full(shape, -1)
@@ -241,45 +240,24 @@ def _node_bests(scenario: Scenario, utility: np.ndarray) -> tuple[np.ndarray, np
     return node_u, node_col
 
 
-def _first_best(node_u, node_col, zs: list[int]):
-    """The first maximum over nodes ``zs``: its position in ``zs``, utility
-    and column, with column -1 where no node in ``zs`` offers anything."""
-    shape = node_u.shape[:-1]
-    if not zs:
-        return np.zeros(shape, dtype=int), np.zeros(shape), np.full(shape, -1)
-    u, col = node_u[..., zs], node_col[..., zs]
-    pos = u.argmax(axis=-1)[..., None]
-    return pos[..., 0], np.take_along_axis(u, pos, -1)[..., 0], np.take_along_axis(col, pos, -1)[..., 0]
-
-
-def complete_uncapacitated(scenario: Scenario, utility: np.ndarray):
-    """Stage 1: each task's best option per node, and the final tasks.
-
-    ``utility`` has shape (runs, tasks, columns).  A task is final when
-    its overall best, the first maximum of its per-node bests over the
-    nodes ordered unlimited first, is on an unlimited node: it cannot gain
-    from a constrained slot.  Returns the per-node bests (``node_u``,
-    ``node_col``, see ``_node_bests``) and the chosen column of each final
-    task, -1 for the rest (a finite best, or nothing positive anywhere).
-    """
-    node_u, node_col = _node_bests(scenario, utility)
-    unlimited, finite = _node_kinds(scenario)
-    pos, _, col = _first_best(node_u, node_col, unlimited + finite)
-    return node_u, node_col, np.where(pos < len(unlimited), col, -1)
-
-
 def capacitated_gains(scenario: Scenario, node_u: np.ndarray, node_col: np.ndarray):
     """Stage 2: each task's gain on each finite node over its fallback.
 
-    The fallback is the task's best over the unlimited nodes; its utility
-    is 0 and its column -1 when none offers anything positive.  The gain
-    array, of shape (runs, tasks, finite nodes), is the node's best
-    utility minus the fallback's exactly; it is negative when the finite
-    node is worse.  Stage 3 reads the rows of the tasks stage 1 left.
-    Returns (gains, fallback utility, fallback column).
+    The fallback is the task's first best over the unlimited nodes; its
+    utility is 0 and its column -1 when none offers anything positive.
+    The gain array, of shape (..., tasks, finite nodes), is the node's
+    best utility minus the fallback's exactly; it is negative when the
+    finite node is worse.  Returns (gains, fallback utility, fallback
+    column).
     """
     unlimited, finite = _node_kinds(scenario)
-    _, fb_u, fb_col = _first_best(node_u, node_col, unlimited)
+    if unlimited:
+        u, col = node_u[..., unlimited], node_col[..., unlimited]
+        pos = u.argmax(axis=-1)[..., None]
+        fb_u = np.take_along_axis(u, pos, -1)[..., 0]
+        fb_col = np.take_along_axis(col, pos, -1)[..., 0]
+    else:
+        fb_u, fb_col = np.zeros(node_u.shape[:-1]), np.full(node_u.shape[:-1], -1)
     return node_u[..., finite] - fb_u[..., None], fb_u, fb_col
 
 
@@ -345,7 +323,9 @@ def choose_for_capacitated(task_ids, gain1, gain2, c1: int, c2: int):
         np.copyto(to2, cand2, where=t2)
     # h(i, a, b) allows at most a and b slots, so it is monotone in capacity
     # and the full-capacity corner holds the optimum; backtracking from it
-    # keeps the per-cell tie rule (skip, then node 1) as the only one.
+    # keeps the per-cell tie rule (skip, then node 1) as the only one.  The
+    # backtrack reads each run's masks in scalar steps: a numpy step per
+    # task over the run axis costs over ten times as much on a one-run solve.
     slots = []
     for r in range(runs):
         t1, t2, row = take1[:, r], take2[:, r], [-1] * n
@@ -389,26 +369,26 @@ def solve_batch(scenario: Scenario, utility) -> np.ndarray:
     """
     finite = _slot_nodes(scenario)
     utility = np.asarray(utility, dtype=float)
-    node_u, node_col, chosen = complete_uncapacitated(scenario, utility)
+    node_u, node_col = complete_uncapacitated(scenario, utility)
     gains, fb_u, fb_col = capacitated_gains(scenario, node_u, node_col)
     # A missing second (or first) finite node is a node of no slots.
     gains = np.concatenate([gains, np.zeros((*gains.shape[:-1], 2 - len(finite)))], axis=-1)
     c1, c2 = ([scenario.nodes[z].capacity for z in finite] + [0, 0])[:2]
     ids = np.flatnonzero((gains > 0).any(axis=(0, 2)))
     slots = choose_for_capacitated(ids, gains[:, ids, 0], gains[:, ids, 1], c1, c2)
-    sub = chosen[:, ids]
+    chosen = np.full(fb_col.shape, -1)
     for slot, z in enumerate(finite):
-        sub = np.where(slots == slot, node_col[:, ids, z], sub)
-    chosen[:, ids] = sub
+        chosen[:, ids] = np.where(slots == slot, node_col[:, ids, z], chosen[:, ids])
     return reject_unassignable(chosen, fb_u, fb_col)
 
 
 def solve_uncapacitated(scenario: Scenario, table: UtilityTable | None = None) -> AssignmentPlan:
     """Optimal plan when every node has unlimited capacity.
 
-    The objective decomposes across tasks, so stage 1 places every task on
-    its best placement, which is globally optimal.  Tasks with best
-    utility 0 are rejected.
+    The objective decomposes across tasks, so each task's best placement
+    is globally optimal.  With no finite node there is no gain, and stage
+    4 places every task on its fallback, the first best over all nodes.
+    Tasks with best utility 0 are rejected.
     """
     finite = [n.id for n in scenario.nodes if not n.infinite]
     if finite:
@@ -416,8 +396,7 @@ def solve_uncapacitated(scenario: Scenario, table: UtilityTable | None = None) -
             f"scenario has capacitated nodes {finite}; use solve_capacitated"
         )
     table = table or UtilityTable(scenario)
-    _, _, chosen = complete_uncapacitated(scenario, table.utility[None])
-    return table.plan(chosen[0], solver="ua")
+    return table.plan(solve_batch(scenario, table.utility[None])[0], solver="ua")
 
 
 def solve_capacitated(scenario: Scenario, table: UtilityTable | None = None) -> AssignmentPlan:
@@ -452,9 +431,9 @@ def brute_force_optimum(scenario: Scenario, table: UtilityTable | None = None) -
         raise SizeGuardError(f"brute force limited to {BRUTE_MAX_OPTIONS} options per node")
     table = table or UtilityTable(scenario)
 
-    unlimited, finite = _node_kinds(scenario)
-    node_u, node_col = _node_bests(scenario, table.utility)
-    _, fb_u, fb_col = _first_best(node_u, node_col, unlimited)
+    _, finite = _node_kinds(scenario)
+    node_u, node_col = complete_uncapacitated(scenario, table.utility)
+    _, fb_u, fb_col = capacitated_gains(scenario, node_u, node_col)
     node_u, node_col, fb_u = node_u.tolist(), node_col.tolist(), fb_u.tolist()
     tasks = range(len(scenario.tasks))
 

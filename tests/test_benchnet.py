@@ -119,6 +119,18 @@ class TestServer:
         err.value.close()
         assert err.value.code in (400, 404)
 
+    @pytest.mark.parametrize("path", [
+        "/pic?iters=5_000", "/psf?lines=1_000", "/pic?iters=%D9%A5", "/pic?iters=%2B5",
+        "/pic?iters=%205", "/psf?lines=-5",
+    ])
+    def test_integer_parameters_take_ascii_digits_only(self, server, path):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get_json(f"{server.url}{path}")
+        payload = json.loads(err.value.read().decode())
+        err.value.close()
+        assert err.value.code == 400
+        assert "must be ASCII decimal digits" in payload["error"]
+
     def test_empty_fsp_body_rejected(self, server):
         req = urllib.request.Request(f"{server.url}/fsp", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:

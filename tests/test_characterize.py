@@ -170,6 +170,17 @@ class TestServerlessLatency:
         with pytest.raises(ValueError):
             serverless_latency(self.model, -1.0)
 
+    def test_rejects_nan_gap(self):
+        with pytest.raises(ValueError, match="inter-invocation time must be >= 0"):
+            serverless_latency(self.model, float("nan"))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(10.0, np.inf), (np.inf, np.inf), (10.0, np.nan), (np.nan, 60.0)]
+    )
+    def test_model_rejects_non_finite_thresholds(self, lo, hi):
+        with pytest.raises(ValueError, match="thresholds require 0 <= lo < hi < inf"):
+            ServerlessModel.linear(Degenerate(0.1), Degenerate(1.0), lo, hi)
+
     def test_linear_mixing_endpoints(self):
         mixing = LinearMixing(10.0, 60.0)
         assert mixing(10.0) == 1.0

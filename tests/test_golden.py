@@ -4,7 +4,9 @@ The files under ``tests/golden/`` hold the CLI output for both bundled
 scenarios: ``fogassign solve`` as JSON (stdout) and CSV (``--out``), and
 ``fogassign simulate --reps 2000 --seed 7 --with-baselines`` (stdout),
 ``fogassign reproduce`` (stdout; its timings go to stderr), and
-``fogassign fit-gev`` on the measured summary (stdout).
+``fogassign fit-gev`` on the measured summary (stdout).  The other two
+solvers are kept too: ``solve --solver ua`` on ``vii_d_base`` (no finite
+node) and ``solve --solver oracle`` on ``vii_d_two_cap``.
 
 The bundled scenarios use only Uniform latencies and WRF time-utilities,
 so ``every_kind.scenario.json`` adds one with every latency kind the
@@ -43,6 +45,12 @@ def _invoke(args):
 def test_solve_json(name):
     got = _invoke(["solve", _bundled_path(name)])
     assert got == (GOLDEN / f"{name}.solve.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, solver", [("vii_d_base", "ua"), ("vii_d_two_cap", "oracle")])
+def test_solve_json_other_solver(name, solver):
+    got = _invoke(["solve", _bundled_path(name), "--solver", solver])
+    assert got == (GOLDEN / f"{name}.solve_{solver}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -122,6 +122,15 @@ class TestSimulate:
         for se in result.per_task_se.values():
             assert se < 1e-12
 
+    def test_equal_draws_have_an_se_of_exactly_zero(self):
+        # Every draw is worth 0.58; std of 2,000 copies is not exactly 0.
+        task = TaskSpec(id="t", time_utility=Step(1.0), intrinsic={("z", "x"): 0.58})
+        scen = Scenario(name="flat", tasks=[task], nodes=[NodeSpec(id="z", options=("x",))],
+                        latency={("t", "z", "x"): Degenerate(0.5)})
+        result = simulate(scen, solve_uncapacitated(scen), reps=2000, rng=make_rng(0))
+        assert result.per_task_mean["t"] == pytest.approx(0.58)
+        assert result.per_task_se["t"] == result.overall_se == 0.0
+
     def test_reps_must_be_positive(self, base):
         scen, table = base
         plan = solve_uncapacitated(scen, table)

@@ -99,30 +99,20 @@ def best_on_node(task, node, dists):
     latency = {(task.id, node.id, x): d for x, d in dists.items()}
     scen = Scenario(name="one-node", tasks=[task], nodes=[node], latency=latency)
     table = UtilityTable(scen)
-    _, node_col, _ = complete_uncapacitated(scen, table.utility[None])
+    _, node_col = complete_uncapacitated(scen, table.utility[None])
     return decisions(table, node_col[0, :, 0])[0]
 
 
-def stage1(scen):
-    """Stage 1 on a fresh table: (placements of the final tasks, residual tasks)."""
-    table = UtilityTable(scen)
-    _, _, chosen = complete_uncapacitated(scen, table.utility[None])
-    placed = {t.id: p for t, p in zip(scen.tasks, decisions(table, chosen[0])) if p is not None}
-    return placed, [t for t in scen.tasks if t.id not in placed]
-
-
 def stage2(scen):
-    """Stages 1 and 2 on a fresh table: the residual tasks' gains, keyed by
-    (task, finite node), and their fallback placements."""
+    """Stages 1 and 2 on a fresh table: every task's gains, keyed by
+    (task, finite node), and its fallback placement."""
     table = UtilityTable(scen)
-    node_u, node_col, chosen = complete_uncapacitated(scen, table.utility[None])
-    gains, _, fb_col = capacitated_gains(scen, node_u, node_col)
+    gains, _, fb_col = capacitated_gains(scen, *complete_uncapacitated(scen, table.utility[None]))
     finite = [n.id for n in scen.nodes if not n.infinite]
     fallback = decisions(table, fb_col[0])
-    residual = np.flatnonzero(chosen[0] < 0).tolist()
     return (
-        {(scen.tasks[i].id, z): gains[0, i, f] for i in residual for f, z in enumerate(finite)},
-        {scen.tasks[i].id: fallback[i] for i in residual},
+        {(t.id, z): gains[0, i, f] for i, t in enumerate(scen.tasks) for f, z in enumerate(finite)},
+        {t.id: fallback[i] for i, t in enumerate(scen.tasks)},
     )
 
 
@@ -187,19 +177,15 @@ class TestBestOnNodeCache:
             scen = tie_heavy_scenario(seed)
             table, ref_table = UtilityTable(scen), UtilityTable(scen)
             unlimited = [n for n in scen.nodes if n.infinite]
-            node_u, node_col, chosen = complete_uncapacitated(scen, table.utility[None])
+            node_u, node_col = complete_uncapacitated(scen, table.utility[None])
             _, _, fb_col = capacitated_gains(scen, node_u, node_col)
             per_node = [decisions(table, node_col[0, :, z]) for z in range(len(scen.nodes))]
-            fallback, final = decisions(table, fb_col[0]), decisions(table, chosen[0])
+            fallback = decisions(table, fb_col[0])
             for i, t in enumerate(scen.tasks):
                 where = (seed, t.id)
                 for z, node in enumerate(scen.nodes):
                     assert per_node[z][i] == scan_best_placement(ref_table, t, [node]), where
                 assert fallback[i] == scan_best_placement(ref_table, t, unlimited), where
-                # Stage 1 finalizes exactly the tasks whose overall best is unlimited.
-                best = scan_best_placement(ref_table, t, scen.nodes)
-                on_unlimited = best is not None and scen.node(best.node).infinite
-                assert final[i] == (best if on_unlimited else None), where
 
     def test_second_call_returns_the_cached_object(self):
         scen = bundled_scenario("vii_d_base")
@@ -215,7 +201,7 @@ class TestBestOnNodeCache:
         scen = step_scenario([[0.0, 0.5]], [1, None])
         table = CountingTable(scen)
         for _ in range(2):
-            _, node_col, _ = complete_uncapacitated(scen, table.utility[None])
+            _, node_col = complete_uncapacitated(scen, table.utility[None])
             assert node_col[0, 0, 0] == -1
         assert table.reads[("j0", "z0", "x")] == 1
 
@@ -462,23 +448,27 @@ class TestUncapacitated:
 
 
 class TestCompleteUncapacitated:
-    def test_cloud_best_finalized_gateway_best_residual(self):
-        # j0 best on infinite z1; j1 best on finite z0
-        scen = step_scenario([[0.3, 0.8], [0.8, 0.3]], [2, None])
-        placed, residual = stage1(scen)
-        assert set(placed) == {"j0"}
-        assert placed["j0"].node == "z1"
-        assert [t.id for t in residual] == ["j1"]
-
-    def test_tie_finalizes_on_infinite_node(self):
-        scen = step_scenario([[0.6, 0.6]], [1, None])
-        placed, residual = stage1(scen)
-        assert placed["j0"].node == "z1"
-        assert residual == []
-        # and total utility is unchanged versus the exhaustive optimum
-        plan = solve_capacitated(scen)
-        oracle = brute_force_optimum(scen)
-        assert plan.total_utility == pytest.approx(oracle.total_utility, abs=1e-12)
+    def test_unlimited_best_has_no_gain_and_ends_there(self):
+        # A task whose best over all nodes (ties to unlimited nodes) is on an
+        # unlimited node never takes a constrained slot: its gain is 0 or
+        # less on every finite node, and stage 4 places it on that best.
+        cases = [(tie_heavy_scenario, s) for s in range(300)]
+        cases += [(random_scenario, s) for s in range(200)]
+        for make, seed in cases:
+            scen = make(seed)
+            table, ref_table = UtilityTable(scen), UtilityTable(scen)
+            node_u, node_col = complete_uncapacitated(scen, table.utility[None])
+            gains, _, _ = capacitated_gains(scen, node_u, node_col)
+            fits_dp = sum(not n.infinite for n in scen.nodes) <= 2
+            plan = solve_capacitated(scen, table) if fits_dp else None
+            for i, t in enumerate(scen.tasks):
+                best = scan_best_placement(ref_table, t, scen.nodes)
+                if best is None or not scen.node(best.node).infinite:
+                    continue
+                where = (make.__name__, seed, t.id)
+                assert (gains[0, i] <= 0.0).all(), where
+                if plan is not None:
+                    assert plan.decisions[t.id] == best, where
 
 
 class TestCapacitatedGains:
@@ -502,10 +492,10 @@ class TestCapacitatedGains:
         )
         scen.tasks[0].quality_floor = 0.5
         scen.latency[("j0", "z0", "x")] = Uniform(0.0, 2.5)  # risk 0.8 > 0.1
-        _, residual = stage1(scen)
-        assert [t.id for t in residual] == ["j0", "j1"]
         gains, _ = stage2(scen)
         assert gains[("j0", "z0")] == pytest.approx(-0.45)
+        # both tasks gain on z1, so they compete for its one slot
+        assert gains[("j0", "z1")] > 0.0 and gains[("j1", "z1")] > 0.0
         plan = solve_capacitated(scen)
         assert plan.decisions["j0"].node == "z2"
         assert plan.decisions["j1"].node == "z1"
