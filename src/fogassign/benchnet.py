@@ -80,6 +80,16 @@ class EmptySummaryError(ValueError):
     pass
 
 
+def _digits(text: str, name: str) -> int:
+    """``text`` as a nonnegative integer, or a ValueError naming ``name``.
+
+    int() would also take signs, spaces, underscores and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be ASCII decimal digits (got {text!r})")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class BenchTask:
     """One benchmark invocation: kind plus its size parameter.
@@ -169,10 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
             text = query[name][0]
         except (KeyError, IndexError):
             raise ValueError(f"missing required parameter {name!r}")
-        # int() would also take signs, spaces, underscores and non-ASCII digits.
-        if not (text.isascii() and text.isdigit()):
-            raise ValueError(f"parameter {name!r} must be ASCII decimal digits (got {text!r})")
-        return int(text)
+        return _digits(text, f"parameter {name!r}")
 
     def _check_range(self, task: BenchTask):
         if not self.server.allow_out_of_range and not task.range_ok():
@@ -216,10 +223,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {parsed.path!r}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            if length < 0:
-                # rfile.read(-1) would block until the client hangs up.
-                raise ValueError(f"Content-Length must be >= 0 (got {length})")
+            # No sign: rfile.read(-1) would block until the client hangs up.
+            length = _digits(self.headers.get("Content-Length", "0"), "Content-Length")
             if length > FSP_MAX_BODY_BYTES:
                 self._reply(413, {"error": f"body exceeds {FSP_MAX_BODY_BYTES} bytes"})
                 return
@@ -284,6 +289,14 @@ def start_server(dataset_path, host: str = "127.0.0.1", port: int = 0,
 class ProbeTarget:
     base_url: str
     task: BenchTask
+
+    def __post_init__(self):
+        # An /fsp body line is at most 7 characters and a newline; a larger
+        # size is refused here, before its body is built in memory.
+        most = FSP_MAX_BODY_BYTES // 8
+        if self.task.kind == "fsp" and self.task.size > most:
+            raise ValueError(f"fsp size {self.task.size} exceeds {most} lines, the most "
+                             f"whose body always fits in {FSP_MAX_BODY_BYTES} bytes")
 
     def endpoint(self) -> str:
         return f"{self.base_url.rstrip('/')}/{self.task.kind}"
@@ -403,6 +416,9 @@ class ProbeRow:
 
 def _optional_float(text: str) -> float:
     """A time in seconds: finite and >= 0, or NaN for an empty cell."""
+    # float() would also take spaces, underscores and non-ASCII digits.
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"time {text!r} must be an ASCII decimal number")
     value = float(text) if text else float("nan")
     if value < 0.0 or value == math.inf:
         raise ValueError(f"time {text!r} must be finite and >= 0")
@@ -421,7 +437,7 @@ PROBE_COLUMNS = (
     ("latency_s", _optional_float, _optional_float_cell),
     ("endpoint", str, str),
     ("option", str, str),
-    ("timestamp_unix_ms", lambda text: int(text or 0), str),
+    ("timestamp_unix_ms", lambda text: _digits(text, "timestamp") if text else 0, str),
     ("status", lambda text: text or "ok", str),
 )
 

@@ -9,12 +9,13 @@ the caller passes in.
 
 Each kind computes its CDF and quantile with static formulas over its
 parameters, which are floats for one distribution and (rows, 1) columns
-when ``LatencyColumns`` evaluates a group of distributions at once; the
-bound methods are adapters over the same formulas.  ``expect_transforms``
-and ``LatencyColumns.median`` score many distributions in one formula call
-per group, with results ``==`` to the per-distribution calls.  A group of
-mixtures is handled one component position at a time in both: its
-components at each position form a group of their own.
+when ``Columns``, the grouped evaluator that the time-utility families of
+``utility`` share, evaluates a group of records at once; the bound methods
+are adapters over the same formulas.  ``expect_transforms`` and
+``Columns.median`` score many distributions in one formula call per group,
+with results ``==`` to the per-distribution calls.  A group of mixtures is
+handled one component position at a time in both: its components at each
+position form a group of their own.
 
 Heavy-tailed completion times (Frechet-type extreme value laws with a
 positive shape parameter) are first-class here because they fit measured
@@ -45,7 +46,7 @@ __all__ = [
     "Empirical",
     "Mixture",
     "Degenerate",
-    "LatencyColumns",
+    "Columns",
     "expect_transform",
     "expect_transforms",
     "gev_from_quantiles",
@@ -138,6 +139,10 @@ class ConfigRecord:
             cfg[p] = getattr(self, p)
         return cfg
 
+    def _group_key(self):
+        """Records with equal keys share formula calls in ``Columns``."""
+        return type(self)
+
     def _args(self) -> tuple:
         """The arguments of the kind's formulas: the ``_params`` values."""
         return tuple([getattr(self, p) for p in self._params])
@@ -160,8 +165,8 @@ class LatencyDistribution(ConfigRecord):
     A kind computes its CDF and quantile with static formulas
     ``_cdf(t, *args)`` and ``_quantile(p, *args)`` over the arguments that
     ``_args()`` returns: its ``_params`` values for one distribution, and
-    (rows, 1) columns of them (``_columns``) when ``LatencyColumns``
-    evaluates a group of distributions at once.  The methods below are
+    (rows, 1) columns of them (``_columns``) when ``Columns`` evaluates a
+    group of distributions at once.  The methods below are
     adapters over those formulas.
     """
 
@@ -198,17 +203,13 @@ class LatencyDistribution(ConfigRecord):
         return self._eval_quantile(u)
 
     def _eval_cdf(self, t: np.ndarray) -> np.ndarray:
-        """The CDF formula at ``t``, unchecked; ``LatencyColumns`` has its twin."""
+        """The CDF formula at ``t``, unchecked; ``Columns`` has its twin."""
         return self._cdf(t, *self._args())
 
     def _eval_quantile(self, p: np.ndarray) -> np.ndarray:
         return self._quantile(p, *self._args())
 
     # Subclass surface -----------------------------------------------------
-
-    def _group_key(self):
-        """Distributions with equal keys share formula calls in ``LatencyColumns``."""
-        return type(self)
 
     @staticmethod
     def _cdf(t: np.ndarray, *args) -> np.ndarray:
@@ -484,7 +485,7 @@ class Mixture(LatencyDistribution):
     the smallest and largest component quantiles, so quantiles on a jump
     land on its atom.  The formula arguments are the weights and the
     components; for a group of mixtures with equal component keys they are
-    one weight column and one ``LatencyColumns`` per component position.
+    one weight column and one ``Columns`` per component position.
     """
 
     def __init__(self, components, weights):
@@ -511,7 +512,7 @@ class Mixture(LatencyDistribution):
     @classmethod
     def _columns(cls, group):
         weights = [np.array(w)[:, None] for w in zip(*(d.weights for d in group))]
-        return weights, [LatencyColumns(c) for c in zip(*(d.components for d in group))]
+        return weights, [Columns(c) for c in zip(*(d.components for d in group))]
 
     @staticmethod
     def _cdf(t, weights, components):
@@ -587,54 +588,69 @@ def _group_rows(keys) -> list[np.ndarray]:
     return [np.array(idx) for idx in members.values()]
 
 
-class LatencyColumns:
-    """Many distributions' CDFs and quantiles, one formula call per group.
+class Columns:
+    """Many records' formulas (latency kinds or time-utility families), one
+    call per group of records.
 
-    Row i of an argument belongs to ``dists[i]``.  Distributions with equal
-    ``_group_key`` (the kind; for ``Empirical`` also the sample count, for
-    ``Mixture`` the component keys, for ``Gev`` whether shape is 1) form a
-    group, and ``groups`` holds each group's rows, kind and formula
-    arguments (``_columns``), built here once.  Every result is ``==`` to
-    the one its distribution's own methods give.
+    Row i of an argument's second-to-last axis belongs to ``records[i]``, as
+    the (rows, 1) parameter columns broadcast: time-utility formulas take
+    leading axes too, a latency CDF takes (rows, points), the shape
+    ``Empirical._cdf`` assumes.  Records with equal ``_group_key`` form a
+    group, and ``groups`` holds each group's rows (a slice when they are
+    contiguous), kind and formula arguments (``_columns``), built here once.
+    Every result is ``==`` to the one its record's own method gives.
     """
 
-    def __init__(self, dists):
-        dists = list(dists)
-        self.size = len(dists)
+    def __init__(self, records):
+        records = list(records)
+        self.size = len(records)
         self.groups = []
-        for rows in _group_rows(d._group_key() for d in dists):
-            group = [dists[i] for i in rows]
-            kind = type(group[0])
-            self.groups.append((rows, kind, kind._columns(group)))
+        for idx in _group_rows(r._group_key() for r in records):
+            kind = type(records[idx[0]])
+            contiguous = idx[-1] - idx[0] == len(idx) - 1
+            rows = slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx
+            self.groups.append((rows, kind, kind._columns([records[i] for i in idx])))
 
     def _eval_cdf(self, t) -> np.ndarray:
-        """Row i of ``t``, of shape (len, ...), through ``dists[i]``'s CDF."""
+        """Row i of ``t``, of shape (len, points), through ``records[i]``'s CDF."""
         return self._rows("_cdf", t)
 
     def _eval_quantile(self, p) -> np.ndarray:
-        """Row i of ``p`` through ``dists[i]``'s quantile; a 0-d ``p`` is
+        """Row i of ``p`` through ``records[i]``'s quantile; a 0-d ``p`` is
         every distribution's quantile at p, as ``quantile(p)`` gives it."""
         p = np.asarray(p, dtype=float)
         if p.ndim:
             return self._rows("_quantile", p)
         out = np.empty(self.size)
         for rows, kind, args in self.groups:
-            out[rows] = kind._quantile(p, *args).reshape(len(rows))
+            out[rows] = kind._quantile(p, *args).reshape(-1)
         return out
 
     def median(self) -> np.ndarray:
         """Each distribution's ``quantile(0.5)``."""
         return self._eval_quantile(0.5)
 
+    def latency_budget(self, q) -> np.ndarray:
+        """Row i of ``q`` through ``records[i]``'s time-utility budget."""
+        return self._rows("_latency_budget", q)
+
+    def value(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``records[i].value(t[..., i, :])`` into ``out[..., i, :]``; ``out``
+        may be ``t``.  A group of contiguous rows is written in place through
+        views; any other group is gathered and scattered back."""
+        for rows, kind, args in self.groups:
+            sub = out[..., rows, :]
+            kind._value(t[..., rows, :], *args, out=sub)
+            if not isinstance(rows, slice):
+                out[..., rows, :] = sub
+        return out
+
     def _rows(self, formula: str, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not self.size:
-            return np.empty(x.shape)
-        flat = x.reshape(self.size, -1)
-        out = np.empty(flat.shape)
+        out = np.empty(x.shape)
         for rows, kind, args in self.groups:
-            out[rows] = getattr(kind, formula)(flat[rows], *args)
-        return out.reshape(x.shape)
+            out[..., rows, :] = getattr(kind, formula)(x[..., rows, :], *args)
+        return out
 
 
 def expect_transform(dist: LatencyDistribution, f) -> float:
@@ -660,7 +676,7 @@ def expect_transforms(dists, utilities) -> np.ndarray:
     or a point mass (a one-sample column) with one formula call, a
     continuous kind with one layer-cake call per panel count
     (``_layer_cake``).  A group of mixtures, whose members share their
-    component keys, scores its components by position, as ``LatencyColumns``
+    component keys, scores its components by position, as ``Columns``
     evaluates them: one recursive call per position, summed from 0.0 in
     component order.  A pair's result does not depend on the other pairs
     scored with it.

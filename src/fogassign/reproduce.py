@@ -20,7 +20,7 @@ drew them (cloud intrinsic utilities, then the gateway's latency draws,
 then the cloud's), so the random stream is unchanged.  Each node's draws
 are transformed at once and stored as a (runs, node, task, sample) block,
 and every task's time utility is evaluated over it in place, one formula
-call per utility family (``utility.UtilityColumns``).  Each block row of
+call per utility family (``latency.Columns``).  Each block row of
 samples is C-contiguous, so each run's mean is numpy's pairwise sum over
 its samples and the estimates are bit-identical to scoring runs one by
 one.  Scores collect in a ``_RQ_SOLVE``-run array that
@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import FitError, Gev, Uniform, gev_from_quantiles, make_rng
+from .latency import Columns, FitError, Gev, Uniform, gev_from_quantiles, make_rng
 from .scenario import NodeSpec, Scenario, bundled_scenario
 from .simulate import run_baseline
 from .solver import UtilityTable, solve_batch, solve_capacitated, solve_uncapacitated
-from .utility import TaskSpec, UtilityColumns, WaitReadyFirst
+from .utility import TaskSpec, WaitReadyFirst
 
 __all__ = ["CheckResult", "ExperimentReport", "EXPERIMENTS", "run_experiment", "format_report"]
 
@@ -172,13 +172,13 @@ def _rq_draw(rng, dists, u, t):
 def _rq_scores(utilities, a2, t):
     """Sampled gateway and cloud utilities of a block of runs.
 
-    ``utilities`` is the tasks' ``UtilityColumns``; ``a2`` holds each run's
-    cloud intrinsic utilities, shape (runs, tasks); ``t`` holds its latency
-    draws, shape (runs, node, tasks, samples), gateway first, and is
-    overwritten with their time utilities.  Returns two (runs, tasks)
-    arrays.  ``t`` must be C-contiguous: each mean is then numpy's pairwise
-    sum over one contiguous row of samples, the same sum as the mean of one
-    run's column.
+    ``utilities`` is the tasks' time utilities as ``Columns``; ``a2``
+    holds each run's cloud intrinsic utilities, shape (runs, tasks); ``t``
+    holds its latency draws, shape (runs, node, tasks, samples), gateway
+    first, and is overwritten with their time utilities.  Returns two
+    (runs, tasks) arrays.  ``t`` must be C-contiguous: each mean is then
+    numpy's pairwise sum over one contiguous row of samples, the same sum
+    as the mean of one run's column.
     """
     m = utilities.value(t, out=t).mean(axis=-1)
     return 0.6 * m[:, 0], a2 * m[:, 1]
@@ -193,7 +193,7 @@ def _random_quality() -> ExperimentReport:
     dists = (scen.dist("t01", "gateway", "o1"), scen.dist("t01", "cloud", "o1"))
     tasks = scen.tasks
     n = len(tasks)
-    utilities = UtilityColumns(t.time_utility for t in tasks)
+    utilities = Columns(t.time_utility for t in tasks)
     columns = UtilityTable(scen).columns
     gw, cl = columns.index(("gateway", "o1")), columns.index(("cloud", "o1"))
     on_gateway = np.zeros(n, dtype=int)

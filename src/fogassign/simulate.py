@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import LatencyColumns, make_rng
+from .latency import Columns, make_rng
 from .scenario import Scenario
 from .solver import PLAN_COLUMNS, AssignmentPlan, UtilityTable
 
@@ -132,7 +132,7 @@ def run_baseline(scenario: Scenario, strategy: str, table: UtilityTable | None =
         tasks = scenario.tasks
         dists = [scenario.dist(tasks[i].id, *table.columns[k])
                  for i, k in zip(rows.tolist(), cols.tolist())]
-        score[rows, cols] = LatencyColumns(dists).median()
+        score[rows, cols] = Columns(dists).median()
     else:
         score = np.where(feasible, -table.intrinsic, np.inf)
     # The first minimum in column order: earlier nodes, then earlier options.

@@ -19,7 +19,8 @@ to a latency threshold and no sampling is needed to check risk budgets.
 
 Each family computes its values and latency budgets with one formula
 each over its parameters, which are floats for one utility and (tasks, 1)
-columns when ``UtilityColumns`` evaluates many tasks' utilities at once.
+columns when ``latency.Columns``, the grouped evaluator that the latency
+kinds share, evaluates many tasks' utilities at once.
 The same parameter list is the family's config record: its ``kind`` tag
 (``step``, ``exp``, ``wrf``) plus one number per parameter.
 
@@ -34,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .latency import (
+    Columns,
     ConfigRecord,
-    LatencyColumns,
     LatencyDistribution,
-    _group_rows,
     _parametric_from_config,
     expect_transforms,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "Step",
     "ExpDecay",
     "WaitReadyFirst",
-    "UtilityColumns",
     "TaskSpec",
     "UtilityReport",
     "risk_probability",
@@ -169,42 +168,6 @@ class WaitReadyFirst(TimeUtility):
         return te + (1.0 - q) * (ts - te)
 
 
-class UtilityColumns:
-    """Many tasks' time utilities, evaluated one family at a time.
-
-    ``value(t, out)`` puts ``utilities[i].value(t[..., i, :])`` into
-    ``out[..., i, :]`` for every i with one formula call per family, whose
-    parameters are (tasks, 1) columns built here once; ``out`` may be
-    ``t``.  A family whose tasks are one contiguous range is evaluated in
-    place through views; any other family is gathered and scattered back.
-    ``latency_budget(q)`` does the same for the budgets.
-    """
-
-    def __init__(self, utilities):
-        utilities = list(utilities)
-        self._families = []
-        for idx in _group_rows(type(f) for f in utilities):
-            family = type(utilities[idx[0]])
-            cols = family._columns([utilities[i] for i in idx])
-            contiguous = idx[-1] - idx[0] == len(idx) - 1
-            rows = slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx
-            self._families.append((family, rows, cols))
-
-    def value(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for family, rows, cols in self._families:
-            sub = out[..., rows, :]
-            family._value(t[..., rows, :], *cols, out=sub)
-            if not isinstance(rows, slice):
-                out[..., rows, :] = sub
-        return out
-
-    def latency_budget(self, q: np.ndarray) -> np.ndarray:
-        out = np.empty(np.shape(q))
-        for family, rows, cols in self._families:
-            out[..., rows, :] = family._latency_budget(q[..., rows, :], *cols)
-        return out
-
-
 PARAMETRIC_KINDS = {cls.kind: cls for cls in (Step, ExpDecay, WaitReadyFirst)}
 
 
@@ -262,8 +225,8 @@ def risk_probabilities(utilities, dists, q) -> np.ndarray:
 
     For q in (0, 1], ``f(T) < q`` holds exactly when T exceeds the largest
     latency still worth q, so each probability is one CDF evaluation: one
-    budget formula per time-utility family (``UtilityColumns``) and one CDF
-    call per latency group (``LatencyColumns``).  q = 0 is impossible
+    budget formula per time-utility family and one CDF call per latency
+    group (both through ``Columns``).  q = 0 is impossible
     because f is nonnegative.
     """
     if not all(0.0 <= x <= 1.0 for x in q):  # also rejects NaN
@@ -272,8 +235,8 @@ def risk_probabilities(utilities, dists, q) -> np.ndarray:
     risk = np.zeros(len(q))
     bound = np.flatnonzero(q > 0.0)
     if bound.size:
-        budget = UtilityColumns(utilities[i] for i in bound).latency_budget(q[bound, None])
-        risk[bound] = 1.0 - LatencyColumns(dists[i] for i in bound)._eval_cdf(budget)[:, 0]
+        budget = Columns(utilities[i] for i in bound).latency_budget(q[bound, None])
+        risk[bound] = 1.0 - Columns(dists[i] for i in bound)._eval_cdf(budget)[:, 0]
     return risk
 
 

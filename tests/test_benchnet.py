@@ -159,6 +159,24 @@ class TestServer:
                 status_line = reply.readline()
         assert status_line.split()[1] == b"400"
 
+    @pytest.mark.parametrize("header", [
+        b"Content-Length: 1_0", b"Content-Length: +5",
+        # A header parser strips the spaces after the colon, so a leading
+        # space reaches the server only on a folded continuation line.
+        b"Content-Length:\r\n 5",
+    ], ids=["underscore", "plus", "space"])
+    def test_content_length_takes_ascii_digits_only(self, server, header):
+        host, port = server.server_address[:2]
+        # Ten bytes of body, so a server taking the header as 10 or 5
+        # answers at once instead of waiting for more.
+        request = (b"POST /fsp HTTP/1.1\r\nHost: x\r\n" + header
+                   + b"\r\nConnection: close\r\n\r\n1.0\n2.0\n3\n")
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request)
+            with sock.makefile("rb") as reply:
+                status_line = reply.readline()
+        assert status_line.split()[1] == b"400"
+
     def test_oversized_body_rejected_without_reading(self, server):
         host, port = server.server_address[:2]
         request = (b"POST /fsp HTTP/1.1\r\nHost: x\r\n"
@@ -396,10 +414,24 @@ class TestProbe:
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n,0.1,e,o,1\n"
              "Infinity,0.1,e,o,2\n",
              "line 3: column 'delta_t_s': cannot read 'Infinity'"),
+            # A timestamp is ASCII digits; a time has no underscore, space
+            # or non-ASCII character, all of which int() and float() take.
+            *[("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+               f"0.5,0.1,e,o,{cell}\n",
+               f"line 2: column 'timestamp_unix_ms': cannot read {cell!r}")
+              for cell in ("1_0", " 5", "+5", "-3", "\u0665")],
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n1_0,0.1,e,o,1\n",
+             "line 2: column 'delta_t_s': cannot read '1_0'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5, 5,e,o,1\n",
+             "line 2: column 'latency_s': cannot read ' 5'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,\u0665,e,o,1\n",
+             "line 2: column 'latency_s': cannot read '\u0665'"),
         ],
         ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file",
              "short-row-status", "negative-latency", "infinite-latency", "negative-gap",
-             "infinite-gap"],
+             "infinite-gap", "timestamp-underscore", "timestamp-space", "timestamp-plus",
+             "timestamp-negative", "timestamp-non-ascii", "gap-underscore", "latency-space",
+             "latency-non-ascii"],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"
@@ -514,6 +546,21 @@ class TestLoadSchedule:
     def test_bad_value_is_named(self, tmp_path, update, match):
         with pytest.raises(ValueError, match=match):
             load_schedule(self.write(tmp_path, dict(GOOD_SCHEDULE, **update)))
+
+    def test_fsp_size_is_bounded_before_any_body_is_built(self, tmp_path, monkeypatch):
+        # Building the body of either size would take gigabytes or more.
+        monkeypatch.setattr(ProbeTarget, "build_request", None)
+        most = FSP_MAX_BODY_BYTES // 8
+
+        def fsp_schedule(size):
+            task = {"kind": "fsp", "size": size}
+            update = {"endpoints": [{"url": "http://127.0.0.1:9", "task": task}]}
+            return self.write(tmp_path, dict(GOOD_SCHEDULE, **update))
+
+        for size in (2**70, most + 1):
+            with pytest.raises(ValueError, match=f"fsp size {size} exceeds {most} lines"):
+                load_schedule(fsp_schedule(size))
+        assert load_schedule(fsp_schedule(most)).targets[0].task.size == most
 
 
 class TestSummarize:

@@ -13,7 +13,8 @@ so ``every_kind.scenario.json`` adds one with every latency kind the
 scorer handles: a nested mixture, mixtures of 2 and 3 components, sample
 sets of 1 to 9 samples, point masses, Gev shapes 0.5, 1 and 2, all three
 time-utility families, binding risk budgets and a full capacitated node.
-Its ``solve`` and ``simulate`` stdout are kept the same way.
+Its ``solve``, ``simulate`` and ``baseline --strategy min-latency`` stdout
+are kept the same way; the last pins the grouped latency medians.
 
 A change that alters any of them changes a result; regenerate them only
 when that is the intent, and say so in the change description.
@@ -77,6 +78,12 @@ def test_every_kind_simulate_with_baselines():
     got = _invoke(["simulate", str(GOLDEN / "every_kind.scenario.json"),
                    "--reps", "2000", "--seed", "7", "--with-baselines"])
     assert got == (GOLDEN / "every_kind.simulate.json").read_bytes()
+
+
+def test_every_kind_min_latency_baseline():
+    got = _invoke(["baseline", str(GOLDEN / "every_kind.scenario.json"),
+                   "--strategy", "min-latency"])
+    assert got == (GOLDEN / "every_kind.baseline_min_latency.json").read_bytes()
 
 
 def test_reproduce_stdout():

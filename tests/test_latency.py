@@ -11,11 +11,11 @@ from fogassign.characterize import GRID_PROBS
 from fogassign.latency import (
     _XI_MAX,
     _XI_MIN,
+    Columns,
     Degenerate,
     Empirical,
     FitError,
     Gev,
-    LatencyColumns,
     Mixture,
     Uniform,
     dist_from_config,
@@ -259,27 +259,29 @@ def _column_dists():
 
 
 class TestColumns:
-    """``LatencyColumns`` makes one formula call per group; every row must be
+    """``Columns`` makes one formula call per group; every row must be
     == to its own distribution's methods."""
 
     DISTS = _column_dists()
 
     def test_groups_cover_each_kind(self):
-        cols = LatencyColumns(self.DISTS)
+        cols = Columns(self.DISTS)
         kinds = {kind for _, kind, _ in cols.groups}
         assert kinds == {Gev, Uniform, Empirical, Degenerate, Mixture}
-        assert sorted(np.concatenate([rows for rows, _, _ in cols.groups])) == list(range(len(self.DISTS)))
+        n = len(self.DISTS)
+        covered = np.concatenate([np.arange(n)[rows] for rows, _, _ in cols.groups])
+        assert sorted(covered) == list(range(n))
         # Gev of shape 1 keeps a scalar exponent in a group of its own.
         shape_one = [args for _, kind, args in cols.groups if kind is Gev and np.ndim(args[0]) == 0]
         assert len(shape_one) == 1 and shape_one[0][0] == 1.0
 
     def test_cdf_rows_match(self):
         rng = np.random.default_rng(5)
-        t = rng.uniform(-0.5, 4.0, (len(self.DISTS), 2, 40))
-        t[:, 0, 0] = 0.0
-        t[:, 0, 1] = [d.breakpoints()[0] for d in self.DISTS]
-        t[:, 0, 2] = np.inf
-        got = LatencyColumns(self.DISTS)._eval_cdf(t)
+        t = rng.uniform(-0.5, 4.0, (len(self.DISTS), 80))
+        t[:, 0] = 0.0
+        t[:, 1] = [d.breakpoints()[0] for d in self.DISTS]
+        t[:, 2] = np.inf
+        got = Columns(self.DISTS)._eval_cdf(t)
         for row, d, g in zip(t, self.DISTS, got):
             assert np.array_equal(g, d.cdf(row)), d
 
@@ -287,7 +289,7 @@ class TestColumns:
         rng = np.random.default_rng(6)
         p = rng.uniform(1e-12, 1.0, (len(self.DISTS), 30))
         p[:, :10] = GRID_PROBS[:10]
-        got = LatencyColumns(self.DISTS)._eval_quantile(p)
+        got = Columns(self.DISTS)._eval_quantile(p)
         for row, d, g in zip(p, self.DISTS, got):
             assert np.array_equal(g, d.quantile(row)), d
 
@@ -295,12 +297,12 @@ class TestColumns:
     def test_one_probability_matches_scalar_quantile(self, p):
         # A scalar probability takes numpy's scalar arithmetic in the bound
         # methods (C pow for a Gev quantile); the group call must too.
-        cols = LatencyColumns(self.DISTS)
+        cols = Columns(self.DISTS)
         got = cols.median() if p == 0.5 else cols._eval_quantile(p)
         assert got.tolist() == [d.quantile(p) for d in self.DISTS]
 
     def test_no_distributions(self):
-        cols = LatencyColumns([])
+        cols = Columns([])
         assert cols.median().shape == (0,)
         assert cols.groups == []
 

@@ -10,7 +10,7 @@ the generator in the same state.
 import numpy as np
 import pytest
 
-from fogassign.latency import Gev, make_rng
+from fogassign.latency import Columns, Gev, make_rng
 from fogassign.reproduce import (
     RQ_GATEWAY_CAPACITY,
     RQ_SAMPLES_PER_ESTIMATE,
@@ -19,7 +19,7 @@ from fogassign.reproduce import (
     _rq_scores,
 )
 from fogassign.scenario import bundled_scenario
-from fogassign.utility import ExpDecay, Step, TaskSpec, UtilityColumns, UtilityReport
+from fogassign.utility import ExpDecay, Step, TaskSpec, UtilityReport
 
 
 def per_run_reports(tasks, a2, gw_draws, cl_draws):
@@ -57,7 +57,7 @@ def test_batch_matches_per_run_reference(runs, cloud):
         cl_draws[r] = cl_dist.sample(rng, k * n).reshape(k, n)
         want.append(per_run_reports(tasks, a2[r], gw_draws[r], cl_draws[r]))
     block = np.ascontiguousarray(np.stack([gw_draws, cl_draws], axis=1).transpose(0, 1, 3, 2))
-    u_gw, u_cl = _rq_scores(UtilityColumns(task.time_utility for task in tasks), a2, block)
+    u_gw, u_cl = _rq_scores(Columns(task.time_utility for task in tasks), a2, block)
     assert u_gw.shape == u_cl.shape == (runs, n)
     for r in range(runs):
         for i, t in enumerate(tasks):

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogassign import latency, utility
-from fogassign.latency import Degenerate, Empirical, Gev, Mixture, Uniform, dist_from_config
+from fogassign.latency import Columns, Degenerate, Empirical, Gev, Mixture, Uniform, dist_from_config
 from fogassign.utility import (
     ExpDecay,
     OptionNotOffered,
     Step,
     TaskSpec,
     TimeUtility,
-    UtilityColumns,
     WaitReadyFirst,
     expected_utility,
     risk_probability,
@@ -140,10 +139,23 @@ class TestFormulas:
         t = time_block(len(utilities))
         want = [f.value(t[..., i, :]) for i, f in enumerate(utilities)]
         out = t if in_place else np.empty_like(t)
-        got = UtilityColumns(utilities).value(t, out=out)
+        got = Columns(utilities).value(t, out=out)
         assert got is out
         for i in range(len(utilities)):
             assert np.array_equal(got[..., i, :], want[i]), utilities[i]
+
+    @pytest.mark.parametrize("order", [
+        range(7),                  # interleaved
+        [0, 3, 6, 1, 4, 2, 5],     # each family contiguous
+        [0, 1, 4, 2, 5, 3, 6],     # the steps contiguous, the others not
+    ], ids=["interleaved", "grouped", "one-grouped"])
+    def test_columns_match_per_task_budgets(self, order):
+        utilities = [MIXED[i] for i in order]
+        q = np.broadcast_to([0.0, 1e-9, 0.3, 1.0], (2, len(utilities), 4))
+        got = Columns(utilities).latency_budget(q)
+        for i, f in enumerate(utilities):
+            assert np.array_equal(got[:, i], f.latency_budget(q[:, i])), f
+            assert (got[0, i, 0] == np.inf) == isinstance(f, ExpDecay)
 
 
 class TestLatencyBudget:
