@@ -415,12 +415,14 @@ class ProbeRow:
 
 
 def _optional_float(text: str) -> float:
-    """A time in seconds: finite and >= 0, or NaN for an empty cell."""
+    """A time in seconds: finite and >= 0, or NaN for an empty cell only."""
     # float() would also take spaces, underscores and non-ASCII digits.
     if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"time {text!r} must be an ASCII decimal number")
-    value = float(text) if text else float("nan")
-    if value < 0.0 or value == math.inf:
+    if not text:
+        return math.nan
+    value = float(text)
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"time {text!r} must be finite and >= 0")
     return value
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import Columns, make_rng
+from .latency import Columns, Degenerate, make_rng
 from .scenario import Scenario
 from .solver import PLAN_COLUMNS, AssignmentPlan, UtilityTable
 
@@ -73,9 +73,10 @@ def simulate(
 
     Each task consumes an independent child stream spawned from the
     caller's generator, so results are reproducible and adding tasks does
-    not perturb other tasks' draws.  Rejected tasks contribute 0; the
-    overall mean averages over all tasks, matching how scenario-level
-    average utility is defined.
+    not perturb other tasks' draws.  A task placed on a point mass draws
+    nothing from its stream: all its ``reps`` completion times are that
+    value.  Rejected tasks contribute 0; the overall mean averages over
+    all tasks, matching how scenario-level average utility is defined.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -83,16 +84,30 @@ def simulate(
     streams = rng.spawn(len(scenario.tasks))
     means: dict[str, float] = {}
     ses: dict[str, float] = {}
+    # Squared deviations, reused by every task: the steps of
+    # vals.std(ddof=1) without its second mean and its temporaries.
+    dev = np.empty(reps)
     for t, stream in zip(scenario.tasks, streams):
         p = plan.decisions.get(t.id)
         if p is None:
             means[t.id] = 0.0
             ses[t.id] = 0.0
             continue
-        draws = scenario.dist(t.id, p.node, p.option).sample(stream, reps)
-        vals = t.intrinsic[(p.node, p.option)] * t.time_utility.value(draws)
-        means[t.id] = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        dist = scenario.dist(t.id, p.node, p.option)
+        if isinstance(dist, Degenerate):
+            draws = np.full(reps, dist.value)
+        else:
+            draws = dist.sample(stream, reps)
+        vals = t.time_utility.value(draws)
+        vals *= t.intrinsic[(p.node, p.option)]
+        mean = np.add.reduce(vals) / reps
+        means[t.id] = float(mean)
+        if reps == 1:
+            ses[t.id] = 0.0
+            continue
+        np.subtract(vals, mean, out=dev)
+        np.square(dev, out=dev)
+        se = float(np.sqrt(np.add.reduce(dev) / (reps - 1)) / np.sqrt(reps))
         # Equal draws have no spread, but std leaves a rounding residue on
         # them, far below 1e-9 for values in [0, 1]: only such an se is checked.
         ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se

@@ -426,12 +426,19 @@ class TestProbe:
              "line 2: column 'latency_s': cannot read ' 5'"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,\u0665,e,o,1\n",
              "line 2: column 'latency_s': cannot read '\u0665'"),
+            # Only an empty cell reads as a missing time; the text nan, in
+            # any case or sign, is refused as inf is.
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,,e,o,1\n"
+             "0.5,NaN,e,o,2\n",
+             "line 3: column 'latency_s': cannot read 'NaN'"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n-nan,0.1,e,o,1\n",
+             "line 2: column 'delta_t_s': cannot read '-nan'"),
         ],
         ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file",
              "short-row-status", "negative-latency", "infinite-latency", "negative-gap",
              "infinite-gap", "timestamp-underscore", "timestamp-space", "timestamp-plus",
              "timestamp-negative", "timestamp-non-ascii", "gap-underscore", "latency-space",
-             "latency-non-ascii"],
+             "latency-non-ascii", "nan-latency", "nan-delta"],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"

@@ -1,15 +1,25 @@
 import json
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fogassign.latency import Degenerate, Uniform, make_rng
-from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
-from fogassign.simulate import BASELINES, emit, round9, run_baseline, simulate
+from fogassign.scenario import NodeSpec, Scenario, bundled_scenario, load_scenario
+from fogassign.simulate import (
+    BASELINES,
+    SimulationResult,
+    emit,
+    round9,
+    run_baseline,
+    simulate,
+)
 from fogassign.solver import (
     AssignmentPlan,
     Placement,
     UtilityTable,
+    solve_capacitated,
     solve_uncapacitated,
     validate_plan,
 )
@@ -48,6 +58,48 @@ def reference_baseline(scenario, strategy, table=None):
                     best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
         decisions[t.id] = best
     return AssignmentPlan.from_decisions(decisions, solver=strategy)
+
+
+# Independent reference: the per-task scoring simulate did before it reused
+# one deviation buffer and stopped drawing for point masses, kept verbatim.
+# Every number the two give must be equal.
+def reference_simulate(scenario, plan, reps, rng, baselines=None):
+    rng = make_rng(rng)
+    streams = rng.spawn(len(scenario.tasks))
+    means: dict[str, float] = {}
+    ses: dict[str, float] = {}
+    for t, stream in zip(scenario.tasks, streams):
+        p = plan.decisions.get(t.id)
+        if p is None:
+            means[t.id] = 0.0
+            ses[t.id] = 0.0
+            continue
+        draws = scenario.dist(t.id, p.node, p.option).sample(stream, reps)
+        vals = t.intrinsic[(p.node, p.option)] * t.time_utility.value(draws)
+        means[t.id] = float(vals.mean())
+        se = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se
+    n_tasks = max(len(scenario.tasks), 1)
+    sub = {}
+    for name, bplan in (baselines or {}).items():
+        sub[name] = reference_simulate(scenario, bplan, reps, rng.spawn(1)[0])
+    return SimulationResult(
+        plan=plan,
+        reps=reps,
+        per_task_mean=means,
+        per_task_se=ses,
+        overall_mean=float(sum(means.values()) / n_tasks),
+        overall_se=float(np.sqrt(sum(se**2 for se in ses.values())) / n_tasks),
+        baselines=sub,
+    )
+
+
+def _simulate_both(scen, reps, seed):
+    table = UtilityTable(scen)
+    plan = solve_capacitated(scen, table)
+    baselines = {s: run_baseline(scen, s, table) for s in BASELINES}
+    return (simulate(scen, plan, reps, make_rng(seed), baselines),
+            reference_simulate(scen, plan, reps, make_rng(seed), baselines))
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +182,38 @@ class TestSimulate:
         result = simulate(scen, solve_uncapacitated(scen), reps=2000, rng=make_rng(0))
         assert result.per_task_mean["t"] == pytest.approx(0.58)
         assert result.per_task_se["t"] == result.overall_se == 0.0
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 2000])
+    @pytest.mark.parametrize("name", ["every_kind", "vii_d_base", "vii_d_two_cap"])
+    def test_matches_reference_on_golden_scenarios(self, name, reps):
+        if name == "every_kind":
+            scen = load_scenario(Path(__file__).parent / "golden" / "every_kind.scenario.json")
+        else:
+            scen = bundled_scenario(name)
+        got, want = _simulate_both(scen, reps, 7)
+        assert got.per_task_mean == want.per_task_mean
+        assert got.per_task_se == want.per_task_se
+        assert got == want
+
+    def test_matches_reference_on_random_scenarios(self):
+        for seed in range(50):
+            got, want = _simulate_both(random_scenario(seed), 300, seed)
+            assert got == want, seed
+
+    def test_point_mass_leaves_other_tasks_alone(self):
+        def run(dist_a):
+            tasks = [TaskSpec(id=j, time_utility=Step(0.5), intrinsic={("z", "x"): 0.9})
+                     for j in ("a", "b")]
+            scen = Scenario(name="pair", tasks=tasks, nodes=[NodeSpec(id="z", options=("x",))],
+                            latency={("a", "z", "x"): dist_a,
+                                     ("b", "z", "x"): Uniform(0.2, 0.8)})
+            return simulate(scen, solve_uncapacitated(scen), reps=1000, rng=make_rng(4))
+
+        point, spread = run(Degenerate(0.3)), run(Uniform(0.1, 0.5))
+        assert point.per_task_mean["b"] == spread.per_task_mean["b"]
+        assert point.per_task_se["b"] == spread.per_task_se["b"] > 0.0
+        assert point.per_task_mean["a"] == pytest.approx(0.9)
+        assert point.per_task_se["a"] == 0.0
 
     def test_reps_must_be_positive(self, base):
         scen, table = base
