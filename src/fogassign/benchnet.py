@@ -1,14 +1,14 @@
 """Local benchmark server and probing client for latency measurement.
 
 The server exposes three mini-benchmarks over plain HTTP request-response,
-chosen to stress different subsystems:
-
-* ``GET /pic?iters=N``  -- CPU: Leibniz alternating-series approximation
-  of pi with N terms.
-* ``GET /psf?lines=N``  -- memory: summary statistics over the first N
-  values of a dataset loaded at startup.
-* ``POST /fsp?lines=N`` -- network: the same statistics over a CSV body
-  shipped with the request (``lines`` is declared for logging).
+chosen to stress different subsystems: ``pic`` (CPU: Leibniz
+alternating-series approximation of pi with N terms), ``psf`` (memory:
+summary statistics over the first N values of a dataset loaded at
+startup) and ``fsp`` (network: the same statistics over a CSV body
+shipped with the request, whose ``lines`` is declared for logging).
+``ENDPOINTS`` lists each kind once, served at ``/<kind>?<param>=N``: its
+HTTP method, its size parameter and the sizes a server accepts without
+``allow_out_of_range``.
 
 Responses are JSON and always carry ``exec_ms``, the server-side compute
 time, so probes can split transport from execution.  The probing client
@@ -47,9 +47,7 @@ from .latency import Empirical, _number, make_rng
 from .scenario import _integer, _text
 
 __all__ = [
-    "PIC_ITER_RANGE",
-    "PSF_LINE_RANGE",
-    "FSP_LINE_RANGE",
+    "ENDPOINTS",
     "MIN_DATASET_LINES",
     "FSP_MAX_BODY_BYTES",
     "BenchTask",
@@ -68,9 +66,13 @@ __all__ = [
     "EmptySummaryError",
 ]
 
-PIC_ITER_RANGE = (5_000, 500_000)
-PSF_LINE_RANGE = (500, 50_000)
-FSP_LINE_RANGE = (500, 10_000)
+# Each benchmark kind, served at /<kind>: its HTTP method, its size parameter,
+# and the smallest and largest size accepted without allow_out_of_range.
+ENDPOINTS = {
+    "pic": ("GET", "iters", 5_000, 500_000),
+    "psf": ("GET", "lines", 500, 50_000),
+    "fsp": ("POST", "lines", 500, 10_000),
+}
 MIN_DATASET_LINES = 50_000
 # Largest /fsp body read; a longer Content-Length is answered 413 unread.
 FSP_MAX_BODY_BYTES = 1 << 24
@@ -97,21 +99,23 @@ class BenchTask:
     A server started without ``allow_out_of_range`` rejects sizes outside ``range_ok``.
     """
 
-    kind: str  # "pic" | "psf" | "fsp"
+    kind: str  # a key of ENDPOINTS
     size: int
 
     def __post_init__(self):
-        if self.kind not in ("pic", "psf", "fsp"):
+        if self.kind not in ENDPOINTS:
             raise ValueError(f"unknown benchmark kind {self.kind!r}")
         if self.size < 1:
             raise ValueError("benchmark size must be >= 1")
 
     def range_ok(self) -> bool:
-        lo, hi = {"pic": PIC_ITER_RANGE, "psf": PSF_LINE_RANGE, "fsp": FSP_LINE_RANGE}[self.kind]
+        _, _, lo, hi = ENDPOINTS[self.kind]
         return lo <= self.size <= hi
 
     def option_label(self) -> str:
-        return f"{'iters' if self.kind == 'pic' else 'lines'}={self.size}"
+        """The request's query string, as in ``iters=5000``."""
+        _, param, _, _ = ENDPOINTS[self.kind]
+        return f"{param}={self.size}"
 
 
 def leibniz_pi(iters: int) -> float:
@@ -174,13 +178,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _bad(self, reason: str):
         self._reply(400, {"error": reason})
 
-    def _int_param(self, query: dict, name: str):
-        try:
-            text = query[name][0]
-        except (KeyError, IndexError):
-            raise ValueError(f"missing required parameter {name!r}")
-        return _digits(text, f"parameter {name!r}")
-
     def _check_range(self, task: BenchTask):
         if not self.server.allow_out_of_range and not task.range_ok():
             raise ValueError(
@@ -188,39 +185,43 @@ class _Handler(BaseHTTPRequestHandler):
                 "start the server with --allow-out-of-range to permit it"
             )
 
+    def _kind(self, path: str, method: str):
+        """The kind served at ``path`` by ``method``, or None after answering 404."""
+        if path.startswith("/") and ENDPOINTS.get(path[1:], ("",))[0] == method:
+            return path[1:]
+        self._reply(404, {"error": f"unknown path {path!r}"})
+
+    # A GET kind's kernel, ``_<kind>(size)``, refuses a size it cannot serve
+    # and returns the computation that ``exec_ms`` times.
+    def _pic(self, iters: int):
+        return lambda: {"result": leibniz_pi(iters)}
+
+    def _psf(self, lines: int):
+        if lines > self.server.dataset.size:
+            raise ValueError(f"lines={lines} exceeds dataset size {self.server.dataset.size}")
+        return lambda: _column_stats(self.server.dataset[:lines])
+
     def do_GET(self):
         parsed = urllib.parse.urlparse(self.path)
-        query = urllib.parse.parse_qs(parsed.query)
+        if (kind := self._kind(parsed.path, "GET")) is None:
+            return
         try:
-            if parsed.path == "/pic":
-                iters = self._int_param(query, "iters")
-                task = BenchTask("pic", iters)
-                self._check_range(task)
-                t0 = time.perf_counter()
-                result = leibniz_pi(iters)
-                exec_ms = (time.perf_counter() - t0) * 1e3
-                self._reply(200, {"result": result, "exec_ms": exec_ms})
-            elif parsed.path == "/psf":
-                lines = self._int_param(query, "lines")
-                task = BenchTask("psf", lines)
-                self._check_range(task)
-                if lines > self.server.dataset.size:
-                    raise ValueError(
-                        f"lines={lines} exceeds dataset size {self.server.dataset.size}"
-                    )
-                t0 = time.perf_counter()
-                stats = _column_stats(self.server.dataset[:lines])
-                exec_ms = (time.perf_counter() - t0) * 1e3
-                self._reply(200, {**stats, "exec_ms": exec_ms})
-            else:
-                self._reply(404, {"error": f"unknown path {parsed.path!r}"})
+            _, param, _, _ = ENDPOINTS[kind]
+            texts = urllib.parse.parse_qs(parsed.query).get(param)
+            if texts is None:
+                raise ValueError(f"missing required parameter {param!r}")
+            size = _digits(texts[0], f"parameter {param!r}")
+            self._check_range(BenchTask(kind, size))
+            kernel = getattr(self, f"_{kind}")(size)
+            t0 = time.perf_counter()
+            payload = kernel()
+            exec_ms = (time.perf_counter() - t0) * 1e3
+            self._reply(200, {**payload, "exec_ms": exec_ms})
         except ValueError as exc:
             self._bad(str(exc))
 
     def do_POST(self):
-        parsed = urllib.parse.urlparse(self.path)
-        if parsed.path != "/fsp":
-            self._reply(404, {"error": f"unknown path {parsed.path!r}"})
+        if (kind := self._kind(urllib.parse.urlparse(self.path).path, "POST")) is None:
             return
         try:
             # No sign: rfile.read(-1) would block until the client hangs up.
@@ -231,13 +232,13 @@ class _Handler(BaseHTTPRequestHandler):
             body = self.rfile.read(length).decode()
             t0 = time.perf_counter()
             values = []
-            for line in body.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                values.append(float(line.split(",")[0]))
-            if not values:
-                raise ValueError("empty request body; expected CSV lines")
+            try:
+                for line in body.splitlines():
+                    line = line.strip()
+                    if line:
+                        values.append(float(line.split(",")[0]))
+            except ValueError:
+                values.append(math.nan)  # the line that did not parse, named below
             values = np.asarray(values)
             finite = np.isfinite(values)
             if not finite.all():
@@ -246,8 +247,9 @@ class _Handler(BaseHTTPRequestHandler):
                             if line.strip()]
                 i, line = numbered[int(np.argmin(finite))]
                 raise ValueError(f"line {i} ({line!r}) is not a finite number")
-            task = BenchTask("fsp", len(values))
-            self._check_range(task)
+            if not values.size:
+                raise ValueError("empty request body; expected CSV lines")
+            self._check_range(BenchTask(kind, values.size))
             stats = _column_stats(values)
             exec_ms = (time.perf_counter() - t0) * 1e3
             self._reply(200, {**stats, "exec_ms": exec_ms})
@@ -291,27 +293,23 @@ class ProbeTarget:
     task: BenchTask
 
     def __post_init__(self):
-        # An /fsp body line is at most 7 characters and a newline; a larger
+        # A POST body line is at most 7 characters and a newline; a larger
         # size is refused here, before its body is built in memory.
         most = FSP_MAX_BODY_BYTES // 8
-        if self.task.kind == "fsp" and self.task.size > most:
-            raise ValueError(f"fsp size {self.task.size} exceeds {most} lines, the most "
-                             f"whose body always fits in {FSP_MAX_BODY_BYTES} bytes")
+        if ENDPOINTS[self.task.kind][0] == "POST" and self.task.size > most:
+            raise ValueError(f"{self.task.kind} size {self.task.size} exceeds {most} lines, "
+                             f"the most whose body always fits in {FSP_MAX_BODY_BYTES} bytes")
 
     def endpoint(self) -> str:
         return f"{self.base_url.rstrip('/')}/{self.task.kind}"
 
     def build_request(self) -> urllib.request.Request:
-        if self.task.kind == "pic":
-            return urllib.request.Request(f"{self.endpoint()}?iters={self.task.size}")
-        if self.task.kind == "psf":
-            return urllib.request.Request(f"{self.endpoint()}?lines={self.task.size}")
+        url = f"{self.endpoint()}?{self.task.option_label()}"
+        if ENDPOINTS[self.task.kind][0] == "GET":
+            return urllib.request.Request(url)
         lines = "\n".join(f"{(i * 37 % 1000) + 0.5:.3f}" for i in range(self.task.size))
         return urllib.request.Request(
-            f"{self.endpoint()}?lines={self.task.size}",
-            data=lines.encode(),
-            headers={"Content-Type": "text/csv"},
-            method="POST",
+            url, data=lines.encode(), headers={"Content-Type": "text/csv"}, method="POST"
         )
 
 

@@ -235,7 +235,7 @@ def serve(bind, dataset, allow_out_of_range):
         server = benchnet.BenchServer(bind, dataset, allow_out_of_range)
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    click.echo(f"serving on {server.url} (pic/psf/fsp)")
+    click.echo(f"serving on {server.url} ({'/'.join(benchnet.ENDPOINTS)})")
     with server, contextlib.suppress(KeyboardInterrupt):  # Ctrl-C closes the socket
         server.serve_forever()
 

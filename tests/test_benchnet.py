@@ -14,6 +14,7 @@ import pytest
 
 from fogassign import benchnet
 from fogassign.benchnet import (
+    ENDPOINTS,
     FSP_MAX_BODY_BYTES,
     BenchTask,
     EmptySummaryError,
@@ -138,7 +139,9 @@ class TestServer:
         err.value.close()
         assert err.value.code == 400
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("token", [
+        "nan", "inf", "1e400", "abc", "1;2", pytest.param("", id="empty-field"),
+    ])
     def test_non_finite_fsp_value_rejected(self, server, token):
         body = f"1.5\n\n2.5\n{token},7\n3.5\n".encode()
         req = urllib.request.Request(f"{server.url}/fsp", data=body, method="POST")
@@ -147,7 +150,7 @@ class TestServer:
         payload = json.loads(err.value.read().decode())
         err.value.close()
         assert err.value.code == 400
-        assert payload["error"].startswith(f"line 4 ('{token},7')")
+        assert payload["error"] == f"line 4 ('{token},7') is not a finite number"
 
     def test_negative_content_length_rejected_without_waiting(self, server):
         host, port = server.server_address[:2]
@@ -187,6 +190,22 @@ class TestServer:
                 status_line = reply.readline()
         assert status_line.split()[1] == b"413"
 
+    @pytest.mark.parametrize("kind", list(ENDPOINTS))
+    def test_each_kind_answers_only_at_its_method(self, server, kind):
+        method, _, lo, _ = ENDPOINTS[kind]
+        request = ProbeTarget(server.url, BenchTask(kind, lo)).build_request()
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            assert resp.status == 200
+        other = "GET" if method == "POST" else "POST"
+        wrong = urllib.request.Request(request.full_url, method=other,
+                                       data=b"1.0\n" if other == "POST" else None)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(wrong, timeout=10)
+        payload = json.loads(err.value.read().decode())
+        err.value.close()
+        assert err.value.code == 404
+        assert payload["error"] == f"unknown path '/{kind}'"
+
     def test_range_enforced_without_override(self, strict_server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get_json(f"{strict_server.url}/pic?iters=1")
@@ -212,6 +231,20 @@ class TestBenchTask:
         assert not BenchTask("pic", 1).range_ok()
         assert BenchTask("psf", 50_000).range_ok()
         assert not BenchTask("fsp", 50_000).range_ok()
+        for kind, (_, _, lo, hi) in ENDPOINTS.items():
+            assert BenchTask(kind, lo).range_ok() and BenchTask(kind, hi).range_ok()
+            assert not BenchTask(kind, lo - 1).range_ok()
+            assert not BenchTask(kind, hi + 1).range_ok()
+
+    @pytest.mark.parametrize("kind", list(ENDPOINTS))
+    def test_request_follows_table(self, kind):
+        method, param, lo, _ = ENDPOINTS[kind]
+        task = BenchTask(kind, lo)
+        request = ProbeTarget("http://h", task).build_request()
+        assert task.option_label() == f"{param}={lo}"
+        assert request.get_method() == method
+        assert request.full_url == f"http://h/{kind}?" + task.option_label()
+        assert (request.data is not None) == (method == "POST")
 
     def test_invalid(self):
         with pytest.raises(ValueError):
