@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .latency import Empirical, _number, make_rng
-from .scenario import _integer, _text
+from .scenario import _integer
 
 __all__ = [
     "ENDPOINTS",
@@ -229,7 +229,8 @@ class _Handler(BaseHTTPRequestHandler):
             if length > FSP_MAX_BODY_BYTES:
                 self._reply(413, {"error": f"body exceeds {FSP_MAX_BODY_BYTES} bytes"})
                 return
-            body = self.rfile.read(length).decode()
+            # Lines are ASCII: other bytes stay escaped, so their line is named below.
+            body = self.rfile.read(length).decode("ascii", errors="backslashreplace")
             t0 = time.perf_counter()
             values = []
             try:
@@ -350,9 +351,9 @@ class ProbeSchedule:
 _REQUIRED = object()
 # Fields are read by the scenario reader's rules: a float is any JSON
 # number (``latency._number``), an int a whole one (``scenario._integer``),
-# and a bool or a string is neither; a str is a JSON string
-# (``scenario._text``), never a number or a list spelled as one.
-_STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, ""), str: _text}
+# and a bool or a string is neither; a str or a list has no reader: it is
+# a JSON string or array as it stands, and nothing is coerced into one.
+_STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, "")}
 
 
 def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
@@ -364,11 +365,11 @@ def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValueError(f"schedule is missing {name}")
         return default
-    if convert is None:
+    if convert is None or convert in (str, list) and isinstance(record[key], convert):
         return record[key]
     try:
-        return _STRICT.get(convert, convert)(record[key])
-    except (TypeError, ValueError, OverflowError):
+        return _STRICT[convert](record[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValueError(
             f"schedule {name} must be {convert.__name__}, got {record[key]!r}"
         ) from None
@@ -386,14 +387,14 @@ def load_schedule(path) -> ProbeSchedule:
         task = _field(e, "task", f"endpoints[{i}]")
         targets.append(ProbeTarget(
             base_url=_field(e, "url", f"endpoints[{i}]", str),
-            task=BenchTask(kind=_field(task, "kind", f"endpoints[{i}].task"),
+            task=BenchTask(kind=_field(task, "kind", f"endpoints[{i}].task", str),
                            size=_field(task, "size", f"endpoints[{i}].task", int)),
         ))
     mode = _field(cfg, "mode", "", default={})
     return ProbeSchedule(
         targets=tuple(targets),
         count=_field(cfg, "count", "", int),
-        mode=_field(mode, "kind", "mode", default="round_robin"),
+        mode=_field(mode, "kind", "mode", str, "round_robin"),
         delta_s=_field(mode, "delta_s", "mode", float, 0.0),
         max_s=_field(mode, "max_s", "mode", float, 0.0),
         seed=_field(cfg, "seed", "", int, 0),

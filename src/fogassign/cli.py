@@ -215,7 +215,7 @@ def _host_port(ctx, param, value):
     """``host:port`` with a port in 0-65535; a bare host serves on 8080."""
     host, _, port = value.partition(":")
     try:
-        port = int(port or 8080)
+        port = benchnet._digits(port, "port") if port else 8080
     except ValueError:
         port = -1
     if not 0 <= port <= 65535:

@@ -7,7 +7,9 @@ capacities and per-task timeliness-risk budgets.
 A scenario's scores are one array: ``UtilityTable`` holds ``utility``,
 ``risk`` and ``feasible`` of shape (tasks, columns), one column per
 (node, option) pair in node order, then option order.  Every solver reads
-it, and a decision is a column index, or -1 for a rejected task.
+it, and a decision is a column index, or -1 for a rejected task.  A
+``UtilityReport`` enters the table only by injection, in place of a pair's
+integral; the table keeps no report of its own.
 
 ``solve_batch`` solves a stack of score arrays, shape (runs, tasks,
 columns), in four stages:
@@ -46,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .scenario import Scenario
-from .utility import OptionNotOffered, UtilityReport, expected_utilities
+from .utility import expected_utilities
 
 __all__ = [
     "Placement",
@@ -132,23 +134,15 @@ class UtilityTable:
     filled on first use.  Injected ``reports``, keyed by (task, node,
     option), stand in for their pairs' integrals, which lets experiments
     rescore a fixed topology; every other offered pair is scored once, all
-    of them together (``utility.expected_utilities``), and kept as a report
-    too.  ``report`` reads one pair's report.
+    of them together (``utility.expected_utilities``), into the arrays
+    only.
     """
 
     def __init__(self, scenario: Scenario, reports=None):
         self.scenario = scenario
         self.columns = [(n.id, x) for n in scenario.nodes for x in n.options]
         self._tasks = {t.id: t for t in scenario.tasks}
-        self._reports: dict[tuple[str, str, str], UtilityReport] = dict(reports or {})
-
-    def report(self, task_id: str, node_id: str, option_id: str) -> UtilityReport:
-        """The utility, risk and feasibility of one offered pair."""
-        self._arrays  # the fill keeps every offered pair's report
-        rep = self._reports.get((task_id, node_id, option_id))
-        if rep is None:
-            raise OptionNotOffered(f"task {task_id} is not offered ({node_id}, {option_id})")
-        return rep
+        self._reports = dict(reports or {})  # the injected reports only
 
     def _score(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Utility, risk and feasibility of the (task, node, option) pairs ``keys``."""
@@ -173,11 +167,9 @@ class UtilityTable:
                     else:
                         utility[i, k], risk[i, k], feasible[i, k] = rep.utility, rep.risk, rep.feasible
         if keys:
-            scores = self._score(keys)
             rows, cols = np.array(cells).T
-            for a, score in zip((utility, risk, feasible), scores):
+            for a, score in zip((utility, risk, feasible), self._score(keys)):
                 a[rows, cols] = score
-            self._reports.update(zip(keys, map(UtilityReport, *(a.tolist() for a in scores))))
         for a in (utility, risk, feasible):
             a.flags.writeable = False  # shared by every solver that reads the table
         return utility, risk, feasible
@@ -197,17 +189,21 @@ class UtilityTable:
     def plan(self, chosen, solver: str) -> AssignmentPlan:
         """The plan placing task i on column ``chosen[i]`` (-1: rejected).
 
-        A placement holds the utility and risk floats of the report its
-        cell was filled from, so a plan adds no floats to the table's.
+        An injected pair's placement holds its report's own utility and risk
+        floats, so plans built from one injection add no floats; every other
+        placement reads its cell of the arrays.
         """
-        self._arrays  # the fill reads every offered pair's report
+        utility, risk, _ = self._arrays
         decisions = {}
-        for t, k in zip(self.scenario.tasks, np.asarray(chosen).tolist()):
+        for i, (t, k) in enumerate(zip(self.scenario.tasks, np.asarray(chosen).tolist())):
             if k < 0:
                 decisions[t.id] = None
+                continue
+            z, x = self.columns[k]
+            rep = self._reports.get((t.id, z, x))
+            if rep is None:
+                decisions[t.id] = Placement(z, x, float(utility[i, k]), float(risk[i, k]))
             else:
-                z, x = self.columns[k]
-                rep = self._reports[(t.id, z, x)]
                 decisions[t.id] = Placement(z, x, rep.utility, rep.risk)
         return AssignmentPlan.from_decisions(decisions, solver=solver)
 

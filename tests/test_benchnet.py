@@ -152,6 +152,22 @@ class TestServer:
         assert err.value.code == 400
         assert payload["error"] == f"line 4 ('{token},7') is not a finite number"
 
+    # Body lines are ASCII: a byte that is not, UTF-8 or not, stays escaped
+    # and its line is named like any other that is not a number.
+    @pytest.mark.parametrize("token, shown", [
+        (b"\xff\xfe", r"\xff\xfe"),
+        ("\u0661\u0662".encode(), r"\xd9\xa1\xd9\xa2"),
+    ], ids=["not-utf8", "arabic-indic-digits"])
+    def test_non_ascii_fsp_line_is_named(self, server, token, shown):
+        body = b"1.5\n\n2.5\n" + token + b",7\n3.5\n"
+        req = urllib.request.Request(f"{server.url}/fsp", data=body, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        payload = json.loads(err.value.read().decode())
+        err.value.close()
+        assert err.value.code == 400
+        assert payload["error"] == f"line 4 ({shown + ',7'!r}) is not a finite number"
+
     def test_negative_content_length_rejected_without_waiting(self, server):
         host, port = server.server_address[:2]
         request = (b"POST /fsp HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n"
@@ -526,6 +542,11 @@ def _with_url(url):
     return {"endpoints": [{"url": url, "task": {"kind": "pic", "size": 10}}]}
 
 
+def _with_kind(kind):
+    """A ``GOOD_SCHEDULE`` update whose one endpoint's task kind is ``kind``."""
+    return {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": kind, "size": 10}}]}
+
+
 class TestLoadSchedule:
     def write(self, tmp_path, cfg):
         path = tmp_path / "sched.json"
@@ -581,6 +602,12 @@ class TestLoadSchedule:
             (_with_url(5), r"endpoints\[0\]\.url must be str, got 5"),
             (_with_url(None), r"endpoints\[0\]\.url must be str, got None"),
             (_with_url(["http://x"]), r"endpoints\[0\]\.url must be str, got \['http://x'\]"),
+            # A kind is a JSON string, and the endpoint list a JSON array.
+            (_with_kind(["pic"]), r"endpoints\[0\]\.task\.kind must be str, got \['pic'\]"),
+            (_with_kind({}), r"endpoints\[0\]\.task\.kind must be str, got \{\}"),
+            ({"mode": {"kind": ["fixed"]}}, r"schedule mode\.kind must be str, got \['fixed'\]"),
+            ({"endpoints": "ab"}, "schedule endpoints must be list, got 'ab'"),
+            ({"endpoints": {"a": 1}}, r"schedule endpoints must be list, got \{'a': 1\}"),
         ],
     )
     def test_bad_value_is_named(self, tmp_path, update, match):

@@ -1,11 +1,12 @@
 import json
 import re
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from fogassign.benchnet import MIN_DATASET_LINES, BenchServer, make_dataset, start_server
-from fogassign.cli import main
+from fogassign.cli import _host_port, main
 from fogassign.scenario import bundled_scenario
 
 
@@ -343,6 +344,22 @@ def test_serve_bad_port_is_a_usage_error(runner, tmp_path, bind):
     assert res.exit_code == 2, res.output
     assert "--bind" in res.output
     assert "Traceback" not in res.output
+
+
+# Through the callback, not `serve`: a value wrongly taken as a port would
+# start a server that runs until interrupted.
+@pytest.mark.parametrize("bind", ["127.0.0.1:8_080", "127.0.0.1: 80", "127.0.0.1:+80",
+                                  "127.0.0.1:\u0668\u0660", "127.0.0.1:80 "])
+def test_bind_port_is_ascii_digits(bind):
+    with pytest.raises(click.BadParameter, match="port in 0-65535"):
+        _host_port(None, None, bind)
+
+
+@pytest.mark.parametrize("bind, want", [("127.0.0.1:0", ("127.0.0.1", 0)),
+                                        ("0.0.0.0:65535", ("0.0.0.0", 65535)),
+                                        ("localhost", ("localhost", 8080))])
+def test_bind_reads_host_and_port(bind, want):
+    assert _host_port(None, None, bind) == want
 
 
 def test_serve_closes_its_socket_on_ctrl_c(runner, tmp_path, monkeypatch):

@@ -453,8 +453,8 @@ def test_loaded_scenarios_plan_cleanly(cfg):
     except ScenarioError:
         return
     table = UtilityTable(scen)
-    for t in scen.tasks:
+    for i, t in enumerate(scen.tasks):
         for z, x in t.intrinsic:
-            u = table.report(t.id, z, x).utility
+            u = float(table.utility[i, table.columns.index((z, x))])
             assert math.isfinite(u) and 0.0 <= u <= 1.0, (t.id, z, x, u)
     assert validate_plan(scen, solve_capacitated(scen)) == []

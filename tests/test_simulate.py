@@ -38,15 +38,15 @@ MAX_QUALITY_AVG = 0.4397321428571428
 def reference_baseline(scenario, strategy, table=None):
     table = table or UtilityTable(scenario)
     decisions: dict[str, Placement | None] = {}
-    for t in scenario.tasks:
+    for i, t in enumerate(scenario.tasks):
         best_key = None
         best: Placement | None = None
         for zpos, node in enumerate(scenario.nodes):
             for xpos, x in enumerate(node.options):
                 if (node.id, x) not in t.intrinsic:
                     continue
-                rep = table.report(t.id, node.id, x)
-                if not rep.feasible:
+                k = table.columns.index((node.id, x))
+                if not table.feasible[i, k]:
                     continue
                 if strategy == "min-latency":
                     score = float(scenario.dist(t.id, node.id, x).quantile(0.5))
@@ -55,7 +55,8 @@ def reference_baseline(scenario, strategy, table=None):
                 key = (score, zpos, xpos)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
+                    best = Placement(node=node.id, option=x, utility=float(table.utility[i, k]),
+                                     risk=float(table.risk[i, k]))
         decisions[t.id] = best
     return AssignmentPlan.from_decisions(decisions, solver=strategy)
 

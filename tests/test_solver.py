@@ -132,17 +132,19 @@ class CountingTable(UtilityTable):
 # pair with the full tie key.  The solver takes first maxima over the score
 # array's column blocks instead, so the two must agree exactly.
 def scan_best_placement(table, task, nodes):
+    i = table.scenario.tasks.index(task)
     best, best_key = None, None
     for zpos, node in enumerate(nodes):
         for xpos, x in enumerate(node.options):
             if (node.id, x) not in task.intrinsic:
                 continue
-            rep = table.report(task.id, node.id, x)
-            if rep.utility <= 0.0:
+            k = table.columns.index((node.id, x))
+            u, risk = float(table.utility[i, k]), float(table.risk[i, k])
+            if u <= 0.0:
                 continue
-            key = (-rep.utility, 0 if node.infinite else 1, zpos, xpos)
+            key = (-u, 0 if node.infinite else 1, zpos, xpos)
             if best is None or key < best_key:
-                best = Placement(node=node.id, option=x, utility=rep.utility, risk=rep.risk)
+                best = Placement(node=node.id, option=x, utility=u, risk=risk)
                 best_key = key
     return best
 
@@ -359,7 +361,8 @@ class TestFill:
                         rep = reference_expected_utility(t, z, x, scen.dist(t.id, z, x))
                         for a, v in zip(want, (rep.utility, rep.risk, rep.feasible)):
                             a[i, k] = v
-                        assert table.report(t.id, z, x) == rep, (seed, t.id, z, x)
+                        got = (table.utility[i, k], table.risk[i, k], table.feasible[i, k])
+                        assert got == (rep.utility, rep.risk, rep.feasible), (seed, t.id, z, x)
             for got, a in zip((table.utility, table.risk, table.feasible), want):
                 assert np.array_equal(got, a), seed
 
@@ -395,14 +398,38 @@ class TestFill:
         for i, t in enumerate(scen.tasks):
             for k, (z, x) in enumerate(table.columns):
                 rep = reports[(t.id, z, x)]
-                assert table.report(t.id, z, x) is rep
                 assert (table.utility[i, k], table.risk[i, k], table.feasible[i, k]) == (
                     rep.utility, rep.risk, rep.feasible)
-        plan = table.plan(chosen, solver="at")
-        for t in scen.tasks:
-            p = plan.decisions[t.id]
-            if p is not None:
-                assert p.utility is reports[(t.id, p.node, p.option)].utility
+        plans = [table.plan(chosen, solver="at")]
+        plans += [table.plan(np.full(len(scen.tasks), k), solver="at") for k in range(len(table.columns))]
+        assert any(p is not None for p in plans[0].decisions.values())
+        for plan in plans:
+            for t in scen.tasks:
+                p = plan.decisions[t.id]
+                if p is not None:
+                    rep = reports[(t.id, p.node, p.option)]
+                    assert p.utility is rep.utility and p.risk is rep.risk, (t.id, p)
+        assert not table.reads
+
+    def test_plan_floats_are_the_injected_reports_or_the_arrays(self):
+        scen = mixed_scenario(4, n_tasks=40)
+        rng = np.random.default_rng(5)
+        injected = {t.id for t in scen.tasks[::2]}
+        reports = {(t.id, z, x): UtilityReport(float(rng.uniform()), float(rng.uniform()), True)
+                   for t in scen.tasks[::2] for (z, x) in t.intrinsic}
+        table, plain = CountingTable(scen, reports), UtilityTable(scen)
+        for k in range(len(table.columns)):
+            plan = table.plan(np.full(len(scen.tasks), k), solver="at")
+            for i, t in enumerate(scen.tasks):
+                p = plan.decisions[t.id]
+                if t.id in injected:
+                    rep = reports[(t.id, p.node, p.option)]
+                    assert p.utility is rep.utility and p.risk is rep.risk, (t.id, k)
+                else:
+                    assert type(p.utility) is float and type(p.risk) is float
+                    assert (p.utility, p.risk) == (table.utility[i, k], table.risk[i, k]), (t.id, k)
+                    assert (p.utility, p.risk) == (plain.utility[i, k], plain.risk[i, k]), (t.id, k)
+        assert set(table.reads) == {(t.id, z, x) for t in scen.tasks[1::2] for (z, x) in t.intrinsic}
 
 
 class TestUncapacitated:
@@ -416,9 +443,11 @@ class TestUncapacitated:
     def test_base_scenario_utilities_match_closed_form(self):
         scen = bundled_scenario("vii_d_base")
         table = UtilityTable(scen)
+        ids = [t.id for t in scen.tasks]
+        gw_col, cl_col = table.columns.index(("gateway", "o1")), table.columns.index(("cloud", "o1"))
         for j in range(1, 11):
-            gw = table.report(f"t{j:02d}", "gateway", "o1").utility
-            cl = table.report(f"t{j:02d}", "cloud", "o1").utility
+            i = ids.index(f"t{j:02d}")
+            gw, cl = table.utility[i, gw_col], table.utility[i, cl_col]
             assert gw == pytest.approx(BASE_GATEWAY_U[j - 1], abs=1e-9)
             assert cl == pytest.approx(BASE_CLOUD_U[j - 1], abs=1e-9)
         plan = solve_uncapacitated(scen, table)
@@ -956,12 +985,12 @@ class TestBruteForce:
             n.id: len(plan.placed_on(n.id)) for n in scen.nodes if not n.infinite
         }
         for tid in plan.rejected():
-            task = next(t for t in scen.tasks if t.id == tid)
+            i, task = next((i, t) for i, t in enumerate(scen.tasks) if t.id == tid)
             for node in scen.nodes:
                 for x in node.options:
                     if (node.id, x) not in task.intrinsic:
                         continue
-                    u = table.report(tid, node.id, x).utility
+                    u = table.utility[i, table.columns.index((node.id, x))]
                     if node.infinite:
                         assert u == 0.0, f"{tid} rejected despite fallback on {node.id}"
                     elif u > 0.0:
