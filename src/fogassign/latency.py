@@ -64,10 +64,16 @@ MIXTURE_WEIGHT_TOL = 1e-9
 # For a nondecreasing function the result does not depend on k.
 _KSECTION_POINTS = 64
 # Group formula calls take blocks of rows whose largest temporary holds
-# about this many elements (32 KB of float64), the panel points of two or
-# three pairs: larger blocks save formula calls on big tables but raise a
-# process's peak memory on the small ones.
-_CHUNK_ELEMENTS = 1 << 12
+# about this many elements (128 KB of float64, sized for a core's L2
+# cache), the panel points of eight to twelve pairs.  Each block of the
+# layer-cake fill makes about ten numpy calls, so larger blocks save
+# formula calls on big tables: the fill of a 1,000-task, 4,778-pair
+# benchmark scenario runs 492 layer-cake blocks here against 1,595 at
+# 1 << 12, and took 0.062 s against 0.081 s (0.064, 0.060 and 0.063 s at
+# 1 << 13, 1 << 15 and 1 << 16; medians of 9 on a 2-vCPU x86-64 machine).
+# The block size never changes a result, but larger blocks raise a
+# process's peak memory on the small tables.
+_CHUNK_ELEMENTS = 1 << 14
 
 # Composite 16-point Gauss-Legendre rule in s = f(t).  The rule on [-1, 1]
 # is symmetric, so only its positive half is tabulated (computing it would
@@ -308,10 +314,13 @@ class Uniform(LatencyDistribution):
         self._require_finite()
         if not (self.lo < self.hi):
             raise ValueError("uniform bounds require lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"uniform hi - lo must be finite (got lo={self.lo!r}, hi={self.hi!r})")
 
     @staticmethod
     def _cdf(t, lo, hi):
-        return np.clip((t - lo) / (hi - lo), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # far beyond a narrow support: clipped to 0 or 1
+            return np.clip((t - lo) / (hi - lo), 0.0, 1.0)
 
     @staticmethod
     def _quantile(p, lo, hi):
@@ -332,10 +341,10 @@ class Empirical(LatencyDistribution):
     """
 
     def __init__(self, samples):
-        arr = np.sort(_as_array(samples).ravel())
+        arr = np.sort(_as_array(samples), axis=None)  # flattened
         if arr.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("empirical samples must be finite")
         if arr[0] < 0.0:
             raise ValueError("empirical samples must be nonnegative")
@@ -493,9 +502,9 @@ class Mixture(LatencyDistribution):
         w = np.array(weights, dtype=float)
         if len(components) == 0 or w.size != len(components):
             raise ValueError("mixture needs matching nonempty components and weights")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError(f"mixture weights must be finite (got {w.tolist()!r})")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise ValueError("mixture weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > MIXTURE_WEIGHT_TOL:
             raise ValueError(f"mixture weights must sum to 1 (got {float(w.sum())!r})")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,31 +76,40 @@ def simulate(
     caller's generator, so results are reproducible and adding tasks does
     not perturb other tasks' draws.  A task placed on a point mass draws
     nothing from its stream: all its ``reps`` completion times are that
-    value.  Rejected tasks contribute 0; the overall mean averages over
-    all tasks, matching how scenario-level average utility is defined.
+    value, so it is scored from that one value, with a standard error of
+    0.  Rejected tasks contribute 0; the overall mean averages over all
+    tasks, matching how scenario-level average utility is defined.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rng = make_rng(rng)
-    streams = rng.spawn(len(scenario.tasks))
+    # The seeds of rng.spawn's children: a generator is built only for a
+    # task that draws, and rng's spawn counter advances as spawn advances it.
+    bits = type(rng.bit_generator)
+    seeds = rng.bit_generator.seed_seq.spawn(len(scenario.tasks))
     means: dict[str, float] = {}
     ses: dict[str, float] = {}
     # Squared deviations, reused by every task: the steps of
     # vals.std(ddof=1) without its second mean and its temporaries.
     dev = np.empty(reps)
-    for t, stream in zip(scenario.tasks, streams):
+    for t, seed in zip(scenario.tasks, seeds):
         p = plan.decisions.get(t.id)
         if p is None:
             means[t.id] = 0.0
             ses[t.id] = 0.0
             continue
         dist = scenario.dist(t.id, p.node, p.option)
+        a = t.intrinsic[(p.node, p.option)]
         if isinstance(dist, Degenerate):
-            draws = np.full(reps, dist.value)
-        else:
-            draws = dist.sample(stream, reps)
+            # Every copy of the value scores alike; the mean is the same
+            # pairwise sum over reps copies that a drawn column gets.
+            value = t.time_utility.value(np.full(1, dist.value))[0] * a
+            means[t.id] = float(np.add.reduce(np.full(reps, value)) / reps)
+            ses[t.id] = 0.0
+            continue
+        draws = dist.sample(np.random.Generator(bits(seed)), reps)
         vals = t.time_utility.value(draws)
-        vals *= t.intrinsic[(p.node, p.option)]
+        vals *= a
         mean = np.add.reduce(vals) / reps
         means[t.id] = float(mean)
         if reps == 1:
@@ -107,7 +117,7 @@ def simulate(
             continue
         np.subtract(vals, mean, out=dev)
         np.square(dev, out=dev)
-        se = float(np.sqrt(np.add.reduce(dev) / (reps - 1)) / np.sqrt(reps))
+        se = math.sqrt(float(np.add.reduce(dev)) / (reps - 1)) / math.sqrt(reps)
         # Equal draws have no spread, but std leaves a rounding residue on
         # them, far below 1e-9 for values in [0, 1]: only such an se is checked.
         ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se

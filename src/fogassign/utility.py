@@ -30,6 +30,7 @@ and latency kind; ``expected_utility`` is its one-placement form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +135,9 @@ class ExpDecay(TimeUtility):
 
     @staticmethod
     def _latency_budget(q, k):
-        with np.errstate(divide="ignore"):  # q = 0: any latency is worth 0
+        # q = 0: any latency is worth 0; a tiny k puts the budget past the
+        # float range, at inf.
+        with np.errstate(divide="ignore", over="ignore"):
             return -np.log(q) / k
 
 
@@ -151,17 +154,20 @@ class WaitReadyFirst(TimeUtility):
         self._require_finite()
         if not (self.te < self.ts):
             raise ValueError("wait-readily-first requires te < ts")
+        if not math.isfinite(self.ts - self.te):
+            raise ValueError(
+                f"wrf ts - te must be finite (got te={self.te!r}, ts={self.ts!r})")
 
     @staticmethod
     def _value(t, te, ts, out):
-        # (ts - max(t, te)) / (ts - te) clipped to [0, 1]; np.maximum and
-        # np.minimum give np.clip's values without its wrapper.
+        # (ts - max(t, te)) / (ts - te) clipped to [0, 1].  With m = max(t, te)
+        # >= te, ts - m <= ts - te, and rounding is monotone, so the quotient
+        # is at most 1 and only the lower clip is needed.
         np.maximum(t, te, out=out)
         with np.errstate(over="ignore"):  # a ramp overflowing to -inf clips to 0
             np.subtract(ts, out, out=out)
             np.divide(out, ts - te, out=out)
-        np.maximum(out, 0.0, out=out)
-        return np.minimum(out, 1.0, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     @staticmethod
     def _latency_budget(q, te, ts):

@@ -257,9 +257,10 @@ class TestBenchCommands:
             ('{"kind": "empirical", "samples": []}', "at least one sample"),
             ('{"kind": "mixture", "components": 3, "weights": [1.0]}', "not iterable"),
             ('{"kind": "empirical", "file": "missing.csv"}', "not found"),
+            ('{"kind": "uniform", "lo": -1e308, "hi": 1e308}', "uniform hi - lo must be finite"),
         ],
         ids=["missing-field", "not-a-mapping", "bad-number", "not-json", "no-samples",
-             "wrong-type", "missing-file"],
+             "wrong-type", "missing-file", "overflowing-span"],
     )
     def test_characterize_bad_reference_fails_cleanly(self, runner, tmp_path, text, message):
         records = tmp_path / "records.csv"

@@ -15,6 +15,9 @@ sets of 1 to 9 samples, point masses, Gev shapes 0.5, 1 and 2, all three
 time-utility families, binding risk budgets and a full capacitated node.
 Its ``solve``, ``simulate`` and ``baseline --strategy min-latency`` stdout
 are kept the same way; the last pins the grouped latency medians.
+``extreme_params.scenario.json`` holds parameters at the edges of the
+float range (a deadline at 1e308, a decay rate of 1e-320, a uniform of
+width 5e-324), and its ``solve`` stdout is kept too.
 
 A change that alters any of them changes a result; regenerate them only
 when that is the intent, and say so in the change description.
@@ -78,6 +81,13 @@ def test_every_kind_simulate_with_baselines():
     got = _invoke(["simulate", str(GOLDEN / "every_kind.scenario.json"),
                    "--reps", "2000", "--seed", "7", "--with-baselines"])
     assert got == (GOLDEN / "every_kind.simulate.json").read_bytes()
+
+
+def test_extreme_params_solve_json():
+    # Parameters at the edges of the float range; the suite turns a
+    # RuntimeWarning into an error, so this also checks none is raised.
+    got = _invoke(["solve", str(GOLDEN / "extreme_params.scenario.json")])
+    assert got == (GOLDEN / "extreme_params.solve.json").read_bytes()
 
 
 def test_every_kind_min_latency_baseline():

@@ -543,6 +543,8 @@ class TestValidation:
     def test_uniform_needs_lo_lt_hi(self):
         with pytest.raises(ValueError):
             Uniform(0.6, 0.6)
+        with pytest.raises(ValueError, match="hi - lo must be finite"):
+            Uniform(-1e308, 1e308)
 
     def test_gev_positive_shape_and_scale(self):
         with pytest.raises(ValueError):

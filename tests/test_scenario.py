@@ -156,6 +156,11 @@ class TestValidation:
             (("latency", 1, "task"), ["t1"], r"latency\[1\]: task must be a string"),
             (("name",), ["x"], r"name must be a string \(got \['x'\]\)"),
             (("notes",), 5, r"notes must be a string \(got 5\)"),
+            # Finite bounds whose span overflows to inf.
+            (("latency", 0, "dist"), {"kind": "uniform", "lo": -1e308, "hi": 1e308},
+             r"latency\[0\] dist: uniform hi - lo must be finite"),
+            (("tasks", 0, "utility"), {"kind": "wrf", "te": -1e308, "ts": 1e308},
+             r"task 't1' utility: wrf ts - te must be finite"),
         ],
         ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
              "step-negative-tv", "step-huge-tv", "fractional-capacity", "bool-capacity",
@@ -166,7 +171,7 @@ class TestValidation:
              "huge-empirical-sample", "int-task-id", "list-task-id", "int-node-id",
              "string-options", "int-option", "int-intrinsic-node", "null-intrinsic-option",
              "list-latency-node", "int-latency-option", "list-latency-task", "list-name",
-             "int-notes"],
+             "int-notes", "uniform-overflowing-span", "wrf-overflowing-span"],
     )
     def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
         cfg = json.loads(json.dumps(MINIMAL))

@@ -201,6 +201,19 @@ class TestSimulate:
             got, want = _simulate_both(random_scenario(seed), 300, seed)
             assert got == want, seed
 
+    def test_matches_reference_on_tie_heavy_scenarios(self):
+        # Every placement is a point mass, scored from one value.  Up to four
+        # nodes are capacitated, beyond solve_capacitated, so the plans
+        # simulated are the baselines'.
+        for seed in range(100):
+            scen = tie_heavy_scenario(seed)
+            table = UtilityTable(scen)
+            plans = {s: run_baseline(scen, s, table) for s in BASELINES}
+            for reps in (1, 2, 2000):
+                args = (scen, plans["max-quality"], reps)
+                got = simulate(*args, make_rng(seed), plans)
+                assert got == reference_simulate(*args, make_rng(seed), plans), (seed, reps)
+
     def test_point_mass_leaves_other_tasks_alone(self):
         def run(dist_a):
             tasks = [TaskSpec(id=j, time_utility=Step(0.5), intrinsic={("z", "x"): 0.9})

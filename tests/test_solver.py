@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fogassign.latency import (
     Uniform,
     expect_transform,
 )
-from fogassign.scenario import NodeSpec, Scenario, bundled_scenario
+from fogassign.scenario import NodeSpec, Scenario, bundled_scenario, load_scenario
 from fogassign.solver import (
     Placement,
     SizeGuardError,
@@ -365,6 +366,23 @@ class TestFill:
                         assert got == (rep.utility, rep.risk, rep.feasible), (seed, t.id, z, x)
             for got, a in zip((table.utility, table.risk, table.feasible), want):
                 assert np.array_equal(got, a), seed
+
+    def test_block_size_changes_no_score(self, monkeypatch):
+        # Formula calls take blocks of rows sized by _CHUNK_ELEMENTS; each
+        # row's arithmetic must not depend on how many share its block.
+        scens = [random_scenario(seed) for seed in range(200)]
+        scens += [load_scenario(Path(__file__).parent / "golden" / "every_kind.scenario.json"),
+                  mixed_scenario(0)]
+
+        def fill():
+            return [(t.utility, t.risk, t.feasible) for t in map(UtilityTable, scens)]
+
+        want = fill()
+        for chunk in (1 << 10, 1 << 12, 1 << 14, 1 << 16):
+            monkeypatch.setattr("fogassign.latency._CHUNK_ELEMENTS", chunk)
+            for scen, got, arrays in zip(scens, fill(), want):
+                for a, b in zip(got, arrays):
+                    assert np.array_equal(a, b), (chunk, scen.name)
 
     def test_one_pair_forms_match_reference(self):
         scen = mixed_scenario(2, n_tasks=45)

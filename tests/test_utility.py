@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,7 +89,8 @@ class TestEval:
         with pytest.raises(ValueError):
             WaitReadyFirst(0.4, 0.4)
         for bad in (lambda: Step(float("nan")), lambda: Step(-0.1),
-                    lambda: ExpDecay(float("inf")), lambda: WaitReadyFirst(0.1, float("inf"))):
+                    lambda: ExpDecay(float("inf")), lambda: WaitReadyFirst(0.1, float("inf")),
+                    lambda: WaitReadyFirst(-1e308, 1e308)):
             with pytest.raises(ValueError):
                 bad()
 
@@ -156,6 +158,25 @@ class TestFormulas:
         for i, f in enumerate(utilities):
             assert np.array_equal(got[:, i], f.latency_budget(q[:, i])), f
             assert (got[0, i, 0] == np.inf) == isinstance(f, ExpDecay)
+
+
+class TestOneValue:
+    """``simulate`` scores a point mass's reps equal completion times from
+    one evaluation, so one copy must score like each of many."""
+
+    @pytest.mark.parametrize("f, breakpoints", [
+        (Step(0.45), (0.45,)),
+        (ExpDecay(2.5), ()),
+        (WaitReadyFirst(0.3, 0.4), (0.3, 0.4)),
+    ], ids=["step", "exp", "wrf"])
+    @pytest.mark.parametrize("reps", [1, 2, 7, 16, 10_000])
+    def test_one_copy_scores_like_every_copy(self, f, breakpoints, reps):
+        points = [0.0, 0.37, 1e308]
+        for b in breakpoints:
+            points += [np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
+        for v in points:
+            one = f.value(np.full(1, v))[0]
+            assert np.all(f.value(np.full(reps, v)) == one), v
 
 
 class TestLatencyBudget:
@@ -270,6 +291,28 @@ class TestExpectedUtility:
                 make_task(ExpDecay(0.7), a=a), "z", "x", Gev(0.3, 0.1, 0.5)
             )
             assert 0.0 <= rep.utility <= a + 1e-12
+
+
+# Valid records whose formulas overflow on the way to a right answer: each
+# pair's time value is 1 at every latency the distribution can take.
+EXTREME_PAIRS = [
+    (Step(1e308), Uniform(0.1, 0.6)),
+    (WaitReadyFirst(0.3, 0.4), Uniform(0.0, 5e-324)),
+    (ExpDecay(1e-320), Uniform(0.1, 0.6)),
+    (ExpDecay(1e-320), Gev(0.3, 0.1, 0.5)),
+    (WaitReadyFirst(0.0, 1e308), Uniform(0.1, 0.6)),
+]
+
+
+@pytest.mark.parametrize("f, dist", EXTREME_PAIRS,
+                         ids=["huge-step", "tiny-uniform", "tiny-exp-uniform", "tiny-exp-gev",
+                              "huge-wrf"])
+def test_extreme_parameters_score_without_warnings(f, dist):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = expected_utility(make_task(f, a=0.6, q=0.5, budget=0.5), "z", "x", dist)
+    assert (rep.risk, rep.feasible) == (0.0, True)
+    assert rep.utility == pytest.approx(0.6, abs=1e-12)
 
 
 class TestDominance:
