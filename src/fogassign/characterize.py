@@ -154,6 +154,9 @@ class LinearMixing:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        _check_thresholds(self.lo, self.hi)
+
     def __call__(self, delta_t: float) -> float:
         return float(np.clip((self.hi - delta_t) / (self.hi - self.lo), 0.0, 1.0))
 
@@ -167,8 +170,18 @@ class BucketMixing:
     width: float
     weights: tuple[float, ...]
 
+    def __post_init__(self):
+        _check_thresholds(self.lo, self.hi)
+        n = _band_buckets(self.lo, self.hi, self.width)
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (n,) or not np.all((w >= 0.0) & (w <= 1.0)):
+            raise ValueError(
+                f"weights must hold one warm weight in [0, 1] per band bucket ({n}), "
+                f"got {self.weights!r}"
+            )
+
     def bucket_index(self, delta_t: float) -> int:
-        return int(min((delta_t - self.lo) // self.width, len(self.weights) - 1))
+        return _bucket_index(delta_t, self.lo, self.width, len(self.weights))
 
     def __call__(self, delta_t: float) -> float:
         if delta_t <= self.lo:
@@ -180,7 +193,11 @@ class BucketMixing:
 
 @dataclass(frozen=True)
 class ServerlessModel:
-    """Gap-conditional latency: warm below lo, cold above hi, mixed between."""
+    """Gap-conditional latency: warm below lo, cold above hi, mixed between.
+
+    ``mixing`` gives the warm weight of a gap in the band; a
+    ``LinearMixing`` or ``BucketMixing`` must have the model's thresholds.
+    """
 
     warm: LatencyDistribution
     cold: LatencyDistribution
@@ -190,6 +207,13 @@ class ServerlessModel:
 
     def __post_init__(self):
         _check_thresholds(self.lo, self.hi)
+        if isinstance(self.mixing, (LinearMixing, BucketMixing)) and (
+            (self.mixing.lo, self.mixing.hi) != (self.lo, self.hi)
+        ):
+            raise ValueError(
+                f"mixing thresholds ({self.mixing.lo}, {self.mixing.hi}) differ from "
+                f"the model's ({self.lo}, {self.hi})"
+            )
 
     @classmethod
     def linear(cls, warm, cold, lo, hi) -> "ServerlessModel":
@@ -199,6 +223,22 @@ class ServerlessModel:
 def _check_thresholds(lo: float, hi: float) -> None:
     if not (0.0 <= lo < hi < np.inf):
         raise ValueError(f"thresholds require 0 <= lo < hi < inf (got {lo}, {hi})")
+
+
+def _band_buckets(lo: float, hi: float, width: float) -> int:
+    """Number of ``width``-wide buckets covering the band (lo, hi); the last
+    may be narrower."""
+    if not (0.0 < width < np.inf):
+        raise ValueError(f"bucket_width must be finite and > 0 (got {width})")
+    n = np.ceil((hi - lo) / width - 1e-12)
+    if not n < 2.0**53:  # (hi - lo) / width overflows for a tiny width
+        raise ValueError(f"bucket_width {width:g} makes too many band buckets")
+    return max(1, int(n))
+
+
+def _bucket_index(delta_t: float, lo: float, width: float, n_buckets: int) -> int:
+    """Band bucket of a gap in (lo, hi); a gap in the narrower tail joins the last."""
+    return int(min((delta_t - lo) // width, n_buckets - 1))
 
 
 def serverless_latency(model: ServerlessModel, delta_t: float) -> LatencyDistribution:
@@ -229,12 +269,10 @@ def fit_serverless_regimes(
     """
     lo, hi = thresholds
     _check_thresholds(lo, hi)
-    if not (0.0 < bucket_width < np.inf):
-        raise ValueError(f"bucket_width must be finite and > 0 (got {bucket_width})")
+    n_buckets = _band_buckets(lo, hi, bucket_width)
     if len(records) < 30:
         raise InsufficientDataError(f"need at least 30 records, got {len(records)}")
     warm_lat, cold_lat = [], []
-    n_buckets = int(np.ceil((hi - lo) / bucket_width - 1e-12))
     if n_buckets > len(records):  # some bucket must then be empty; do not allocate them
         raise InsufficientDataError(
             f"bucket_width {bucket_width:g} makes {n_buckets} band buckets "
@@ -247,7 +285,7 @@ def fit_serverless_regimes(
         elif dt >= hi:
             cold_lat.append(lat)
         else:
-            buckets[min(int((dt - lo) // bucket_width), n_buckets - 1)].append(lat)
+            buckets[_bucket_index(dt, lo, bucket_width, n_buckets)].append(lat)
     if not warm_lat:
         raise InsufficientDataError(f"no records in the warm regime (gap <= {lo})")
     if not cold_lat:

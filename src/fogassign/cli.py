@@ -59,11 +59,17 @@ def _load(scenario_path):
         raise click.ClickException(str(exc))
 
 
-def _emit_or_print(record: dict, fmt: str, out):
-    if out is None:
-        click.echo(json.dumps(round9(record), sort_keys=True, indent=2))
-    else:
+def _cannot_write(path, exc: OSError) -> click.ClickException:
+    return click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _emit(record: dict, fmt: str, out):
+    """Print the record, or write it to ``out`` and say so."""
+    try:
         emit(record, fmt, out)
+    except OSError as exc:
+        raise _cannot_write("stdout" if out is None else out, exc)
+    if out is not None:
         click.echo(f"wrote {out}")
 
 
@@ -83,7 +89,7 @@ def solve(scenario_path, solver, out, fmt):
     problems = validate_plan(scen, plan)
     if problems:
         raise click.ClickException("; ".join(problems))
-    _emit_or_print(plan.to_record(scenario_hash=scen.content_hash()), fmt, out)
+    _emit(plan.to_record(scenario_hash=scen.content_hash()), fmt, out)
 
 
 @main.command()
@@ -96,7 +102,7 @@ def baseline(scenario_path, strategy, out, fmt):
     """Place every task by a single-statistic reference strategy."""
     scen = _load(scenario_path)
     plan = run_baseline(scen, strategy)
-    _emit_or_print(plan.to_record(scenario_hash=scen.content_hash()), fmt, out)
+    _emit(plan.to_record(scenario_hash=scen.content_hash()), fmt, out)
 
 
 @main.command(name="simulate")
@@ -122,7 +128,7 @@ def simulate_cmd(scenario_path, reps, seed, solver, with_baselines, out):
     )
     rng = make_rng(scen.seed if seed is None else seed)
     result = simulate(scen, plan, reps, rng, baselines=baselines)
-    _emit_or_print(result.to_record(), "json", out)
+    _emit(result.to_record(), "json", out)
 
 
 @main.command()
@@ -195,7 +201,7 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
             "max": mx,
             "ks": characterize.ks_statistic([r.latency_s for r in ok_rows], ref.cdf),
         }
-    _emit_or_print(report, "json", out)
+    _emit(report, "json", out)
 
 
 @main.command(name="fit-gev")
@@ -246,9 +252,15 @@ def serve(bind, dataset, allow_out_of_range):
 def probe(schedule, out):
     """Run a probe schedule against live endpoints and record latencies."""
     try:
-        rows = benchnet.probe(benchnet.load_schedule(schedule), out)
-    except ValueError as exc:  # a bad target, or a URL no request can go to
+        sched = benchnet.load_schedule(schedule)
+    except ValueError as exc:  # a missing or malformed field
         raise click.ClickException(str(exc))
+    try:
+        rows = benchnet.probe(sched, out)
+    except ValueError as exc:  # a URL no request can go to
+        raise click.ClickException(str(exc))
+    except OSError as exc:  # a failed request is a record, so this is the file
+        raise _cannot_write(out, exc)
     failures = sum(1 for r in rows if r.status != "ok")
     click.echo(f"wrote {len(rows)} records to {out} ({failures} failures)")
 
@@ -260,7 +272,10 @@ def probe(schedule, out):
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def make_dataset(out, lines, seed):
     """Generate the seeded numeric CSV fixture served by /psf."""
-    benchnet.make_dataset(out, lines=lines, seed=seed)
+    try:
+        benchnet.make_dataset(out, lines=lines, seed=seed)
+    except OSError as exc:
+        raise _cannot_write(out, exc)
     click.echo(f"wrote {lines} lines to {out}")
 
 
@@ -280,7 +295,10 @@ def scenarios_cmd(export_name, out):
         scen = bundled_scenario(export_name)
     except ScenarioError as exc:
         raise click.ClickException(str(exc))
-    scen.save(out)
+    try:
+        scen.save(out)
+    except OSError as exc:
+        raise _cannot_write(out, exc)
     click.echo(f"wrote {out}")
 
 

@@ -8,15 +8,18 @@ latency, or highest intrinsic quality — exactly the single-statistic
 habits the expected-utility planner improves on; they pick per task and
 ignore node capacities.
 
-``emit`` writes results deterministically: keys sorted, floats at 9
-significant digits, so identical inputs produce byte-identical files.
+``emit`` writes results, to a file or to stdout, deterministically: keys
+sorted, floats at 9 significant digits, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,21 +184,31 @@ def round9(obj):
     return obj
 
 
-def emit(record: dict, fmt: str, path) -> Path:
-    """Write a result record as canonical JSON or as the plan CSV."""
-    path = Path(path)
+def emit(record: dict, fmt: str, path=None) -> Path | None:
+    """Write a result record as canonical JSON or as the plan CSV.
+
+    The record is rendered once; the same bytes go to ``path``, or to
+    stdout when ``path`` is None (the CSV keeps its ``\\r\\n`` rows there
+    too).  Returns the path written, or None for stdout.
+    """
     if fmt == "json":
-        blob = json.dumps(round9(record), sort_keys=True, indent=2)
-        path.write_text(blob + "\n")
-        return path
-    if fmt == "csv":
+        text = json.dumps(round9(record), sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
         if "tasks" not in record:
             raise ValueError("CSV emission expects a plan record with task rows")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PLAN_COLUMNS)
-            for row in record["tasks"]:
-                cells = (row[column] for column in PLAN_COLUMNS)
-                writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in cells])
-        return path
-    raise ValueError(f"unknown emit format {fmt!r}")
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(PLAN_COLUMNS)
+        for row in record["tasks"]:
+            cells = (row[column] for column in PLAN_COLUMNS)
+            writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in cells])
+        text = buf.getvalue()
+    else:
+        raise ValueError(f"unknown emit format {fmt!r}")
+    if path is None:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return None
+    path = Path(path)
+    path.write_text(text, newline="")
+    return path

@@ -189,6 +189,37 @@ class TestServerlessLatency:
         vals = [mixing(x) for x in grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("lo, hi", [(5.0, 5.0), (10.0, np.nan)])
+    def test_linear_mixing_rejects_bad_thresholds(self, lo, hi):
+        with pytest.raises(ValueError, match="thresholds require 0 <= lo < hi < inf"):
+            LinearMixing(lo, hi)
+
+    @pytest.mark.parametrize(
+        "width, weights, message",
+        [
+            (0.0, (0.5,) * 5, "bucket_width must be finite and > 0"),
+            (5e-324, (0.5,), "too many band buckets"),
+            (10.0, (), "one warm weight in"),
+            (50.0, (1.5,), "one warm weight in"),
+            (50.0, (np.nan,), "one warm weight in"),
+            (10.0, (0.5,) * 4, "per band bucket"),
+        ],
+        ids=["zero-width", "subnormal-width", "no-weights", "weight-above-1", "nan-weight",
+             "one-weight-short"],
+    )
+    def test_bucket_mixing_rejects_bad_fields(self, width, weights, message):
+        with pytest.raises(ValueError, match=message):
+            BucketMixing(lo=10.0, hi=60.0, width=width, weights=weights)
+
+    @pytest.mark.parametrize(
+        "mixing",
+        [LinearMixing(0.0, 100.0), BucketMixing(lo=10.0, hi=50.0, width=40.0, weights=(0.5,))],
+        ids=["linear", "bucket"],
+    )
+    def test_model_rejects_mixing_with_other_thresholds(self, mixing):
+        with pytest.raises(ValueError, match="mixing thresholds"):
+            ServerlessModel(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0, mixing)
+
 
 def synth_records(model: ServerlessModel, per_bucket: int, rng) -> list:
     """Draw (gap, latency) pairs from a known model, pure regimes included."""
@@ -252,13 +283,20 @@ class TestFitServerlessRegimes:
         with pytest.raises(InsufficientDataError, match="bucket 2"):
             fit_serverless_regimes(records)
 
-    @pytest.mark.parametrize("width", [0.0, -5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("width", [0.0, -5.0, float("nan"), float("inf"), 5e-324])
     def test_rejects_bad_bucket_width(self, width):
         records = synth_records(
             ServerlessModel.linear(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0), 20, make_rng(4)
         )
         with pytest.raises(ValueError, match="bucket_width"):
             fit_serverless_regimes(records, bucket_width=width)
+
+    def test_band_narrower_than_one_bucket_is_one_bucket(self):
+        # Records are binned by BucketMixing's rule, whatever the band width.
+        records = ([(5.0, 0.1)] * 15 + [(20.0, 1.0)] * 15
+                   + [(10.0005, 0.1)] * 5 + [(10.0005, 1.0)] * 5)
+        fitted = fit_serverless_regimes(records, thresholds=(10.0, 10.001), bucket_width=1e10)
+        assert fitted.mixing.weights == (0.5,)
 
     def test_rejects_unbounded_thresholds(self):
         records = [(float(d), 0.1) for d in np.linspace(0, 90, 40)]

@@ -1,5 +1,6 @@
 import json
 import re
+import urllib.request
 
 import click
 import pytest
@@ -232,6 +233,7 @@ class TestBenchCommands:
             (["--bucket-width", "-5"], "bucket_width must be finite and > 0"),
             (["--bucket-width", "nan"], "bucket_width must be finite and > 0"),
             (["--thresholds", "60", "10"], "thresholds require 0 <= lo < hi"),
+            (["--bucket-width", "5e-324"], "bucket_width 4.94066e-324 makes too many band"),
         ],
     )
     def test_characterize_bad_arguments_fail_cleanly(self, runner, tmp_path, args, message):
@@ -311,6 +313,57 @@ class TestBenchCommands:
         report = json.loads(res.output)
         assert report["per_endpoint"]["e o"]["n"] == 2
         assert 0.0 <= report["reference_distance"]["max"] <= 1.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", [["solve"], ["baseline", "--strategy", "min-latency"]],
+                         ids=["solve", "baseline"])
+def test_stdout_matches_out_file(runner, base_file, tmp_path, command, fmt):
+    args = [command[0], str(base_file), *command[1:], "--format", fmt]
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0, printed.output
+    out = tmp_path / f"plan.{fmt}"
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert written.exit_code == 0, written.output
+    assert written.output == f"wrote {out}\n"
+    assert printed.stdout_bytes == out.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["solve", "baseline", "simulate", "characterize",
+                                     "scenarios", "probe", "make-dataset"])
+def test_unwritable_out_is_a_clean_error(runner, base_file, tmp_path, monkeypatch,
+                                         command, where):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+        ",0.12,e,o,1700000000000\n"
+    )
+    schedule = tmp_path / "sched.json"
+    schedule.write_text(json.dumps({
+        "endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
+        "count": 2,
+    }))
+
+    def no_request(*args, **kwargs):
+        raise AssertionError("probe sent a request before opening --out")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_request)
+    args = {
+        "solve": ["solve", str(base_file)],
+        "baseline": ["baseline", str(base_file), "--strategy", "min-latency"],
+        "simulate": ["simulate", str(base_file), "--reps", "10"],
+        "characterize": ["characterize", str(records)],
+        "scenarios": ["scenarios", "--export", "vii_d_base"],
+        "probe": ["probe", "--schedule", str(schedule)],
+        "make-dataset": ["make-dataset"],
+    }[command]
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: cannot write {out}: " in res.output
+    assert "Traceback" not in res.output
 
 
 def test_scenarios_listing(runner):
