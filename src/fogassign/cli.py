@@ -74,7 +74,7 @@ def _emit(record: dict, fmt: str, out):
 
 
 @main.command()
-@click.argument("scenario_path", type=click.Path(exists=True))
+@click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--solver", type=click.Choice(sorted(SOLVERS)), default="at", show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write instead of printing.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -93,7 +93,7 @@ def solve(scenario_path, solver, out, fmt):
 
 
 @main.command()
-@click.argument("scenario_path", type=click.Path(exists=True))
+@click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", type=click.Choice(BASELINES), required=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -106,7 +106,7 @@ def baseline(scenario_path, strategy, out, fmt):
 
 
 @main.command(name="simulate")
-@click.argument("scenario_path", type=click.Path(exists=True))
+@click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--reps", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Defaults to the scenario seed.")
@@ -150,11 +150,11 @@ def reproduce(experiment):
 
 
 @main.command(name="characterize")
-@click.argument("records", type=click.Path(exists=True))
+@click.argument("records", type=click.Path(exists=True, dir_okay=False))
 @click.option("--thresholds", nargs=2, type=float, default=(10.0, 60.0), show_default=True,
               help="Warm/cold inter-invocation thresholds in seconds.")
 @click.option("--bucket-width", type=float, default=10.0, show_default=True)
-@click.option("--reference", type=click.Path(exists=True), default=None,
+@click.option("--reference", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON distribution config to score the records against.")
 @click.option("--out", type=click.Path(), default=None)
 def characterize_cmd(records, thresholds, bucket_width, reference, out):
@@ -232,7 +232,7 @@ def _host_port(ctx, param, value):
 @main.command()
 @click.option("--bind", default="127.0.0.1:8080", show_default=True, help="host:port",
               callback=_host_port)
-@click.option("--dataset", type=click.Path(exists=True), required=True)
+@click.option("--dataset", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--allow-out-of-range", is_flag=True,
               help="Accept benchmark sizes outside the supported ranges.")
 def serve(bind, dataset, allow_out_of_range):
@@ -247,7 +247,7 @@ def serve(bind, dataset, allow_out_of_range):
 
 
 @main.command()
-@click.option("--schedule", type=click.Path(exists=True), required=True)
+@click.option("--schedule", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(), required=True)
 def probe(schedule, out):
     """Run a probe schedule against live endpoints and record latencies."""

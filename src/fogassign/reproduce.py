@@ -18,15 +18,16 @@ Its runs are drawn and scored in blocks of ``_RQ_BATCH``.  One generator
 call draws a block's uniforms, laid out run by run as a run-by-run loop
 drew them (cloud intrinsic utilities, then the gateway's latency draws,
 then the cloud's), so the random stream is unchanged.  Each node's draws
-are transformed at once and stored as a (runs, node, task, sample) block,
-and every task's time utility is evaluated over it in place, one formula
-call per utility family (``latency.Columns``).  Each block row of
-samples is C-contiguous, so each run's mean is numpy's pairwise sum over
-its samples and the estimates are bit-identical to scoring runs one by
-one.  Scores collect in a ``_RQ_SOLVE``-run array that
-``solver.solve_batch`` solves at once: its array stages run on all those
-runs, and one slot-DP sweep solves the constrained slots of all of them,
-over the tasks left in any run.
+are transformed at once and stored task-major, as a (task, run, node,
+sample) block, and every task's time utility is evaluated over it in
+place, one formula call per utility family (``latency.Columns``), each
+over one contiguous row of the task's runs × nodes × samples.  Each
+block row of samples is C-contiguous, so each run's mean is numpy's
+pairwise sum over its samples and the estimates are bit-identical to
+scoring runs one by one.  Scores collect in a ``_RQ_SOLVE``-run array
+that ``solver.solve_batch`` solves at once: its array stages run on all
+those runs, and one slot-DP sweep solves the constrained slots of all of
+them, over the tasks left in any run.
 """
 
 from __future__ import annotations
@@ -55,11 +56,14 @@ RQ_FREQS = {"t04": (32.0, 3.0), "t05": (6.8, 1.5), "t06": (0.6, 0.4)}
 RQ_RUNS = 10_000
 RQ_SAMPLES_PER_ESTIMATE = 400
 RQ_GATEWAY_CAPACITY = 3
-# Runs drawn and scored per generator call.  Their uniforms and their
-# (4, 2, 10, 400) time-utility block take 0.26 MB each and are reused for
-# every block: larger blocks raise peak memory, and fresh buffers per block
-# page-fault.
-_RQ_BATCH = 4
+# Runs drawn and scored per generator call.  Their (8, 8010) uniforms and
+# their (10, 8, 2, 400) time-utility block take 0.51 MB each and are reused
+# for every block: fresh buffers per block page-fault.  Median time of
+# random_quality by batch size (2 vCPUs, medians of 7, two runs each):
+# 4 runs 0.454 s, 8 runs 0.400-0.403 s, 16 runs 0.404-0.405 s, 32 runs
+# 0.418-0.420 s, 64 runs 0.483-0.497 s; larger blocks also raise peak
+# memory.
+_RQ_BATCH = 8
 # Runs per solve_batch call: a (512, 10, 2) score array of 80 KB.
 _RQ_SOLVE = 512
 
@@ -158,14 +162,14 @@ def _rq_draw(rng, dists, u, t):
     run's uniforms in the order a run-by-run loop drew them: its cloud
     intrinsic utilities, then (samples, tasks) latency draws from each of
     ``dists``, the gateway's and the cloud's models.  The draws go into
-    ``t``, shape (runs, node, tasks, samples).  Returns the cloud intrinsic
+    ``t``, shape (tasks, runs, node, samples).  Returns the cloud intrinsic
     utilities, shape (runs, tasks).
     """
     rng.random(out=u)
-    runs, _, n, k = t.shape
+    n, runs, _, k = t.shape
     for node, dist in enumerate(dists):
         seg = u[:, n + node * k * n:n + (node + 1) * k * n]
-        t[:, node] = dist.from_uniform(seg).reshape(runs, k, n).transpose(0, 2, 1)
+        t[:, :, node] = dist.from_uniform(seg).reshape(runs, k, n).transpose(2, 0, 1)
     return 0.6 + (0.9 - 0.6) * u[:, :n]  # numpy's uniform(0.6, 0.9) of each variate
 
 
@@ -174,14 +178,16 @@ def _rq_scores(utilities, a2, t):
 
     ``utilities`` is the tasks' time utilities as ``Columns``; ``a2``
     holds each run's cloud intrinsic utilities, shape (runs, tasks); ``t``
-    holds its latency draws, shape (runs, node, tasks, samples), gateway
+    holds its latency draws, shape (tasks, runs, node, samples), gateway
     first, and is overwritten with their time utilities.  Returns two
-    (runs, tasks) arrays.  ``t`` must be C-contiguous: each mean is then
-    numpy's pairwise sum over one contiguous row of samples, the same sum
-    as the mean of one run's column.
+    (runs, tasks) arrays.  ``t`` must be C-contiguous: each task's formula
+    then runs over one contiguous row of its runs' samples, and each mean
+    is numpy's pairwise sum over one contiguous row of samples, the same
+    sum as the mean of one run's column.
     """
-    m = utilities.value(t, out=t).mean(axis=-1)
-    return 0.6 * m[:, 0], a2 * m[:, 1]
+    flat = t.reshape(len(t), -1)
+    m = utilities.value(flat, out=flat).reshape(t.shape).mean(axis=-1)
+    return 0.6 * m[:, :, 0].T, a2 * m[:, :, 1].T
 
 
 def _random_quality() -> ExperimentReport:
@@ -199,13 +205,14 @@ def _random_quality() -> ExperimentReport:
     on_gateway = np.zeros(n, dtype=int)
     utility = np.zeros((_RQ_SOLVE, n, len(columns)))
     u = np.empty((_RQ_BATCH, n + 2 * k * n))
-    t = np.empty((_RQ_BATCH, 2, n, k))
+    block = np.empty(n * _RQ_BATCH * 2 * k)  # a partial block views its head
     for start in range(0, RQ_RUNS, _RQ_SOLVE):
         runs = min(_RQ_SOLVE, RQ_RUNS - start)
         for r in range(0, runs, _RQ_BATCH):
             b = min(_RQ_BATCH, runs - r)
-            a2 = _rq_draw(rng, dists, u[:b], t[:b])
-            utility[r:r + b, :, gw], utility[r:r + b, :, cl] = _rq_scores(utilities, a2, t[:b])
+            t = block[:n * b * 2 * k].reshape(n, b, 2, k)
+            a2 = _rq_draw(rng, dists, u[:b], t)
+            utility[r:r + b, :, gw], utility[r:r + b, :, cl] = _rq_scores(utilities, a2, t)
         on_gateway += (solve_batch(scen, utility[:runs]) == gw).sum(axis=0)
     counts = dict(zip((t.id for t in tasks), on_gateway.tolist()))
     for tid, (paper, tol) in RQ_FREQS.items():

@@ -157,17 +157,25 @@ class WaitReadyFirst(TimeUtility):
         if not math.isfinite(self.ts - self.te):
             raise ValueError(
                 f"wrf ts - te must be finite (got te={self.te!r}, ts={self.ts!r})")
+        if self.te < 0.0:
+            raise ValueError(f"wrf te must be >= 0 (got {self.te!r})")
 
     @staticmethod
     def _value(t, te, ts, out):
-        # (ts - max(t, te)) / (ts - te) clipped to [0, 1].  With m = max(t, te)
-        # >= te, ts - m <= ts - te, and rounding is monotone, so the quotient
-        # is at most 1 and only the lower clip is needed.
-        np.maximum(t, te, out=out)
+        # (ts - max(t, te)) / (ts - te) clipped to [0, 1], in three passes:
+        # (ts - t) / (ts - te) clipped to [0, 1].  Rounding is monotone, so
+        # for t <= te, fl(ts - t) >= fl(ts - te) and the quotient is at least
+        # 1: it clips to exactly 1, the value at max(t, te) = te.  For t > te
+        # both forms compute the same quotient.  clip keeps a -0.0 quotient
+        # where the lower clip by maximum gave +0.0, but with te >= 0 none
+        # arises: ts > 0, and for t > ts, |ts - t| >= ulp(ts) while
+        # ts - te <= ts, so the quotient cannot underflow to zero.  The
+        # method skips np.clip's dispatch, about 0.8 us a call, which small
+        # calls such as one task's column of draws would pay.
         with np.errstate(over="ignore"):  # a ramp overflowing to -inf clips to 0
-            np.subtract(ts, out, out=out)
+            np.subtract(ts, t, out=out)
             np.divide(out, ts - te, out=out)
-        return np.maximum(out, 0.0, out=out)
+        return out.clip(0.0, 1.0, out=out)
 
     @staticmethod
     def _latency_budget(q, te, ts):

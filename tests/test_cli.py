@@ -366,6 +366,36 @@ def test_unwritable_out_is_a_clean_error(runner, base_file, tmp_path, monkeypatc
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "{d}"],
+    ["baseline", "{d}", "--strategy", "min-latency"],
+    ["simulate", "{d}"],
+    ["characterize", "{d}"],
+    ["characterize", "{records}", "--reference", "{d}"],
+    ["serve", "--dataset", "{d}"],
+    ["probe", "--schedule", "{d}", "--out", "{d}/out.csv"],
+], ids=["solve", "baseline", "simulate", "characterize", "characterize-reference",
+        "serve", "probe"])
+def test_directory_input_is_a_usage_error(runner, tmp_path, args):
+    records = tmp_path / "records.csv"
+    records.write_text("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n")
+    d = tmp_path / "dir"
+    d.mkdir()
+    res = runner.invoke(main, [a.format(d=d, records=records) for a in args])
+    assert res.exit_code == 2, res.output
+    assert f"'{d}' is a directory" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_every_existing_path_input_refuses_directories():
+    inputs = [
+        (name, p.name, p.type.dir_okay) for name, cmd in main.commands.items()
+        for p in cmd.params if isinstance(p.type, click.Path) and p.type.exists
+    ]
+    assert len(inputs) >= 7, inputs  # the walk finds the inputs it guards
+    assert [(name, param) for name, param, dir_okay in inputs if dir_okay] == []
+
+
 def test_scenarios_listing(runner):
     res = runner.invoke(main, ["scenarios"])
     assert res.exit_code == 0

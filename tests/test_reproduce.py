@@ -1,10 +1,12 @@
 """Block drawing and scoring of the randomized-quality experiment.
 
-``_rq_draw`` draws a block of runs with one generator call and
-``_rq_scores`` evaluates each utility family once over the block.  The
-references below are the per-run loops they replaced, kept verbatim;
-the blocks must give the same floats, compared with ``==``, and leave
-the generator in the same state.
+``_rq_draw`` draws a block of runs with one generator call into a
+task-major (task, run, node, sample) block, and ``_rq_scores`` evaluates
+each utility family once over the block.  The references below are the
+per-run loops they replaced, kept verbatim; the blocks must give the
+same floats, compared with ``==``, and leave the generator in the same
+state, for full blocks and for partial ones such as the experiment's
+last block when its run count is not a multiple of ``_RQ_BATCH``.
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ def per_run_reports(tasks, a2, gw_draws, cl_draws):
     return reports
 
 
-@pytest.mark.parametrize("runs", [_RQ_BATCH, 16, 3], ids=["full", "16", "partial"])
+@pytest.mark.parametrize("runs", [_RQ_BATCH, 16, 3, 5], ids=["full", "16", "partial", "partial5"])
 @pytest.mark.parametrize("cloud", ["scenario", "gev"])
 def test_batch_matches_per_run_reference(runs, cloud):
     scen = bundled_scenario("vii_d_base").with_node_capacity("gateway", RQ_GATEWAY_CAPACITY)
@@ -56,7 +58,7 @@ def test_batch_matches_per_run_reference(runs, cloud):
         gw_draws[r] = gw_dist.sample(rng, k * n).reshape(k, n)
         cl_draws[r] = cl_dist.sample(rng, k * n).reshape(k, n)
         want.append(per_run_reports(tasks, a2[r], gw_draws[r], cl_draws[r]))
-    block = np.ascontiguousarray(np.stack([gw_draws, cl_draws], axis=1).transpose(0, 1, 3, 2))
+    block = np.ascontiguousarray(np.stack([gw_draws, cl_draws], axis=1).transpose(3, 0, 1, 2))
     u_gw, u_cl = _rq_scores(Columns(task.time_utility for task in tasks), a2, block)
     assert u_gw.shape == u_cl.shape == (runs, n)
     for r in range(runs):
@@ -65,7 +67,7 @@ def test_batch_matches_per_run_reference(runs, cloud):
             assert u_cl[r, i] == want[r][(t.id, "cloud", "o1")].utility
 
 
-@pytest.mark.parametrize("runs", [_RQ_BATCH, 3], ids=["full", "partial"])
+@pytest.mark.parametrize("runs", [_RQ_BATCH, 3, 5], ids=["full", "partial", "partial5"])
 @pytest.mark.parametrize("cloud", ["scenario", "gev"])
 def test_block_draw_keeps_the_random_stream(runs, cloud):
     scen = bundled_scenario("vii_d_base")
@@ -74,15 +76,16 @@ def test_block_draw_keeps_the_random_stream(runs, cloud):
     cl_dist = scen.dist("t01", "cloud", "o1") if cloud == "scenario" else Gev(0.3, 0.1, 0.6)
     ref = make_rng(runs)
     want_a2 = np.empty((runs, n))
-    want_t = np.empty((runs, 2, n, k))
+    want_t = np.empty((n, runs, 2, k))
     for r in range(runs):
         want_a2[r] = ref.uniform(0.6, 0.9, n)
-        want_t[r, 0] = gw_dist.sample(ref, k * n).reshape(k, n).T
-        want_t[r, 1] = cl_dist.sample(ref, k * n).reshape(k, n).T
+        want_t[:, r, 0] = gw_dist.sample(ref, k * n).reshape(k, n).T
+        want_t[:, r, 1] = cl_dist.sample(ref, k * n).reshape(k, n).T
     rng = make_rng(runs)
     u = np.empty((_RQ_BATCH, n + 2 * k * n))
-    t = np.empty((_RQ_BATCH, 2, n, k))
-    a2 = _rq_draw(rng, (gw_dist, cl_dist), u[:runs], t[:runs])
+    # The experiment's buffer: a partial block views its head, contiguous.
+    t = np.empty(n * _RQ_BATCH * 2 * k)[:n * runs * 2 * k].reshape(n, runs, 2, k)
+    a2 = _rq_draw(rng, (gw_dist, cl_dist), u[:runs], t)
     assert np.array_equal(a2, want_a2)
-    assert np.array_equal(t[:runs], want_t)
+    assert np.array_equal(t, want_t)
     assert rng.bit_generator.state == ref.bit_generator.state

@@ -161,6 +161,8 @@ class TestValidation:
              r"latency\[0\] dist: uniform hi - lo must be finite"),
             (("tasks", 0, "utility"), {"kind": "wrf", "te": -1e308, "ts": 1e308},
              r"task 't1' utility: wrf ts - te must be finite"),
+            (("tasks", 0, "utility"), {"kind": "wrf", "te": -0.5, "ts": 0.4},
+             r"task 't1' utility: wrf te must be >= 0 \(got -0.5\)"),
         ],
         ids=["mixture-nan-weight", "degenerate-nan", "uniform-inf-hi", "step-nan-tv",
              "step-negative-tv", "step-huge-tv", "fractional-capacity", "bool-capacity",
@@ -171,7 +173,8 @@ class TestValidation:
              "huge-empirical-sample", "int-task-id", "list-task-id", "int-node-id",
              "string-options", "int-option", "int-intrinsic-node", "null-intrinsic-option",
              "list-latency-node", "int-latency-option", "list-latency-task", "list-name",
-             "int-notes", "uniform-overflowing-span", "wrf-overflowing-span"],
+             "int-notes", "uniform-overflowing-span", "wrf-overflowing-span",
+             "wrf-negative-te"],
     )
     def test_non_finite_or_invalid_parameter_rejected(self, tmp_path, path, value, field):
         cfg = json.loads(json.dumps(MINIMAL))

@@ -90,7 +90,7 @@ class TestEval:
             WaitReadyFirst(0.4, 0.4)
         for bad in (lambda: Step(float("nan")), lambda: Step(-0.1),
                     lambda: ExpDecay(float("inf")), lambda: WaitReadyFirst(0.1, float("inf")),
-                    lambda: WaitReadyFirst(-1e308, 1e308)):
+                    lambda: WaitReadyFirst(-1e308, 1e308), lambda: WaitReadyFirst(-0.5, 0.4)):
             with pytest.raises(ValueError):
                 bad()
 
@@ -158,6 +158,49 @@ class TestFormulas:
         for i, f in enumerate(utilities):
             assert np.array_equal(got[:, i], f.latency_budget(q[:, i])), f
             assert (got[0, i, 0] == np.inf) == isinstance(f, ExpDecay)
+
+
+def four_pass_ramp(t, te, ts):
+    """The ramp as four passes, max(t, te), ts - ., / (ts - te), max(., 0):
+    the three-pass formula must give the same bits."""
+    out = np.maximum(t, te)
+    with np.errstate(over="ignore"):
+        out = np.subtract(ts, out)
+        out = np.divide(out, ts - te)
+    return np.maximum(out, 0.0)
+
+
+def ramp_grid(pairs, seed=0):
+    """``pairs`` (te, ts) pairs at magnitudes 1e-300 to 1e300, te = 0 and a
+    subnormal ts among them, and for each a row of times: te and ts and one
+    ulp either side of each, 0, 1e308, one between te and ts and one at
+    random."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(10.0 ** rng.uniform(-300, 300, (2, pairs)), axis=0)
+    hi[lo == hi] *= 2.0
+    lo[:3], hi[:3] = 0.0, (5e-324, 1.0, 1e300)
+    t = [lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+         hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+         np.zeros(pairs), np.full(pairs, 1e308), rng.uniform(lo, hi),
+         10.0 ** rng.uniform(-300, 300, pairs)]
+    return lo, hi, np.stack(t, axis=1)
+
+
+def test_ramp_matches_four_pass_formula_bit_for_bit():
+    te, ts, t = ramp_grid(10_000)
+    want = four_pass_ramp(t, te[:, None], ts[:, None]).view(np.uint64)
+    ramps = [WaitReadyFirst(a, b) for a, b in zip(te.tolist(), ts.tolist())]
+    got = Columns(ramps).value(t, out=np.empty_like(t))
+    assert np.array_equal(got.view(np.uint64), want)
+    in_place = t.copy()
+    Columns(ramps).value(in_place, out=in_place)
+    assert np.array_equal(in_place.view(np.uint64), want)
+    for i in range(0, len(ramps), 50):
+        assert np.array_equal(ramps[i].value(t[i]).view(np.uint64), want[i]), ramps[i]
+        for j, x in enumerate(t[i].tolist()):
+            v = ramps[i].value(x)
+            assert type(v) is float
+            assert np.float64(v).view(np.uint64) == want[i, j], (ramps[i], x)
 
 
 class TestOneValue:
