@@ -11,15 +11,21 @@ HTTP method, its size parameter and the sizes a server accepts without
 ``allow_out_of_range``.
 
 Responses are JSON and always carry ``exec_ms``, the server-side compute
-time, so probes can split transport from execution.  The probing client
+time, so probes can split transport from execution.  The server speaks
+HTTP/1.1 keep-alive, and still serves one-shot clients (HTTP/1.0, or
+``Connection: close``) one request per connection.  The probing client
 invokes endpoints strictly sequentially (it must never compete with
 itself), tracks the actual gap since the previous invocation of the same
 endpoint (start to start), and appends one CSV row per invocation;
 failures become rows with an error status rather than being dropped.
-Its ``latency_s`` is wall-clock time from just before the request is sent
-to the parsed JSON response.  Each target's request is built once per
-run, before the first invocation, so building it (for ``/fsp``, formatting
-the whole CSV body) is not part of any recorded latency.
+Its ``latency_s`` is wall-clock time of one request/response exchange on
+an already-open connection, from just before the request is sent to the
+parsed JSON response: the client keeps one persistent connection per
+(scheme, host, port) and opens it before an invocation's clock starts, so
+connection setup is in no recorded latency.  Each target's request is
+built once per run, before the first invocation, so building it (for
+``/fsp``, formatting the whole CSV body) is not part of any recorded
+latency either.  Proxies named in the environment are not used.
 
 Probe record CSV columns (``PROBE_COLUMNS``): ``delta_t_s,latency_s,
 endpoint,option,timestamp_unix_ms,status`` (the first five are the shared
@@ -29,12 +35,13 @@ the file, and a file without it reads as all ``ok``).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import http.client
 import json
 import math
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
@@ -163,20 +170,35 @@ def _load_dataset(path) -> np.ndarray:
 
 class _Handler(BaseHTTPRequestHandler):
     server: "BenchServer"
+    # Keep-alive: a connection serves requests until the client closes it
+    # or sends HTTP/1.0 or "Connection: close".  A reply goes out as two
+    # writes, headers then body, so Nagle's algorithm would hold the body
+    # until the client's delayed ACK of the headers (RFC 1122 4.2.3.2).
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # quiet; the probe keeps its own records
         pass
 
-    def _reply(self, code: int, payload: dict):
+    def _reply(self, code: int, payload: dict, body_read: bool = False):
+        """Send ``payload`` as JSON.
+
+        Unless ``body_read``, a request that carries a body gets its reply
+        with the connection closed: the unread body bytes would otherwise
+        be parsed as the next request on it.
+        """
         body = json.dumps(payload).encode()
         self.send_response(code)
+        if not body_read and (self.headers.get("Content-Length", "0") != "0"
+                              or "Transfer-Encoding" in self.headers):
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _bad(self, reason: str):
-        self._reply(400, {"error": reason})
+    def _bad(self, reason: str, body_read: bool = False):
+        self._reply(400, {"error": reason}, body_read)
 
     def _check_range(self, task: BenchTask):
         if not self.server.allow_out_of_range and not task.range_ok():
@@ -223,14 +245,21 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         if (kind := self._kind(urllib.parse.urlparse(self.path).path, "POST")) is None:
             return
+        if "Transfer-Encoding" in self.headers:
+            self._reply(411, {"error": "a chunked body is not read; send Content-Length"})
+            return
         try:
             # No sign: rfile.read(-1) would block until the client hangs up.
             length = _digits(self.headers.get("Content-Length", "0"), "Content-Length")
-            if length > FSP_MAX_BODY_BYTES:
-                self._reply(413, {"error": f"body exceeds {FSP_MAX_BODY_BYTES} bytes"})
-                return
-            # Lines are ASCII: other bytes stay escaped, so their line is named below.
-            body = self.rfile.read(length).decode("ascii", errors="backslashreplace")
+        except ValueError as exc:
+            self._bad(str(exc))
+            return
+        if length > FSP_MAX_BODY_BYTES:
+            self._reply(413, {"error": f"body exceeds {FSP_MAX_BODY_BYTES} bytes"})
+            return
+        # Lines are ASCII: other bytes stay escaped, so their line is named below.
+        body = self.rfile.read(length).decode("ascii", errors="backslashreplace")
+        try:
             t0 = time.perf_counter()
             values = []
             try:
@@ -253,9 +282,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._check_range(BenchTask(kind, values.size))
             stats = _column_stats(values)
             exec_ms = (time.perf_counter() - t0) * 1e3
-            self._reply(200, {**stats, "exec_ms": exec_ms})
+            self._reply(200, {**stats, "exec_ms": exec_ms}, body_read=True)
         except ValueError as exc:
-            self._bad(str(exc))
+            self._bad(str(exc), body_read=True)
 
 
 class BenchServer(ThreadingHTTPServer):
@@ -443,6 +472,49 @@ PROBE_COLUMNS = (
 )
 
 
+# The connection class for each URL scheme the probe speaks.
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+
+def _origin(request: urllib.request.Request) -> tuple[str, str, int]:
+    """The (scheme, host, port) that ``request`` goes to, or a ValueError."""
+    parts = urllib.parse.urlsplit(request.full_url)
+    if parts.scheme not in _CONNECTIONS or not parts.hostname:
+        raise ValueError(f"cannot probe {request.full_url!r}: "
+                         "expected an http:// or https:// URL with a host")
+    return parts.scheme, parts.hostname, parts.port or _CONNECTIONS[parts.scheme].default_port
+
+
+def _exchange(conn: http.client.HTTPConnection, request: urllib.request.Request,
+              headers: dict, start: float) -> tuple[str, float, float]:
+    """Send ``request`` on the open ``conn``: its (status, latency_s, exec_ms).
+
+    A reply is read in full, so the connection stays usable after any
+    status; a transport failure closes it.
+    """
+    latency, exec_ms = math.nan, math.nan
+    try:
+        conn.request(request.get_method(), request.selector, request.data, headers)
+        with conn.getresponse() as resp:
+            body = resp.read()
+        latency = time.perf_counter() - start
+        if resp.status >= 300:  # a redirect is not followed
+            return f"http_{resp.status}", latency, exec_ms
+        payload = json.loads(body.decode())
+        if not isinstance(payload, dict):
+            raise ValueError(f"reply is not a JSON object: {payload!r}")
+        exec_ms = float(payload.get("exec_ms", math.nan))
+        return "ok", latency, exec_ms
+    except OSError:  # refused, reset, timed out, or closed before a reply
+        conn.close()
+        return "connection_error", latency, exec_ms
+    except http.client.HTTPException:  # not an HTTP reply
+        conn.close()
+        return "bad_response", latency, exec_ms
+    except (ValueError, TypeError):  # not JSON, not an object, or an exec_ms float() refuses
+        return "bad_response", latency, exec_ms
+
+
 def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     """Run the schedule, appending one CSV row per invocation.
 
@@ -450,48 +522,54 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     valid file.  Connection errors and HTTP errors are recorded with a
     status tag and the run continues.  Each target's request is built once,
     before the first invocation, and sent again on every invocation of that
-    target, so the timed region holds only the exchange; a target whose URL
-    cannot form a request raises ``ValueError`` before anything is sent.
+    target; a target whose URL cannot form a request, or is not http or
+    https, raises ``ValueError`` before anything is sent.  One persistent
+    connection per (scheme, host, port) carries every exchange; it is
+    opened, and reopened after a connection error or a server's close,
+    before an invocation's clock starts, so the timed region holds only the
+    exchange.  Proxies named in the environment are not used.
     """
-    requests = [target.build_request() for target in schedule.targets]
+    sends = []  # per target: its row key, request, headers and origin
+    for target in schedule.targets:
+        request = target.build_request()
+        sends.append(((target.endpoint(), target.task.option_label()), request,
+                      dict(request.header_items()), _origin(request)))
+    # Unopened: a connection opens before the first invocation that uses it.
+    conns = {origin: _CONNECTIONS[origin[0]](*origin[1:], timeout=schedule.timeout_s)
+             for *_, origin in sends}
     rng = make_rng(schedule.seed)
     rows: list[ProbeRow] = []
     last_start: dict[tuple[str, str], float] = {}
     prev_start: float | None = None
     out_path = Path(out_path)
-    with out_path.open("w", newline="") as fh:
+    with out_path.open("w", newline="") as fh, contextlib.ExitStack() as stack:
+        for conn in conns.values():
+            stack.callback(conn.close)
         writer = csv.writer(fh)
         writer.writerow([column for column, _, _ in PROBE_COLUMNS])
         for i in range(schedule.count):
-            k = i % len(schedule.targets)
-            target, request = schedule.targets[k], requests[k]
+            key, request, headers, origin = sends[i % len(sends)]
+            conn = conns[origin]
+            if conn.sock is None:  # not opened yet, or closed after an error
+                try:
+                    conn.connect()
+                except OSError:
+                    conn.close()
             if i > 0 and schedule.mode == "fixed":
                 wait = prev_start + schedule.delta_s - time.perf_counter()
                 if wait > 0:
                     time.sleep(wait)
             elif i > 0 and schedule.mode == "random":
                 time.sleep(float(rng.uniform(0.0, schedule.max_s)))
-            key = (target.endpoint(), target.task.option_label())
             start = time.perf_counter()
             prev_start = start
             stamp = int(time.time() * 1000)
             delta = start - last_start[key] if key in last_start else float("nan")
             last_start[key] = start
-            status, latency, exec_ms = "ok", float("nan"), float("nan")
-            try:
-                with urllib.request.urlopen(request, timeout=schedule.timeout_s) as resp:
-                    payload = json.loads(resp.read().decode())
-                latency = time.perf_counter() - start
-                if not isinstance(payload, dict):
-                    raise ValueError(f"reply is not a JSON object: {payload!r}")
-                exec_ms = float(payload.get("exec_ms", float("nan")))
-            except urllib.error.HTTPError as exc:
-                latency = time.perf_counter() - start
-                status = f"http_{exc.code}"
-            except (urllib.error.URLError, TimeoutError, OSError):
-                status = "connection_error"
-            except (ValueError, TypeError):  # not JSON, not an object, or an exec_ms float() refuses
-                status = "bad_response"
+            if conn.sock is None:
+                status, latency, exec_ms = "connection_error", math.nan, math.nan
+            else:
+                status, latency, exec_ms = _exchange(conn, request, headers, start)
             row = ProbeRow(
                 delta_t_s=delta,
                 latency_s=latency if status == "ok" else float("nan"),

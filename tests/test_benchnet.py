@@ -1,12 +1,15 @@
 import csv
-import io
+import http.client
+import itertools
 import json
 import math
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +19,7 @@ from fogassign import benchnet
 from fogassign.benchnet import (
     ENDPOINTS,
     FSP_MAX_BODY_BYTES,
+    BenchServer,
     BenchTask,
     EmptySummaryError,
     ProbeRow,
@@ -67,6 +71,96 @@ def welford(values):
         m2 += delta * (x - mean)
         lo, hi = min(lo, x), max(hi, x)
     return mean, math.sqrt(m2 / len(values)), lo, hi
+
+
+def serve_in_thread(srv):
+    # A short poll lets a per-test server's shutdown() return at once.
+    threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.01},
+                     daemon=True).start()
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each GET with the server's next outcome on a keep-alive connection.
+
+    An outcome is ``(status, body)``, or None to close the connection
+    without a reply, as a server that drops it does.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_GET(self):
+        outcome = next(self.server.outcomes)
+        if outcome is None:
+            self.close_connection = True
+            return
+        status, body = outcome
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    """A loopback server replaying ``outcomes``; the probe's ``http://fake`` reaches it."""
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    srv.daemon_threads = True
+    serve_in_thread(srv)
+    port = srv.server_address[1]
+
+    class ToScripted(http.client.HTTPConnection):
+        def __init__(self, host, _port, **kwargs):
+            assert host == "fake"
+            super().__init__("127.0.0.1", port, **kwargs)
+
+    monkeypatch.setitem(benchnet._CONNECTIONS, "http", ToScripted)
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+class CountingServer(BenchServer):
+    """A bench server that counts the connections it accepts and closes.
+
+    ``nodelay`` holds each closed connection's TCP_NODELAY setting.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.accepted = self.closed = 0
+        self.nodelay = []
+        self._lock = threading.Lock()  # connections close on their own threads
+
+    def get_request(self):
+        request = super().get_request()
+        self.accepted += 1
+        return request
+
+    def shutdown_request(self, request):
+        nodelay = bool(request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        super().shutdown_request(request)
+        with self._lock:
+            self.nodelay.append(nodelay)
+            self.closed += 1
+
+    def wait_closed(self, count, within_s=5.0):
+        deadline = time.monotonic() + within_s
+        while self.closed < count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.closed
+
+
+@pytest.fixture
+def counting_server(dataset):
+    srv = CountingServer(("127.0.0.1", 0), dataset, allow_out_of_range=True)
+    serve_in_thread(srv)
+    yield srv
+    srv.shutdown()
+    srv.server_close()
 
 
 class TestServer:
@@ -241,6 +335,78 @@ class TestServer:
             start_server(short)
 
 
+FSP_VALUES = [((i * 37) % 1000) + 0.5 for i in range(500)]
+FSP_BODY = "\n".join(f"{v:.3f}" for v in FSP_VALUES).encode()
+
+
+class TestKeepAlive:
+    def test_connection_serves_many_requests(self, counting_server):
+        conn = http.client.HTTPConnection(*counting_server.server_address[:2], timeout=5)
+        try:
+            for method, path, body, code in [
+                ("GET", "/pic?iters=10", None, 200), ("GET", "/psf?lines=500", None, 200),
+                ("POST", "/fsp", FSP_BODY, 200), ("POST", "/fsp", b"1.0\nabc\n", 400),
+                ("GET", "/pic", None, 400), ("GET", "/nope", None, 404),
+                ("GET", "/pic?iters=1", None, 200),
+            ]:
+                conn.request(method, path, body=body)
+                with conn.getresponse() as resp:  # a body read in full keeps it open
+                    assert (resp.status, resp.will_close) == (code, False)
+                    json.loads(resp.read())
+        finally:
+            conn.close()
+        assert counting_server.accepted == 1
+        assert counting_server.wait_closed(1) == 1
+        # Without it, each reply's body waits on the client's delayed ACK
+        # of its headers: about 40 ms a request on loopback.
+        assert counting_server.nodelay == [True]
+
+    @pytest.mark.parametrize("method, path, headers, body, code", [
+        ("POST", "/nope", {}, b"1.0\n2.0\n", 404),
+        ("POST", "/pic?iters=10", {}, b"1.0\n2.0\n", 404),
+        ("POST", "/fsp", {"Content-Length": "1_0"}, b"1.0\n2.0\n3\n", 400),
+        ("POST", "/fsp", {"Content-Length": str(FSP_MAX_BODY_BYTES + 1)}, b"1.0\n2.0\n", 413),
+        ("POST", "/fsp", {}, iter([b"1.0\n2.0\n"]), 411),
+        ("GET", "/pic?iters=10", {}, b"GET /pic?iters=1 HTTP/1.1\r\n\r\n", 200),
+    ], ids=["unknown-path", "get-kind", "content-length-digits", "oversized", "chunked",
+            "get-with-body"])
+    def test_unread_body_ends_the_connection(self, counting_server, method, path, headers,
+                                             body, code):
+        # Without the close, the body's bytes would be read as the next
+        # request and the valid request below would get another's reply.
+        conn = http.client.HTTPConnection(*counting_server.server_address[:2], timeout=5)
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            with conn.getresponse() as resp:
+                assert resp.status == code
+                assert resp.will_close
+                assert ("error" in json.loads(resp.read())) == (code != 200)
+            conn.request("POST", "/fsp?lines=500", body=FSP_BODY)
+            with conn.getresponse() as resp:
+                assert resp.status == 200
+                payload = json.loads(resp.read())
+        finally:
+            conn.close()
+        mean, stdev, lo, hi = welford(FSP_VALUES)
+        assert payload["mean"] == pytest.approx(mean, rel=1e-9)
+        assert payload["stdev"] == pytest.approx(stdev, rel=1e-9)
+        assert (payload["min"], payload["max"]) == pytest.approx((lo, hi), rel=1e-9)
+        assert counting_server.accepted == 2
+
+    def test_one_shot_clients_are_served_and_closed(self, counting_server):
+        assert get_json(f"{counting_server.url}/pic?iters=1")["result"] == 4.0
+        host, port = counting_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"GET /pic?iters=1 HTTP/1.0\r\n\r\n")
+            with sock.makefile("rb") as reply:
+                raw = reply.read()  # to EOF: the server closes after its reply
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200"
+        assert json.loads(body)["result"] == 4.0
+        assert counting_server.accepted == 2
+        assert counting_server.wait_closed(2) == 2
+
+
 class TestBenchTask:
     def test_ranges(self):
         assert BenchTask("pic", 5000).range_ok()
@@ -352,6 +518,54 @@ class TestProbe:
             probe(schedule, tmp_path / "bad.csv")
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_one_connection_carries_every_invocation(self, counting_server, tmp_path):
+        url = counting_server.url
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(url, BenchTask("pic", 10)), ProbeTarget(url, BenchTask("psf", 500)),
+                     ProbeTarget(url, BenchTask("fsp", 500))),
+            count=30,
+        )
+        rows = probe(schedule, tmp_path / "keep.csv")
+        assert [r.status for r in rows] == ["ok"] * 30
+        assert [r.endpoint.rsplit("/", 1)[-1] for r in rows] == ["pic", "psf", "fsp"] * 10
+        assert counting_server.accepted == 1
+        assert counting_server.wait_closed(1) == 1  # probe closes it when the run ends
+
+    def test_connection_is_reopened_after_a_server_close(self, counting_server, tmp_path):
+        # A 404 to a POST ends the connection; the next invocation opens a
+        # new one before its clock starts and is answered.
+        url = counting_server.url
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(f"{url}/nope", BenchTask("fsp", 500)),
+                     ProbeTarget(url, BenchTask("pic", 10))),
+            count=4,
+        )
+        rows = probe(schedule, tmp_path / "reopen.csv")
+        assert [r.status for r in rows] == ["http_404", "ok"] * 2
+        assert counting_server.accepted == 3
+
+    def test_live_and_dead_origins_keep_separate_connections(self, server, tmp_path):
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(server.url, BenchTask("pic", 10)),
+                     ProbeTarget("http://127.0.0.1:9", BenchTask("pic", 10))),
+            count=6,
+            timeout_s=2.0,
+        )
+        rows = probe(schedule, tmp_path / "mixed.csv")
+        assert [r.status for r in rows] == ["ok", "connection_error"] * 3
+
+    def test_other_schemes_fail_before_sending(self, tmp_path, monkeypatch):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("probe opened a connection")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", no_connection)
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget("ftp://127.0.0.1", BenchTask("pic", 10)),), count=2
+        )
+        with pytest.raises(ValueError, match="http:// or https://"):
+            probe(schedule, tmp_path / "ftp.csv")
+        assert not (tmp_path / "ftp.csv").exists()
+
     def test_dead_endpoint_recorded_not_dropped(self, tmp_path):
         schedule = ProbeSchedule(
             targets=(ProbeTarget("http://127.0.0.1:9", BenchTask("pic", 10)),),
@@ -380,27 +594,19 @@ class TestProbe:
         assert [r.endpoint for r in loaded] == [r.endpoint for r in rows]
         assert loaded[2].latency_s == pytest.approx(rows[2].latency_s, abs=1e-6)
 
-    def test_written_file_is_pinned_and_reads_back(self, tmp_path, monkeypatch):
+    def test_written_file_is_pinned_and_reads_back(self, tmp_path, monkeypatch, scripted):
         # A scripted clock and server: an ok invocation (no gap yet), a 503,
-        # a refused connection (both with no latency) and another ok one.
+        # a dropped connection (both with no latency) and another ok one.
         ticks = iter(0.125 * n for n in range(1, 100))
         stamps = iter(1_700_000_000.0 + n for n in range(100))
         monkeypatch.setattr(benchnet, "time", SimpleNamespace(
             perf_counter=lambda: next(ticks), time=lambda: next(stamps), sleep=time.sleep))
-        outcomes = iter([
-            {"exec_ms": 1.5},
-            urllib.error.HTTPError("http://fake/pic", 503, "busy", None, None),
-            urllib.error.URLError("refused"),
-            {"exec_ms": 2.0},
+        scripted.outcomes = iter([
+            (200, json.dumps({"exec_ms": 1.5}).encode()),
+            (503, b'{"error": "busy"}'),
+            None,
+            (200, json.dumps({"exec_ms": 2.0}).encode()),
         ])
-
-        def urlopen(request, timeout):
-            outcome = next(outcomes)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return io.BytesIO(json.dumps(outcome).encode())
-
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         schedule = ProbeSchedule(targets=(ProbeTarget("http://fake", BenchTask("pic", 10)),),
                                  count=4)
         out = tmp_path / "pinned.csv"
@@ -419,8 +625,8 @@ class TestProbe:
         "body", [b"[1, 2]", b'"ok"', b'{"exec_ms": [1.5]}', b'{"exec_ms": {}}', b"not json"],
         ids=["list", "string", "list-exec-ms", "object-exec-ms", "not-json"],
     )
-    def test_unusable_reply_is_bad_response(self, tmp_path, monkeypatch, body):
-        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
+    def test_unusable_reply_is_bad_response(self, tmp_path, scripted, body):
+        scripted.outcomes = itertools.repeat((200, body))
         schedule = ProbeSchedule(targets=(ProbeTarget("http://fake", BenchTask("pic", 10)),),
                                  count=2)
         rows = probe(schedule, tmp_path / "bad.csv")

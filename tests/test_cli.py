@@ -1,6 +1,6 @@
+import http.client
 import json
 import re
-import urllib.request
 
 import click
 import pytest
@@ -348,7 +348,7 @@ def test_unwritable_out_is_a_clean_error(runner, base_file, tmp_path, monkeypatc
     def no_request(*args, **kwargs):
         raise AssertionError("probe sent a request before opening --out")
 
-    monkeypatch.setattr(urllib.request, "urlopen", no_request)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", no_request)
     args = {
         "solve": ["solve", str(base_file)],
         "baseline": ["baseline", str(base_file), "--strategy", "min-latency"],
