@@ -21,11 +21,13 @@ failures become rows with an error status rather than being dropped.
 Its ``latency_s`` is wall-clock time of one request/response exchange on
 an already-open connection, from just before the request is sent to the
 parsed JSON response: the client keeps one persistent connection per
-(scheme, host, port) and opens it before an invocation's clock starts, so
-connection setup is in no recorded latency.  Each target's request is
-built once per run, before the first invocation, so building it (for
-``/fsp``, formatting the whole CSV body) is not part of any recorded
-latency either.  Proxies named in the environment are not used.
+(scheme, host, port) and opens it, or reopens it when the server has
+closed it (as a server's idle timeout does during a long gap), before an
+invocation's clock starts, so connection setup is in no recorded latency.
+Each target's request is built once per run, before the first
+invocation, so building it (for ``/fsp``, formatting the whole CSV body)
+is not part of any recorded latency either.  Proxies named in the
+environment are not used, and a redirect is recorded, not followed.
 
 Probe record CSV columns (``PROBE_COLUMNS``): ``delta_t_s,latency_s,
 endpoint,option,timestamp_unix_ms,status`` (the first five are the shared
@@ -40,6 +42,7 @@ import csv
 import http.client
 import json
 import math
+import select
 import threading
 import time
 import urllib.parse
@@ -485,6 +488,23 @@ def _origin(request: urllib.request.Request) -> tuple[str, str, int]:
     return parts.scheme, parts.hostname, parts.port or _CONNECTIONS[parts.scheme].default_port
 
 
+def _ready(conn: http.client.HTTPConnection) -> None:
+    """Leave ``conn`` open and idle: reopen it unless it already is.
+
+    A kept-alive socket has nothing to read between exchanges, so a
+    readable one was closed by the server (an idle timeout sends EOF) or
+    holds bytes that no request asked for; either way it is reopened.  A
+    failed connect leaves ``conn`` closed.
+    """
+    if conn.sock is not None and not select.select([conn.sock], [], [], 0)[0]:
+        return
+    conn.close()
+    try:
+        conn.connect()
+    except OSError:
+        conn.close()
+
+
 def _exchange(conn: http.client.HTTPConnection, request: urllib.request.Request,
               headers: dict, start: float) -> tuple[str, float, float]:
     """Send ``request`` on the open ``conn``: its (status, latency_s, exec_ms).
@@ -498,7 +518,7 @@ def _exchange(conn: http.client.HTTPConnection, request: urllib.request.Request,
         with conn.getresponse() as resp:
             body = resp.read()
         latency = time.perf_counter() - start
-        if resp.status >= 300:  # a redirect is not followed
+        if resp.status >= 300:  # a redirect is not followed: latency_s is one exchange
             return f"http_{resp.status}", latency, exec_ms
         payload = json.loads(body.decode())
         if not isinstance(payload, dict):
@@ -526,8 +546,12 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     https, raises ``ValueError`` before anything is sent.  One persistent
     connection per (scheme, host, port) carries every exchange; it is
     opened, and reopened after a connection error or a server's close,
-    before an invocation's clock starts, so the timed region holds only the
-    exchange.  Proxies named in the environment are not used.
+    after the schedule's gap and before an invocation's clock starts, so
+    the timed region holds only the exchange.  A connection is reused only
+    while the gap is shorter than the server's idle timeout; past it, the
+    server's close is seen before sending and the connection reopened.
+    Proxies named in the environment are not used, and a 3xx reply is
+    recorded as ``http_<code>``, not followed.
     """
     sends = []  # per target: its row key, request, headers and origin
     for target in schedule.targets:
@@ -549,18 +573,14 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
         writer.writerow([column for column, _, _ in PROBE_COLUMNS])
         for i in range(schedule.count):
             key, request, headers, origin = sends[i % len(sends)]
-            conn = conns[origin]
-            if conn.sock is None:  # not opened yet, or closed after an error
-                try:
-                    conn.connect()
-                except OSError:
-                    conn.close()
             if i > 0 and schedule.mode == "fixed":
                 wait = prev_start + schedule.delta_s - time.perf_counter()
                 if wait > 0:
                     time.sleep(wait)
             elif i > 0 and schedule.mode == "random":
                 time.sleep(float(rng.uniform(0.0, schedule.max_s)))
+            conn = conns[origin]
+            _ready(conn)  # after the gap, in which the server may have closed it
             start = time.perf_counter()
             prev_start = start
             stamp = int(time.time() * 1000)

@@ -99,6 +99,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             return
         status, body = outcome
         self.send_response(status)
+        if 300 <= status < 400:  # a redirect back to the same URL
+            self.send_header("Location", self.path)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -544,6 +546,24 @@ class TestProbe:
         assert [r.status for r in rows] == ["http_404", "ok"] * 2
         assert counting_server.accepted == 3
 
+    @pytest.mark.parametrize("idle_timeout_s, delta_s, accepted",
+                             [(2.0, 0.05, 1), (0.05, 0.25, 4)], ids=["under", "over"])
+    def test_paced_gap_and_server_idle_timeout(self, counting_server, tmp_path,
+                                               idle_timeout_s, delta_s, accepted):
+        # Keep-alive reuses a connection only while the gap between
+        # invocations is shorter than the server's idle timeout.  Past it,
+        # the server has closed the connection during the gap; the probe
+        # sees that before sending and reopens it, so every row is ok.
+        counting_server.RequestHandlerClass = type(
+            "IdleHandler", (benchnet._Handler,), {"timeout": idle_timeout_s})
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(counting_server.url, BenchTask("pic", 10)),),
+            count=4, mode="fixed", delta_s=delta_s,
+        )
+        rows = probe(schedule, tmp_path / "paced.csv")
+        assert [r.status for r in rows] == ["ok"] * 4
+        assert counting_server.accepted == accepted
+
     def test_live_and_dead_origins_keep_separate_connections(self, server, tmp_path):
         schedule = ProbeSchedule(
             targets=(ProbeTarget(server.url, BenchTask("pic", 10)),
@@ -632,6 +652,15 @@ class TestProbe:
         rows = probe(schedule, tmp_path / "bad.csv")
         assert [r.status for r in rows] == ["bad_response"] * 2
         assert all(math.isnan(r.latency_s) and math.isnan(r.exec_ms) for r in rows)
+
+    def test_redirect_is_recorded_not_followed(self, tmp_path, scripted):
+        # latency_s is one exchange, so a 301 is a row of its own; had the
+        # probe followed it, the first invocation would have taken the 200.
+        scripted.outcomes = iter([(301, b""), (200, json.dumps({"exec_ms": 1.0}).encode())])
+        schedule = ProbeSchedule(targets=(ProbeTarget("http://fake", BenchTask("pic", 10)),),
+                                 count=2)
+        rows = probe(schedule, tmp_path / "moved.csv")
+        assert [r.status for r in rows] == ["http_301", "ok"]
 
     def test_reads_five_column_files(self, tmp_path):
         # the shared characterization format has no status column
