@@ -8,7 +8,8 @@ sample-count error-curve experiment, and a conditional latency model for
 serverless platforms where response time depends on the inter-invocation
 gap: a warm regime for rapid re-invocation, a cold regime after long idle
 gaps, and a two-component mixture in between whose warm weight drifts
-with the gap.
+with the gap.  A model's thresholds live on its mixing, the one place
+that holds them.
 """
 
 from __future__ import annotations
@@ -45,19 +46,13 @@ class InsufficientDataError(ValueError):
 
 def estimate_cdf(samples) -> Empirical:
     """Step-function CDF estimate from N uncensored latency samples."""
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot estimate a CDF from zero samples")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite (NaN/inf rejected)")
-    if np.any(arr < 0.0):
-        raise ValueError("latency samples must be nonnegative")
-    return Empirical(arr)
+    return Empirical(samples)
 
 
-def _grid_for(a: LatencyDistribution, b: LatencyDistribution) -> np.ndarray:
-    """Evaluation grid: both CDFs' breakpoints plus quantile points of a."""
-    return np.unique(np.concatenate([a.breakpoints(), b.breakpoints(), a.quantile(GRID_PROBS)]))
+def _grid_for(a: LatencyDistribution, *others: LatencyDistribution) -> np.ndarray:
+    """Evaluation grid: every CDF's breakpoints plus quantile points of a."""
+    breakpoints = [d.breakpoints() for d in (a, *others)]
+    return np.unique(np.concatenate([*breakpoints, a.quantile(GRID_PROBS)]))
 
 
 def cdf_distance(a, b, grid=None) -> tuple[float, float]:
@@ -180,44 +175,37 @@ class BucketMixing:
                 f"got {self.weights!r}"
             )
 
-    def bucket_index(self, delta_t: float) -> int:
-        return _bucket_index(delta_t, self.lo, self.width, len(self.weights))
-
     def __call__(self, delta_t: float) -> float:
         if delta_t <= self.lo:
             return 1.0
         if delta_t >= self.hi:
             return 0.0
-        return self.weights[self.bucket_index(delta_t)]
+        return self.weights[_bucket_index(delta_t, self.lo, self.width, len(self.weights))]
 
 
 @dataclass(frozen=True)
 class ServerlessModel:
     """Gap-conditional latency: warm below lo, cold above hi, mixed between.
 
-    ``mixing`` gives the warm weight of a gap in the band; a
-    ``LinearMixing`` or ``BucketMixing`` must have the model's thresholds.
+    ``mixing`` holds the thresholds and gives the warm weight of a gap in
+    the band; the model's ``lo`` and ``hi`` are read from it.
     """
 
     warm: LatencyDistribution
     cold: LatencyDistribution
-    lo: float
-    hi: float
-    mixing: object
+    mixing: LinearMixing | BucketMixing
 
-    def __post_init__(self):
-        _check_thresholds(self.lo, self.hi)
-        if isinstance(self.mixing, (LinearMixing, BucketMixing)) and (
-            (self.mixing.lo, self.mixing.hi) != (self.lo, self.hi)
-        ):
-            raise ValueError(
-                f"mixing thresholds ({self.mixing.lo}, {self.mixing.hi}) differ from "
-                f"the model's ({self.lo}, {self.hi})"
-            )
+    @property
+    def lo(self) -> float:
+        return self.mixing.lo
+
+    @property
+    def hi(self) -> float:
+        return self.mixing.hi
 
     @classmethod
     def linear(cls, warm, cold, lo, hi) -> "ServerlessModel":
-        return cls(warm=warm, cold=cold, lo=lo, hi=hi, mixing=LinearMixing(lo, hi))
+        return cls(warm=warm, cold=cold, mixing=LinearMixing(lo, hi))
 
 
 def _check_thresholds(lo: float, hi: float) -> None:
@@ -260,9 +248,10 @@ def fit_serverless_regimes(
 ) -> ServerlessModel:
     """Learn a spin-down model from (inter-invocation gap, latency) pairs.
 
-    Records at or below the lower threshold form the warm regime, at or
-    above the upper one the cold regime (boundary gaps go to the adjacent
-    pure regime).  In the intermediate band, each ``bucket_width``-wide
+    Every gap must be >= 0, as in ``serverless_latency``.  Records at or
+    below the lower threshold form the warm regime, at or above the upper
+    one the cold regime (boundary gaps go to the adjacent pure regime).
+    In the intermediate band, each ``bucket_width``-wide
     bucket gets the warm weight in ``WARM_WEIGHTS`` whose two-component
     mixture is closest (in average CDF distance) to the bucket's own step
     estimate; the fitted weights are exposed on the model's mixing object.
@@ -271,7 +260,7 @@ def fit_serverless_regimes(
     _check_thresholds(lo, hi)
     n_buckets = _band_buckets(lo, hi, bucket_width)
     if len(records) < 30:
-        raise InsufficientDataError(f"need at least 30 records, got {len(records)}")
+        raise InsufficientDataError(f"need at least 30 gaps, got {len(records)}")
     warm_lat, cold_lat = [], []
     if n_buckets > len(records):  # some bucket must then be empty; do not allocate them
         raise InsufficientDataError(
@@ -279,7 +268,9 @@ def fit_serverless_regimes(
             f"for {len(records)} records"
         )
     buckets: list[list[float]] = [[] for _ in range(n_buckets)]
-    for dt, lat in records:
+    for i, (dt, lat) in enumerate(records):
+        if not dt >= 0.0:  # NaN too
+            raise ValueError(f"record {i}: inter-invocation time must be >= 0 (got {dt})")
         if dt <= lo:
             warm_lat.append(lat)
         elif dt >= hi:
@@ -302,7 +293,7 @@ def fit_serverless_regimes(
                 f"{min(lo + (k + 1) * bucket_width, hi):g} s) has no records"
             )
         est = estimate_cdf(bucket)
-        grid = _grid_for(est, Mixture([warm, cold], [0.5, 0.5]))
+        grid = _grid_for(est, warm, cold)
         f_obs = est.cdf(grid)
         f_warm = warm.cdf(grid)
         f_cold = cold.cdf(grid)
@@ -312,4 +303,4 @@ def fit_serverless_regimes(
         ]
         weights.append(float(WARM_WEIGHTS[int(np.argmin(dists))]))
     mixing = BucketMixing(lo=lo, hi=hi, width=bucket_width, weights=tuple(weights))
-    return ServerlessModel(warm=warm, cold=cold, lo=lo, hi=hi, mixing=mixing)
+    return ServerlessModel(warm=warm, cold=cold, mixing=mixing)

@@ -183,7 +183,11 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
             "bucket_warm_weights": list(model.mixing.weights),
         }
     except characterize.InsufficientDataError as exc:
-        report["regimes"] = {"skipped": str(exc)}
+        skipped = str(exc)
+        if len(pairs) < len(ok_rows):
+            skipped += (f" ({len(ok_rows) - len(pairs)} of the {len(ok_rows)} ok records have "
+                        "no gap; the first invocation of each endpoint and option has none)")
+        report["regimes"] = {"skipped": skipped}
     except ValueError as exc:  # thresholds or bucket width out of range
         raise click.ClickException(str(exc))
     if reference is not None:

@@ -343,7 +343,7 @@ class Empirical(LatencyDistribution):
     def __init__(self, samples):
         arr = np.sort(_as_array(samples), axis=None)  # flattened
         if arr.size == 0:
-            raise ValueError("empirical distribution needs at least one sample")
+            raise ValueError("empirical distribution needs at least one sample, got zero samples")
         if not np.isfinite(arr).all():
             raise ValueError("empirical samples must be finite")
         if arr[0] < 0.0:

@@ -82,8 +82,9 @@ def serve_in_thread(srv):
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each GET with the server's next outcome on a keep-alive connection.
 
-    An outcome is ``(status, body)``, or None to close the connection
-    without a reply, as a server that drops it does.
+    An outcome is ``(status, body)``, None to close the connection
+    without a reply, as a server that drops it does, or bytes to send
+    as they are in place of a reply before closing.
     """
 
     protocol_version = "HTTP/1.1"
@@ -94,7 +95,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         outcome = next(self.server.outcomes)
-        if outcome is None:
+        if outcome is None or isinstance(outcome, bytes):
+            self.wfile.write(outcome or b"")
             self.close_connection = True
             return
         status, body = outcome
@@ -318,6 +320,14 @@ class TestServer:
         assert err.value.code == 404
         assert payload["error"] == f"unknown path '/{kind}'"
 
+    def test_psf_beyond_the_dataset_rejected_even_out_of_range(self, server):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get_json(f"{server.url}/psf?lines=60000")
+        payload = json.loads(err.value.read().decode())
+        err.value.close()
+        assert err.value.code == 400
+        assert payload["error"] == "lines=60000 exceeds dataset size 50000"
+
     def test_range_enforced_without_override(self, strict_server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get_json(f"{strict_server.url}/pic?iters=1")
@@ -467,6 +477,29 @@ class TestProbe:
         rows = probe(schedule, tmp_path / "paced.csv")
         for r in rows[1:]:
             assert 0.05 - 1e-3 <= r.delta_t_s <= 0.05 + 0.5  # generous slack bound
+
+    def test_random_gap_paces_invocations(self, server, tmp_path, monkeypatch):
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+
+        monkeypatch.setattr(benchnet, "time", SimpleNamespace(
+            perf_counter=time.perf_counter, time=time.time, sleep=sleep))
+        schedule = ProbeSchedule(
+            targets=(ProbeTarget(server.url, BenchTask("pic", 10)),),
+            count=5,
+            mode="random",
+            max_s=0.05,
+            seed=3,
+        )
+        rows = probe(schedule, tmp_path / "random.csv")
+        assert [r.status for r in rows] == ["ok"] * 5
+        assert len(sleeps) == 4 and all(0.0 <= s < 0.05 for s in sleeps)
+        # A gap is the previous exchange plus its sleep: under max_s plus a round trip.
+        for prev, r, slept in zip(rows, rows[1:], sleeps):
+            assert slept + prev.latency_s <= r.delta_t_s <= 0.05 + prev.latency_s + 0.5
 
     def test_builds_each_request_once_per_run(self, server, tmp_path, monkeypatch):
         calls = []
@@ -652,6 +685,15 @@ class TestProbe:
         rows = probe(schedule, tmp_path / "bad.csv")
         assert [r.status for r in rows] == ["bad_response"] * 2
         assert all(math.isnan(r.latency_s) and math.isnan(r.exec_ms) for r in rows)
+
+    def test_non_http_reply_is_bad_response(self, tmp_path, scripted):
+        # http.client cannot parse the status line; the connection is reopened.
+        scripted.outcomes = itertools.repeat(b"SPAM 200 not http\r\n\r\n")
+        schedule = ProbeSchedule(targets=(ProbeTarget("http://fake", BenchTask("pic", 10)),),
+                                 count=2)
+        rows = probe(schedule, tmp_path / "spam.csv")
+        assert [r.status for r in rows] == ["bad_response"] * 2
+        assert all(math.isnan(r.latency_s) for r in rows)
 
     def test_redirect_is_recorded_not_followed(self, tmp_path, scripted):
         # latency_s is one exchange, so a 301 is a row of its own; had the

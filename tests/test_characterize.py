@@ -211,15 +211,6 @@ class TestServerlessLatency:
         with pytest.raises(ValueError, match=message):
             BucketMixing(lo=10.0, hi=60.0, width=width, weights=weights)
 
-    @pytest.mark.parametrize(
-        "mixing",
-        [LinearMixing(0.0, 100.0), BucketMixing(lo=10.0, hi=50.0, width=40.0, weights=(0.5,))],
-        ids=["linear", "bucket"],
-    )
-    def test_model_rejects_mixing_with_other_thresholds(self, mixing):
-        with pytest.raises(ValueError, match="mixing thresholds"):
-            ServerlessModel(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0, mixing)
-
 
 def synth_records(model: ServerlessModel, per_bucket: int, rng) -> list:
     """Draw (gap, latency) pairs from a known model, pure regimes included."""
@@ -241,8 +232,8 @@ def synth_records(model: ServerlessModel, per_bucket: int, rng) -> list:
 class TestFitServerlessRegimes:
     def test_recovers_even_mixture_weight(self):
         model = ServerlessModel(
-            warm=Degenerate(0.1), cold=Degenerate(1.0), lo=10.0, hi=60.0,
-            mixing=lambda dt: 0.5,
+            warm=Degenerate(0.1), cold=Degenerate(1.0),
+            mixing=BucketMixing(lo=10.0, hi=60.0, width=10.0, weights=(0.5,) * 5),
         )
         rng = make_rng(21)
         fitted = fit_serverless_regimes(synth_records(model, 400, rng))
@@ -264,6 +255,25 @@ class TestFitServerlessRegimes:
             fit_serverless_regimes(warm_only)
         with pytest.raises(InsufficientDataError, match="at least 30"):
             fit_serverless_regimes(warm_only[:5])
+
+    @pytest.mark.parametrize("gaps, message", [
+        (np.linspace(20, 90, 40), r"no records in the warm regime \(gap <= 10.0\)"),
+        (np.r_[np.linspace(0, 9, 20), np.linspace(60, 90, 20)],
+         r"no records in the mixed band \(10.0, 60.0\)"),
+    ], ids=["no-warm", "no-band"])
+    def test_missing_warm_or_band_records(self, gaps, message):
+        with pytest.raises(InsufficientDataError, match=message):
+            fit_serverless_regimes([(float(d), 0.1) for d in gaps])
+
+    @pytest.mark.parametrize("gap", [float("nan"), -5.0], ids=["nan", "negative"])
+    def test_rejects_bad_gap_by_index(self, gap):
+        # The rule of serverless_latency, for each record the fit reads.
+        records = synth_records(
+            ServerlessModel.linear(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0), 20, make_rng(4)
+        )
+        records[7] = (gap, 0.1)
+        with pytest.raises(ValueError, match=r"record 7: inter-invocation time must be >= 0"):
+            fit_serverless_regimes(records)
 
     def test_boundary_records_go_to_pure_regimes(self):
         rng = make_rng(4)

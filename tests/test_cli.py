@@ -314,6 +314,24 @@ class TestBenchCommands:
         assert report["per_endpoint"]["e o"]["n"] == 2
         assert 0.0 <= report["reference_distance"]["max"] <= 1.0
 
+    def test_characterize_skip_counts_gaps_not_records(self, runner, tmp_path):
+        # 30 round-robin invocations of three endpoints: the first of each
+        # has no gap, so the fit sees 27 gaps and says why.
+        lines = ["delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status"]
+        for i in range(30):
+            gap = "" if i < 3 else "0.030000"
+            lines.append(f"{gap},0.0{1 + i % 3}0000,e{i % 3},o,{1700000000000 + 10 * i},ok")
+        records = tmp_path / "records.csv"
+        records.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["characterize", str(records)])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["records"] == 30
+        assert [s["n"] for s in report["per_endpoint"].values()] == [10, 10, 10]
+        assert report["regimes"] == {"skipped": (
+            "need at least 30 gaps, got 27 (3 of the 30 ok records have no gap; "
+            "the first invocation of each endpoint and option has none)")}
+
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", [["solve"], ["baseline", "--strategy", "min-latency"]],

@@ -259,6 +259,27 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="duplicate node"):
             load_scenario(write(tmp_path, cfg))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["tasks"].append(cfg["tasks"][0]), "duplicate task ids"),
+        (lambda cfg: cfg["latency"].append(
+            {"task": "ghost", "node": "a", "option": "x", "dist": {"kind": "degenerate", "value": 0.2}}),
+         "latency entry references unknown task 'ghost'"),
+        (lambda cfg: cfg["latency"].append(
+            {"node": "a", "option": "y", "dist": {"kind": "degenerate", "value": 0.2}}),
+         "latency entry references unknown pair ('a', 'y')"),
+        (lambda cfg: cfg["latency"][0]["dist"].update(kind="weibull"),
+         "latency[0] dist: unknown distribution kind 'weibull'"),
+        (lambda cfg: cfg["tasks"][0]["utility"].update(kind="cliff"),
+         "task 't1' utility: unknown time-utility kind 'cliff'"),
+    ], ids=["duplicate-task", "latency-unknown-task", "latency-unknown-pair",
+            "unknown-latency-kind", "unknown-utility-kind"])
+    def test_rejected_config_names_the_fault(self, edit, message):
+        cfg = json.loads(json.dumps(MINIMAL))
+        edit(cfg)
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_config(cfg)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("index, match", [
         (0, "every task, node 'a', option 'x'"),
         (1, "task 't1', node 'b', option 'y'"),

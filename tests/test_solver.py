@@ -1049,3 +1049,41 @@ class TestValidator:
         plan = solve_uncapacitated(scen)
         plan.decisions["j0"] = Placement("z0", "nope", 0.5, 0.0)
         assert any("not offered" in p for p in validate_plan(scen, plan))
+
+    def test_flags_decisions_not_covering_the_tasks(self):
+        scen = step_scenario([[0.5], [0.4]], [None])
+        plan = solve_uncapacitated(scen)
+        del plan.decisions["j1"]
+        assert validate_plan(scen, plan) == [
+            "plan decisions do not cover exactly the scenario task set"
+        ]
+
+    @pytest.mark.parametrize("placement, message", [
+        (Placement("ghost", "x", 0.0, 0.0), "task j0: placed on unknown node 'ghost'"),
+        (Placement("z1", "x", 0.0, 0.0), "task j0: pair (z1, x) not offered to the task"),
+    ], ids=["unknown-node", "pair-not-offered"])
+    def test_flags_placement_outside_the_offer(self, placement, message):
+        scen = step_scenario([[0.5, None]], [None, None])
+        plan = solver.AssignmentPlan.from_decisions({"j0": placement}, solver="tampered")
+        assert validate_plan(scen, plan) == [message]
+
+    def test_flags_risk_over_budget(self):
+        # T = 0.5 always misses the 0.3 s step, so P(f(T) < q) = 1.
+        task = TaskSpec(id="j0", time_utility=Step(0.3), intrinsic={("z0", "x"): 0.5},
+                        quality_floor=0.5, risk_budget=0.25)
+        scen = Scenario(name="risky", tasks=[task], nodes=[NodeSpec(id="z0", options=("x",))],
+                        latency={("j0", "z0", "x"): Degenerate(0.5)})
+        plan = solver.AssignmentPlan.from_decisions(
+            {"j0": Placement("z0", "x", 0.0, 1.0)}, solver="tampered"
+        )
+        assert validate_plan(scen, plan) == ["task j0: risk 1.0 exceeds budget 0.25 on (z0, x)"]
+
+    def test_flags_recorded_utility_that_differs_from_recomputed(self):
+        # resolve-style plans carry their utilities in; this is their check.
+        scen = step_scenario([[0.5]], [None])
+        plan = solver.AssignmentPlan.from_decisions(
+            {"j0": Placement("z0", "x", 0.4, 0.0)}, solver="tampered"
+        )
+        assert validate_plan(scen, plan) == [
+            "task j0: recorded utility 0.4 differs from recomputed 0.5"
+        ]
