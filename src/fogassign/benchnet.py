@@ -11,7 +11,14 @@ HTTP method, its size parameter and the sizes a server accepts without
 ``allow_out_of_range``.
 
 Responses are JSON and always carry ``exec_ms``, the server-side compute
-time, so probes can split transport from execution.  The server speaks
+time, so probes can split transport from execution.  At the sizes the
+``perfbench`` ``measure`` workload requests, its median on a 2-vCPU
+x86_64 VM is 0.077 ms for ``pic`` at 50,000 terms, 0.087 ms for ``psf``
+at 20,000 lines and 0.53 ms for ``fsp`` at 5,000 lines.  ``pic`` negates
+every other term instead of raising -1 to a power per term, so a request
+costs about a fourteenth of what it did at the same size (1.06 ms at
+50,000 terms), with the same result: ``pic`` probe files recorded with
+earlier versions do not compare with later ones.  The server speaks
 HTTP/1.1 keep-alive, and still serves one-shot clients (HTTP/1.0, or
 ``Connection: close``) one request per connection.  The probing client
 invokes endpoints strictly sequentially (it must never compete with
@@ -130,8 +137,9 @@ class BenchTask:
 
 def leibniz_pi(iters: int) -> float:
     """Partial sum 4 * sum_{k<iters} (-1)^k / (2k+1); exactly 4.0 at one term."""
-    k = np.arange(iters, dtype=float)
-    return float(4.0 * np.sum((-1.0) ** (k % 2) / (2.0 * k + 1.0)))
+    terms = 1.0 / np.arange(1.0, 2.0 * iters, 2.0)
+    terms[1::2] *= -1.0
+    return float(4.0 * np.sum(terms))
 
 
 def _column_stats(values: np.ndarray) -> dict:
@@ -169,6 +177,34 @@ def _load_dataset(path) -> np.ndarray:
             f"dataset has {values.size} lines; at least {MIN_DATASET_LINES} required"
         )
     return values
+
+
+def _read_fsp_body(body: str) -> np.ndarray:
+    """The first comma field of each nonblank line of ``body``, as floats.
+
+    Each line is stripped and a blank one skipped before its first field is
+    taken, so a line ``,5`` is an empty field, not a blank line.  A field
+    that is not a finite number raises a ValueError naming its line, blank
+    lines counted.
+    """
+    fields = list(filter(None, map(str.strip, body.splitlines())))
+    if "," in body:  # without one, each field is its whole line
+        fields = [line.partition(",")[0] for line in fields]
+    with contextlib.suppress(ValueError):  # a field float() refuses is named below
+        values = np.fromiter(map(float, fields), float, len(fields))
+        if np.isfinite(values).all():
+            return values
+    # Only a refused body pays for finding the bad line's number.
+    numbered = ((i, line.strip()) for i, line in enumerate(body.splitlines(), 1) if line.strip())
+    i, line = next(n for n, field in zip(numbered, fields) if not _finite_number(field))
+    raise ValueError(f"line {i} ({line!r}) is not a finite number")
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -264,22 +300,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length).decode("ascii", errors="backslashreplace")
         try:
             t0 = time.perf_counter()
-            values = []
-            try:
-                for line in body.splitlines():
-                    line = line.strip()
-                    if line:
-                        values.append(float(line.split(",")[0]))
-            except ValueError:
-                values.append(math.nan)  # the line that did not parse, named below
-            values = np.asarray(values)
-            finite = np.isfinite(values)
-            if not finite.all():
-                # Only a rejected body pays for finding the bad line's number.
-                numbered = [(i, line.strip()) for i, line in enumerate(body.splitlines(), 1)
-                            if line.strip()]
-                i, line = numbered[int(np.argmin(finite))]
-                raise ValueError(f"line {i} ({line!r}) is not a finite number")
+            values = _read_fsp_body(body)
             if not values.size:
                 raise ValueError("empty request body; expected CSV lines")
             self._check_range(BenchTask(kind, values.size))

@@ -248,7 +248,8 @@ def fit_serverless_regimes(
 ) -> ServerlessModel:
     """Learn a spin-down model from (inter-invocation gap, latency) pairs.
 
-    Every gap must be >= 0, as in ``serverless_latency``.  Records at or
+    Every gap must be >= 0, as in ``serverless_latency``, and every latency
+    finite and >= 0; a bad record is named by its index.  Records at or
     below the lower threshold form the warm regime, at or above the upper
     one the cold regime (boundary gaps go to the adjacent pure regime).
     In the intermediate band, each ``bucket_width``-wide
@@ -271,6 +272,8 @@ def fit_serverless_regimes(
     for i, (dt, lat) in enumerate(records):
         if not dt >= 0.0:  # NaN too
             raise ValueError(f"record {i}: inter-invocation time must be >= 0 (got {dt})")
+        if not 0.0 <= lat < np.inf:  # NaN too
+            raise ValueError(f"record {i}: latency must be finite and >= 0 (got {lat})")
         if dt <= lo:
             warm_lat.append(lat)
         elif dt >= hi:

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogassign import benchnet
 from fogassign.benchnet import (
@@ -55,6 +57,59 @@ def strict_server(dataset):
     yield srv
     srv.shutdown()
     srv.server_close()
+
+
+def reference_pi(iters):
+    """The Leibniz partial sum with each sign computed as a power of -1."""
+    k = np.arange(iters, dtype=float)
+    return float(4.0 * np.sum((-1.0) ** (k % 2) / (2.0 * k + 1.0)))
+
+
+def reference_fsp(body: bytes):
+    """The /fsp body read one line at a time: its values, or the 400 message."""
+    text = body.decode("ascii", errors="backslashreplace")
+    values = []
+    try:
+        for line in text.splitlines():
+            line = line.strip()
+            if line:
+                values.append(float(line.split(",")[0]))
+    except ValueError:
+        values.append(math.nan)
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        numbered = [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)
+                    if line.strip()]
+        i, line = numbered[int(np.argmin(finite))]
+        return f"line {i} ({line!r}) is not a finite number"
+    return values
+
+
+_FSP_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+).map(str.encode)
+_FSP_LINES = st.tuples(
+    st.sampled_from([b"", b" ", b"\t", b"\x1f", b" \t\x1f"]),
+    st.one_of(
+        _FSP_NUMBERS,
+        _FSP_NUMBERS,
+        st.tuples(_FSP_NUMBERS, st.sampled_from([b"", b"2", b"abc", b" x ", b"\xff"]))
+        .map(b",".join),
+        st.sampled_from([b"", b"  ", b"\t1.5\t", b"1.5\x1f,2"]),
+        st.sampled_from([b",5", b"nan", b"inf", b"1e400", b"abc", b"1;2", b"\xff\xfe",
+                         "\u0661\u0662".encode()]),
+    ),
+    st.sampled_from([b"", b" ", b"\t", b"\x1f"]),
+).map(b"".join)
+# Every separator str.splitlines splits an ASCII text at, and \x1f, which it does not.
+_FSP_SEPARATORS = st.sampled_from(
+    [b"\n", b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+)
+FSP_BODIES = st.lists(st.tuples(_FSP_LINES, _FSP_SEPARATORS).map(b"".join), max_size=12).map(
+    b"".join
+)
 
 
 def get_json(url):
@@ -172,8 +227,11 @@ class TestServer:
         assert get_json(f"{server.url}/pic?iters=1")["result"] == 4.0
 
     def test_pic_matches_reference_series(self, server):
-        want = 4 * sum((-1) ** k / (2 * k + 1) for k in range(5))
-        assert get_json(f"{server.url}/pic?iters=5")["result"] == pytest.approx(want, abs=1e-12)
+        assert get_json(f"{server.url}/pic?iters=5")["result"] == reference_pi(5)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4, 5000, 50_000, 500_000])
+    def test_leibniz_is_bit_identical_to_reference(self, iters):
+        assert leibniz_pi(iters) == reference_pi(iters)
 
     def test_pic_deterministic(self, server):
         a = get_json(f"{server.url}/pic?iters=2000")["result"]
@@ -944,6 +1002,20 @@ class TestSummarize:
         assert nearest_rank(x, 0.5) == 2.0   # ceil(2) -> 2nd value
         assert nearest_rank(x, 0.51) == 3.0
         assert nearest_rank(x, 0.9) == 4.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=FSP_BODIES)
+def test_fsp_body_reader_matches_per_line_reader(body):
+    want = reference_fsp(body)
+    text = body.decode("ascii", errors="backslashreplace")  # as the server decodes it
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            benchnet._read_fsp_body(text)
+        assert str(err.value) == want
+    else:
+        got = benchnet._read_fsp_body(text)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_make_dataset_deterministic(tmp_path):

@@ -275,6 +275,16 @@ class TestFitServerlessRegimes:
         with pytest.raises(ValueError, match=r"record 7: inter-invocation time must be >= 0"):
             fit_serverless_regimes(records)
 
+    @pytest.mark.parametrize("latency", [float("nan"), -1.0, float("inf")],
+                             ids=["nan", "negative", "inf"])
+    def test_rejects_bad_latency_by_index(self, latency):
+        records = synth_records(
+            ServerlessModel.linear(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0), 20, make_rng(4)
+        )
+        records[7] = (records[7][0], latency)
+        with pytest.raises(ValueError, match=r"record 7: latency must be finite and >= 0"):
+            fit_serverless_regimes(records)
+
     def test_boundary_records_go_to_pure_regimes(self):
         rng = make_rng(4)
         model = ServerlessModel.linear(Degenerate(0.1), Degenerate(1.0), 10.0, 60.0)
