@@ -47,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import http.client
+import io
 import json
 import math
 import select
@@ -143,13 +144,19 @@ def leibniz_pi(iters: int) -> float:
 
 
 def _column_stats(values: np.ndarray) -> dict:
-    # Population standard deviation: well-defined down to a single value.
-    return {
-        "mean": float(np.mean(values)),
-        "stdev": float(np.std(values)),
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-    }
+    """Mean, population stdev, min and max; JSON has no infinity, so a
+    statistic beyond the float range is a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = {
+            "mean": float(np.mean(values)),
+            "stdev": float(np.std(values)),  # well-defined down to a single value
+            "min": float(np.min(values)),
+            "max": float(np.max(values)),
+        }
+    for name, value in stats.items():
+        if not math.isfinite(value):
+            raise ValueError(f"computing the {name} of these values overflows the float range")
+    return stats
 
 
 def make_dataset(path, lines: int = MIN_DATASET_LINES, seed: int = 0) -> Path:
@@ -168,14 +175,21 @@ def make_dataset(path, lines: int = MIN_DATASET_LINES, seed: int = 0) -> Path:
 
 
 def _load_dataset(path) -> np.ndarray:
+    """The first column of a CSV file, all finite; each error names the file."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file {path} does not exist")
-    values = np.loadtxt(path, delimiter=",", ndmin=2)[:, 0]
+    try:
+        values = np.loadtxt(path, delimiter=",", ndmin=2)[:, 0]
+    except ValueError as exc:  # not UTF-8, or a cell that is not a number
+        raise ValueError(f"dataset {path}: {exc}") from None
     if values.size < MIN_DATASET_LINES:
         raise ValueError(
-            f"dataset has {values.size} lines; at least {MIN_DATASET_LINES} required"
+            f"dataset {path} has {values.size} lines; at least {MIN_DATASET_LINES} required"
         )
+    for row, value in enumerate(values.tolist(), 1):
+        if not math.isfinite(value):
+            raise ValueError(f"dataset {path}: row {row} starts with {value}, not a finite number")
     return values
 
 
@@ -434,7 +448,10 @@ def load_schedule(path) -> ProbeSchedule:
     A missing or malformed field raises ``ValueError`` naming it, so a bad
     schedule fails before anything is sent.
     """
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     targets = []
     for i, e in enumerate(_field(cfg, "endpoints", "", list)):
         task = _field(e, "task", f"endpoints[{i}]")
@@ -634,25 +651,28 @@ def load_probe_rows(path) -> list[ProbeRow]:
     file, the line and the column.
     """
     path = Path(path)
+    try:
+        content = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     rows = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column, _, _ in PROBE_COLUMNS[:-1]:
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{path}: line 1: missing column {column!r}")
-        for rec in reader:
-            cells = []
-            for column, parse, _ in PROBE_COLUMNS:
-                text = rec.get(column, "")  # "" in a file without status
-                if text is not None:
-                    try:
-                        cells.append(parse(text))
-                        continue
-                    except ValueError:
-                        pass
-                problem = "the row ends before it" if text is None else f"cannot read {text!r}"
-                raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: {problem}")
-            rows.append(ProbeRow(*cells))
+    reader = csv.DictReader(io.StringIO(content, newline=""))
+    for column, _, _ in PROBE_COLUMNS[:-1]:
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: line 1: missing column {column!r}")
+    for rec in reader:
+        cells = []
+        for column, parse, _ in PROBE_COLUMNS:
+            text = rec.get(column, "")  # "" in a file without status
+            if text is not None:
+                try:
+                    cells.append(parse(text))
+                    continue
+                except ValueError:
+                    pass
+            problem = "the row ends before it" if text is None else f"cannot read {text!r}"
+            raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: {problem}")
+        rows.append(ProbeRow(*cells))
     return rows
 
 

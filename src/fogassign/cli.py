@@ -4,6 +4,10 @@ Subcommands cover the whole workflow: solve or baseline a scenario file,
 Monte-Carlo check a plan, reproduce the bundled experiments, characterize
 probe records, fit a latency model from quantile summaries, and run the
 benchmark server / probe client.
+
+A bad input (a file, a scenario, a schedule, a value the library refuses)
+prints one ``Error:`` line and exits with status 1; a bad option is a
+usage error with status 2.
 """
 
 from __future__ import annotations
@@ -18,19 +22,11 @@ from pathlib import Path
 import click
 
 from . import benchnet, characterize, reproduce as repro
-from .latency import FitError, dist_from_config, gev_from_quantiles, make_rng
-from .scenario import (
-    ScenarioError,
-    bundled_scenario,
-    bundled_scenario_names,
-    load_scenario,
-)
+from .latency import dist_from_config, gev_from_quantiles, make_rng
+from .scenario import bundled_scenario, bundled_scenario_names, load_scenario
 from .simulate import BASELINES, emit, round9, run_baseline, simulate
 from .solver import (
-    SizeGuardError,
-    UnsupportedTopologyError,
     UtilityTable,
-    WrongSolverError,
     brute_force_optimum,
     solve_capacitated,
     solve_uncapacitated,
@@ -44,19 +40,22 @@ SOLVERS = {
 }
 
 
-SOLVE_ERRORS = (ScenarioError, WrongSolverError, UnsupportedTopologyError, SizeGuardError)
+class _Main(click.Group):
+    """The one error boundary: a command's ``ValueError`` (every error class
+    of the package subclasses it) or ``OSError`` is its ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own exit for a reader that closed stdout
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Latency-aware task placement toolkit."""
-
-
-def _load(scenario_path):
-    try:
-        return load_scenario(scenario_path)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
 
 
 def _cannot_write(path, exc: OSError) -> click.ClickException:
@@ -81,11 +80,8 @@ def _emit(record: dict, fmt: str, out):
               show_default=True)
 def solve(scenario_path, solver, out, fmt):
     """Solve a scenario and emit the assignment plan."""
-    scen = _load(scenario_path)
-    try:
-        plan = SOLVERS[solver](scen)
-    except SOLVE_ERRORS as exc:
-        raise click.ClickException(str(exc))
+    scen = load_scenario(scenario_path)
+    plan = SOLVERS[solver](scen)
     problems = validate_plan(scen, plan)
     if problems:
         raise click.ClickException("; ".join(problems))
@@ -100,7 +96,7 @@ def solve(scenario_path, solver, out, fmt):
               show_default=True)
 def baseline(scenario_path, strategy, out, fmt):
     """Place every task by a single-statistic reference strategy."""
-    scen = _load(scenario_path)
+    scen = load_scenario(scenario_path)
     plan = run_baseline(scen, strategy)
     _emit(plan.to_record(scenario_hash=scen.content_hash()), fmt, out)
 
@@ -115,12 +111,9 @@ def baseline(scenario_path, strategy, out, fmt):
 @click.option("--out", type=click.Path(), default=None)
 def simulate_cmd(scenario_path, reps, seed, solver, with_baselines, out):
     """Monte-Carlo mean utilities (with standard errors) of the solved plan."""
-    scen = _load(scenario_path)
+    scen = load_scenario(scenario_path)
     table = UtilityTable(scen)
-    try:
-        plan = SOLVERS[solver](scen, table)
-    except SOLVE_ERRORS as exc:
-        raise click.ClickException(str(exc))
+    plan = SOLVERS[solver](scen, table)
     baselines = (
         {s: run_baseline(scen, s, table) for s in BASELINES}
         if with_baselines
@@ -139,10 +132,7 @@ def reproduce(experiment):
     ok = True
     for eid in ids:
         t0 = time.perf_counter()
-        try:
-            report = repro.run_experiment(eid)
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
+        report = repro.run_experiment(eid)
         click.echo(repro.format_report(report))
         click.echo(f"  ({eid}: {time.perf_counter() - t0:.2f}s)", err=True)
         ok = ok and report.passed
@@ -159,14 +149,10 @@ def reproduce(experiment):
 @click.option("--out", type=click.Path(), default=None)
 def characterize_cmd(records, thresholds, bucket_width, reference, out):
     """Summarize probe records and fit the gap-conditional latency model."""
-    try:
-        rows = benchnet.load_probe_rows(records)
-        summary = benchnet.summarize(rows)
-    except ValueError as exc:  # a malformed file, or no ok record in it
-        raise click.ClickException(str(exc))
+    rows = benchnet.load_probe_rows(records)
     report: dict = {
         "records": len(rows),
-        "per_endpoint": {f"{e} {o}": s for (e, o), s in summary.items()},
+        "per_endpoint": {f"{e} {o}": s for (e, o), s in benchnet.summarize(rows).items()},
     }
     ok_rows = benchnet.ok_rows(rows)
     pairs = [
@@ -188,8 +174,6 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
             skipped += (f" ({len(ok_rows) - len(pairs)} of the {len(ok_rows)} ok records have "
                         "no gap; the first invocation of each endpoint and option has none)")
         report["regimes"] = {"skipped": skipped}
-    except ValueError as exc:  # thresholds or bucket width out of range
-        raise click.ClickException(str(exc))
     if reference is not None:
         try:
             ref = dist_from_config(json.loads(Path(reference).read_text()),
@@ -214,10 +198,7 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
 @click.option("--p90", type=float, required=True)
 def fit_gev(median, p10, p90):
     """Fit the heavy-tailed latency model matching three quantiles."""
-    try:
-        dist = gev_from_quantiles(median, p10, p90)
-    except FitError as exc:
-        raise click.ClickException(str(exc))
+    dist = gev_from_quantiles(median, p10, p90)
     click.echo(json.dumps(round9(dist.to_config()), sort_keys=True))
 
 
@@ -241,10 +222,7 @@ def _host_port(ctx, param, value):
               help="Accept benchmark sizes outside the supported ranges.")
 def serve(bind, dataset, allow_out_of_range):
     """Run the benchmark server (blocks until interrupted)."""
-    try:
-        server = benchnet.BenchServer(bind, dataset, allow_out_of_range)
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    server = benchnet.BenchServer(bind, dataset, allow_out_of_range)
     click.echo(f"serving on {server.url} ({'/'.join(benchnet.ENDPOINTS)})")
     with server, contextlib.suppress(KeyboardInterrupt):  # Ctrl-C closes the socket
         server.serve_forever()
@@ -255,14 +233,9 @@ def serve(bind, dataset, allow_out_of_range):
 @click.option("--out", type=click.Path(), required=True)
 def probe(schedule, out):
     """Run a probe schedule against live endpoints and record latencies."""
-    try:
-        sched = benchnet.load_schedule(schedule)
-    except ValueError as exc:  # a missing or malformed field
-        raise click.ClickException(str(exc))
+    sched = benchnet.load_schedule(schedule)
     try:
         rows = benchnet.probe(sched, out)
-    except ValueError as exc:  # a URL no request can go to
-        raise click.ClickException(str(exc))
     except OSError as exc:  # a failed request is a record, so this is the file
         raise _cannot_write(out, exc)
     failures = sum(1 for r in rows if r.status != "ok")
@@ -295,10 +268,7 @@ def scenarios_cmd(export_name, out):
         return
     if out is None:
         raise click.ClickException("--export requires --out")
-    try:
-        scen = bundled_scenario(export_name)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
+    scen = bundled_scenario(export_name)
     try:
         scen.save(out)
     except OSError as exc:

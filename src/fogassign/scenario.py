@@ -305,8 +305,8 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, reporting the first violation."""
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return scenario_from_config(cfg, base_dir=path.parent)

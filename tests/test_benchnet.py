@@ -404,6 +404,57 @@ class TestServer:
         with pytest.raises(ValueError, match="at least"):
             start_server(short)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_dataset_is_startup_error(self, tmp_path, cell):
+        path = make_dataset(tmp_path / "data.csv", seed=1)
+        lines = path.read_text().splitlines()
+        lines[6] = f"{cell},1.0,2.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            start_server(path)
+        assert str(info.value) == (
+            f"dataset {path}: row 7 starts with {float(cell)}, not a finite number")
+
+    def test_dataset_that_is_not_utf8_names_its_file(self, tmp_path):
+        path = make_dataset(tmp_path / "data.csv", seed=1)
+        path.write_bytes(b"\xff\xfe,1.0\n" + path.read_bytes())
+        with pytest.raises(ValueError) as info:
+            start_server(path)
+        assert str(info.value).startswith(f"dataset {path}: 'utf-8' codec can't decode")
+
+    # JSON has no infinity: a statistic beyond the float range is refused,
+    # and the connection serves the next request.
+    @pytest.mark.parametrize("body, name", [(b"1e308\n1e308\n", "mean"),
+                                            (b"1e308\n-1e308\n", "stdev")])
+    def test_overflowing_fsp_statistic_is_a_400(self, counting_server, body, name):
+        conn = http.client.HTTPConnection(*counting_server.server_address[:2], timeout=5)
+        try:
+            conn.request("POST", "/fsp", body=body)
+            with conn.getresponse() as resp:
+                assert (resp.status, resp.will_close) == (400, False)
+                assert json.loads(resp.read()) == {
+                    "error": f"computing the {name} of these values overflows the float range"}
+            conn.request("GET", "/pic?iters=1")
+            with conn.getresponse() as resp:
+                assert (resp.status, json.loads(resp.read())["result"]) == (200, 4.0)
+        finally:
+            conn.close()
+
+    def test_overflowing_psf_statistic_is_a_400(self, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1e308\n" * benchnet.MIN_DATASET_LINES)
+        srv, _thread = start_server(huge)
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                get_json(f"{srv.url}/psf?lines=500")
+            payload = json.loads(err.value.read().decode())
+            err.value.close()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert err.value.code == 400
+        assert payload == {"error": "computing the mean of these values overflows the float range"}
+
 
 FSP_VALUES = [((i * 37) % 1000) + 0.5 for i in range(500)]
 FSP_BODY = "\n".join(f"{v:.3f}" for v in FSP_VALUES).encode()
@@ -831,6 +882,15 @@ class TestProbe:
             load_probe_rows(path)
         assert str(info.value) == f"{path}: {where}"
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+                         b"0.5,0.1,e,o,1\n0.5,0.1,\xff,o,2\n")
+        with pytest.raises(ValueError) as info:
+            load_probe_rows(path)
+        assert str(info.value) == (f"{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 76: invalid start byte")
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ProbeSchedule(targets=(), count=1)
@@ -963,6 +1023,18 @@ class TestLoadSchedule:
             with pytest.raises(ValueError, match=f"fsp size {size} exceeds {most} lines"):
                 load_schedule(fsp_schedule(size))
         assert load_schedule(fsp_schedule(most)).targets[0].task.size == most
+
+    @pytest.mark.parametrize("text, problem", [
+        (b'{"count": 2, "endpoints": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
+        (b"{nope", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["not-utf8", "not-json"])
+    def test_unreadable_file_is_named(self, tmp_path, text, problem):
+        path = tmp_path / "sched.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as info:
+            load_schedule(path)
+        assert str(info.value) == f"{path}: not valid JSON: {problem}"
 
 
 class TestSummarize:

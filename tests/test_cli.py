@@ -1,3 +1,4 @@
+import errno
 import http.client
 import json
 import re
@@ -437,6 +438,72 @@ def test_serve_requires_valid_dataset(runner, tmp_path):
     res = runner.invoke(main, ["serve", "--dataset", str(short), "--bind", "127.0.0.1:0"])
     assert res.exit_code != 0
     assert "at least" in res.output
+
+
+def _raises(exc):
+    def call(*args, **kwargs):
+        raise exc
+    return call
+
+
+def test_serve_refuses_a_non_finite_dataset(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(BenchServer, "serve_forever", _raises(AssertionError("served")))
+    dataset = make_dataset(tmp_path / "data.csv", seed=3)
+    lines = dataset.read_text().splitlines()
+    lines[2] = "nan,1.0,2.0"
+    dataset.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["serve", "--dataset", str(dataset), "--bind", "127.0.0.1:0"])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: dataset {dataset}: row 3 starts with nan, not a finite number\n"
+
+
+@pytest.mark.parametrize("args", [["solve"], ["baseline", "--strategy", "min-latency"],
+                                  ["simulate", "--reps", "10"]],
+                         ids=["solve", "baseline", "simulate"])
+def test_scenario_that_is_not_utf8_is_named(runner, tmp_path, args):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    res = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == (f"Error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                          "in position 10: invalid start byte\n")
+
+
+# Each command that reads input, and a library call it makes.
+@pytest.mark.parametrize("exc_type", [ValueError, OSError])
+@pytest.mark.parametrize("args, target", [
+    (["solve", "{scenario}"], "load_scenario"),
+    (["baseline", "{scenario}", "--strategy", "min-latency"], "run_baseline"),
+    (["simulate", "{scenario}", "--reps", "10"], "simulate"),
+    (["reproduce", "uncap_split"], "repro.run_experiment"),
+    (["characterize", "{records}"], "benchnet.load_probe_rows"),
+    (["fit-gev", "--median", "0.34", "--p10", "0.31", "--p90", "0.41"], "gev_from_quantiles"),
+    (["serve", "--dataset", "{records}", "--bind", "127.0.0.1:0"], "benchnet.BenchServer"),
+    (["probe", "--schedule", "{records}", "--out", "{records}.out"], "benchnet.load_schedule"),
+    (["scenarios"], "bundled_scenario_names"),
+    (["scenarios", "--export", "vii_d_base", "--out", "{records}.out"], "bundled_scenario"),
+], ids=["solve", "baseline", "simulate", "reproduce", "characterize", "fit-gev", "serve",
+        "probe", "scenarios", "scenarios-export"])
+def test_every_command_reports_a_library_error_as_one_line(runner, base_file, tmp_path,
+                                                           monkeypatch, args, target, exc_type):
+    records = tmp_path / "records.csv"
+    records.write_text("")
+    monkeypatch.setattr(f"fogassign.cli.{target}", _raises(exc_type("boom")))
+    res = runner.invoke(main, [a.format(scenario=base_file, records=records) for a in args])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "Error: boom\n"
+
+
+def test_closed_stdout_is_not_an_error_line(runner, monkeypatch):
+    # click's own handling: exit 1 and nothing more written.
+    monkeypatch.setattr("fogassign.cli.bundled_scenario_names",
+                        _raises(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+    res = runner.invoke(main, ["scenarios"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == ""
 
 
 @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:http"])

@@ -91,6 +91,14 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(p)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        assert str(info.value) == (f"{p}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 10: invalid start byte")
+
 
 class TestValidation:
     def test_mixture_weights_off(self, tmp_path):
