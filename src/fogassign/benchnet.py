@@ -61,8 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import Empirical, _number, make_rng
-from .scenario import _integer
+from .latency import Empirical, _integer, _number, make_rng
 
 __all__ = [
     "ENDPOINTS",
@@ -138,7 +137,12 @@ class BenchTask:
 
 def leibniz_pi(iters: int) -> float:
     """Partial sum 4 * sum_{k<iters} (-1)^k / (2k+1); exactly 4.0 at one term."""
-    terms = 1.0 / np.arange(1.0, 2.0 * iters, 2.0)
+    return _leibniz_sum(np.arange(1.0, 2.0 * iters, 2.0), np.empty(iters))
+
+
+def _leibniz_sum(odd: np.ndarray, terms: np.ndarray) -> float:
+    """``leibniz_pi`` over the odd numbers ``odd``, written into ``terms``."""
+    np.divide(1.0, odd, out=terms)
     terms[1::2] *= -1.0
     return float(4.0 * np.sum(terms))
 
@@ -268,8 +272,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # A GET kind's kernel, ``_<kind>(size)``, refuses a size it cannot serve
     # and returns the computation that ``exec_ms`` times.
+    # ``_pic`` keeps its odd numbers and terms per handler, that is per
+    # connection, grown to the largest ``iters`` served on it: a fresh
+    # array per request made ``exec_ms`` depend on the allocator's state.
+    _odd = _terms = np.empty(0)
+
     def _pic(self, iters: int):
-        return lambda: {"result": leibniz_pi(iters)}
+        if self._odd.size < iters:
+            self._odd = np.arange(1.0, 2.0 * iters, 2.0)
+            self._terms = np.empty(iters)
+        return lambda: {"result": _leibniz_sum(self._odd[:iters], self._terms[:iters])}
 
     def _psf(self, lines: int):
         if lines > self.server.dataset.size:
@@ -417,7 +429,7 @@ class ProbeSchedule:
 
 _REQUIRED = object()
 # Fields are read by the scenario reader's rules: a float is any JSON
-# number (``latency._number``), an int a whole one (``scenario._integer``),
+# number (``latency._number``), an int a whole one (``latency._integer``),
 # and a bool or a string is neither; a str or a list has no reader: it is
 # a JSON string or array as it stands, and nothing is coerced into one.
 _STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, "")}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import Empirical, LatencyDistribution, Mixture, make_rng
+from .latency import _CHUNK_ELEMENTS, Empirical, LatencyDistribution, Mixture, _integer, make_rng
 
 __all__ = [
     "estimate_cdf",
@@ -108,27 +108,39 @@ def error_curve(
 
     For each N the reference is sampled ``reps`` times; every repetition
     records its (avg, max) distance to the true CDF.  Repetitions use
-    independent child streams spawned from the caller's generator, so the
-    curve is reproducible from one master seed.  The reference's share of
-    each evaluation grid is built once per curve; with the estimate's
-    samples added it is the point set ``cdf_distance`` would build.
+    independent child streams spawned from the caller's generator, one
+    ``rng.spawn(reps)`` per N, so the curve is reproducible from one master
+    seed.  Each N and ``reps`` must be an integer >= 1 (an integral float
+    counts; a bool or a fraction is refused).
+
+    The repetitions of one N are scored in blocks of rows whose grids hold
+    about ``latency._CHUNK_ELEMENTS`` points together.  Each repetition
+    draws its N uniforms from its own stream into one row, the draws
+    ``reference.sample`` would make, and the block is transformed, sorted
+    and scored at once.  Every distance is the one ``cdf_distance``
+    computes on its default grid, bit for bit and whatever the block size:
+    a row's grid is the same point set in the same order, and its mean
+    sums that row alone.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    reps = _integer(reps, 1, "reps must be an integer >= 1")
+    ns = [_integer(n, 1, "sample count n must be an integer >= 1") for n in n_grid]
     rng = make_rng(rng)
-    ref_points = np.concatenate([reference.breakpoints(), reference.quantile(GRID_PROBS)])
+    # The reference's share of every grid, and its CDF there, once per curve.
+    ref_grid = np.unique(np.concatenate([reference.breakpoints(), reference.quantile(GRID_PROBS)]))
+    ref_cdf = reference.cdf(ref_grid)
     points = []
-    for n in n_grid:
+    for n in ns:
         streams = rng.spawn(reps)
         avgs = np.empty(reps)
         maxs = np.empty(reps)
-        for r, stream in enumerate(streams):
-            est = estimate_cdf(reference.sample(stream, int(n)))
-            grid = np.unique(np.concatenate([ref_points, est.samples]))
-            avgs[r], maxs[r] = cdf_distance(reference, est, grid=grid)
+        block = max(1, _CHUNK_ELEMENTS // (n + ref_grid.size))
+        for start in range(0, reps, block):
+            rows = slice(start, start + block)
+            avgs[rows], maxs[rows] = _block_distances(
+                reference, ref_grid, ref_cdf, streams[rows], n)
         points.append(
             ErrorCurvePoint(
-                n=int(n),
+                n=n,
                 avg_distances=avgs,
                 max_distances=maxs,
                 mean_avg=float(avgs.mean()),
@@ -136,6 +148,49 @@ def error_curve(
             )
         )
     return CdfErrorCurve(points=tuple(points))
+
+
+def _block_distances(reference, ref_grid, ref_cdf, streams, n):
+    """(avg, max) distances of one step estimate of ``n`` draws per stream.
+
+    Row r's grid merges ``ref_grid`` with the distinct samples of row r
+    that are not on it, in ascending order.  The estimate's CDF at a grid
+    point is its count of samples at or below it, read from merge ranks.
+    """
+    u = np.empty((len(streams), n))
+    for row, stream in zip(u, streams):
+        stream.random(out=row)
+    s = np.sort(reference.from_uniform(u), axis=1)
+    bad = np.flatnonzero(~np.isfinite(s).all(axis=1) | (s[:, 0] < 0.0))
+    if bad.size:
+        estimate_cdf(s[bad[0]])  # raises the estimator's error for the first bad row
+    rows = np.arange(len(s))[:, None]
+    # Reference points below each sample.  A sample is a grid point of its
+    # own if it is the last of its ties and not on the reference grid.
+    lo = np.searchsorted(ref_grid, s)
+    keep = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, :-1], s[:, 1:], out=keep[:, :-1])
+    keep &= ref_grid[np.minimum(lo, ref_grid.size - 1)] != s
+    kept = np.zeros((len(s), n + 1), dtype=np.intp)
+    np.cumsum(keep, axis=1, out=kept[:, 1:])
+    # Samples at or below reference point i: those with lo <= i.
+    width = ref_grid.size + 1
+    below = np.bincount((lo + width * rows).ravel(), minlength=len(s) * width)
+    below = below.reshape(len(s), width).cumsum(axis=1)[:, :-1]
+    # Row r's grid fills d[start[r]:start[r] + size[r]].
+    size = ref_grid.size + kept[:, -1]
+    start = np.cumsum(size) - size
+    d = np.empty(size.sum())
+    # Reference point i follows i reference points and the row's own grid
+    # points below it.
+    ref_at = kept.ravel()[below + (n + 1) * rows]
+    ref_at += start[:, None] + np.arange(ref_grid.size)
+    d[ref_at] = np.abs(ref_cdf - below / n)
+    own_at = start[:, None] + lo + kept[:, 1:] - 1
+    d[own_at[keep]] = np.abs(reference.cdf(s) - np.arange(1, n + 1) / n)[keep]
+    # Each row sums alone, as ndarray.mean sums a row's grid in cdf_distance.
+    sums = [np.add.reduce(d[a:a + m]) for a, m in zip(start.tolist(), size.tolist())]
+    return np.array(sums) / size, np.maximum.reduceat(d, start)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ A model's config record is its ``kind`` tag plus its fields (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,6 +120,16 @@ def _number(value, *name: str) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{' '.join(name)} must be finite (got {value!r})") from None
+
+
+def _integer(value, minimum, error: str, exc: type[ValueError] = ValueError) -> int:
+    """``value`` as an int >= ``minimum``; a bool, a fraction, a string or
+    a smaller number raises ``exc`` with ``error`` and the value."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise exc(f"{error} (got {value!r})")
+    return int(value)
 
 
 def _maybe_scalar(out, t):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .latency import LatencyDistribution, _number, dist_from_config
+from .latency import LatencyDistribution, _integer, _number, dist_from_config
 from .utility import TaskSpec, utility_from_config
 
 __all__ = [
@@ -184,15 +184,6 @@ class Scenario:
         Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n")
 
 
-def _integer(value, minimum: int, error: str) -> int:
-    """``value`` as an int >= ``minimum``; a bool, a fraction, a string or
-    a smaller number raises ``error``."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < minimum:
-        raise ScenarioError(f"{error} (got {value!r})")
-    return int(value)
-
-
 def _text(value, *name: str) -> str:
     """``value`` if it is a string, or a ValueError naming the field
     ``" ".join(name)``; nothing else is coerced to one."""
@@ -205,7 +196,8 @@ def _capacity_from_config(n: dict) -> int | None:
     cap = n.get("capacity", "inf")
     if cap == "inf":
         return None
-    return _integer(cap, 1, f"node {n['id']}: capacity must be 'inf' or an integer >= 1")
+    return _integer(cap, 1, f"node {n['id']}: capacity must be 'inf' or an integer >= 1",
+                    ScenarioError)
 
 
 def _record_name(cfg: dict, path: tuple) -> str:
@@ -288,7 +280,7 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
             tasks=tasks,
             nodes=nodes,
             latency=latency,
-            seed=_integer(cfg.get("seed", 0), 0, "seed must be an integer >= 0"),
+            seed=_integer(cfg.get("seed", 0), 0, "seed must be an integer >= 0", ScenarioError),
             notes=_text(cfg.get("notes", ""), "notes"),
         )
     except ScenarioError:

@@ -482,6 +482,19 @@ class TestKeepAlive:
         # of its headers: about 40 ms a request on loopback.
         assert counting_server.nodelay == [True]
 
+    def test_pic_buffers_kept_per_connection_give_the_reference_sum(self, counting_server):
+        # The handler keeps its /pic arrays for the connection, grown to the
+        # largest iters served on it; a smaller request reads their prefix.
+        conn = http.client.HTTPConnection(*counting_server.server_address[:2], timeout=5)
+        try:
+            for iters in (50_000, 5_000, 500_000, 5):
+                conn.request("GET", f"/pic?iters={iters}")
+                with conn.getresponse() as resp:
+                    assert json.loads(resp.read())["result"] == reference_pi(iters)
+        finally:
+            conn.close()
+        assert counting_server.accepted == 1
+
     @pytest.mark.parametrize("method, path, headers, body, code", [
         ("POST", "/nope", {}, b"1.0\n2.0\n", 404),
         ("POST", "/pic?iters=10", {}, b"1.0\n2.0\n", 404),

@@ -1,8 +1,14 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fogassign.characterize import (
+    GRID_PROBS,
     BucketMixing,
+    CdfErrorCurve,
+    ErrorCurvePoint,
     InsufficientDataError,
     LinearMixing,
     ServerlessModel,
@@ -16,6 +22,60 @@ from fogassign.characterize import (
 from fogassign.latency import Degenerate, Empirical, Gev, Mixture, Uniform, make_rng
 
 TABLE_GEV = Gev(shape=0.34, scale=0.04, loc=0.48)
+
+
+def reference_error_curve(reference, n_grid, reps, rng):
+    """``error_curve`` one repetition at a time: each repetition's estimate
+    is scored by ``cdf_distance`` on a grid of its own."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    rng = make_rng(rng)
+    ref_points = np.concatenate([reference.breakpoints(), reference.quantile(GRID_PROBS)])
+    points = []
+    for n in n_grid:
+        streams = rng.spawn(reps)
+        avgs = np.empty(reps)
+        maxs = np.empty(reps)
+        for r, stream in enumerate(streams):
+            est = estimate_cdf(reference.sample(stream, int(n)))
+            grid = np.unique(np.concatenate([ref_points, est.samples]))
+            avgs[r], maxs[r] = cdf_distance(reference, est, grid=grid)
+        points.append(
+            ErrorCurvePoint(
+                n=int(n),
+                avg_distances=avgs,
+                max_distances=maxs,
+                mean_avg=float(avgs.mean()),
+                max_max=float(maxs.max()),
+            )
+        )
+    return CdfErrorCurve(points=tuple(points))
+
+
+def assert_same_curve(got, want):
+    assert [p.n for p in got.points] == [p.n for p in want.points]
+    for p, q in zip(got.points, want.points):
+        assert p.avg_distances.tolist() == q.avg_distances.tolist()
+        assert p.max_distances.tolist() == q.max_distances.tolist()
+        assert (p.mean_avg, p.max_max) == (q.mean_avg, q.max_max)
+
+
+# The arguments of the perfbench measure workload's curve at seed 1.
+_workload_rng = np.random.default_rng(1)
+WORKLOAD_GEV = Gev(shape=float(_workload_rng.uniform(0.2, 0.4)),
+                   scale=float(_workload_rng.uniform(5e-4, 1.5e-3)),
+                   loc=float(_workload_rng.uniform(3e-3, 6e-3)))
+WORKLOAD_N = (10, 20, 50, 100, 200, 500, 1000)
+WORKLOAD_REPS = 100
+CURVE_REFERENCES = [
+    TABLE_GEV,
+    Uniform(0.1, 0.4),
+    Degenerate(0.3),
+    Empirical([0.2, 0.25, 0.25, 0.4]),
+    Mixture([Uniform(0.1, 0.3), Degenerate(0.35)], [0.6, 0.4]),
+    Empirical([0.2] * 5 + [0.3] * 5),
+]
+CURVE_REFERENCE_IDS = ["gev", "uniform", "degenerate", "empirical", "mixture", "tied-empirical"]
 
 
 class TestEstimateCdf:
@@ -109,13 +169,7 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             error_curve(TABLE_GEV, [10], 0, make_rng(0))
 
-    @pytest.mark.parametrize("reference", [
-        TABLE_GEV,
-        Uniform(0.1, 0.4),
-        Degenerate(0.3),
-        Empirical([0.2, 0.25, 0.25, 0.4]),
-        Mixture([Uniform(0.1, 0.3), Degenerate(0.35)], [0.6, 0.4]),
-    ], ids=["gev", "uniform", "degenerate", "empirical", "mixture"])
+    @pytest.mark.parametrize("reference", CURVE_REFERENCES, ids=CURVE_REFERENCE_IDS)
     def test_distances_equal_the_default_grid(self, reference):
         # The curve builds the reference's grid points once; every distance
         # must still be the one cdf_distance computes on its own grid.
@@ -127,6 +181,64 @@ class TestErrorCurve:
                       for stream in rng.spawn(reps)]
             assert point.avg_distances.tolist() == [a for a, _ in expect]
             assert point.max_distances.tolist() == [m for _, m in expect]
+
+    def test_blocks_equal_the_per_repetition_loop_at_the_workload_arguments(self):
+        assert_same_curve(error_curve(WORKLOAD_GEV, WORKLOAD_N, WORKLOAD_REPS, 1),
+                          reference_error_curve(WORKLOAD_GEV, WORKLOAD_N, WORKLOAD_REPS, 1))
+
+    # Repetition counts that leave a partial last block at every n.
+    @pytest.mark.parametrize("reps", [1, 7, 37])
+    @pytest.mark.parametrize("reference", CURVE_REFERENCES, ids=CURVE_REFERENCE_IDS)
+    def test_blocks_equal_the_per_repetition_loop(self, reference, reps):
+        n_grid = [1, 3, 10, 200, 1500]
+        assert_same_curve(error_curve(reference, n_grid, reps, make_rng(4)),
+                          reference_error_curve(reference, n_grid, reps, make_rng(4)))
+
+    def test_second_call_on_one_generator_continues_the_stream(self):
+        got, want = make_rng(8), make_rng(8)
+        for _ in range(2):
+            assert_same_curve(error_curve(TABLE_GEV, [5, 60], 9, got),
+                              reference_error_curve(TABLE_GEV, [5, 60], 9, want))
+
+    def test_numpy_integer_arguments(self):
+        curve = error_curve(TABLE_GEV, np.array([5, 60]), np.int64(9), make_rng(8))
+        assert [p.n for p in curve.points] == [5, 60]
+        assert all(type(p.n) is int for p in curve.points)
+        assert_same_curve(curve, reference_error_curve(TABLE_GEV, [5, 60], 9, make_rng(8)))
+
+    def test_blocks_bound_the_peak_memory(self):
+        # All 100 repetitions of n = 1,000 in one block would peak near 9 MB.
+        error_curve(WORKLOAD_GEV, WORKLOAD_N[:1], 1, 1)  # first-call set-up
+        tracemalloc.start()
+        try:
+            error_curve(WORKLOAD_GEV, WORKLOAD_N, WORKLOAD_REPS, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    @pytest.mark.parametrize("n", [10.7, True, 0, -3, "10", None], ids=repr)
+    def test_rejects_a_sample_count_that_is_not_an_integer_of_one_or_more(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1 (got {n!r})")):
+            error_curve(TABLE_GEV, [10, n], 5, make_rng(0))
+
+    @pytest.mark.parametrize("reps", [2.5, True, 0, "5"], ids=repr)
+    def test_rejects_reps_that_is_not_an_integer_of_one_or_more(self, reps):
+        message = re.escape(f"reps must be an integer >= 1 (got {reps!r})")
+        with pytest.raises(ValueError, match=message):
+            error_curve(TABLE_GEV, [10], reps, make_rng(0))
+
+    def test_integral_floats_count_as_integers(self):
+        assert_same_curve(error_curve(TABLE_GEV, [10.0], 4.0, make_rng(3)),
+                          reference_error_curve(TABLE_GEV, [10], 4, make_rng(3)))
+
+    @pytest.mark.parametrize("reference, message", [
+        (Gev(shape=300.0, scale=1.0, loc=1.0), "finite"),
+        (Gev(shape=0.3, scale=0.01, loc=0.001), "nonnegative"),
+    ], ids=["overflow", "negative"])
+    def test_checks_samples_like_estimate_cdf(self, reference, message):
+        with pytest.raises(ValueError, match=message):
+            error_curve(reference, [50], 5, make_rng(0))
 
     def test_rate_matches_root_n(self):
         curve = error_curve(TABLE_GEV, n_grid=[10, 90], reps=100, rng=make_rng(77))
