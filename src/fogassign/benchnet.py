@@ -51,6 +51,7 @@ import io
 import json
 import math
 import select
+import socket
 import threading
 import time
 import urllib.parse
@@ -93,6 +94,8 @@ ENDPOINTS = {
 MIN_DATASET_LINES = 50_000
 # Largest /fsp body read; a longer Content-Length is answered 413 unread.
 FSP_MAX_BODY_BYTES = 1 << 24
+# Longest a connection closed on an unread body is drained after the reply.
+_DRAIN_S = 1.0
 
 
 class EmptySummaryError(ValueError):
@@ -184,7 +187,7 @@ def _load_dataset(path) -> np.ndarray:
     if not path.is_file():
         raise FileNotFoundError(f"dataset file {path} does not exist")
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)[:, 0]
+        values = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")[:, 0]
     except ValueError as exc:  # not UTF-8, or a cell that is not a number
         raise ValueError(f"dataset {path}: {exc}") from None
     if values.size < MIN_DATASET_LINES:
@@ -245,14 +248,35 @@ class _Handler(BaseHTTPRequestHandler):
         be parsed as the next request on it.
         """
         body = json.dumps(payload).encode()
+        unread = not body_read and (self.headers.get("Content-Length", "0") != "0"
+                                    or "Transfer-Encoding" in self.headers)
         self.send_response(code)
-        if not body_read and (self.headers.get("Content-Length", "0") != "0"
-                              or "Transfer-Encoding" in self.headers):
+        if unread:
             self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        if unread:
+            self._close_in_stages()
+
+    def _close_in_stages(self):
+        """End the sending half, then drop input until EOF or ``_DRAIN_S``.
+
+        Closed at once, a socket with unread input answers the client's next
+        write with a reset, and the client, still sending the body, may lose
+        the reply it was sent (RFC 9112 section 9.6).
+        """
+        deadline = time.monotonic() + _DRAIN_S
+        try:
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not self.connection.recv(1 << 16):
+                    break
+        except OSError:  # reset by the client, or the bound reached
+            pass
 
     def _bad(self, reason: str, body_read: bool = False):
         self._reply(400, {"error": reason}, body_read)
@@ -457,21 +481,32 @@ def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
 def load_schedule(path) -> ProbeSchedule:
     """Read a JSON probe schedule.
 
-    A missing or malformed field raises ``ValueError`` naming it, so a bad
-    schedule fails before anything is sent.
+    A missing or malformed field raises ``ValueError`` naming the file and
+    the field, and an endpoint's bad kind or size names the file and the
+    endpoint, so a bad schedule fails before anything is sent.
     """
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return _schedule_from_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _schedule_from_config(cfg) -> ProbeSchedule:
     targets = []
     for i, e in enumerate(_field(cfg, "endpoints", "", list)):
-        task = _field(e, "task", f"endpoints[{i}]")
-        targets.append(ProbeTarget(
-            base_url=_field(e, "url", f"endpoints[{i}]", str),
-            task=BenchTask(kind=_field(task, "kind", f"endpoints[{i}].task", str),
-                           size=_field(task, "size", f"endpoints[{i}].task", int)),
-        ))
+        where = f"endpoints[{i}]"
+        task = _field(e, "task", where)
+        url = _field(e, "url", where, str)
+        kind = _field(task, "kind", f"{where}.task", str)
+        size = _field(task, "size", f"{where}.task", int)
+        try:
+            targets.append(ProbeTarget(url, BenchTask(kind, size)))
+        except ValueError as exc:
+            raise ValueError(f"schedule {where}: {exc}") from None
     mode = _field(cfg, "mode", "", default={})
     return ProbeSchedule(
         targets=tuple(targets),
@@ -616,7 +651,7 @@ def probe(schedule: ProbeSchedule, out_path) -> list[ProbeRow]:
     last_start: dict[tuple[str, str], float] = {}
     prev_start: float | None = None
     out_path = Path(out_path)
-    with out_path.open("w", newline="") as fh, contextlib.ExitStack() as stack:
+    with out_path.open("w", encoding="utf-8", newline="") as fh, contextlib.ExitStack() as stack:
         for conn in conns.values():
             stack.callback(conn.close)
         writer = csv.writer(fh)

@@ -126,7 +126,7 @@ def error_curve(
     ns = [_integer(n, 1, "sample count n must be an integer >= 1") for n in n_grid]
     rng = make_rng(rng)
     # The reference's share of every grid, and its CDF there, once per curve.
-    ref_grid = np.unique(np.concatenate([reference.breakpoints(), reference.quantile(GRID_PROBS)]))
+    ref_grid = _grid_for(reference)
     ref_cdf = reference.cdf(ref_grid)
     points = []
     for n in ns:

@@ -176,7 +176,7 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
         report["regimes"] = {"skipped": skipped}
     if reference is not None:
         try:
-            ref = dist_from_config(json.loads(Path(reference).read_text()),
+            ref = dist_from_config(json.loads(Path(reference).read_text(encoding="utf-8")),
                                    base_dir=Path(reference).parent)
         except KeyError as exc:
             raise click.ClickException(f"reference {reference}: missing field {exc}")

@@ -864,7 +864,7 @@ def dist_from_config(cfg: dict, base_dir=None) -> LatencyDistribution:
             path = Path(cfg["file"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
-            return Empirical(np.loadtxt(path, ndmin=1))
+            return Empirical(np.loadtxt(path, ndmin=1, encoding="utf-8"))
         samples = cfg["samples"]
         if not set(map(type, samples)) <= {int, float}:  # no bool, str or nested list
             bad = next(x for x in samples if type(x) not in (int, float))

@@ -181,7 +181,7 @@ class Scenario:
         return cfg
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n", encoding="utf-8")
 
 
 def _text(value, *name: str) -> str:
@@ -318,5 +318,5 @@ def bundled_scenario(name: str) -> Scenario:
         raise ScenarioError(
             f"no bundled scenario {name!r}; available: {bundled_scenario_names()}"
         )
-    cfg = json.loads(res.read_text())
+    cfg = json.loads(res.read_text(encoding="utf-8"))
     return scenario_from_config(cfg)

@@ -210,5 +210,5 @@ def emit(record: dict, fmt: str, path=None) -> Path | None:
         sys.stdout.flush()
         return None
     path = Path(path)
-    path.write_text(text, newline="")
+    path.write_text(text, encoding="utf-8", newline="")
     return path

@@ -266,6 +266,21 @@ class TestServer:
         assert payload["min"] == pytest.approx(lo, rel=1e-9)
         assert payload["max"] == pytest.approx(hi, rel=1e-9)
 
+    # Each statistic is the float numpy computes, not only one close to it;
+    # an /fsp line's first comma field is its value.
+    @pytest.mark.parametrize("kind", ["psf", "fsp"])
+    def test_statistics_equal_numpy_exactly(self, server, dataset, kind):
+        values = np.random.default_rng(1).uniform(0.0, 1000.0, 500)
+        body = "".join(f"{v!r},{i}\r\n" for i, v in enumerate(values.tolist())).encode()
+        if kind == "psf":
+            values, body = np.loadtxt(dataset, delimiter=",")[:500, 0], None
+        req = urllib.request.Request(f"{server.url}/{kind}?lines=500", data=body)
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            payload = json.loads(resp.read())
+        del payload["exec_ms"]
+        assert payload == {"mean": float(np.mean(values)), "stdev": float(np.std(values)),
+                           "min": float(np.min(values)), "max": float(np.max(values))}
+
     @pytest.mark.parametrize(
         "path",
         ["/pic", "/pic?iters=abc", "/psf?lines=0", "/nope?x=1"],
@@ -526,6 +541,24 @@ class TestKeepAlive:
         assert payload["stdev"] == pytest.approx(stdev, rel=1e-9)
         assert (payload["min"], payload["max"]) == pytest.approx((lo, hi), rel=1e-9)
         assert counting_server.accepted == 2
+
+    def test_client_still_sending_its_body_is_not_reset(self, counting_server):
+        # The server answers 411 before the chunked body arrives.  It must
+        # read and drop the body after its reply, not close over it: the
+        # client's later writes would then meet a reset.
+        host, port = counting_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"POST /fsp HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n")
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            assert (resp.status, resp.will_close) == (411, True)
+            resp.read()
+            sock.sendall(b"8\r\n1.0\n2.0\n\r\n")
+            time.sleep(0.05)
+            sock.sendall(b"0\r\n\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(4096) == b""  # EOF, not ConnectionResetError
+        assert counting_server.wait_closed(1) == 1
 
     def test_one_shot_clients_are_served_and_closed(self, counting_server):
         assert get_json(f"{counting_server.url}/pic?iters=1")["result"] == 4.0
@@ -945,6 +978,12 @@ def _with_size(size):
     return {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": size}}]}
 
 
+def _with_second_task(task):
+    """A ``GOOD_SCHEDULE`` update that adds an endpoint asking for ``task``."""
+    second = {"url": "http://127.0.0.1:9", "task": task}
+    return {"endpoints": [*GOOD_SCHEDULE["endpoints"], second]}
+
+
 def _with_url(url):
     """A ``GOOD_SCHEDULE`` update whose one endpoint is at ``url``."""
     return {"endpoints": [{"url": url, "task": {"kind": "pic", "size": 10}}]}
@@ -1021,6 +1060,25 @@ class TestLoadSchedule:
     def test_bad_value_is_named(self, tmp_path, update, match):
         with pytest.raises(ValueError, match=match):
             load_schedule(self.write(tmp_path, dict(GOOD_SCHEDULE, **update)))
+
+    # Every error starts with the file; an endpoint's own also names it.
+    @pytest.mark.parametrize("update, problem", [
+        (_with_second_task({"kind": "nope", "size": 10}),
+         "schedule endpoints[1]: unknown benchmark kind 'nope'"),
+        (_with_second_task({"kind": "pic", "size": 0}),
+         "schedule endpoints[1]: benchmark size must be >= 1"),
+        (_with_second_task({"kind": "fsp", "size": 2**70}),
+         f"schedule endpoints[1]: fsp size {2**70} exceeds {FSP_MAX_BODY_BYTES // 8} lines, "
+         f"the most whose body always fits in {FSP_MAX_BODY_BYTES} bytes"),
+        (_with_second_task({"kind": "pic", "size": 10.5}),
+         "schedule endpoints[1].task.size must be int, got 10.5"),
+        ({"count": 0}, "schedule count must be >= 1"),
+    ], ids=["kind", "size", "fsp-size", "fraction", "count"])
+    def test_error_names_the_file(self, tmp_path, update, problem):
+        path = self.write(tmp_path, dict(GOOD_SCHEDULE, **update))
+        with pytest.raises(ValueError) as info:
+            load_schedule(path)
+        assert str(info.value) == f"{path}: {problem}"
 
     def test_fsp_size_is_bounded_before_any_body_is_built(self, tmp_path, monkeypatch):
         # Building the body of either size would take gigabytes or more.

@@ -1,7 +1,11 @@
 import errno
 import http.client
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import pytest
@@ -216,6 +220,13 @@ class TestBenchCommands:
             ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
               "mode": {"kind": "random", "max_s": -1}, "count": 3},
              "max_s must be finite and >= 0"),
+            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}},
+                            {"url": "http://127.0.0.1:9", "task": {"kind": "nope", "size": 10}}],
+              "count": 3},
+             "schedule endpoints[1]: unknown benchmark kind 'nope'"),
+            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10.5}}],
+              "count": 3},
+             "schedule endpoints[0].task.size must be int, got 10.5"),
         ],
     )
     def test_probe_bad_schedule_fails_before_sending(self, runner, tmp_path, cfg, message):
@@ -224,7 +235,7 @@ class TestBenchCommands:
         out = tmp_path / "r.csv"
         res = runner.invoke(main, ["probe", "--schedule", str(schedule), "--out", str(out)])
         assert res.exit_code == 1
-        assert "Error: schedule" in res.output and message in res.output
+        assert res.output.startswith(f"Error: {schedule}: ") and message in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -468,6 +479,57 @@ def test_scenario_that_is_not_utf8_is_named(runner, tmp_path, args):
     assert isinstance(res.exception, SystemExit)
     assert res.output == (f"Error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
                           "in position 10: invalid start byte\n")
+
+
+def _run_in_c_locale(*args, code="from fogassign.cli import main; main()"):
+    """``fogassign ARGS``, or ``code`` given ARGS, in a fresh interpreter whose
+    locale encoding is ASCII."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, timeout=120,
+    )
+
+
+def test_plan_csv_is_written_as_utf8_whatever_the_locale(tmp_path):
+    text = json.dumps(bundled_scenario("vii_d_base").to_config(), ensure_ascii=False)
+    scenario = tmp_path / "mu.json"
+    scenario.write_text(text.replace('"t01"', '"t\u00b5"'), encoding="utf-8")
+    out = tmp_path / "mu.csv"
+    solved = _run_in_c_locale("solve", scenario, "--format", "csv", "--out", out)
+    assert solved.returncode == 0, solved.stderr
+    assert "\nt\u00b5,".encode() in out.read_bytes()
+
+
+def test_reference_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # The reference fails on its kind, not on its bytes.
+    records = tmp_path / "records.csv"
+    records.write_text("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+                       ",0.12,e,o,1700000000000\n0.5,0.15,e,o,1700000001000\n")
+    reference = tmp_path / "ref.json"
+    reference.write_text('{"kind": "\u00b5"}', encoding="utf-8")
+    scored = _run_in_c_locale("characterize", records, "--reference", reference)
+    assert scored.returncode == 1, scored.stderr
+    error = scored.stderr.decode("utf-8", errors="replace")
+    assert error.startswith(f"Error: reference {reference}: unknown distribution kind "), error
+
+    # An empirical reference's sample file is UTF-8 too: a comment may say µs.
+    (tmp_path / "samples.txt").write_text("# \u00b5s\n0.1\n0.2\n", encoding="utf-8")
+    reference.write_text('{"kind": "empirical", "file": "samples.txt"}')
+    scored = _run_in_c_locale("characterize", records, "--reference", reference)
+    assert scored.returncode == 0, scored.stderr
+    assert "reference_distance" in json.loads(scored.stdout)
+
+
+def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):
+    dataset = make_dataset(tmp_path / "data.csv", seed=3)
+    dataset.write_bytes("# \u00b5s\n".encode() + dataset.read_bytes())
+    started = _run_in_c_locale(dataset, code="import sys; from fogassign.benchnet import "
+                                              "BenchServer; BenchServer(('127.0.0.1', 0), "
+                                              "sys.argv[1]).server_close()")
+    assert started.returncode == 0, started.stderr
 
 
 # Each command that reads input, and a library call it makes.
