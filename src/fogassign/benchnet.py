@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import Empirical, _integer, _number, make_rng
+from .latency import Empirical, Fields, _load_json, make_rng
 
 __all__ = [
     "ENDPOINTS",
@@ -451,71 +451,29 @@ class ProbeSchedule:
             raise ValueError(f"schedule seed must be >= 0 (got {self.seed})")
 
 
-_REQUIRED = object()
-# Fields are read by the scenario reader's rules: a float is any JSON
-# number (``latency._number``), an int a whole one (``latency._integer``),
-# and a bool or a string is neither; a str or a list has no reader: it is
-# a JSON string or array as it stands, and nothing is coerced into one.
-_STRICT = {float: _number, int: lambda value: _integer(value, -math.inf, "")}
-
-
-def _field(record, key: str, where: str, convert=None, default=_REQUIRED):
-    """``record[key]`` through ``convert``, or a ValueError naming the field."""
-    if not isinstance(record, dict):
-        raise ValueError(f"schedule {where or 'file'} must be a JSON object")
-    name = f"{where}.{key}" if where else key
-    if key not in record:
-        if default is _REQUIRED:
-            raise ValueError(f"schedule is missing {name}")
-        return default
-    if convert is None or convert in (str, list) and isinstance(record[key], convert):
-        return record[key]
-    try:
-        return _STRICT[convert](record[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"schedule {name} must be {convert.__name__}, got {record[key]!r}"
-        ) from None
-
-
 def load_schedule(path) -> ProbeSchedule:
-    """Read a JSON probe schedule.
-
-    A missing or malformed field raises ``ValueError`` naming the file and
-    the field, and an endpoint's bad kind or size names the file and the
-    endpoint, so a bad schedule fails before anything is sent.
-    """
-    try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return _schedule_from_config(cfg)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Read a JSON probe schedule by ``latency.Fields``, as scenarios are
+    read: a bad field or endpoint raises ``ValueError`` naming the file, the
+    record and the field, so a bad schedule fails before anything is sent."""
+    return _load_json(path, _schedule_from_config)
 
 
-def _schedule_from_config(cfg) -> ProbeSchedule:
+def _schedule_from_config(cfg, _directory=None) -> ProbeSchedule:
+    root = Fields(cfg)
     targets = []
-    for i, e in enumerate(_field(cfg, "endpoints", "", list)):
-        where = f"endpoints[{i}]"
-        task = _field(e, "task", where)
-        url = _field(e, "url", where, str)
-        kind = _field(task, "kind", f"{where}.task", str)
-        size = _field(task, "size", f"{where}.task", int)
-        try:
-            targets.append(ProbeTarget(url, BenchTask(kind, size)))
-        except ValueError as exc:
-            raise ValueError(f"schedule {where}: {exc}") from None
-    mode = _field(cfg, "mode", "", default={})
+    for e in root.records("endpoints"):
+        url, task = e.text("url"), e.record("task")
+        bench = task.apply(BenchTask, task.text("kind"), task.integer("size"))
+        targets.append(e.apply(ProbeTarget, url, bench))
+    mode = root.record("mode", default={})
     return ProbeSchedule(
         targets=tuple(targets),
-        count=_field(cfg, "count", "", int),
-        mode=_field(mode, "kind", "mode", str, "round_robin"),
-        delta_s=_field(mode, "delta_s", "mode", float, 0.0),
-        max_s=_field(mode, "max_s", "mode", float, 0.0),
-        seed=_field(cfg, "seed", "", int, 0),
-        timeout_s=_field(cfg, "timeout_s", "", float, 30.0),
+        count=root.integer("count"),
+        mode=mode.text("kind", default="round_robin"),
+        delta_s=mode.number("delta_s", default=0.0),
+        max_s=mode.number("max_s", default=0.0),
+        seed=root.integer("seed", default=0),
+        timeout_s=root.number("timeout_s", default=30.0),
     )
 
 

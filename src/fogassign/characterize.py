@@ -352,13 +352,8 @@ def fit_serverless_regimes(
             )
         est = estimate_cdf(bucket)
         grid = _grid_for(est, warm, cold)
-        f_obs = est.cdf(grid)
-        f_warm = warm.cdf(grid)
-        f_cold = cold.cdf(grid)
-        dists = [
-            float(np.mean(np.abs(f_obs - (w * f_warm + (1.0 - w) * f_cold))))
-            for w in WARM_WEIGHTS
-        ]
+        dists = [cdf_distance(est, Mixture([warm, cold], [w, 1.0 - w]), grid)[0]
+                 for w in WARM_WEIGHTS]
         weights.append(float(WARM_WEIGHTS[int(np.argmin(dists))]))
     mixing = BucketMixing(lo=lo, hi=hi, width=bucket_width, weights=tuple(weights))
     return ServerlessModel(warm=warm, cold=cold, mixing=mixing)

@@ -7,7 +7,8 @@ benchmark server / probe client.
 
 A bad input (a file, a scenario, a schedule, a value the library refuses)
 prints one ``Error:`` line and exits with status 1; a bad option is a
-usage error with status 2.
+usage error with status 2.  Scenario, schedule and ``--reference`` files
+share one reader, ``latency.Fields``, and its one form of error.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import json
 import math
 import sys
 import time
-from pathlib import Path
 
 import click
 
 from . import benchnet, characterize, reproduce as repro
-from .latency import dist_from_config, gev_from_quantiles, make_rng
+from .latency import _load_json, dist_from_config, gev_from_quantiles, make_rng
 from .scenario import bundled_scenario, bundled_scenario_names, load_scenario
 from .simulate import BASELINES, emit, round9, run_baseline, simulate
 from .solver import (
@@ -68,6 +68,9 @@ def _emit(record: dict, fmt: str, out):
         emit(record, fmt, out)
     except OSError as exc:
         raise _cannot_write("stdout" if out is None else out, exc)
+    except UnicodeEncodeError as exc:  # stdout has the locale's encoding, --out UTF-8
+        hint = "" if out else "; --out writes UTF-8"
+        raise click.ClickException(f"cannot write {out or 'stdout'}: {exc}{hint}") from exc
     if out is not None:
         click.echo(f"wrote {out}")
 
@@ -175,13 +178,7 @@ def characterize_cmd(records, thresholds, bucket_width, reference, out):
                         "no gap; the first invocation of each endpoint and option has none)")
         report["regimes"] = {"skipped": skipped}
     if reference is not None:
-        try:
-            ref = dist_from_config(json.loads(Path(reference).read_text(encoding="utf-8")),
-                                   base_dir=Path(reference).parent)
-        except KeyError as exc:
-            raise click.ClickException(f"reference {reference}: missing field {exc}")
-        except (ValueError, TypeError, OSError) as exc:
-            raise click.ClickException(f"reference {reference}: {exc}")
+        ref = _load_json(reference, dist_from_config, role="reference")
         est = characterize.estimate_cdf([r.latency_s for r in ok_rows])
         avg, mx = characterize.cdf_distance(ref, est)
         report["reference_distance"] = {

@@ -33,6 +33,7 @@ A model's config record is its ``kind`` tag plus its fields (see
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -122,14 +123,111 @@ def _number(value, *name: str) -> float:
         raise ValueError(f"{' '.join(name)} must be finite (got {value!r})") from None
 
 
-def _integer(value, minimum, error: str, exc: type[ValueError] = ValueError) -> int:
+def _integer(value, minimum, error: str) -> int:
     """``value`` as an int >= ``minimum``; a bool, a fraction, a string or
-    a smaller number raises ``exc`` with ``error`` and the value."""
+    a smaller number raises a ValueError with ``error`` and the value."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not whole or value < minimum:
-        raise exc(f"{error} (got {value!r})")
+        raise ValueError(f"{error} (got {value!r})")
     return int(value)
+
+
+def _string(value, name: str) -> str:
+    """``value`` if it is a string, or a ValueError naming the field ``name``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string (got {value!r})")
+    return value
+
+
+class Fields:
+    """A JSON object of an input file, read a field at a time by the rules
+    above: the one reader of every input record.  A bad field raises ``error``
+    as ``<record>: <field> <problem>``, the location built only then; a
+    record's ``name`` is its field, or (section, position, kind) for an item
+    of a section, shown as ``kind`` and its string "id", else ``section[i]``.
+    """
+
+    __slots__ = ("fields", "_name", "_error", "_parent")
+
+    def __init__(self, fields, name="", error: type[ValueError] = ValueError, parent=None):
+        self.fields, self._name, self._error, self._parent = fields, name, error, parent
+        if not isinstance(fields, dict):
+            raise self.fail(f"must be a JSON object (got {fields!r})")
+
+    def where(self) -> str:
+        name = self._name
+        if isinstance(name, tuple):
+            section, i, kind = name
+            rid = self.fields.get("id") if kind and isinstance(self.fields, dict) else None
+            name = f"{kind} {rid!r}" if isinstance(rid, str) else f"{section}[{i}]"
+        parent = self._parent
+        return name if parent is None or parent._parent is None else f"{parent.where()} {name}"
+
+    def fail(self, problem: str) -> ValueError:
+        """The error, to raise, that locates ``problem`` at this record."""
+        where = self.where()
+        return self._error(f"{where}: {problem}" if where else problem)
+
+    def apply(self, rule, *args, **kwargs):
+        """``rule(*args, **kwargs)``, a ValueError or OSError it raises located here."""
+        try:
+            return rule(*args, **kwargs)
+        except (ValueError, OSError) as exc:
+            raise self.fail(str(exc)) from None
+
+    def value(self, key: str, default=...):
+        """Field ``key`` as it stands; ``default``, if given, when it is missing."""
+        value = self.fields.get(key, default)
+        if value is ...:
+            raise self.fail(f"missing field {key!r}")
+        return value
+
+    # A string or float field, by far the most common, skips its rule, which
+    # would return it as it is; a default goes through the rule.
+    def text(self, key: str, default=...) -> str:
+        value = self.fields.get(key)
+        return value if type(value) is str else self.apply(_string, self.value(key, default), key)
+
+    def number(self, key: str, *kind: str, default=...) -> float:
+        """Field ``key`` as a float; errors call it ``kind key``."""
+        value = self.fields.get(key)
+        if type(value) is float:
+            return value
+        return self.apply(_number, self.value(key, default), *kind, key)
+
+    def integer(self, key: str, default=...) -> int:
+        """Field ``key`` as an int >= 0: a count, a size or a seed."""
+        return self.apply(_integer, self.value(key, default), 0, f"{key} must be an integer >= 0")
+
+    def array(self, key: str, of: str, default=...) -> list:
+        """Field ``key``, a JSON array of ``of``, as it stands."""
+        value = self.value(key, default)
+        if not isinstance(value, list):
+            raise self.fail(f"{key} must be a list of {of} (got {value!r})")
+        return value
+
+    def record(self, key: str, default=...) -> Fields:
+        return Fields(self.value(key, default), key, self._error, self)
+
+    def records(self, key: str, kind: str | None = None, default=...) -> list[Fields]:
+        """Field ``key``, a section of records, each named by ``kind``."""
+        return [Fields(item, (key, i, kind), self._error, self)
+                for i, item in enumerate(self.array(key, "objects", default))]
+
+
+def _load_json(path, read, error: type[ValueError] = ValueError, role: str = ""):
+    """``read(cfg, directory)`` of the UTF-8 JSON file ``path``; a bad file or
+    record raises ``error`` naming the file first (after ``role`` if given)."""
+    name = f"{role} {path}" if role else str(path)
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{name}: not valid JSON: {exc}") from exc
+    try:
+        return read(cfg, Path(path).parent)
+    except ValueError as exc:
+        raise error(f"{name}: {exc}") from exc
 
 
 def _maybe_scalar(out, t):
@@ -352,7 +450,10 @@ class Empirical(LatencyDistribution):
     """
 
     def __init__(self, samples):
-        arr = np.sort(_as_array(samples), axis=None)  # flattened
+        try:
+            arr = np.sort(_as_array(samples), axis=None)  # flattened
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("empirical samples must be finite") from None
         if arr.size == 0:
             raise ValueError("empirical distribution needs at least one sample, got zero samples")
         if not np.isfinite(arr).all():
@@ -768,8 +869,12 @@ def _layer_cake(kind, largs, family, fargs, breakpoints) -> np.ndarray:
             width = np.diff(e, axis=1)
             s = e[:, :-1, None] + width[:, :, None] * _GL_NODES
             budget = family._latency_budget(s.reshape(len(r), -1), *_select(fargs, r))
-            cdf = kind._cdf(budget, *_select(largs, r))
-            inner = cdf.reshape(s.shape) @ _GL_WEIGHTS
+            cdf = kind._cdf(budget, *_select(largs, r)).reshape(s.shape)
+            inner = cdf @ _GL_WEIGHTS
+            # The weights sum to 1 only up to rounding: a panel whose CDF is 1
+            # at every node, where the deficits 1 - cdf (>= 0) have a weighted
+            # sum of 0, counts as exactly 1 (cheaper than a minimum per panel).
+            inner[np.subtract(1.0, cdf, out=cdf) @ _GL_WEIGHTS == 0.0] = 1.0
             out[r] = (width[:, None, :] @ inner[:, :, None])[:, 0, 0]
     return np.minimum(np.maximum(out, 0.0), 1.0)
 
@@ -839,41 +944,39 @@ def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
 # ---------------------------------------------------------------------------
 
 def _parametric_from_config(cfg, kinds: dict, what: str):
-    """The model ``cfg`` records, for a kind in ``kinds`` (tag -> class);
-    ``what`` names the model family in errors."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError(f"{what} config must be a mapping with a 'kind': {cfg!r}")
-    cls = kinds.get(cfg["kind"]) if isinstance(cfg["kind"], str) else None
+    """The model ``cfg`` (a dict or its ``Fields``) records, for a kind in
+    ``kinds`` (tag -> class); ``what`` names the model family in errors."""
+    rec = cfg if isinstance(cfg, Fields) else Fields(cfg)
+    kind = rec.text("kind")
+    cls = kinds.get(kind)
     if cls is None:
-        raise ValueError(f"unknown {what} kind {cfg['kind']!r}")
-    return cls(*[_number(cfg[p], cls.kind, p) for p in cls._params])
+        raise rec.fail(f"unknown {what} kind {kind!r}")
+    return rec.apply(cls, *[rec.number(p, kind) for p in cls._params])
 
 
 PARAMETRIC_KINDS = {cls.kind: cls for cls in (Gev, Uniform, Degenerate)}
 
 
-def dist_from_config(cfg: dict, base_dir=None) -> LatencyDistribution:
-    """Build a distribution from its tagged config record.
-
-    ``{"kind": "empirical", "file": "lat.csv"}`` reads one latency per line,
-    resolved relative to base_dir when the path is not absolute.
+def dist_from_config(cfg, base_dir=None) -> LatencyDistribution:
+    """Build a distribution from its tagged config record (a dict or its
+    ``Fields``).  ``{"kind": "empirical", "file": "lat.csv"}`` reads one
+    latency per line, resolved relative to base_dir unless absolute.
     """
-    kind = cfg.get("kind") if isinstance(cfg, dict) else None
-    if kind == "empirical":
-        if "file" in cfg:
-            path = Path(cfg["file"])
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            return Empirical(np.loadtxt(path, ndmin=1, encoding="utf-8"))
-        samples = cfg["samples"]
+    rec = cfg if isinstance(cfg, Fields) else Fields(cfg)
+    kind = rec.fields.get("kind")  # any other kind is read by the parametric reader
+    if kind == "mixture":
+        comps = [dist_from_config(c, base_dir) for c in rec.records("components")]
+        weights = [rec.apply(_number, w, "mixture", "weights")
+                   for w in rec.array("weights", "numbers")]
+        return rec.apply(Mixture, comps, weights)
+    if kind != "empirical":
+        return _parametric_from_config(rec, PARAMETRIC_KINDS, "distribution")
+    if "file" in rec.fields:
+        path = Path(base_dir or "") / rec.text("file")
+        samples = rec.apply(np.loadtxt, path, ndmin=1, encoding="utf-8")
+    else:
+        samples = rec.array("samples", "numbers")
         if not set(map(type, samples)) <= {int, float}:  # no bool, str or nested list
             bad = next(x for x in samples if type(x) not in (int, float))
-            raise ValueError(f"empirical samples must be numbers (got {bad!r})")
-        try:
-            return Empirical(samples)
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("empirical samples must be finite") from None
-    if kind == "mixture":
-        comps = [dist_from_config(c, base_dir) for c in cfg["components"]]
-        return Mixture(comps, [_number(w, "mixture", "weights") for w in cfg["weights"]])
-    return _parametric_from_config(cfg, PARAMETRIC_KINDS, "distribution")
+            raise rec.fail(f"empirical samples must be numbers (got {bad!r})")
+    return rec.apply(Empirical, samples)

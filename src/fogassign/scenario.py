@@ -20,6 +20,9 @@ a "task" override the shared one for that triple.  A second entry for the
 same shared pair, or for the same triple, is an error.  Loading validates all
 cross references and rejects any latency model whose support dips below
 zero, so downstream expectations never see negative completion times.
+
+Records are read by ``latency.Fields``, the reader of every JSON input: a
+bad field is a ``ScenarioError`` naming the file, the record and the field.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .latency import LatencyDistribution, _integer, _number, dist_from_config
+from .latency import (Fields, LatencyDistribution, _integer, _load_json, _string,
+                      dist_from_config)
 from .utility import TaskSpec, utility_from_config
 
 __all__ = [
@@ -184,126 +188,68 @@ class Scenario:
         Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n", encoding="utf-8")
 
 
-def _text(value, *name: str) -> str:
-    """``value`` if it is a string, or a ValueError naming the field
-    ``" ".join(name)``; nothing else is coerced to one."""
-    if not isinstance(value, str):
-        raise ValueError(f"{' '.join(name)} must be a string (got {value!r})")
-    return value
-
-
-def _capacity_from_config(n: dict) -> int | None:
-    cap = n.get("capacity", "inf")
-    if cap == "inf":
-        return None
-    return _integer(cap, 1, f"node {n['id']}: capacity must be 'inf' or an integer >= 1",
-                    ScenarioError)
-
-
-def _record_name(cfg: dict, path: tuple) -> str:
-    """How errors name the record at ``path``, e.g. ("tasks", 0, "utility")."""
-    if not path:
-        return "invalid scenario config"
-    section, i, *sub = path
-    kind = {"nodes": "node", "tasks": "task"}.get(section)
-    try:  # by id where the record has a valid one, else by position
-        record_id = cfg[section][i]["id"] if kind else None
-    except (LookupError, TypeError):
-        record_id = None
-    name = f"{kind} {record_id!r}" if isinstance(record_id, str) else f"{section}[{i}]"
-    if sub:
-        name += f" {sub[0]}" + "".join(f"[{k}]" for k in sub[1:])
-    return name
+def _capacity(cap) -> int | None:
+    return None if cap == "inf" else _integer(cap, 1, "capacity must be 'inf' or an integer >= 1")
 
 
 def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
-    where: tuple = ()  # the record being read, for the error message
-    try:
-        nodes = []
-        for i, n in enumerate(cfg["nodes"]):
-            where = ("nodes", i)
-            options = n["options"]
-            if not isinstance(options, list):
-                raise ValueError(f"options must be a list of strings (got {options!r})")
-            nodes.append(NodeSpec(
-                id=_text(n["id"], "id"),
-                options=tuple(_text(x, "options") for x in options),
-                capacity=_capacity_from_config(n),
-            ))
-        tasks = []
-        for i, trec in enumerate(cfg["tasks"]):
-            where = ("tasks", i)
-            intrinsic = {}
-            for k, e in enumerate(trec.get("intrinsic", [])):
-                where = ("tasks", i, "intrinsic", k)
-                pair = (_text(e["node"], "node"), _text(e["option"], "option"))
-                if pair in intrinsic:
-                    raise ScenarioError(
-                        f"{_record_name(cfg, where[:2])}: duplicate intrinsic entry for node "
-                        f"{pair[0]!r}, option {pair[1]!r}"
-                    )
-                intrinsic[pair] = _number(e["value"], "value")
-            where = ("tasks", i)
-            utility_cfg = trec["utility"]
-            where = ("tasks", i, "utility")
-            time_utility = utility_from_config(utility_cfg)
-            where = ("tasks", i)
-            task_id = _text(trec["id"], "id")
-            floor = _number(trec.get("quality_floor", 0.0), "quality_floor")
-            budget = _number(trec.get("risk_budget", 1.0), "risk_budget")
-            where = ()  # TaskSpec names the task in its own errors
-            tasks.append(TaskSpec(task_id, time_utility, intrinsic, floor, budget))
-        where = ()
-        latency: dict[tuple[str, str, str], LatencyDistribution] = {}
-        seen = set()
-        for i, e in enumerate(cfg.get("latency", [])):
-            where = ("latency", i)
-            node, option = _text(e["node"], "node"), _text(e["option"], "option")
-            dist_cfg = e["dist"]
-            task = _text(e["task"], "task") if "task" in e else None
-            owner = "every task" if task is None else f"task {task!r}"
-            if (owner, node, option) in seen:
-                raise ScenarioError(
-                    f"duplicate latency entry for {owner}, node {node!r}, option {option!r}"
-                )
-            seen.add((owner, node, option))
-            where = ("latency", i, "dist")
-            dist = dist_from_config(dist_cfg, base_dir)
-            if task is not None:  # an entry for one task overrides a shared one
-                latency[(task, node, option)] = dist
-            else:
-                for t in tasks:
-                    latency.setdefault((t.id, node, option), dist)
-        where = ()
-        scenario = Scenario(
-            name=_text(cfg.get("name", "unnamed"), "name"),
-            tasks=tasks,
-            nodes=nodes,
-            latency=latency,
-            seed=_integer(cfg.get("seed", 0), 0, "seed must be an integer >= 0", ScenarioError),
-            notes=_text(cfg.get("notes", ""), "notes"),
+    root = Fields(cfg, "invalid scenario config", ScenarioError)
+    nodes = [
+        NodeSpec(
+            id=n.text("id"),
+            options=tuple(n.apply(_string, x, "options") for x in n.array("options", "strings")),
+            capacity=n.apply(_capacity, n.value("capacity", "inf")),
         )
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError(f"{_record_name(cfg, where)}: missing field {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError, OSError) as exc:  # OSError: an empirical file
-        raise ScenarioError(f"{_record_name(cfg, where)}: {exc}") from exc
+        for n in root.records("nodes", "node")
+    ]
+    tasks = []
+    for trec in root.records("tasks", "task"):
+        intrinsic = {}
+        for e in trec.records("intrinsic", default=[]):
+            pair = (e.text("node"), e.text("option"))
+            if pair in intrinsic:
+                raise trec.fail(
+                    f"duplicate intrinsic entry for node {pair[0]!r}, option {pair[1]!r}"
+                )
+            intrinsic[pair] = e.number("value")
+        time_utility = utility_from_config(trec.record("utility"))
+        task_id = trec.text("id")
+        floor = trec.number("quality_floor", default=0.0)
+        budget = trec.number("risk_budget", default=1.0)
+        # TaskSpec names the task in its own errors.
+        tasks.append(root.apply(TaskSpec, task_id, time_utility, intrinsic, floor, budget))
+    latency: dict[tuple[str, str, str], LatencyDistribution] = {}
+    seen = set()
+    for e in root.records("latency", default=[]):
+        node, option = e.text("node"), e.text("option")
+        dist = dist_from_config(e.record("dist"), base_dir)
+        task = e.text("task") if "task" in e.fields else None
+        owner = "every task" if task is None else f"task {task!r}"
+        if (owner, node, option) in seen:
+            raise ScenarioError(
+                f"duplicate latency entry for {owner}, node {node!r}, option {option!r}"
+            )
+        seen.add((owner, node, option))
+        if task is not None:  # an entry for one task overrides a shared one
+            latency[(task, node, option)] = dist
+        else:
+            for t in tasks:
+                latency.setdefault((t.id, node, option), dist)
+    scenario = Scenario(
+        name=root.text("name", default="unnamed"),
+        tasks=tasks,
+        nodes=nodes,
+        latency=latency,
+        seed=root.integer("seed", default=0),
+        notes=root.text("notes", default=""),
+    )
     scenario.validate()
     return scenario
 
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, reporting the first violation."""
-    path = Path(path)
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return scenario_from_config(cfg, base_dir=path.parent)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return _load_json(path, scenario_from_config, ScenarioError)
 
 
 def bundled_scenario_names() -> list[str]:
@@ -318,5 +264,5 @@ def bundled_scenario(name: str) -> Scenario:
         raise ScenarioError(
             f"no bundled scenario {name!r}; available: {bundled_scenario_names()}"
         )
-    cfg = json.loads(res.read_text(encoding="utf-8"))
-    return scenario_from_config(cfg)
+    with resources.as_file(res) as path:  # a real file even from a zipped package
+        return _load_json(path, scenario_from_config, ScenarioError)

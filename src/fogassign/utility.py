@@ -185,7 +185,7 @@ class WaitReadyFirst(TimeUtility):
 PARAMETRIC_KINDS = {cls.kind: cls for cls in (Step, ExpDecay, WaitReadyFirst)}
 
 
-def utility_from_config(cfg: dict) -> TimeUtility:
+def utility_from_config(cfg) -> TimeUtility:
     return _parametric_from_config(cfg, PARAMETRIC_KINDS, "time-utility")
 
 

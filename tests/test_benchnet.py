@@ -1007,71 +1007,116 @@ class TestLoadSchedule:
         assert (schedule.count, schedule.mode, schedule.max_s) == (2, "random", 0.1)
         assert (schedule.delta_s, schedule.seed, schedule.timeout_s) == (0.0, 3, 2.5)
 
+    # Every error names the file, then the record and the field, in the
+    # form scenario files use.  The ids are the names these cases have kept
+    # since their messages were matched by pattern.
     @pytest.mark.parametrize(
-        "path, match",
+        "path, message",
         [
-            (("count",), "missing count"),
-            (("endpoints",), "missing endpoints"),
-            (("endpoints", 0, "url"), r"missing endpoints\[0\]\.url"),
-            (("endpoints", 0, "task"), r"missing endpoints\[0\]\.task"),
-            (("endpoints", 0, "task", "kind"), r"missing endpoints\[0\]\.task\.kind"),
-            (("endpoints", 0, "task", "size"), r"missing endpoints\[0\]\.task\.size"),
+            pytest.param(("count",), "missing field 'count'", id="path0-missing count"),
+            pytest.param(("endpoints",), "missing field 'endpoints'",
+                         id="path1-missing endpoints"),
+            pytest.param(("endpoints", 0, "url"), "endpoints[0]: missing field 'url'",
+                         id=r"path2-missing endpoints\[0\]\.url"),
+            pytest.param(("endpoints", 0, "task"), "endpoints[0]: missing field 'task'",
+                         id=r"path3-missing endpoints\[0\]\.task"),
+            pytest.param(("endpoints", 0, "task", "kind"),
+                         "endpoints[0] task: missing field 'kind'",
+                         id=r"path4-missing endpoints\[0\]\.task\.kind"),
+            pytest.param(("endpoints", 0, "task", "size"),
+                         "endpoints[0] task: missing field 'size'",
+                         id=r"path5-missing endpoints\[0\]\.task\.size"),
         ],
     )
-    def test_missing_field_is_named(self, tmp_path, path, match):
+    def test_missing_field_is_named(self, tmp_path, path, message):
         cfg = json.loads(json.dumps(GOOD_SCHEDULE))
         parent = cfg
         for key in path[:-1]:
             parent = parent[key]
         del parent[path[-1]]
-        with pytest.raises(ValueError, match=match):
-            load_schedule(self.write(tmp_path, cfg))
+        sched = self.write(tmp_path, cfg)
+        with pytest.raises(ValueError) as info:
+            load_schedule(sched)
+        assert str(info.value) == f"{sched}: {message}"
 
     @pytest.mark.parametrize(
-        "update, match",
+        "update, message",
         [
-            ({"count": "many"}, "count must be int"),
-            ({"count": None}, "count must be int"),
-            ({"endpoints": [5]}, r"endpoints\[0\] must be a JSON object"),
-            ({"mode": "random"}, "mode must be a JSON object"),
-            ({"mode": {"kind": "random", "max_s": -1}}, "max_s must be finite and >= 0"),
-            ({"mode": {"kind": "fixed", "delta_s": -1}}, "delta_s must be finite and >= 0"),
-            ({"timeout_s": 0}, "timeout_s must be finite and > 0"),
-            ({"seed": -1}, "seed must be >= 0"),
+            pytest.param({"count": "many"}, "count must be an integer >= 0 (got 'many')",
+                         id="update0-count must be int"),
+            pytest.param({"count": None}, "count must be an integer >= 0 (got None)",
+                         id="update1-count must be int"),
+            pytest.param({"endpoints": [5]}, "endpoints[0]: must be a JSON object (got 5)",
+                         id=r"update2-endpoints\[0\] must be a JSON object"),
+            pytest.param({"mode": "random"}, "mode: must be a JSON object (got 'random')",
+                         id="update3-mode must be a JSON object"),
+            pytest.param({"mode": {"kind": "random", "max_s": -1}},
+                         "schedule max_s must be finite and >= 0 (got -1.0)",
+                         id="update4-max_s must be finite and >= 0"),
+            pytest.param({"mode": {"kind": "fixed", "delta_s": -1}},
+                         "schedule delta_s must be finite and >= 0 (got -1.0)",
+                         id="update5-delta_s must be finite and >= 0"),
+            pytest.param({"timeout_s": 0}, "schedule timeout_s must be finite and > 0 (got 0.0)",
+                         id="update6-timeout_s must be finite and > 0"),
+            pytest.param({"seed": -1}, "seed must be an integer >= 0 (got -1)",
+                         id="update7-seed must be >= 0"),
             # Numbers are never coerced: no fraction, string or bool.
-            (_with_size(5.7), r"endpoints\[0\]\.task\.size must be int"),
-            (_with_size("5000"), r"endpoints\[0\]\.task\.size must be int"),
-            (_with_size(True), r"endpoints\[0\]\.task\.size must be int"),
-            ({"count": 2.9}, "count must be int"),
-            ({"seed": True}, "seed must be int"),
-            ({"timeout_s": "3"}, "timeout_s must be float"),
+            pytest.param(_with_size(5.7),
+                         "endpoints[0] task: size must be an integer >= 0 (got 5.7)",
+                         id=r"update8-endpoints\[0\]\.task\.size must be int"),
+            pytest.param(_with_size("5000"),
+                         "endpoints[0] task: size must be an integer >= 0 (got '5000')",
+                         id=r"update9-endpoints\[0\]\.task\.size must be int"),
+            pytest.param(_with_size(True),
+                         "endpoints[0] task: size must be an integer >= 0 (got True)",
+                         id=r"update10-endpoints\[0\]\.task\.size must be int"),
+            pytest.param({"count": 2.9}, "count must be an integer >= 0 (got 2.9)",
+                         id="update11-count must be int"),
+            pytest.param({"seed": True}, "seed must be an integer >= 0 (got True)",
+                         id="update12-seed must be int"),
+            pytest.param({"timeout_s": "3"}, "timeout_s must be a number (got '3')",
+                         id="update13-timeout_s must be float"),
             # A url is a JSON string, never a number, null or list made one.
-            (_with_url(5), r"endpoints\[0\]\.url must be str, got 5"),
-            (_with_url(None), r"endpoints\[0\]\.url must be str, got None"),
-            (_with_url(["http://x"]), r"endpoints\[0\]\.url must be str, got \['http://x'\]"),
+            pytest.param(_with_url(5), "endpoints[0]: url must be a string (got 5)",
+                         id=r"update14-endpoints\[0\]\.url must be str, got 5"),
+            pytest.param(_with_url(None), "endpoints[0]: url must be a string (got None)",
+                         id=r"update15-endpoints\[0\]\.url must be str, got None"),
+            pytest.param(_with_url(["http://x"]),
+                         "endpoints[0]: url must be a string (got ['http://x'])",
+                         id=r"update16-endpoints\[0\]\.url must be str, got \['http://x'\]"),
             # A kind is a JSON string, and the endpoint list a JSON array.
-            (_with_kind(["pic"]), r"endpoints\[0\]\.task\.kind must be str, got \['pic'\]"),
-            (_with_kind({}), r"endpoints\[0\]\.task\.kind must be str, got \{\}"),
-            ({"mode": {"kind": ["fixed"]}}, r"schedule mode\.kind must be str, got \['fixed'\]"),
-            ({"endpoints": "ab"}, "schedule endpoints must be list, got 'ab'"),
-            ({"endpoints": {"a": 1}}, r"schedule endpoints must be list, got \{'a': 1\}"),
+            pytest.param(_with_kind(["pic"]),
+                         "endpoints[0] task: kind must be a string (got ['pic'])",
+                         id=r"update17-endpoints\[0\]\.task\.kind must be str, got \['pic'\]"),
+            pytest.param(_with_kind({}), "endpoints[0] task: kind must be a string (got {})",
+                         id=r"update18-endpoints\[0\]\.task\.kind must be str, got \{\}"),
+            pytest.param({"mode": {"kind": ["fixed"]}},
+                         "mode: kind must be a string (got ['fixed'])",
+                         id=r"update19-schedule mode\.kind must be str, got \['fixed'\]"),
+            pytest.param({"endpoints": "ab"}, "endpoints must be a list of objects (got 'ab')",
+                         id="update20-schedule endpoints must be list, got 'ab'"),
+            pytest.param({"endpoints": {"a": 1}},
+                         "endpoints must be a list of objects (got {'a': 1})",
+                         id=r"update21-schedule endpoints must be list, got \{'a': 1\}"),
         ],
     )
-    def test_bad_value_is_named(self, tmp_path, update, match):
-        with pytest.raises(ValueError, match=match):
-            load_schedule(self.write(tmp_path, dict(GOOD_SCHEDULE, **update)))
+    def test_bad_value_is_named(self, tmp_path, update, message):
+        sched = self.write(tmp_path, dict(GOOD_SCHEDULE, **update))
+        with pytest.raises(ValueError) as info:
+            load_schedule(sched)
+        assert str(info.value) == f"{sched}: {message}"
 
-    # Every error starts with the file; an endpoint's own also names it.
+    # An endpoint's own errors name the endpoint, or its task.
     @pytest.mark.parametrize("update, problem", [
         (_with_second_task({"kind": "nope", "size": 10}),
-         "schedule endpoints[1]: unknown benchmark kind 'nope'"),
+         "endpoints[1] task: unknown benchmark kind 'nope'"),
         (_with_second_task({"kind": "pic", "size": 0}),
-         "schedule endpoints[1]: benchmark size must be >= 1"),
+         "endpoints[1] task: benchmark size must be >= 1"),
         (_with_second_task({"kind": "fsp", "size": 2**70}),
-         f"schedule endpoints[1]: fsp size {2**70} exceeds {FSP_MAX_BODY_BYTES // 8} lines, "
+         f"endpoints[1]: fsp size {2**70} exceeds {FSP_MAX_BODY_BYTES // 8} lines, "
          f"the most whose body always fits in {FSP_MAX_BODY_BYTES} bytes"),
         (_with_second_task({"kind": "pic", "size": 10.5}),
-         "schedule endpoints[1].task.size must be int, got 10.5"),
+         "endpoints[1] task: size must be an integer >= 0 (got 10.5)"),
         ({"count": 0}, "schedule count must be >= 1"),
     ], ids=["kind", "size", "fsp-size", "fraction", "count"])
     def test_error_names_the_file(self, tmp_path, update, problem):

@@ -215,18 +215,27 @@ class TestBenchCommands:
     @pytest.mark.parametrize(
         "cfg, message",
         [
-            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}]},
-             "missing count"),
-            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
-              "mode": {"kind": "random", "max_s": -1}, "count": 3},
-             "max_s must be finite and >= 0"),
-            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}},
-                            {"url": "http://127.0.0.1:9", "task": {"kind": "nope", "size": 10}}],
-              "count": 3},
-             "schedule endpoints[1]: unknown benchmark kind 'nope'"),
-            ({"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10.5}}],
-              "count": 3},
-             "schedule endpoints[0].task.size must be int, got 10.5"),
+            # The ids are the names these cases have kept since their
+            # messages took the form scenario files use.
+            pytest.param(
+                {"endpoints": [{"url": "http://127.0.0.1:9",
+                                "task": {"kind": "pic", "size": 10}}]},
+                "missing field 'count'", id="cfg0-missing count"),
+            pytest.param(
+                {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
+                 "mode": {"kind": "random", "max_s": -1}, "count": 3},
+                "schedule max_s must be finite and >= 0", id="cfg1-max_s must be finite and >= 0"),
+            pytest.param(
+                {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}},
+                               {"url": "http://127.0.0.1:9", "task": {"kind": "nope", "size": 10}}],
+                 "count": 3},
+                "endpoints[1] task: unknown benchmark kind 'nope'",
+                id="cfg2-schedule endpoints[1]: unknown benchmark kind 'nope'"),
+            pytest.param(
+                {"endpoints": [{"url": "http://127.0.0.1:9",
+                                "task": {"kind": "pic", "size": 10.5}}], "count": 3},
+                "endpoints[0] task: size must be an integer >= 0 (got 10.5)",
+                id="cfg3-schedule endpoints[0].task.size must be int, got 10.5"),
         ],
     )
     def test_probe_bad_schedule_fails_before_sending(self, runner, tmp_path, cfg, message):
@@ -265,16 +274,25 @@ class TestBenchCommands:
         "text, message",
         [
             ('{"kind": "uniform", "lo": 0.1}', "missing field 'hi'"),
-            ("[1, 2]", "must be a mapping with a 'kind'"),
+            ("[1, 2]", "must be a JSON object (got [1, 2])"),
             ('{"kind": "uniform", "lo": 0.1, "hi": "abc"}', "uniform hi must be a number"),
-            ("not json", "Expecting value"),
+            ("not json", "not valid JSON: Expecting value"),
             ('{"kind": "empirical", "samples": []}', "at least one sample"),
-            ('{"kind": "mixture", "components": 3, "weights": [1.0]}', "not iterable"),
+            ('{"kind": "mixture", "components": 3, "weights": [1.0]}',
+             "components must be a list of objects (got 3)"),
             ('{"kind": "empirical", "file": "missing.csv"}', "not found"),
             ('{"kind": "uniform", "lo": -1e308, "hi": 1e308}', "uniform hi - lo must be finite"),
+            ('{"kind": "empirical", "samples": 5}', "samples must be a list of numbers (got 5)"),
+            ('{"kind": "mixture", "components": [{"kind": "degenerate", "value": 0.1}], '
+             '"weights": {"w": 1.0}}', "weights must be a list of numbers (got {'w': 1.0})"),
+            ('{"kind": "mixture", "components": "ab", "weights": [1.0]}',
+             "components must be a list of objects (got 'ab')"),
+            ('{"kind": "mixture", "components": [0.1], "weights": [1.0]}',
+             "components[0]: must be a JSON object (got 0.1)"),
         ],
         ids=["missing-field", "not-a-mapping", "bad-number", "not-json", "no-samples",
-             "wrong-type", "missing-file", "overflowing-span"],
+             "wrong-type", "missing-file", "overflowing-span", "samples-number",
+             "weights-object", "components-string", "component-number"],
     )
     def test_characterize_bad_reference_fails_cleanly(self, runner, tmp_path, text, message):
         records = tmp_path / "records.csv"
@@ -493,14 +511,29 @@ def _run_in_c_locale(*args, code="from fogassign.cli import main; main()"):
     )
 
 
-def test_plan_csv_is_written_as_utf8_whatever_the_locale(tmp_path):
+def _mu_scenario(tmp_path):
+    """The bundled base scenario with a task id, t\u00b5, that ASCII cannot encode."""
     text = json.dumps(bundled_scenario("vii_d_base").to_config(), ensure_ascii=False)
     scenario = tmp_path / "mu.json"
     scenario.write_text(text.replace('"t01"', '"t\u00b5"'), encoding="utf-8")
+    return scenario
+
+
+def test_plan_csv_is_written_as_utf8_whatever_the_locale(tmp_path):
+    scenario = _mu_scenario(tmp_path)
     out = tmp_path / "mu.csv"
     solved = _run_in_c_locale("solve", scenario, "--format", "csv", "--out", out)
     assert solved.returncode == 0, solved.stderr
     assert "\nt\u00b5,".encode() in out.read_bytes()
+
+
+def test_stdout_that_cannot_encode_the_plan_is_one_error_line(tmp_path):
+    solved = _run_in_c_locale("solve", _mu_scenario(tmp_path), "--format", "csv")
+    assert solved.returncode == 1
+    assert solved.stdout == b""
+    assert solved.stderr.decode() == (
+        "Error: cannot write stdout: 'ascii' codec can't encode character '\\xb5' in "
+        "position 42: ordinal not in range(128); --out writes UTF-8\n")
 
 
 def test_reference_is_read_as_utf8_whatever_the_locale(tmp_path):

@@ -405,6 +405,16 @@ class TestExpectTransform:
     def test_degenerate_is_pointwise(self):
         assert expect_transform(Degenerate(0.5), ExpDecay(1.0)) == pytest.approx(math.exp(-0.5))
 
+    # A time value of 1 over the whole support scores exactly 1, as a point
+    # mass does, however the quadrature weights round.
+    @pytest.mark.parametrize("dist, f", [
+        (Uniform(0.1, 0.6), Step(10.0)),
+        (Gev(0.3, 0.1, 0.5), ExpDecay(1e-320)),
+        (Degenerate(0.3), Step(10.0)),
+    ], ids=["uniform-step", "gev-tiny-decay", "degenerate-step"])
+    def test_value_one_everywhere_scores_exactly_one(self, dist, f):
+        assert expect_transform(dist, f) == 1.0
+
     def test_mixture_is_weighted_sum(self):
         f = ExpDecay(2.0)
         u1, u2 = Uniform(0.0, 0.5), Uniform(0.5, 1.5)

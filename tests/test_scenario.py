@@ -236,6 +236,57 @@ class TestValidation:
             load_scenario(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
+    # Sections are JSON arrays and records JSON objects: anything else is
+    # named by file, record and field, never read as empty or iterated.
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("tasks",), {}, "invalid scenario config: tasks must be a list of objects (got {})"),
+            (("latency",), {},
+             "invalid scenario config: latency must be a list of objects (got {})"),
+            (("nodes",), "ab",
+             "invalid scenario config: nodes must be a list of objects (got 'ab')"),
+            (("tasks", 0, "intrinsic"), {},
+             "task 't1': intrinsic must be a list of objects (got {})"),
+            (("tasks", 0, "intrinsic"), "a",
+             "task 't1': intrinsic must be a list of objects (got 'a')"),
+            (("tasks", 0), 5, "tasks[0]: must be a JSON object (got 5)"),
+            (("tasks", 0, "intrinsic", 1), ["b", "y"],
+             "task 't1' intrinsic[1]: must be a JSON object (got ['b', 'y'])"),
+            (("tasks", 0, "utility"), 0.5, "task 't1' utility: must be a JSON object (got 0.5)"),
+            (("latency", 0, "dist"), "uniform",
+             "latency[0] dist: must be a JSON object (got 'uniform')"),
+            (("latency", 0, "dist"), {"kind": "empirical", "samples": 5},
+             "latency[0] dist: samples must be a list of numbers (got 5)"),
+            (("latency", 0, "dist"), {"kind": "mixture", "weights": {"a": 1.0},
+                                      "components": [{"kind": "degenerate", "value": 0.2}]},
+             "latency[0] dist: weights must be a list of numbers (got {'a': 1.0})"),
+            (("latency", 0, "dist"), {"kind": "mixture", "weights": [1.0],
+                                      "components": {"kind": "degenerate", "value": 0.2}},
+             "latency[0] dist: components must be a list of objects "
+             "(got {'kind': 'degenerate', 'value': 0.2})"),
+            (("latency", 0, "dist"), {"kind": "mixture", "weights": [0.5, 0.5],
+                                      "components": [{"kind": "degenerate", "value": 0.2},
+                                                     {"kind": "uniform", "lo": 0.1}]},
+             "latency[0] dist components[1]: missing field 'hi'"),
+            (("latency", 0, "dist"), {"kind": 5}, "latency[0] dist: kind must be a string (got 5)"),
+        ],
+        ids=["tasks-object", "latency-object", "nodes-string", "intrinsic-object",
+             "intrinsic-string", "task-number", "intrinsic-entry-list", "utility-number",
+             "dist-string", "samples-number", "weights-object", "components-object",
+             "component-field", "kind-number"],
+    )
+    def test_malformed_section_or_record_is_named(self, tmp_path, path, value, message):
+        cfg = json.loads(json.dumps(MINIMAL))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scen = write(tmp_path, cfg)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(scen)
+        assert str(info.value) == f"{scen}: {message}"
+
     def test_dangling_intrinsic(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["tasks"][0]["intrinsic"].append({"node": "ghost", "option": "x", "value": 0.5})

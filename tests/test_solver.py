@@ -267,7 +267,10 @@ def reference_expect_transform(dist, f):
     edges = np.unique(np.concatenate([[0.0, 1.0], f.value(knots), _DYADIC_EDGES]))
     width = np.diff(edges)
     s = edges[:-1, None] + width[:, None] * _GL_NODES
-    val = float(width @ (reference_cdf(dist, reference_budget(f, s)) @ _GL_WEIGHTS))
+    cdf = reference_cdf(dist, reference_budget(f, s))
+    inner = cdf @ _GL_WEIGHTS
+    inner[cdf.min(axis=-1) == 1.0] = 1.0  # a panel at CDF 1 throughout is exactly 1
+    val = float(width @ inner)
     return min(max(val, 0.0), 1.0)
 
 
