@@ -28,7 +28,7 @@ where ``f^-1(s)`` is the largest latency still worth s.  The integrand is
 a CDF over a bounded interval, so the tail never has to be truncated.
 
 A model's config record is its ``kind`` tag plus its fields (see
-``ConfigRecord``); ``empirical`` and ``mixture`` records have their own code.
+``ConfigRecord``), and its class reads it; ``KINDS`` lists the classes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,10 +241,9 @@ class ConfigRecord:
     """A model stored as ``{"kind": kind, field: value, ...}``.
 
     A parametric kind lists its numeric fields in ``_params``, in constructor
-    order, and ``to_config``, ``_require_finite``,
-    ``_parametric_from_config`` and the formula arguments (``_args`` for
-    one record, ``_columns`` for a group) read that list; other kinds
-    override them."""
+    order, and ``to_config``, ``_from_config``, ``_require_finite`` and the
+    formula arguments (``_args`` for one record, ``_columns`` for a group)
+    read that list; other kinds override them."""
 
     kind: str
     _params: tuple[str, ...] = ()
@@ -253,6 +253,10 @@ class ConfigRecord:
         for p in self._params:
             cfg[p] = getattr(self, p)
         return cfg
+
+    @classmethod
+    def _from_config(cls, rec: Fields, base_dir=None):
+        return rec.apply(cls, *[rec.number(p, cls.kind) for p in cls._params])
 
     def _group_key(self):
         """Records with equal keys share formula calls in ``Columns``."""
@@ -284,6 +288,9 @@ class LatencyDistribution(ConfigRecord):
     group of distributions at once.  The methods below are
     adapters over those formulas.
     """
+
+    linear = False  # a weighted sum of its components (``expect_transforms``)
+    atoms = None  # a discrete kind's equally likely values (or one), as a property
 
     def cdf(self, t):
         """P(T <= t); accepts scalars or arrays, total over the reals."""
@@ -449,6 +456,9 @@ class Empirical(LatencyDistribution):
     sample counts stacks them, one row per distribution.
     """
 
+    kind = "empirical"
+    atoms = property(lambda self: self.samples)
+
     def __init__(self, samples):
         try:
             arr = np.sort(_as_array(samples), axis=None)  # flattened
@@ -514,7 +524,32 @@ class Empirical(LatencyDistribution):
         return isinstance(other, Empirical) and np.array_equal(self.samples, other.samples)
 
     def to_config(self):
-        return {"kind": "empirical", "samples": [float(x) for x in self.samples]}
+        return {"kind": self.kind, "samples": [float(x) for x in self.samples]}
+
+    @classmethod
+    def _from_config(cls, rec, base_dir=None):
+        if "file" in rec.fields:
+            if "samples" in rec.fields:
+                raise rec.fail("empirical takes samples or file, not both")
+            samples = rec.apply(_read_samples, Path(base_dir or "") / rec.text("file"))
+        else:
+            samples = rec.array("samples", "numbers")
+            if not set(map(type, samples)) <= {int, float}:  # no bool, str or nested list
+                bad = next(x for x in samples if type(x) not in (int, float))
+                raise rec.fail(f"empirical samples must be numbers (got {bad!r})")
+        return rec.apply(cls, samples)
+
+
+def _read_samples(path: Path) -> np.ndarray:
+    """The latencies in the text file ``path``, one per line; a line that is
+    not a number raises a ValueError naming the file."""
+    with warnings.catch_warnings():
+        # An empty file reads as no samples, which Empirical refuses.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, ndmin=1, encoding="utf-8")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -524,6 +559,7 @@ class Degenerate(LatencyDistribution):
     value: float
     kind = "degenerate"
     _params = ("value",)
+    atoms = property(lambda self: self.value)
 
     def __post_init__(self):
         self._require_finite()
@@ -609,10 +645,13 @@ class Mixture(LatencyDistribution):
     one weight column and one ``Columns`` per component position.
     """
 
+    kind = "mixture"
+    linear = True
+
     def __init__(self, components, weights):
         components = tuple(components)
         w = np.array(weights, dtype=float)
-        if len(components) == 0 or w.size != len(components):
+        if len(components) == 0 or w.shape != (len(components),):
             raise ValueError("mixture needs matching nonempty components and weights")
         if not np.isfinite(w).all():
             raise ValueError(f"mixture weights must be finite (got {w.tolist()!r})")
@@ -695,10 +734,17 @@ class Mixture(LatencyDistribution):
 
     def to_config(self):
         return {
-            "kind": "mixture",
+            "kind": self.kind,
             "components": [c.to_config() for c in self.components],
             "weights": [float(w) for w in self.weights],
         }
+
+    @classmethod
+    def _from_config(cls, rec, base_dir=None):
+        comps = [dist_from_config(c, base_dir) for c in rec.records("components")]
+        weights = [rec.apply(_number, w, cls.kind, "weights")
+                   for w in rec.array("weights", "numbers")]
+        return rec.apply(cls, comps, weights)
 
 
 def _group_rows(keys) -> list[np.ndarray]:
@@ -783,31 +829,30 @@ def expect_transforms(dists, utilities) -> np.ndarray:
     """E[f(T)] for each distribution ``dists[i]`` under the time-utility
     ``utilities[i]``: f nonincreasing, with values in [0, 1].
 
-    Discrete distributions are averaged exactly and mixtures are the
-    weighted sum of their components.  Continuous ones use the layer-cake
-    identity ``E[f(T)] = integral over (0, 1) of F(f.latency_budget(s)) ds``
-    on a fixed composite Gauss-Legendre rule; the panel edges (module
-    constants above) keep kinks and steep stretches of the integrand off
-    panel interiors.
+    A discrete kind is averaged exactly over its ``atoms``, and a ``linear``
+    one is the weighted sum of its components.  Continuous ones use the
+    layer-cake identity ``E[f(T)] = integral over (0, 1) of
+    F(f.latency_budget(s)) ds`` on a fixed composite Gauss-Legendre rule;
+    the panel edges (module constants above) keep kinks and steep stretches
+    of the integrand off panel interiors.
 
     A time-utility family computes values and budgets with static formulas
     ``_value(t, *params, out)`` and ``_latency_budget(q, *params)`` over
     its ``_params``.  Pairs are grouped by latency group key and
-    time-utility family and scored a block of rows at a time: a sample set
-    or a point mass (a one-sample column) with one formula call, a
-    continuous kind with one layer-cake call per panel count
-    (``_layer_cake``).  A group of mixtures, whose members share their
-    component keys, scores its components by position, as ``Columns``
-    evaluates them: one recursive call per position, summed from 0.0 in
-    component order.  A pair's result does not depend on the other pairs
-    scored with it.
+    time-utility family and scored a block of rows at a time: a discrete
+    kind's atoms with one formula call, a continuous kind with one
+    layer-cake call per panel count (``_layer_cake``).  A group of a linear
+    kind, whose members share their component keys, scores its components
+    by position, as ``Columns`` evaluates them: one recursive call per
+    position, summed from 0.0 in component order.  A pair's result does not
+    depend on the other pairs scored with it.
     """
     dists, fs = list(dists), list(utilities)
     out = np.empty(len(dists))
     for rows in _group_rows((d._group_key(), type(f)) for d, f in zip(dists, fs)):
         group, gfs = [dists[i] for i in rows], [fs[i] for i in rows]
         kind, family = type(group[0]), type(gfs[0])
-        if kind is Mixture:
+        if kind.linear:
             total = np.zeros(len(rows))
             for c in range(len(group[0].components)):
                 weights = np.array([d.weights[c] for d in group])
@@ -815,20 +860,20 @@ def expect_transforms(dists, utilities) -> np.ndarray:
             out[rows] = total
             continue
         fargs = family._columns(gfs)
-        # Blocks of rows keep each call's arrays near _CHUNK_ELEMENTS: a
-        # sample set's row holds its samples, a continuous row about 128
-        # candidate panel edges.
-        block = max(1, _CHUNK_ELEMENTS // (group[0].n if kind is Empirical else 128))
+        # Blocks of rows keep each call's arrays near _CHUNK_ELEMENTS: a discrete
+        # row holds its atoms, a continuous row about 128 candidate panel edges.
+        discrete = kind.atoms is not None
+        block = max(1, _CHUNK_ELEMENTS // (np.size(group[0].atoms) if discrete else 128))
         for i in range(0, len(rows), block):
             sub = slice(i, i + block)
             part, fa = group[sub], _select(fargs, sub)
-            largs = kind._columns(part)
-            if kind in (Empirical, Degenerate):
-                values = family._value(largs[0], *fa, out=np.empty(largs[0].shape))
+            if discrete:
+                atoms = np.array([d.atoms for d in part]).reshape(len(part), -1)
+                values = family._value(atoms, *fa, out=np.empty(atoms.shape))
                 out[rows[sub]] = values.mean(axis=1)
             else:
                 breakpoints = np.array([d.breakpoints() for d in part], dtype=float)
-                out[rows[sub]] = _layer_cake(kind, largs, family, fa, breakpoints)
+                out[rows[sub]] = _layer_cake(kind, kind._columns(part), family, fa, breakpoints)
     return out
 
 
@@ -943,40 +988,19 @@ def gev_from_quantiles(median: float, p10: float, p90: float) -> Gev:
 # Config (de)serialization
 # ---------------------------------------------------------------------------
 
-def _parametric_from_config(cfg, kinds: dict, what: str):
-    """The model ``cfg`` (a dict or its ``Fields``) records, for a kind in
-    ``kinds`` (tag -> class); ``what`` names the model family in errors."""
+def _record_from_config(cfg, kinds: dict, what: str, base_dir=None):
+    """``cfg`` (a dict or its ``Fields``) read by its kind's class in ``kinds``, a tag table."""
     rec = cfg if isinstance(cfg, Fields) else Fields(cfg)
-    kind = rec.text("kind")
-    cls = kinds.get(kind)
+    cls = kinds.get(rec.text("kind"))
     if cls is None:
-        raise rec.fail(f"unknown {what} kind {kind!r}")
-    return rec.apply(cls, *[rec.number(p, kind) for p in cls._params])
+        raise rec.fail(f"unknown {what} kind {rec.fields['kind']!r}")
+    return cls._from_config(rec, base_dir)
 
 
-PARAMETRIC_KINDS = {cls.kind: cls for cls in (Gev, Uniform, Degenerate)}
+KINDS = {cls.kind: cls for cls in (Gev, Uniform, Empirical, Mixture, Degenerate)}
 
 
 def dist_from_config(cfg, base_dir=None) -> LatencyDistribution:
     """Build a distribution from its tagged config record (a dict or its
-    ``Fields``).  ``{"kind": "empirical", "file": "lat.csv"}`` reads one
-    latency per line, resolved relative to base_dir unless absolute.
-    """
-    rec = cfg if isinstance(cfg, Fields) else Fields(cfg)
-    kind = rec.fields.get("kind")  # any other kind is read by the parametric reader
-    if kind == "mixture":
-        comps = [dist_from_config(c, base_dir) for c in rec.records("components")]
-        weights = [rec.apply(_number, w, "mixture", "weights")
-                   for w in rec.array("weights", "numbers")]
-        return rec.apply(Mixture, comps, weights)
-    if kind != "empirical":
-        return _parametric_from_config(rec, PARAMETRIC_KINDS, "distribution")
-    if "file" in rec.fields:
-        path = Path(base_dir or "") / rec.text("file")
-        samples = rec.apply(np.loadtxt, path, ndmin=1, encoding="utf-8")
-    else:
-        samples = rec.array("samples", "numbers")
-        if not set(map(type, samples)) <= {int, float}:  # no bool, str or nested list
-            bad = next(x for x in samples if type(x) not in (int, float))
-            raise rec.fail(f"empirical samples must be numbers (got {bad!r})")
-    return rec.apply(Empirical, samples)
+    ``Fields``); a file it names resolves relative to base_dir unless absolute."""
+    return _record_from_config(cfg, KINDS, "distribution", base_dir)

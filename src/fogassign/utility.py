@@ -39,7 +39,7 @@ from .latency import (
     Columns,
     ConfigRecord,
     LatencyDistribution,
-    _parametric_from_config,
+    _record_from_config,
     expect_transforms,
 )
 
@@ -182,11 +182,11 @@ class WaitReadyFirst(TimeUtility):
         return te + (1.0 - q) * (ts - te)
 
 
-PARAMETRIC_KINDS = {cls.kind: cls for cls in (Step, ExpDecay, WaitReadyFirst)}
+KINDS = {cls.kind: cls for cls in (Step, ExpDecay, WaitReadyFirst)}
 
 
 def utility_from_config(cfg) -> TimeUtility:
-    return _parametric_from_config(cfg, PARAMETRIC_KINDS, "time-utility")
+    return _record_from_config(cfg, KINDS, "time-utility")
 
 
 @dataclass

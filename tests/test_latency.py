@@ -582,10 +582,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             Mixture([Uniform(0, 1)], [-1.0])
 
-    def test_config_round_trip(self):
+    @pytest.mark.parametrize("components, weights", [
+        ([Uniform(0, 1), Uniform(1, 2)], [[0.5], [0.5]]),
+        ([Uniform(0, 1)], np.array(1.0)),
+    ], ids=["nested", "scalar"])
+    def test_mixture_weights_are_one_flat_number_per_component(self, components, weights):
+        with pytest.raises(ValueError, match="^mixture needs matching nonempty components and weights$"):
+            Mixture(components, weights)
+
+    def test_config_round_trip(self, tmp_path):
+        nested = Mixture([Mixture([Uniform(0, 1), Degenerate(2)], [0.25, 0.75]), TABLE_GEV],
+                         [0.5, 0.5])
         for dist in (TABLE_GEV, Uniform(0.1, 0.6), Degenerate(0.5),
-                     Empirical([0.2, 0.4]), Mixture([Uniform(0, 1), Degenerate(2)], [0.5, 0.5])):
+                     Empirical([0.2, 0.4]), Mixture([Uniform(0, 1), Degenerate(2)], [0.5, 0.5]),
+                     nested, Mixture([Empirical([0.3, 0.1, 0.2]), Uniform(0, 1)], [0.4, 0.6])):
             assert dist_from_config(dist.to_config()) == dist
+        # Samples read from a file are written back inline.
+        (tmp_path / "lat.csv").write_text("0.4\n0.2\n")
+        read = dist_from_config({"kind": "empirical", "file": "lat.csv"}, tmp_path)
+        assert read.to_config() == {"kind": "empirical", "samples": [0.2, 0.4]}
+        assert dist_from_config(read.to_config()) == read == Empirical([0.2, 0.4])
 
 
 # -- distribution-level properties ------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import pytest
@@ -84,6 +85,28 @@ class TestLoad:
         cfg["latency"][0]["dist"] = {"kind": "empirical", "file": "lat.csv"}
         scen = load_scenario(write(tmp_path, cfg))
         assert scen.dist("t1", "a", "x").n == 3
+
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            ("0.2\n", {"samples": [0.5]}, "empirical takes samples or file, not both"),
+            ("", {}, "empirical distribution needs at least one sample, got zero samples"),
+            ("abc\n", {}, "{dir}/lat.csv: could not convert string 'abc' to float64"),
+        ],
+        ids=["samples-and-file", "empty-file", "not-a-number"],
+    )
+    def test_bad_empirical_file_is_one_error(self, tmp_path, text, extra, message):
+        # One located error naming the samples file, and no warning before it.
+        (tmp_path / "lat.csv").write_text(text)
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["latency"][0]["dist"] = {"kind": "empirical", "file": "lat.csv", **extra}
+        path = write(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(path)
+        assert str(info.value).startswith(
+            f"{path}: latency[0] dist: " + message.format(dir=tmp_path))
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogassign import latency, utility
-from fogassign.latency import Columns, Degenerate, Empirical, Gev, Mixture, Uniform, dist_from_config
+from fogassign.latency import (
+    Columns,
+    Degenerate,
+    Empirical,
+    Gev,
+    LatencyDistribution,
+    Mixture,
+    Uniform,
+    dist_from_config,
+)
 from fogassign.utility import (
     ExpDecay,
     OptionNotOffered,
@@ -48,9 +57,20 @@ def test_parametric_config_round_trip(model, text):
     assert read(json.loads(text)) == model
 
 
-def test_parametric_records_cover_the_kind_tables():
-    tables = {**latency.PARAMETRIC_KINDS, **utility.PARAMETRIC_KINDS}
-    assert sorted(tables) == sorted(model.kind for model, _ in PARAMETRIC_RECORDS)
+def test_kind_tables_list_every_kind():
+    # Each module's KINDS is the reader's only dispatch: a kind left out of
+    # it could be written but never read back.
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for module, base in ((latency, LatencyDistribution), (utility, TimeUtility)):
+        kinds = {c for c in subclasses(base) if c.__module__ == module.__name__}
+        assert {c.kind: c for c in kinds} == module.KINDS
+    # Every parametric kind has its round trip above.
+    parametric = [c.kind for c in {**latency.KINDS, **utility.KINDS}.values() if c._params]
+    assert sorted(parametric) == sorted(model.kind for model, _ in PARAMETRIC_RECORDS)
 
 
 class TestEval:
