@@ -542,14 +542,17 @@ class Empirical(LatencyDistribution):
 
 def _read_samples(path: Path) -> np.ndarray:
     """The latencies in the text file ``path``, one per line; a line that is
-    not a number raises a ValueError naming the file."""
+    not one number raises a ValueError naming the file."""
     with warnings.catch_warnings():
         # An empty file reads as no samples, which Empirical refuses.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(path, ndmin=1, encoding="utf-8")
+            rows = np.loadtxt(path, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    if rows.shape[1] != 1:
+        raise ValueError(f"{path}: one latency per line, got {rows.shape[1]} numbers on a line")
+    return rows[:, 0]
 
 
 @dataclass(frozen=True)
@@ -650,9 +653,15 @@ class Mixture(LatencyDistribution):
 
     def __init__(self, components, weights):
         components = tuple(components)
-        w = np.array(weights, dtype=float)
-        if len(components) == 0 or w.shape != (len(components),):
+        try:
+            w = np.asarray(weights)
+        except ValueError:  # a ragged nesting such as [[0.5], 0.5]
+            w = None
+        # One int or float per component: no strings, bools or nesting.
+        if (w is None or w.dtype.kind not in "iuf" or len(components) == 0
+                or w.shape != (len(components),)):
             raise ValueError("mixture needs matching nonempty components and weights")
+        w = w.astype(float)
         if not np.isfinite(w).all():
             raise ValueError(f"mixture weights must be finite (got {w.tolist()!r})")
         if (w < 0.0).any():

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,10 @@ class SimulationResult:
     per_task_se: dict[str, float]
     overall_mean: float
     overall_se: float
-    baselines: dict[str, "SimulationResult"]
+    baselines: dict[str, "SimulationResult"] = field(default_factory=dict)
+    # A baseline's paired gap to the plan it was simulated with, and its se.
+    gap: float | None = None
+    gap_se: float | None = None
 
     def to_record(self) -> dict:
         rec = {
@@ -61,6 +64,9 @@ class SimulationResult:
                 for j in self.per_task_mean
             },
         }
+        if self.gap is not None:
+            rec["gap"] = self.gap
+            rec["gap_se"] = self.gap_se
         if self.baselines:
             rec["baselines"] = {k: v.to_record() for k, v in self.baselines.items()}
         return rec
@@ -73,72 +79,111 @@ def simulate(
     rng,
     baselines: dict[str, AssignmentPlan] | None = None,
 ) -> SimulationResult:
-    """Draw ``reps`` completion times per placed task and score them.
+    """Draw ``reps`` completion times per placed task and score them, for
+    ``plan`` and for each plan in ``baselines``.
 
-    Each task consumes an independent child stream spawned from the
-    caller's generator, so results are reproducible and adding tasks does
-    not perturb other tasks' draws.  A task placed on a point mass draws
-    nothing from its stream: all its ``reps`` completion times are that
-    value, so it is scored from that one value, with a standard error of
-    0.  Rejected tasks contribute 0; the overall mean averages over all
-    tasks, matching how scenario-level average utility is defined.
+    Each task has one child seed spawned from the caller's generator, so
+    results are reproducible and adding tasks does not perturb other
+    tasks' draws.  Every strategy draws a task's completion times from that
+    seed (common random numbers), and a (task, pair) chosen by several
+    strategies is drawn and scored once, so the plan's numbers are the same
+    with or without baselines.  A task placed on a point mass draws
+    nothing: all its ``reps`` completion times are that value, so it is
+    scored from that one value, with a standard error of 0.  Rejected
+    tasks contribute 0; the overall mean averages over all tasks, matching
+    how scenario-level average utility is defined.
+
+    Each baseline's result holds its paired gap to the plan: ``gap``, the
+    mean over tasks of (plan - baseline), and ``gap_se``, its standard
+    error from each task's paired differences.  A task placed alike adds
+    exactly 0; one where either side's values are all equal (rejected, a
+    point mass, or ``reps == 1``) adds the two squared standard errors.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rng = make_rng(rng)
     # The seeds of rng.spawn's children: a generator is built only for a
-    # task that draws, and rng's spawn counter advances as spawn advances it.
+    # pair that draws, and rng's spawn counter advances as spawn advances it.
     bits = type(rng.bit_generator)
     seeds = rng.bit_generator.seed_seq.spawn(len(scenario.tasks))
-    means: dict[str, float] = {}
-    ses: dict[str, float] = {}
-    # Squared deviations, reused by every task: the steps of
+    # Squared deviations, reused by every pair: the steps of
     # vals.std(ddof=1) without its second mean and its temporaries.
     dev = np.empty(reps)
-    for t, seed in zip(scenario.tasks, seeds):
-        p = plan.decisions.get(t.id)
-        if p is None:
-            means[t.id] = 0.0
-            ses[t.id] = 0.0
-            continue
-        dist = scenario.dist(t.id, p.node, p.option)
-        a = t.intrinsic[(p.node, p.option)]
+
+    def score(t, seed, pair):
+        """Mean, se and the per-rep values (None when all are equal) of one pair."""
+        dist = scenario.dist(t.id, *pair)
+        a = t.intrinsic[pair]
         if isinstance(dist, Degenerate):
             # Every copy of the value scores alike; the mean is the same
             # pairwise sum over reps copies that a drawn column gets.
             value = t.time_utility.value(np.full(1, dist.value))[0] * a
-            means[t.id] = float(np.add.reduce(np.full(reps, value)) / reps)
-            ses[t.id] = 0.0
-            continue
-        draws = dist.sample(np.random.Generator(bits(seed)), reps)
-        vals = t.time_utility.value(draws)
+            return float(np.add.reduce(np.full(reps, value)) / reps), 0.0, None
+        vals = t.time_utility.value(dist.sample(np.random.Generator(bits(seed)), reps))
         vals *= a
         mean = np.add.reduce(vals) / reps
-        means[t.id] = float(mean)
         if reps == 1:
-            ses[t.id] = 0.0
-            continue
+            return float(mean), 0.0, None
         np.subtract(vals, mean, out=dev)
         np.square(dev, out=dev)
         se = math.sqrt(float(np.add.reduce(dev)) / (reps - 1)) / math.sqrt(reps)
         # Equal draws have no spread, but std leaves a rounding residue on
         # them, far below 1e-9 for values in [0, 1]: only such an se is checked.
-        ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se
+        if se < 1e-9 and vals.min() == vals.max():
+            return float(mean), 0.0, None
+        return float(mean), se, vals
+
+    def paired_var(x, y):
+        """Variance of the mean of x - y: the se steps on the differences."""
+        np.subtract(x, y, out=dev)
+        np.subtract(dev, np.add.reduce(dev) / reps, out=dev)
+        np.square(dev, out=dev)
+        return float(np.add.reduce(dev)) / (reps - 1) / reps
+
+    plans = [plan, *(baselines or {}).values()]
+    means: list[dict[str, float]] = [{} for _ in plans]
+    ses: list[dict[str, float]] = [{} for _ in plans]
+    # Per baseline, the variance of each task's plan-minus-baseline mean.
+    gap_vars: list[list[float]] = [[] for _ in plans[1:]]
+    for t, seed in zip(scenario.tasks, seeds):
+        scored = {None: (0.0, 0.0, None)}  # a rejected task
+        picks = []
+        for s, strategy in enumerate(plans):
+            p = strategy.decisions.get(t.id)
+            pair = None if p is None else (p.node, p.option)
+            if pair not in scored:
+                scored[pair] = score(t, seed, pair)
+            means[s][t.id], ses[s][t.id], _ = scored[pair]
+            picks.append(pair)
+        _, se_p, vals_p = scored[picks[0]]
+        for b, pair in enumerate(picks[1:]):
+            _, se_b, vals_b = scored[pair]
+            if pair == picks[0]:
+                gap_vars[b].append(0.0)
+            elif vals_p is None or vals_b is None:
+                gap_vars[b].append(se_p**2 + se_b**2)
+            else:
+                gap_vars[b].append(paired_var(vals_p, vals_b))
     n_tasks = max(len(scenario.tasks), 1)
-    overall = float(sum(means.values()) / n_tasks)
-    overall_se = float(np.sqrt(sum(se**2 for se in ses.values())) / n_tasks)
-    sub = {}
-    for name, bplan in (baselines or {}).items():
-        sub[name] = simulate(scenario, bplan, reps, rng.spawn(1)[0])
-    return SimulationResult(
-        plan=plan,
-        reps=reps,
-        per_task_mean=means,
-        per_task_se=ses,
-        overall_mean=overall,
-        overall_se=overall_se,
-        baselines=sub,
-    )
+
+    def result(s, **fields):
+        return SimulationResult(
+            plan=plans[s],
+            reps=reps,
+            per_task_mean=means[s],
+            per_task_se=ses[s],
+            overall_mean=float(sum(means[s].values()) / n_tasks),
+            overall_se=float(np.sqrt(sum(se**2 for se in ses[s].values())) / n_tasks),
+            **fields,
+        )
+
+    sub = {
+        name: result(b + 1,
+                     gap=float(sum(means[0][j] - means[b + 1][j] for j in means[0]) / n_tasks),
+                     gap_se=float(np.sqrt(sum(gap_vars[b])) / n_tasks))
+        for b, name in enumerate(baselines or {})
+    }
+    return result(0, baselines=sub)
 
 
 def run_baseline(scenario: Scenario, strategy: str, table: UtilityTable | None = None) -> AssignmentPlan:

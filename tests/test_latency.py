@@ -585,10 +585,22 @@ class TestValidation:
     @pytest.mark.parametrize("components, weights", [
         ([Uniform(0, 1), Uniform(1, 2)], [[0.5], [0.5]]),
         ([Uniform(0, 1)], np.array(1.0)),
-    ], ids=["nested", "scalar"])
+        ([Uniform(0, 1), Uniform(1, 2)], [[0.5], 0.5]),
+        ([Uniform(0, 1), Uniform(1, 2)], ["0.5", "0.5"]),
+        ([Uniform(0, 1), Uniform(1, 2)], [True, False]),
+    ], ids=["nested", "scalar", "ragged", "strings", "bools"])
     def test_mixture_weights_are_one_flat_number_per_component(self, components, weights):
         with pytest.raises(ValueError, match="^mixture needs matching nonempty components and weights$"):
             Mixture(components, weights)
+
+    @pytest.mark.parametrize("weights", [
+        [1, 0], [0.25, 0.75], (0.25, 0.75), [np.float64(0.25), np.float64(0.75)],
+        np.array([0.25, 0.75]), np.array([0.25, 0.75], dtype=np.float32),
+    ], ids=["ints", "floats", "tuple", "numpy-floats", "array", "float32-array"])
+    def test_mixture_takes_numbers_of_any_numeric_type(self, weights):
+        mix = Mixture([Uniform(0, 1), Uniform(1, 2)], weights)
+        assert mix.weights.dtype == np.float64
+        assert mix.weights.tolist() == [float(w) for w in weights]
 
     def test_config_round_trip(self, tmp_path):
         nested = Mixture([Mixture([Uniform(0, 1), Degenerate(2)], [0.25, 0.75]), TABLE_GEV],

@@ -92,8 +92,12 @@ class TestLoad:
             ("0.2\n", {"samples": [0.5]}, "empirical takes samples or file, not both"),
             ("", {}, "empirical distribution needs at least one sample, got zero samples"),
             ("abc\n", {}, "{dir}/lat.csv: could not convert string 'abc' to float64"),
+            ("0.1 0.2\n", {}, "{dir}/lat.csv: one latency per line, got 2 numbers on a line"),
+            ("0.1 0.2\n0.3 0.4\n", {},
+             "{dir}/lat.csv: one latency per line, got 2 numbers on a line"),
         ],
-        ids=["samples-and-file", "empty-file", "not-a-number"],
+        ids=["samples-and-file", "empty-file", "not-a-number", "one-line-of-two",
+             "two-lines-of-two"],
     )
     def test_bad_empirical_file_is_one_error(self, tmp_path, text, extra, message):
         # One located error naming the samples file, and no warning before it.

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -62,37 +65,63 @@ def reference_baseline(scenario, strategy, table=None):
 
 
 # Independent reference: the per-task scoring simulate did before it reused
-# one deviation buffer and stopped drawing for point masses, kept verbatim.
-# Every number the two give must be equal.
+# one deviation buffer, stopped drawing for point masses and scored a pair
+# chosen by several strategies once.  Each strategy is run on its own, from
+# a copy of the caller's generator, so every strategy draws a task from the
+# same child stream (common random numbers).  Every number the two give
+# must be equal.
 def reference_simulate(scenario, plan, reps, rng, baselines=None):
     rng = make_rng(rng)
-    streams = rng.spawn(len(scenario.tasks))
-    means: dict[str, float] = {}
-    ses: dict[str, float] = {}
-    for t, stream in zip(scenario.tasks, streams):
-        p = plan.decisions.get(t.id)
-        if p is None:
-            means[t.id] = 0.0
-            ses[t.id] = 0.0
-            continue
-        draws = scenario.dist(t.id, p.node, p.option).sample(stream, reps)
-        vals = t.intrinsic[(p.node, p.option)] * t.time_utility.value(draws)
-        means[t.id] = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-        ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se
     n_tasks = max(len(scenario.tasks), 1)
+
+    def run(strategy):
+        streams = copy.deepcopy(rng).spawn(len(scenario.tasks))
+        means: dict[str, float] = {}
+        ses: dict[str, float] = {}
+        values: dict[str, np.ndarray | None] = {}
+        for t, stream in zip(scenario.tasks, streams):
+            p = strategy.decisions.get(t.id)
+            if p is None:
+                means[t.id] = 0.0
+                ses[t.id] = 0.0
+                values[t.id] = None
+                continue
+            draws = scenario.dist(t.id, p.node, p.option).sample(stream, reps)
+            vals = t.intrinsic[(p.node, p.option)] * t.time_utility.value(draws)
+            means[t.id] = float(vals.mean())
+            se = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+            ses[t.id] = 0.0 if se < 1e-9 and vals.min() == vals.max() else se
+            values[t.id] = vals
+        return means, ses, values
+
+    def result(strategy, means, ses, **fields):
+        return SimulationResult(
+            plan=strategy,
+            reps=reps,
+            per_task_mean=means,
+            per_task_se=ses,
+            overall_mean=float(sum(means.values()) / n_tasks),
+            overall_se=float(np.sqrt(sum(se**2 for se in ses.values())) / n_tasks),
+            **fields,
+        )
+
+    means, ses, values = run(plan)
     sub = {}
     for name, bplan in (baselines or {}).items():
-        sub[name] = reference_simulate(scenario, bplan, reps, rng.spawn(1)[0])
-    return SimulationResult(
-        plan=plan,
-        reps=reps,
-        per_task_mean=means,
-        per_task_se=ses,
-        overall_mean=float(sum(means.values()) / n_tasks),
-        overall_se=float(np.sqrt(sum(se**2 for se in ses.values())) / n_tasks),
-        baselines=sub,
-    )
+        b_means, b_ses, b_values = run(bplan)
+        gap_vars = []
+        for t in scenario.tasks:
+            j = t.id
+            if ses[j] == 0.0 or b_ses[j] == 0.0:
+                gap_vars.append(ses[j] ** 2 + b_ses[j] ** 2)
+            else:
+                gap_vars.append((values[j] - b_values[j]).var(ddof=1) / reps)
+        sub[name] = result(
+            bplan, b_means, b_ses,
+            gap=float(sum(means[t.id] - b_means[t.id] for t in scenario.tasks) / n_tasks),
+            gap_se=float(np.sqrt(sum(gap_vars)) / n_tasks),
+        )
+    return result(plan, means, ses, baselines=sub)
 
 
 def _simulate_both(scen, reps, seed):
@@ -294,6 +323,60 @@ class TestSimulate:
             tracemalloc.stop()
         assert result.overall_mean == pytest.approx(0.5, abs=0.01)
         assert peak < n_tasks * reps * 8 / 4
+
+
+class TestPaired:
+    """Every strategy draws a task from its one child seed."""
+
+    @pytest.fixture(scope="class")
+    def paired(self):
+        scen = bundled_scenario("vii_d_base")
+        table = UtilityTable(scen)
+        plan = solve_capacitated(scen, table)
+        baselines = {s: run_baseline(scen, s, table) for s in BASELINES}
+        return scen, plan, baselines, simulate(scen, plan, 2000, make_rng(7), baselines)
+
+    def test_a_task_placed_alike_scores_alike(self, paired):
+        scen, plan, baselines, result = paired
+        for name, bplan in baselines.items():
+            sub = result.baselines[name]
+            alike = [j for j, p in plan.decisions.items()
+                     if (p.node, p.option) == (bplan.decisions[j].node, bplan.decisions[j].option)]
+            assert 0 < len(alike) < len(scen.tasks), name
+            for j in alike:
+                assert sub.per_task_mean[j] == result.per_task_mean[j]
+                assert sub.per_task_se[j] == result.per_task_se[j] > 0.0
+
+    @pytest.mark.parametrize("reps", [1, 2000])
+    def test_a_baseline_equal_to_the_plan_has_no_gap(self, paired, reps):
+        scen, plan, _, _ = paired
+        sub = simulate(scen, plan, reps, make_rng(7), {"same": plan}).baselines["same"]
+        assert sub.gap == sub.gap_se == 0.0
+
+    def test_gap_se_is_zero_at_one_rep(self, paired):
+        scen, plan, baselines, _ = paired
+        for sub in simulate(scen, plan, 1, make_rng(7), baselines).baselines.values():
+            assert sub.gap != 0.0
+            assert sub.gap_se == 0.0
+
+    def test_the_plan_does_not_depend_on_its_baselines(self, paired):
+        scen, plan, _, result = paired
+        alone = simulate(scen, plan, 2000, make_rng(7))
+        assert alone.per_task_mean == result.per_task_mean
+        assert alone.per_task_se == result.per_task_se
+        assert alone == dataclasses.replace(result, baselines={})
+
+    def test_paired_gap_is_within_4_se_of_the_exact_difference(self, paired):
+        scen, plan, baselines, _ = paired
+        n = len(scen.tasks)
+        for seed in range(200):
+            result = simulate(scen, plan, 2000, make_rng(seed), baselines)
+            for name, bplan in baselines.items():
+                sub = result.baselines[name]
+                exact = (plan.total_utility - bplan.total_utility) / n
+                # Below the se of a difference of independent means.
+                assert 0.0 < sub.gap_se < math.hypot(result.overall_se, sub.overall_se), (seed, name)
+                assert abs(sub.gap - exact) < 4 * sub.gap_se, (seed, name)
 
 
 class TestEmit:
