@@ -6,6 +6,8 @@ alternating-series approximation of pi with N terms), ``psf`` (memory:
 summary statistics over the first N values of a dataset loaded at
 startup) and ``fsp`` (network: the same statistics over a CSV body
 shipped with the request, whose ``lines`` is declared for logging).
+The dataset and an ``fsp`` body are numeric text, read by
+``latency._read_numbers``: each line's first comma field, ``#`` comments.
 ``ENDPOINTS`` lists each kind once, served at ``/<kind>?<param>=N``: its
 HTTP method, its size parameter and the sizes a server accepts without
 ``allow_out_of_range``.
@@ -56,13 +58,13 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 
-from .latency import Empirical, Fields, _load_json, make_rng
+from .latency import Empirical, Fields, _load_json, _load_numbers, _read_numbers, make_rng
 
 __all__ = [
     "ENDPOINTS",
@@ -182,50 +184,15 @@ def make_dataset(path, lines: int = MIN_DATASET_LINES, seed: int = 0) -> Path:
 
 
 def _load_dataset(path) -> np.ndarray:
-    """The first column of a CSV file, all finite; each error names the file."""
+    """The first field of each line of a CSV file; each error names the file."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file {path} does not exist")
-    try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")[:, 0]
-    except ValueError as exc:  # not UTF-8, or a cell that is not a number
-        raise ValueError(f"dataset {path}: {exc}") from None
+    values = _load_numbers(path, "dataset")
     if values.size < MIN_DATASET_LINES:
         raise ValueError(
-            f"dataset {path} has {values.size} lines; at least {MIN_DATASET_LINES} required"
-        )
-    for row, value in enumerate(values.tolist(), 1):
-        if not math.isfinite(value):
-            raise ValueError(f"dataset {path}: row {row} starts with {value}, not a finite number")
+            f"dataset {path}: {values.size} values; at least {MIN_DATASET_LINES} required")
     return values
-
-
-def _read_fsp_body(body: str) -> np.ndarray:
-    """The first comma field of each nonblank line of ``body``, as floats.
-
-    Each line is stripped and a blank one skipped before its first field is
-    taken, so a line ``,5`` is an empty field, not a blank line.  A field
-    that is not a finite number raises a ValueError naming its line, blank
-    lines counted.
-    """
-    fields = list(filter(None, map(str.strip, body.splitlines())))
-    if "," in body:  # without one, each field is its whole line
-        fields = [line.partition(",")[0] for line in fields]
-    with contextlib.suppress(ValueError):  # a field float() refuses is named below
-        values = np.fromiter(map(float, fields), float, len(fields))
-        if np.isfinite(values).all():
-            return values
-    # Only a refused body pays for finding the bad line's number.
-    numbered = ((i, line.strip()) for i, line in enumerate(body.splitlines(), 1) if line.strip())
-    i, line = next(n for n, field in zip(numbered, fields) if not _finite_number(field))
-    raise ValueError(f"line {i} ({line!r}) is not a finite number")
-
-
-def _finite_number(text: str) -> bool:
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -350,7 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length).decode("ascii", errors="backslashreplace")
         try:
             t0 = time.perf_counter()
-            values = _read_fsp_body(body)
+            values = _read_numbers(body)
             if not values.size:
                 raise ValueError("empty request body; expected CSV lines")
             self._check_range(BenchTask(kind, values.size))
@@ -438,17 +405,17 @@ class ProbeSchedule:
         if len(self.targets) == 0:
             raise ValueError("schedule needs at least one target")
         if self.count < 1:
-            raise ValueError("schedule count must be >= 1")
+            raise ValueError(f"count must be >= 1 (got {self.count})")
         if self.mode not in ("round_robin", "fixed", "random"):
-            raise ValueError(f"unknown probe mode {self.mode!r}")
+            raise ValueError(
+                f"kind must be 'round_robin', 'fixed' or 'random' (got {self.mode!r})")
         for name in ("delta_s", "max_s"):
             if not (0.0 <= getattr(self, name) < math.inf):
-                raise ValueError(f"schedule {name} must be finite and >= 0 "
-                                 f"(got {getattr(self, name)})")
+                raise ValueError(f"{name} must be finite and >= 0 (got {getattr(self, name)})")
         if not (0.0 < self.timeout_s < math.inf):
-            raise ValueError(f"schedule timeout_s must be finite and > 0 (got {self.timeout_s})")
+            raise ValueError(f"timeout_s must be finite and > 0 (got {self.timeout_s})")
         if self.seed < 0:
-            raise ValueError(f"schedule seed must be >= 0 (got {self.seed})")
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
 
 def load_schedule(path) -> ProbeSchedule:
@@ -465,16 +432,14 @@ def _schedule_from_config(cfg, _directory=None) -> ProbeSchedule:
         url, task = e.text("url"), e.record("task")
         bench = task.apply(BenchTask, task.text("kind"), task.integer("size"))
         targets.append(e.apply(ProbeTarget, url, bench))
+    # Built in two steps, so that a mode field's refusal is located at the mode record.
+    schedule = root.apply(ProbeSchedule, tuple(targets), root.integer("count"),
+                          seed=root.integer("seed", default=0),
+                          timeout_s=root.number("timeout_s", default=30.0))
     mode = root.record("mode", default={})
-    return ProbeSchedule(
-        targets=tuple(targets),
-        count=root.integer("count"),
-        mode=mode.text("kind", default="round_robin"),
-        delta_s=mode.number("delta_s", default=0.0),
-        max_s=mode.number("max_s", default=0.0),
-        seed=root.integer("seed", default=0),
-        timeout_s=root.number("timeout_s", default=30.0),
-    )
+    return mode.apply(replace, schedule, mode=mode.text("kind", default="round_robin"),
+                      delta_s=mode.number("delta_s", default=0.0),
+                      max_s=mode.number("max_s", default=0.0))
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,17 @@ a CDF over a bounded interval, so the tail never has to be truncated.
 
 A model's config record is its ``kind`` tag plus its fields (see
 ``ConfigRecord``), and its class reads it; ``KINDS`` lists the classes.
+Each input format has one reader here: ``Fields`` and ``_load_json`` for
+JSON records, ``_read_numbers`` for numeric text (a samples ``file``, and
+the bench dataset and ``/fsp`` bodies of ``benchnet``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -229,6 +232,47 @@ def _load_json(path, read, error: type[ValueError] = ValueError, role: str = "")
         return read(cfg, Path(path).parent)
     except ValueError as exc:
         raise error(f"{name}: {exc}") from exc
+
+
+def _read_numbers(text: str, whole_line: bool = False) -> np.ndarray:
+    """The numbers in ``text`` by the one rule for numeric text: lines as
+    ``str.splitlines`` splits them, ``#`` starts a comment, blank lines are
+    skipped, and a line's value is its first comma-separated field (with
+    ``whole_line``, the line), stripped: an ASCII decimal number without
+    ``_`` that ``float`` reads as finite.  The first line that is not raises
+    ``line N ('...') is not a finite number``, N counting every line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    fields = list(filter(None, map(str.strip, lines)))
+    if "," in text and not whole_line:  # without one, each field is its whole line
+        fields = [field.partition(",")[0].strip() for field in fields]
+    with contextlib.suppress(ValueError):  # a field float() refuses is named below
+        # float() takes "_" and non-ASCII digits: a text with either is tested a field at a time.
+        if text.isascii() and "_" not in text or all(map(_finite_number, fields)):
+            values = np.fromiter(map(float, fields), float, len(fields))
+            if np.isfinite(values).all():
+                return values
+    # Only a refused text pays for finding the bad line's number.
+    numbered = (i for i, line in enumerate(lines, 1) if line.strip())
+    i = next(i for i, field in zip(numbered, fields) if not _finite_number(field))
+    raise ValueError(f"line {i} ({text.splitlines()[i - 1].strip()!r}) is not a finite number")
+
+
+def _finite_number(field: str) -> bool:
+    try:
+        return field.isascii() and "_" not in field and math.isfinite(float(field))
+    except ValueError:
+        return False
+
+
+def _load_numbers(path, role: str = "", whole_line: bool = False) -> np.ndarray:
+    """``_read_numbers`` of the UTF-8 text file ``path``; a bad file or line
+    raises a ValueError naming the file first (after ``role`` if given)."""
+    try:
+        return _read_numbers(Path(path).read_text(encoding="utf-8"), whole_line)
+    except ValueError as exc:  # not UTF-8, or a line that is not a number
+        raise ValueError(f"{role} {path}: {exc}" if role else f"{path}: {exc}") from None
 
 
 def _maybe_scalar(out, t):
@@ -531,28 +575,14 @@ class Empirical(LatencyDistribution):
         if "file" in rec.fields:
             if "samples" in rec.fields:
                 raise rec.fail("empirical takes samples or file, not both")
-            samples = rec.apply(_read_samples, Path(base_dir or "") / rec.text("file"))
+            path = Path(base_dir or "") / rec.text("file")
+            samples = rec.apply(_load_numbers, path, whole_line=True)
         else:
             samples = rec.array("samples", "numbers")
             if not set(map(type, samples)) <= {int, float}:  # no bool, str or nested list
                 bad = next(x for x in samples if type(x) not in (int, float))
                 raise rec.fail(f"empirical samples must be numbers (got {bad!r})")
         return rec.apply(cls, samples)
-
-
-def _read_samples(path: Path) -> np.ndarray:
-    """The latencies in the text file ``path``, one per line; a line that is
-    not one number raises a ValueError naming the file."""
-    with warnings.catch_warnings():
-        # An empty file reads as no samples, which Empirical refuses.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            rows = np.loadtxt(path, ndmin=2, encoding="utf-8")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if rows.shape[1] != 1:
-        raise ValueError(f"{path}: one latency per line, got {rows.shape[1]} numbers on a line")
-    return rows[:, 0]
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from fogassign.benchnet import (
     start_server,
     summarize,
 )
+from fogassign.latency import _read_numbers
 
 
 @pytest.fixture(scope="module")
@@ -66,24 +67,23 @@ def reference_pi(iters):
 
 
 def reference_fsp(body: bytes):
-    """The /fsp body read one line at a time: its values, or the 400 message."""
+    """The /fsp body read one line at a time by the numeric text rule: its
+    values, or the 400 message."""
     text = body.decode("ascii", errors="backslashreplace")
     values = []
-    try:
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                values.append(float(line.split(",")[0]))
-    except ValueError:
-        values.append(math.nan)
-    values = np.asarray(values)
-    finite = np.isfinite(values)
-    if not finite.all():
-        numbered = [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)
-                    if line.strip()]
-        i, line = numbered[int(np.argmin(finite))]
-        return f"line {i} ({line!r}) is not a finite number"
-    return values
+    for i, line in enumerate(text.splitlines(), 1):
+        content = line.split("#")[0]
+        if not content.strip():
+            continue
+        field = content.split(",")[0].strip()
+        try:
+            value = float(field) if field.isascii() and "_" not in field else math.nan
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            return f"line {i} ({line.strip()!r}) is not a finite number"
+        values.append(value)
+    return np.asarray(values, dtype=float)
 
 
 _FSP_NUMBERS = st.one_of(
@@ -100,6 +100,10 @@ _FSP_LINES = st.tuples(
         st.sampled_from([b"", b"  ", b"\t1.5\t", b"1.5\x1f,2"]),
         st.sampled_from([b",5", b"nan", b"inf", b"1e400", b"abc", b"1;2", b"\xff\xfe",
                          "\u0661\u0662".encode()]),
+        # Comments, and "_", which float() takes but the rule refuses in a value.
+        st.sampled_from([b"#", b"# note", b"#1,2", b"# a_b", b"1_000", b"1_0.5,2", b"2,3_4"]),
+        st.tuples(_FSP_NUMBERS, st.sampled_from([b"#", b" # x_y", b"#,2", b",2#c"]))
+        .map(b"".join),
     ),
     st.sampled_from([b"", b" ", b"\t", b"\x1f"]),
 ).map(b"".join)
@@ -428,7 +432,35 @@ class TestServer:
         with pytest.raises(ValueError) as info:
             start_server(path)
         assert str(info.value) == (
-            f"dataset {path}: row 7 starts with {float(cell)}, not a finite number")
+            f"dataset {path}: line 7 ('{cell},1.0,2.0') is not a finite number")
+
+    def test_dataset_reads_as_loadtxt_reads_its_first_column(self, tmp_path):
+        for seed in range(10):
+            path = make_dataset(tmp_path / f"data{seed}.csv", seed=seed)
+            got = benchnet._load_dataset(path)
+            want = np.loadtxt(path, delimiter=",")[:, 0]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
+
+    # One reader serves both: the dataset's first lines, a comment among
+    # them, give the same statistics through /psf and as an /fsp body.
+    def test_psf_and_fsp_of_the_same_lines_agree(self, tmp_path):
+        path = make_dataset(tmp_path / "data.csv", lines=benchnet.MIN_DATASET_LINES + 1, seed=2)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "# a comment, 1.0\n"
+        path.write_text("".join(lines))
+        srv, _thread = start_server(path, allow_out_of_range=True)
+        try:
+            psf = get_json(f"{srv.url}/psf?lines=600")
+            body = "".join(lines[:601]).encode()
+            request = urllib.request.Request(f"{srv.url}/fsp?lines=600", data=body)
+            with urllib.request.urlopen(request, timeout=10) as resp:
+                fsp = json.loads(resp.read())
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        del psf["exec_ms"], fsp["exec_ms"]
+        assert psf == fsp
+        assert psf["mean"] == float(np.mean(np.loadtxt(path, delimiter=",")[:600, 0]))
 
     def test_dataset_that_is_not_utf8_names_its_file(self, tmp_path):
         path = make_dataset(tmp_path / "data.csv", seed=1)
@@ -594,6 +626,12 @@ class TestBenchTask:
         assert request.get_method() == method
         assert request.full_url == f"http://h/{kind}?" + task.option_label()
         assert (request.data is not None) == (method == "POST")
+
+    @pytest.mark.parametrize("size", [500, 5000, 10_000])
+    def test_probe_body_reads_as_one_float_per_line(self, size):
+        body = ProbeTarget("http://h", BenchTask("fsp", size)).build_request().data
+        want = np.array([float(line) for line in body.decode().split("\n")])
+        assert _read_numbers(body.decode("ascii")).tobytes() == want.tobytes()
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -1051,12 +1089,12 @@ class TestLoadSchedule:
             pytest.param({"mode": "random"}, "mode: must be a JSON object (got 'random')",
                          id="update3-mode must be a JSON object"),
             pytest.param({"mode": {"kind": "random", "max_s": -1}},
-                         "schedule max_s must be finite and >= 0 (got -1.0)",
+                         "mode: max_s must be finite and >= 0 (got -1.0)",
                          id="update4-max_s must be finite and >= 0"),
             pytest.param({"mode": {"kind": "fixed", "delta_s": -1}},
-                         "schedule delta_s must be finite and >= 0 (got -1.0)",
+                         "mode: delta_s must be finite and >= 0 (got -1.0)",
                          id="update5-delta_s must be finite and >= 0"),
-            pytest.param({"timeout_s": 0}, "schedule timeout_s must be finite and > 0 (got 0.0)",
+            pytest.param({"timeout_s": 0}, "timeout_s must be finite and > 0 (got 0.0)",
                          id="update6-timeout_s must be finite and > 0"),
             pytest.param({"seed": -1}, "seed must be an integer >= 0 (got -1)",
                          id="update7-seed must be >= 0"),
@@ -1098,6 +1136,9 @@ class TestLoadSchedule:
             pytest.param({"endpoints": {"a": 1}},
                          "endpoints must be a list of objects (got {'a': 1})",
                          id=r"update21-schedule endpoints must be list, got \{'a': 1\}"),
+            pytest.param({"mode": {"kind": "burst"}},
+                         "mode: kind must be 'round_robin', 'fixed' or 'random' (got 'burst')",
+                         id="update22-unknown mode kind"),
         ],
     )
     def test_bad_value_is_named(self, tmp_path, update, message):
@@ -1117,7 +1158,7 @@ class TestLoadSchedule:
          f"the most whose body always fits in {FSP_MAX_BODY_BYTES} bytes"),
         (_with_second_task({"kind": "pic", "size": 10.5}),
          "endpoints[1] task: size must be an integer >= 0 (got 10.5)"),
-        ({"count": 0}, "schedule count must be >= 1"),
+        ({"count": 0}, "count must be >= 1 (got 0)"),
     ], ids=["kind", "size", "fsp-size", "fraction", "count"])
     def test_error_names_the_file(self, tmp_path, update, problem):
         path = self.write(tmp_path, dict(GOOD_SCHEDULE, **update))
@@ -1199,10 +1240,10 @@ def test_fsp_body_reader_matches_per_line_reader(body):
     text = body.decode("ascii", errors="backslashreplace")  # as the server decodes it
     if isinstance(want, str):
         with pytest.raises(ValueError) as err:
-            benchnet._read_fsp_body(text)
+            _read_numbers(text)
         assert str(err.value) == want
     else:
-        got = benchnet._read_fsp_body(text)
+        got = _read_numbers(text)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

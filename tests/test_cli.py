@@ -224,7 +224,7 @@ class TestBenchCommands:
             pytest.param(
                 {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}}],
                  "mode": {"kind": "random", "max_s": -1}, "count": 3},
-                "schedule max_s must be finite and >= 0", id="cfg1-max_s must be finite and >= 0"),
+                "mode: max_s must be finite and >= 0", id="cfg1-max_s must be finite and >= 0"),
             pytest.param(
                 {"endpoints": [{"url": "http://127.0.0.1:9", "task": {"kind": "pic", "size": 10}},
                                {"url": "http://127.0.0.1:9", "task": {"kind": "nope", "size": 10}}],
@@ -280,7 +280,7 @@ class TestBenchCommands:
             ('{"kind": "empirical", "samples": []}', "at least one sample"),
             ('{"kind": "mixture", "components": 3, "weights": [1.0]}',
              "components must be a list of objects (got 3)"),
-            ('{"kind": "empirical", "file": "missing.csv"}', "not found"),
+            ('{"kind": "empirical", "file": "missing.csv"}', "No such file or directory"),
             ('{"kind": "uniform", "lo": -1e308, "hi": 1e308}', "uniform hi - lo must be finite"),
             ('{"kind": "empirical", "samples": 5}', "samples must be a list of numbers (got 5)"),
             ('{"kind": "mixture", "components": [{"kind": "degenerate", "value": 0.1}], '
@@ -461,6 +461,12 @@ def test_scenarios_export_round_trips(runner, tmp_path):
     assert res.exit_code != 0
 
 
+def test_scenarios_export_requires_out(runner):
+    res = runner.invoke(main, ["scenarios", "--export", "vii_d_base"])
+    assert res.exit_code == 1
+    assert res.output == "Error: --export requires --out\n"
+
+
 def test_serve_requires_valid_dataset(runner, tmp_path):
     short = tmp_path / "short.csv"
     short.write_text("1.0\n2.0\n")
@@ -483,7 +489,8 @@ def test_serve_refuses_a_non_finite_dataset(runner, tmp_path, monkeypatch):
     dataset.write_text("\n".join(lines) + "\n")
     res = runner.invoke(main, ["serve", "--dataset", str(dataset), "--bind", "127.0.0.1:0"])
     assert res.exit_code == 1, res.output
-    assert res.output == f"Error: dataset {dataset}: row 3 starts with nan, not a finite number\n"
+    assert res.output == (
+        f"Error: dataset {dataset}: line 3 ('nan,1.0,2.0') is not a finite number\n")
 
 
 @pytest.mark.parametrize("args", [["solve"], ["baseline", "--strategy", "min-latency"],
@@ -554,6 +561,17 @@ def test_reference_is_read_as_utf8_whatever_the_locale(tmp_path):
     scored = _run_in_c_locale("characterize", records, "--reference", reference)
     assert scored.returncode == 0, scored.stderr
     assert "reference_distance" in json.loads(scored.stdout)
+
+
+def test_serve_on_an_empty_dataset_is_one_error_line(tmp_path):
+    # No warning from a reader goes before the error.
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    served = _run_in_c_locale("serve", "--dataset", empty, "--bind", "127.0.0.1:0")
+    assert served.returncode == 1
+    assert served.stdout == b""
+    assert served.stderr.decode() == (
+        f"Error: dataset {empty}: 0 values; at least {MIN_DATASET_LINES} required\n")
 
 
 def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):

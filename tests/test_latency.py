@@ -548,6 +548,9 @@ class TestGevFromQuantiles:
             gev_from_quantiles(0.34, 0.35, 0.41)  # p10 >= median
         with pytest.raises(FitError):
             gev_from_quantiles(0.34, 0.31, 0.34)
+        for p10 in (0.0, -0.1):
+            with pytest.raises(FitError, match="p10 must be positive"):
+                gev_from_quantiles(0.34, p10, 0.41)
 
     def test_rejects_left_skewed_triple(self):
         # lower spread exceeds upper spread: impossible for positive shape

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogassign.latency import Empirical
 from fogassign.scenario import (
     NodeSpec,
     Scenario,
@@ -86,18 +87,33 @@ class TestLoad:
         scen = load_scenario(write(tmp_path, cfg))
         assert scen.dist("t1", "a", "x").n == 3
 
+    def test_empirical_file_takes_comments_and_blank_lines(self, tmp_path):
+        # A comment may hold anything, "_" and non-ASCII text included.
+        text = "# latência_s, from probe_1\n0.2\n\n  0.4  # µs? no, s\r\n0.6\n#\n"
+        (tmp_path / "lat.csv").write_text(text, encoding="utf-8")
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["latency"][0]["dist"] = {"kind": "empirical", "file": "lat.csv"}
+        scen = load_scenario(write(tmp_path, cfg))
+        assert scen.dist("t1", "a", "x") == Empirical([0.2, 0.4, 0.6])
+
     @pytest.mark.parametrize(
         "text, extra, message",
         [
             ("0.2\n", {"samples": [0.5]}, "empirical takes samples or file, not both"),
             ("", {}, "empirical distribution needs at least one sample, got zero samples"),
-            ("abc\n", {}, "{dir}/lat.csv: could not convert string 'abc' to float64"),
-            ("0.1 0.2\n", {}, "{dir}/lat.csv: one latency per line, got 2 numbers on a line"),
+            ("abc\n", {}, "{dir}/lat.csv: line 1 ('abc') is not a finite number"),
+            ("0.1 0.2\n", {}, "{dir}/lat.csv: line 1 ('0.1 0.2') is not a finite number"),
             ("0.1 0.2\n0.3 0.4\n", {},
-             "{dir}/lat.csv: one latency per line, got 2 numbers on a line"),
+             "{dir}/lat.csv: line 1 ('0.1 0.2') is not a finite number"),
+            ("0.1\n0.2 0.3\n", {}, "{dir}/lat.csv: line 2 ('0.2 0.3') is not a finite number"),
+            ("0.1,0.2\n", {}, "{dir}/lat.csv: line 1 ('0.1,0.2') is not a finite number"),
+            ("# ms\n\n1_000\n", {}, "{dir}/lat.csv: line 3 ('1_000') is not a finite number"),
+            ("0.1\nnan\n", {}, "{dir}/lat.csv: line 2 ('nan') is not a finite number"),
+            ("# only a comment\n", {},
+             "empirical distribution needs at least one sample, got zero samples"),
         ],
         ids=["samples-and-file", "empty-file", "not-a-number", "one-line-of-two",
-             "two-lines-of-two"],
+             "two-lines-of-two", "ragged", "comma-pair", "underscore", "nan", "comment-only"],
     )
     def test_bad_empirical_file_is_one_error(self, tmp_path, text, extra, message):
         # One located error naming the samples file, and no warning before it.
@@ -448,6 +464,8 @@ class TestHash:
         assert capped.node("gateway").capacity == 2
         assert base.node("gateway").infinite  # original untouched
         assert capped.content_hash() != base.content_hash()
+        with pytest.raises(KeyError):
+            base.with_node_capacity("nope", 2)
 
 
 def test_solver_requires_uncapacitated(tmp_path):

@@ -420,6 +420,13 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit({}, "yaml", tmp_path / "x")
 
+    def test_csv_needs_task_rows(self, base, tmp_path):
+        scen, table = base
+        record = simulate(scen, solve_uncapacitated(scen, table), 10, 1).to_record()
+        with pytest.raises(ValueError, match="expects a plan record with task rows"):
+            emit(record, "csv", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_round9(self):
         assert round9(0.12345678987654321) == 0.123456790
         assert round9({"a": [1.0000000001, "s"]}) == {"a": [1.0, "s"]}

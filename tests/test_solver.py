@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -972,6 +973,10 @@ class TestBruteForce:
         wide = step_scenario([[0.5] * 5], [None] * 5)
         with pytest.raises(SizeGuardError):
             brute_force_optimum(wide)
+        many = step_scenario([[0.5]], [None])
+        many = replace(many, nodes=[NodeSpec(id="z0", options=("x", "a", "b", "c"))])
+        with pytest.raises(SizeGuardError, match="3 options per node"):
+            brute_force_optimum(many)
 
     def test_empty_tasks(self):
         scen = step_scenario([], [None])
