@@ -64,7 +64,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .latency import Empirical, Fields, _load_json, _load_numbers, _read_numbers, make_rng
+from .latency import (Empirical, Fields, _finite_number, _load_json, _load_numbers, _read_numbers,
+                      make_rng)
 
 __all__ = [
     "ENDPOINTS",
@@ -169,17 +170,10 @@ def _column_stats(values: np.ndarray) -> dict:
 
 
 def make_dataset(path, lines: int = MIN_DATASET_LINES, seed: int = 0) -> Path:
-    """Write a seeded numeric CSV fixture usable as the PSF dataset."""
-    rng = make_rng(seed)
-    data = np.column_stack(
-        [
-            rng.uniform(0.0, 1000.0, lines),
-            rng.normal(50.0, 10.0, lines),
-            rng.exponential(5.0, lines),
-        ]
-    )
+    """Write a seeded PSF dataset: one uniform value in [0, 1000) per line,
+    the one field the server reads."""
     path = Path(path)
-    np.savetxt(path, data, fmt="%.6f", delimiter=",")
+    np.savetxt(path, make_rng(seed).uniform(0.0, 1000.0, lines), fmt="%.6f")
     return path
 
 
@@ -455,13 +449,13 @@ class ProbeRow:
 
 def _optional_float(text: str) -> float:
     """A time in seconds: finite and >= 0, or NaN for an empty cell only."""
-    # float() would also take spaces, underscores and non-ASCII digits.
-    if not text.isascii() or "_" in text or text != text.strip():
-        raise ValueError(f"time {text!r} must be an ASCII decimal number")
     if not text:
         return math.nan
+    # float() would also take spaces, which _finite_number lets through.
+    if text != text.strip() or not _finite_number(text):
+        raise ValueError(f"time {text!r} must be a finite ASCII decimal number")
     value = float(text)
-    if not 0.0 <= value < math.inf:
+    if value < 0.0:
         raise ValueError(f"time {text!r} must be finite and >= 0")
     return value
 
@@ -618,7 +612,8 @@ def load_probe_rows(path) -> list[ProbeRow]:
 
     A missing column, a short row, a cell that does not parse, or a
     negative or infinite gap or latency raises ValueError naming the
-    file, the line and the column.
+    file, the line and the column; a column named twice in the header, or
+    a row longer than the header, raises one naming the file and the line.
     """
     path = Path(path)
     try:
@@ -627,10 +622,17 @@ def load_probe_rows(path) -> list[ProbeRow]:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
     rows = []
     reader = csv.DictReader(io.StringIO(content, newline=""))
+    header = reader.fieldnames or []
     for column, _, _ in PROBE_COLUMNS[:-1]:
-        if column not in (reader.fieldnames or ()):
+        if column not in header:
             raise ValueError(f"{path}: line 1: missing column {column!r}")
+    for i, column in enumerate(header):
+        if column in header[:i]:
+            raise ValueError(f"{path}: line 1: column {column!r} is named twice")
     for rec in reader:
+        if None in rec:  # DictReader's key for the cells past the header's last column
+            raise ValueError(f"{path}: line {reader.line_num}: the row has "
+                             f"{len(header) + len(rec[None])} cells, the header {len(header)}")
         cells = []
         for column, parse, _ in PROBE_COLUMNS:
             text = rec.get(column, "")  # "" in a file without status

@@ -14,12 +14,14 @@ A scenario file is a single JSON document::
                    "dist": {"kind": "uniform", "lo": 0.1, "hi": 0.6}}]
     }
 
-A latency entry without a "task" field applies to every task (a common
-case: per-node latency models shared by the whole task set); entries with
-a "task" override the shared one for that triple.  A second entry for the
-same shared pair, or for the same triple, is an error.  Loading validates all
-cross references and rejects any latency model whose support dips below
-zero, so downstream expectations never see negative completion times.
+A latency entry without a "task" field applies to every task offered its
+(node, option) (a common case: per-node latency models shared by the whole
+task set); entries with a "task" override the shared one for that triple.
+A second entry for the same shared pair, or for the same triple, is an
+error, and so is a per-task entry for a pair its task is not offered.
+Loading validates all cross references and rejects any latency model whose
+support dips below zero, so downstream expectations never see negative
+completion times.
 
 Records are read by ``latency.Fields``, the reader of every JSON input: a
 bad field is a ``ScenarioError`` naming the file, the record and the field.
@@ -123,12 +125,17 @@ class Scenario:
                     raise ScenarioError(
                         f"task {t.id}: no latency model for offered pair {zx}"
                     )
-        known_tasks = set(task_ids)
+        tasks = {t.id: t for t in self.tasks}
         for (j, z, x), dist in self.latency.items():
-            if j not in known_tasks:
+            if j not in tasks:
                 raise ScenarioError(f"latency entry references unknown task {j!r}")
             if (z, x) not in offered:
-                raise ScenarioError(f"latency entry references unknown pair ({z!r}, {x!r})")
+                raise _unknown_pair(z, x)
+            if (z, x) not in tasks[j].intrinsic:
+                raise ScenarioError(
+                    f"latency entry for task {j!r} references pair ({z!r}, {x!r}), "
+                    "which the task is not offered"
+                )
             if dist.support_lo() < -1e-12:
                 raise ScenarioError(
                     f"latency model for ({j}, {z}, {x}) has support below 0 "
@@ -188,6 +195,10 @@ class Scenario:
         Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n", encoding="utf-8")
 
 
+def _unknown_pair(node: str, option: str) -> ScenarioError:
+    return ScenarioError(f"latency entry references unknown pair ({node!r}, {option!r})")
+
+
 def _capacity(cap) -> int | None:
     return None if cap == "inf" else _integer(cap, 1, "capacity must be 'inf' or an integer >= 1")
 
@@ -232,9 +243,12 @@ def scenario_from_config(cfg: dict, base_dir=None) -> Scenario:
         seen.add((owner, node, option))
         if task is not None:  # an entry for one task overrides a shared one
             latency[(task, node, option)] = dist
+        elif not any(option in n.options for n in nodes if n.id == node):
+            raise _unknown_pair(node, option)
         else:
             for t in tasks:
-                latency.setdefault((t.id, node, option), dist)
+                if (node, option) in t.intrinsic:
+                    latency.setdefault((t.id, node, option), dist)
     scenario = Scenario(
         name=root.text("name", default="unnamed"),
         tasks=tasks,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,12 +10,33 @@ from fogassign.latency import Degenerate, Empirical, Gev, Mixture, Uniform, make
 from fogassign.scenario import NodeSpec, Scenario
 from fogassign.utility import ExpDecay, Step, TaskSpec, WaitReadyFirst
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 # 99th-percentile point of the Kolmogorov distribution, for KS bounds.
 KS_CRIT_001 = 1.62762
 
 
 def ks_critical(n: int, coeff: float = KS_CRIT_001) -> float:
     return coeff / np.sqrt(n)
+
+
+def run_cli(*args, code=None, cwd=None, background=False):
+    """``python -m fogassign.cli ARGS``, or ``python -c CODE ARGS``, as a user
+    runs it: in a fresh interpreter with ``src/`` first on its path, a
+    RuntimeWarning raised as an error, and a locale whose encoding is ASCII,
+    so that no output depends on the locale.
+
+    Returns the finished process with its output as bytes, or with
+    ``background`` the running one, its stdout and stderr text pipes.
+    """
+    argv = [sys.executable, *(("-c", code) if code else ("-m", "fogassign.cli")), *map(str, args)]
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONWARNINGS="error::RuntimeWarning")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if background:
+        return subprocess.Popen(argv, env=env, cwd=cwd, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+    return subprocess.run(argv, env=env, cwd=cwd, capture_output=True, timeout=120)
 
 
 @pytest.fixture

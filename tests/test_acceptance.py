@@ -204,7 +204,7 @@ def test_criterion_11_bench_harness(tmp_path):
         with urllib.request.urlopen(f"{server.url}/pic?iters=1", timeout=10) as resp:
             pic_exact = json.loads(resp.read().decode())["result"] == 4.0
 
-        ref = np.loadtxt(dataset, delimiter=",")[:500, 0]
+        ref = np.loadtxt(dataset, delimiter=",", ndmin=2)[:500, 0]
         with urllib.request.urlopen(f"{server.url}/psf?lines=500", timeout=10) as resp:
             psf = json.loads(resp.read().decode())
         # one-pass reference oracle

@@ -247,7 +247,7 @@ class TestServer:
 
     def test_psf_matches_independent_oracle(self, server, dataset):
         resp = get_json(f"{server.url}/psf?lines=500")
-        ref = np.loadtxt(dataset, delimiter=",")[:500, 0]
+        ref = np.loadtxt(dataset, delimiter=",", ndmin=2)[:500, 0]
         mean, stdev, lo, hi = welford(ref.tolist())
         assert resp["mean"] == pytest.approx(mean, rel=1e-9)
         assert resp["stdev"] == pytest.approx(stdev, rel=1e-9)
@@ -277,7 +277,7 @@ class TestServer:
         values = np.random.default_rng(1).uniform(0.0, 1000.0, 500)
         body = "".join(f"{v!r},{i}\r\n" for i, v in enumerate(values.tolist())).encode()
         if kind == "psf":
-            values, body = np.loadtxt(dataset, delimiter=",")[:500, 0], None
+            values, body = np.loadtxt(dataset, delimiter=",", ndmin=2)[:500, 0], None
         req = urllib.request.Request(f"{server.url}/{kind}?lines=500", data=body)
         with urllib.request.urlopen(req, timeout=10) as resp:
             payload = json.loads(resp.read())
@@ -438,7 +438,7 @@ class TestServer:
         for seed in range(10):
             path = make_dataset(tmp_path / f"data{seed}.csv", seed=seed)
             got = benchnet._load_dataset(path)
-            want = np.loadtxt(path, delimiter=",")[:, 0]
+            want = np.loadtxt(path, delimiter=",", ndmin=2)[:, 0]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
 
     # One reader serves both: the dataset's first lines, a comment among
@@ -460,7 +460,7 @@ class TestServer:
             srv.server_close()
         del psf["exec_ms"], fsp["exec_ms"]
         assert psf == fsp
-        assert psf["mean"] == float(np.mean(np.loadtxt(path, delimiter=",")[:600, 0]))
+        assert psf["mean"] == float(np.mean(np.loadtxt(path, delimiter=",", ndmin=2)[:600, 0]))
 
     def test_dataset_that_is_not_utf8_names_its_file(self, tmp_path):
         path = make_dataset(tmp_path / "data.csv", seed=1)
@@ -952,12 +952,22 @@ class TestProbe:
              "line 3: column 'latency_s': cannot read 'NaN'"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n-nan,0.1,e,o,1\n",
              "line 2: column 'delta_t_s': cannot read '-nan'"),
+            # No cell is dropped and no column read twice.
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status\n"
+             "0.5,0.1,e,o,1,ok\n,0.1,e,o,0,ok,EXTRA,MORE\n",
+             "line 3: the row has 8 cells, the header 6"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n,0.1,e,o,0,ok\n",
+             "line 2: the row has 6 cells, the header 5"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status,latency_s\n"
+             ",0.1,e,o,0,ok,9\n",
+             "line 1: column 'latency_s' is named twice"),
         ],
         ids=["bad-latency", "bad-timestamp", "short-row", "missing-column", "empty-file",
              "short-row-status", "negative-latency", "infinite-latency", "negative-gap",
              "infinite-gap", "timestamp-underscore", "timestamp-space", "timestamp-plus",
              "timestamp-negative", "timestamp-non-ascii", "gap-underscore", "latency-space",
-             "latency-non-ascii", "nan-latency", "nan-delta"],
+             "latency-non-ascii", "nan-latency", "nan-delta", "long-row", "long-row-no-status",
+             "column-named-twice"],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"
@@ -983,6 +993,11 @@ class TestProbe:
                 targets=(ProbeTarget("http://x", BenchTask("pic", 10)),),
                 count=0,
             )
+        # The reader refuses a negative seed as a field; built in code, the schedule does.
+        with pytest.raises(ValueError) as info:
+            ProbeSchedule(targets=(ProbeTarget("http://x", BenchTask("pic", 10)),), count=1,
+                          seed=-1)
+        assert str(info.value) == "seed must be >= 0 (got -1)"
 
     @pytest.mark.parametrize(
         "field, value",

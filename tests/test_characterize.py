@@ -159,6 +159,8 @@ class TestErrorCurve:
         curve = error_curve(TABLE_GEV, n_grid=[10, 50], reps=60, rng=make_rng(5))
         assert curve.mean_avg_at(50) < curve.mean_avg_at(10)
         assert all(p.max_max <= 1.0 and p.mean_avg >= 0.0 for p in curve.points)
+        with pytest.raises(KeyError):  # 20 is not on the curve
+            curve.mean_avg_at(20)
 
     def test_deterministic_under_fixed_seed(self):
         a = error_curve(TABLE_GEV, n_grid=[15], reps=5, rng=make_rng(9))

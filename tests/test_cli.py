@@ -1,19 +1,18 @@
 import errno
 import http.client
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from fogassign.benchnet import MIN_DATASET_LINES, BenchServer, make_dataset, start_server
-from fogassign.cli import _host_port, main
+from fogassign.benchnet import MIN_DATASET_LINES, BenchServer, make_dataset
+from fogassign.cli import SOLVERS, _host_port, main
 from fogassign.scenario import bundled_scenario
+from fogassign.solver import solve_uncapacitated
+
+from conftest import run_cli
 
 
 @pytest.fixture
@@ -56,6 +55,16 @@ class TestSolve:
 
     def test_missing_file(self, runner):
         assert runner.invoke(main, ["solve", "nope.json"]).exit_code != 0
+
+    # A plan that breaks a constraint is refused, not written.
+    def test_invalid_plan_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        base = bundled_scenario("vii_d_base")
+        capped = tmp_path / "capped.json"
+        base.with_node_capacity("gateway", 2).save(capped)
+        monkeypatch.setitem(SOLVERS, "at", lambda _scen: solve_uncapacitated(base))
+        res = runner.invoke(main, ["solve", str(capped)])
+        assert res.exit_code == 1
+        assert res.output == "Error: node gateway: 5 tasks placed, capacity 2\n"
 
     def test_wrong_solver_is_clean_error(self, runner, tmp_path):
         capped = tmp_path / "capped.json"
@@ -172,34 +181,41 @@ class TestBenchCommands:
         assert "--seed" in res.output
         assert not out.exists()
 
-    def test_probe_and_characterize(self, runner, tmp_path):
-        dataset = make_dataset(tmp_path / "data.csv", seed=3)
-        server, _ = start_server(dataset, allow_out_of_range=True)
-        try:
-            schedule = tmp_path / "sched.json"
-            schedule.write_text(json.dumps({
-                "endpoints": [
-                    {"url": server.url, "task": {"kind": "pic", "size": 10}},
-                ],
-                "mode": {"kind": "round_robin"},
-                "count": 8,
-            }))
-            records = tmp_path / "records.csv"
-            res = runner.invoke(
-                main, ["probe", "--schedule", str(schedule), "--out", str(records)]
-            )
-            assert res.exit_code == 0, res.output
-            assert "8 records" in res.output
+    # make-dataset, serve, probe and characterize as a user runs them,
+    # each in its own process, over loopback.
+    def test_probe_and_characterize(self, tmp_path):
+        dataset = tmp_path / "dataset.csv"
+        made = run_cli("make-dataset", "--out", dataset)
+        assert made.returncode == 0, made.stderr
+        with run_cli("serve", "--bind", "127.0.0.1:0", "--dataset", dataset,
+                     background=True) as server:
+            try:
+                serving = server.stdout.readline()
+                assert serving.startswith("serving on "), serving
+                url = serving.split()[2]
+                schedule = tmp_path / "schedule.json"
+                tasks = {"pic": 5000, "psf": 500, "fsp": 500}
+                schedule.write_text(json.dumps({
+                    "endpoints": [{"url": url, "task": {"kind": kind, "size": size}}
+                                  for kind, size in tasks.items()],
+                    "count": 30, "seed": 1,
+                }))
+                records = tmp_path / "records.csv"
+                probed = run_cli("probe", "--schedule", schedule, "--out", records)
+            finally:
+                server.kill()
+        assert probed.returncode == 0, probed.stderr
+        assert probed.stdout.decode() == f"wrote 30 records to {records} (0 failures)\n"
 
-            res = runner.invoke(main, ["characterize", str(records)])
-            assert res.exit_code == 0, res.output
-            report = json.loads(res.output)
-            key = f"{server.url}/pic iters=10"
-            assert report["per_endpoint"][key]["n"] == 8
-            assert "skipped" in report["regimes"]  # no cold-regime gaps here
-        finally:
-            server.shutdown()
-            server.server_close()
+        characterized = run_cli("characterize", records)
+        assert characterized.returncode == 0, characterized.stderr
+        report = json.loads(characterized.stdout)
+        assert report["records"] == 30
+        assert {key: s["n"] for key, s in report["per_endpoint"].items()} == {
+            f"{url}/pic iters=5000": 10, f"{url}/psf lines=500": 10, f"{url}/fsp lines=500": 10}
+        # Ten invocations per endpoint, the first of each with no gap: 27
+        # gaps are too few for the regime fit, which says so.
+        assert report["regimes"]["skipped"]
 
     def test_probe_unusable_url_is_clean_error(self, runner, tmp_path):
         schedule = tmp_path / "sched.json"
@@ -506,18 +522,6 @@ def test_scenario_that_is_not_utf8_is_named(runner, tmp_path, args):
                           "in position 10: invalid start byte\n")
 
 
-def _run_in_c_locale(*args, code="from fogassign.cli import main; main()"):
-    """``fogassign ARGS``, or ``code`` given ARGS, in a fresh interpreter whose
-    locale encoding is ASCII."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, timeout=120,
-    )
-
-
 def _mu_scenario(tmp_path):
     """The bundled base scenario with a task id, t\u00b5, that ASCII cannot encode."""
     text = json.dumps(bundled_scenario("vii_d_base").to_config(), ensure_ascii=False)
@@ -529,13 +533,13 @@ def _mu_scenario(tmp_path):
 def test_plan_csv_is_written_as_utf8_whatever_the_locale(tmp_path):
     scenario = _mu_scenario(tmp_path)
     out = tmp_path / "mu.csv"
-    solved = _run_in_c_locale("solve", scenario, "--format", "csv", "--out", out)
+    solved = run_cli("solve", scenario, "--format", "csv", "--out", out)
     assert solved.returncode == 0, solved.stderr
     assert "\nt\u00b5,".encode() in out.read_bytes()
 
 
 def test_stdout_that_cannot_encode_the_plan_is_one_error_line(tmp_path):
-    solved = _run_in_c_locale("solve", _mu_scenario(tmp_path), "--format", "csv")
+    solved = run_cli("solve", _mu_scenario(tmp_path), "--format", "csv")
     assert solved.returncode == 1
     assert solved.stdout == b""
     assert solved.stderr.decode() == (
@@ -550,7 +554,7 @@ def test_reference_is_read_as_utf8_whatever_the_locale(tmp_path):
                        ",0.12,e,o,1700000000000\n0.5,0.15,e,o,1700000001000\n")
     reference = tmp_path / "ref.json"
     reference.write_text('{"kind": "\u00b5"}', encoding="utf-8")
-    scored = _run_in_c_locale("characterize", records, "--reference", reference)
+    scored = run_cli("characterize", records, "--reference", reference)
     assert scored.returncode == 1, scored.stderr
     error = scored.stderr.decode("utf-8", errors="replace")
     assert error.startswith(f"Error: reference {reference}: unknown distribution kind "), error
@@ -558,28 +562,71 @@ def test_reference_is_read_as_utf8_whatever_the_locale(tmp_path):
     # An empirical reference's sample file is UTF-8 too: a comment may say µs.
     (tmp_path / "samples.txt").write_text("# \u00b5s\n0.1\n0.2\n", encoding="utf-8")
     reference.write_text('{"kind": "empirical", "file": "samples.txt"}')
-    scored = _run_in_c_locale("characterize", records, "--reference", reference)
+    scored = run_cli("characterize", records, "--reference", reference)
     assert scored.returncode == 0, scored.stderr
     assert "reference_distance" in json.loads(scored.stdout)
 
 
-def test_serve_on_an_empty_dataset_is_one_error_line(tmp_path):
-    # No warning from a reader goes before the error.
-    empty = tmp_path / "empty.csv"
-    empty.write_bytes(b"")
-    served = _run_in_c_locale("serve", "--dataset", empty, "--bind", "127.0.0.1:0")
-    assert served.returncode == 1
-    assert served.stdout == b""
-    assert served.stderr.decode() == (
-        f"Error: dataset {empty}: 0 values; at least {MIN_DATASET_LINES} required\n")
+# A scenario whose one latency model is an empirical law read from samples.csv.
+_EMPIRICAL = json.dumps({
+    "nodes": [{"id": "a", "options": ["x"]}],
+    "tasks": [{"id": "t", "utility": {"kind": "step", "tv": 1.0},
+               "intrinsic": [{"node": "a", "option": "x", "value": 1.0}]}],
+    "latency": [{"node": "a", "option": "x",
+                 "dist": {"kind": "empirical", "file": "samples.csv"}}],
+})
+
+
+# A malformed input file: exit status 1, and the one line printed, to
+# stderr, is an Error: line naming the file.  No traceback or warning from a
+# reader goes before it.
+@pytest.mark.parametrize("files, args, line", [
+    pytest.param({"scenario.json": '{"nodes": [], "tasks": {}}'}, ["solve", "scenario.json"],
+                 "scenario.json: invalid scenario config: tasks must be a list of objects (got {})",
+                 id="scenario"),
+    pytest.param({"schedule.json": '{"endpoints": {"url": "http://127.0.0.1:9"}, "count": 1}'},
+                 ["probe", "--schedule", "schedule.json", "--out", "out.csv"],
+                 "schedule.json: endpoints must be a list of objects "
+                 "(got {'url': 'http://127.0.0.1:9'})",
+                 id="schedule"),
+    pytest.param({"records.csv": "delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
+                                 ",0.1,e,o,0\n",
+                  "reference.json": "not json\n"},
+                 ["characterize", "records.csv", "--reference", "reference.json"],
+                 "reference reference.json: not valid JSON: Expecting value: line 1 column 1 "
+                 "(char 0)",
+                 id="reference"),
+    pytest.param({"samples.csv": "", "empirical.json": _EMPIRICAL}, ["solve", "empirical.json"],
+                 "empirical.json: latency[0] dist: empirical distribution needs at least one "
+                 "sample, got zero samples",
+                 id="empty-samples"),
+    pytest.param({"samples.csv": "0.1 0.2\n", "empirical.json": _EMPIRICAL},
+                 ["solve", "empirical.json"],
+                 "empirical.json: latency[0] dist: samples.csv: line 1 ('0.1 0.2') is not a "
+                 "finite number",
+                 id="two-samples-on-a-line"),
+    pytest.param({"samples.csv": "0.1\n0.2 0.3\n", "empirical.json": _EMPIRICAL},
+                 ["solve", "empirical.json"],
+                 "empirical.json: latency[0] dist: samples.csv: line 2 ('0.2 0.3') is not a "
+                 "finite number",
+                 id="two-samples-on-a-later-line"),
+    pytest.param({"empty.csv": ""}, ["serve", "--dataset", "empty.csv", "--bind", "127.0.0.1:0"],
+                 f"dataset empty.csv: 0 values; at least {MIN_DATASET_LINES} required",
+                 id="empty-dataset"),
+])
+def test_malformed_input_is_one_error_line(tmp_path, files, args, line):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    run = run_cli(*args, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr.decode()) == (1, b"", f"Error: {line}\n")
 
 
 def test_dataset_is_read_as_utf8_whatever_the_locale(tmp_path):
     dataset = make_dataset(tmp_path / "data.csv", seed=3)
     dataset.write_bytes("# \u00b5s\n".encode() + dataset.read_bytes())
-    started = _run_in_c_locale(dataset, code="import sys; from fogassign.benchnet import "
-                                              "BenchServer; BenchServer(('127.0.0.1', 0), "
-                                              "sys.argv[1]).server_close()")
+    started = run_cli(dataset, code="import sys; from fogassign.benchnet import "
+                                    "BenchServer; BenchServer(('127.0.0.1', 0), "
+                                    "sys.argv[1]).server_close()")
     assert started.returncode == 0, started.stderr
 
 

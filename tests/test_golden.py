@@ -2,15 +2,14 @@
 
 ``golden/COMMANDS`` lists each file under ``tests/golden/`` with the
 ``fogassign`` command whose stdout it holds, and says what each one pins.
-The CI job without scipy runs the same table as shell commands.
+Each command runs as a process, as a user runs it.
 """
 
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from fogassign.cli import main
+from conftest import run_cli
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -29,11 +28,10 @@ COMMANDS = _commands()
 
 
 @pytest.mark.parametrize("name, args", COMMANDS, ids=[name for name, _ in COMMANDS])
-def test_stdout_matches_golden(name, args, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == 0, res.output
-    assert res.stdout_bytes == (GOLDEN / name).read_bytes()
+def test_stdout_matches_golden(name, args):
+    run = run_cli(*args, cwd=ROOT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_commands_name_every_golden_once():

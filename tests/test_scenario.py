@@ -2,12 +2,13 @@ import json
 import math
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogassign.latency import Empirical
+from fogassign.latency import Degenerate, Empirical
 from fogassign.scenario import (
     NodeSpec,
     Scenario,
@@ -19,6 +20,8 @@ from fogassign.scenario import (
 )
 from fogassign.solver import UtilityTable, solve_capacitated, solve_uncapacitated, validate_plan
 from fogassign.utility import Step, TaskSpec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MINIMAL = {
     "name": "tiny",
@@ -369,12 +372,16 @@ class TestValidation:
         (lambda cfg: cfg["latency"].append(
             {"node": "a", "option": "y", "dist": {"kind": "degenerate", "value": 0.2}}),
          "latency entry references unknown pair ('a', 'y')"),
+        # Node b offers x, but task t1 is offered only a/x and b/y.
+        (lambda cfg: cfg["latency"].append(
+            {"task": "t1", "node": "b", "option": "x", "dist": {"kind": "degenerate", "value": 0.2}}),
+         "latency entry for task 't1' references pair ('b', 'x'), which the task is not offered"),
         (lambda cfg: cfg["latency"][0]["dist"].update(kind="weibull"),
          "latency[0] dist: unknown distribution kind 'weibull'"),
         (lambda cfg: cfg["tasks"][0]["utility"].update(kind="cliff"),
          "task 't1' utility: unknown time-utility kind 'cliff'"),
     ], ids=["duplicate-task", "latency-unknown-task", "latency-unknown-pair",
-            "unknown-latency-kind", "unknown-utility-kind"])
+            "latency-pair-not-offered", "unknown-latency-kind", "unknown-utility-kind"])
     def test_rejected_config_names_the_fault(self, edit, message):
         cfg = json.loads(json.dumps(MINIMAL))
         edit(cfg)
@@ -444,6 +451,34 @@ class TestHash:
         b = load_scenario(write(tmp_path, explicit, "b.json"))
         assert a.content_hash() == b.content_hash()
 
+    # A shared entry reaches only the tasks offered its pair, so spelling
+    # each one out for those tasks alone is the same scenario.
+    def test_shared_entries_spelled_per_offered_task_hash_alike(self):
+        cfg = json.loads((GOLDEN / "every_kind.scenario.json").read_text())
+        shared = [e for e in cfg["latency"] if "task" not in e]
+        assert shared
+        per_task = [e for e in cfg["latency"] if "task" in e]
+        spelled = {(e["task"], e["node"], e["option"]) for e in per_task}
+        for e in shared:
+            for t in cfg["tasks"]:
+                triple = (t["id"], e["node"], e["option"])
+                offered = {(i["node"], i["option"]) for i in t["intrinsic"]}
+                if triple[1:] in offered and triple not in spelled:
+                    per_task.append({"task": t["id"], **e})
+        a = scenario_from_config(cfg, GOLDEN)
+        b = scenario_from_config({**cfg, "latency": per_task}, GOLDEN)
+        assert a.latency.keys() == b.latency.keys()
+        assert a.content_hash() == b.content_hash()
+
+    # Node b offers x, but no task is offered b/x: the entry adds nothing.
+    def test_shared_entry_no_task_is_offered_adds_nothing(self):
+        unused = json.loads(json.dumps(MINIMAL))
+        unused["latency"].append(
+            {"node": "b", "option": "x", "dist": {"kind": "degenerate", "value": 0.2}})
+        a, b = scenario_from_config(MINIMAL), scenario_from_config(unused)
+        assert a.latency.keys() == b.latency.keys() == {("t1", "a", "x"), ("t1", "b", "y")}
+        assert a.content_hash() == b.content_hash()
+
     def test_notes_do_not_change_hash(self, tmp_path):
         noted = json.loads(json.dumps(MINIMAL))
         noted["notes"] = "commentary only"
@@ -485,6 +520,13 @@ def test_programmatic_scenario_validation():
             nodes=[NodeSpec(id="z", options=("x",))],
             latency={},
         ).validate()
+    # Node z offers y, but task t is not offered z/y.
+    scen = Scenario(name="s", tasks=[task], nodes=[NodeSpec(id="z", options=("x", "y"))],
+                    latency={("t", "z", "x"): Degenerate(0.2), ("t", "z", "y"): Degenerate(0.2)})
+    with pytest.raises(ScenarioError) as info:
+        scen.validate()
+    assert str(info.value) == (
+        "latency entry for task 't' references pair ('z', 'y'), which the task is not offered")
 
 
 # -- every scenario that loads can be planned --------------------------------

@@ -798,6 +798,12 @@ class TestChooseForBatch:
         slots = choose_for_capacitated([], np.zeros((3, 0)), np.zeros((3, 0)), 2, 1)
         assert slots.shape == (3, 0)
 
+    @pytest.mark.parametrize("c1, c2", [(-1, 1), (1, -1)])
+    def test_negative_capacity_is_refused(self, c1, c2):
+        with pytest.raises(ValueError) as info:
+            choose_for_capacitated(["a"], np.zeros((1, 1)), np.zeros((1, 1)), c1, c2)
+        assert str(info.value) == "capacities must be >= 0"
+
     def test_gain_shapes_must_agree(self):
         with pytest.raises(ValueError, match="length"):
             choose_for_capacitated(["a", "b"], np.zeros((2, 2)), np.zeros((3, 2)), 1, 1)
