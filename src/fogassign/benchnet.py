@@ -95,6 +95,8 @@ ENDPOINTS = {
     "fsp": ("POST", "lines", 500, 10_000),
 }
 MIN_DATASET_LINES = 50_000
+# Values make_dataset draws and formats per write.
+_DATASET_CHUNK = 4096
 # Largest /fsp body read; a longer Content-Length is answered 413 unread.
 FSP_MAX_BODY_BYTES = 1 << 24
 # Longest a connection closed on an unread body is drained after the reply.
@@ -171,9 +173,22 @@ def _column_stats(values: np.ndarray) -> dict:
 
 def make_dataset(path, lines: int = MIN_DATASET_LINES, seed: int = 0) -> Path:
     """Write a seeded PSF dataset: one uniform value in [0, 1000) per line,
-    the one field the server reads."""
+    the one field the server reads, as ``%.6f``.
+
+    The values are drawn and written ``_DATASET_CHUNK`` at a time, so memory
+    does not grow with ``lines``; the chunks draw the same doubles as one
+    call would, and the file is byte for byte what
+    ``np.savetxt(path, make_rng(seed).uniform(0.0, 1000.0, lines), fmt="%.6f")``
+    writes.  A negative ``lines`` is a ValueError, and no file is written.
+    """
+    if lines < 0:
+        raise ValueError(f"lines must be >= 0 (got {lines})")
     path = Path(path)
-    np.savetxt(path, make_rng(seed).uniform(0.0, 1000.0, lines), fmt="%.6f")
+    rng = make_rng(seed)
+    with open(path, "w", encoding="ascii") as fh:
+        for start in range(0, lines, _DATASET_CHUNK):
+            k = min(_DATASET_CHUNK, lines - start)
+            fh.write("%.6f\n" * k % tuple(rng.uniform(0.0, 1000.0, k)))
     return path
 
 
@@ -612,8 +627,9 @@ def load_probe_rows(path) -> list[ProbeRow]:
 
     A missing column, a short row, a cell that does not parse, or a
     negative or infinite gap or latency raises ValueError naming the
-    file, the line and the column; a column named twice in the header, or
-    a row longer than the header, raises one naming the file and the line.
+    file, the line and the column, then the cell parser's reason; a column
+    named twice in the header, or a row longer than the header, raises one
+    naming the file and the line.
     """
     path = Path(path)
     try:
@@ -636,14 +652,13 @@ def load_probe_rows(path) -> list[ProbeRow]:
         cells = []
         for column, parse, _ in PROBE_COLUMNS:
             text = rec.get(column, "")  # "" in a file without status
-            if text is not None:
-                try:
-                    cells.append(parse(text))
-                    continue
-                except ValueError:
-                    pass
-            problem = "the row ends before it" if text is None else f"cannot read {text!r}"
-            raise ValueError(f"{path}: line {reader.line_num}: column {column!r}: {problem}")
+            try:
+                if text is None:
+                    raise ValueError("the row ends before it")
+                cells.append(parse(text))
+            except ValueError as exc:  # the parser's own reason, after the column
+                where = f"{path}: line {reader.line_num}: column {column!r}"
+                raise ValueError(f"{where}: {exc}") from None
         rows.append(ProbeRow(*cells))
     return rows
 

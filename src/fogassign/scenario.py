@@ -33,7 +33,6 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 from .latency import (Fields, LatencyDistribution, _integer, _load_json, _string,
                       dist_from_config)
@@ -192,7 +191,30 @@ class Scenario:
         return cfg
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_config(), indent=2) + "\n", encoding="utf-8")
+        """Write ``to_config()`` as JSON, one record per line.
+
+        Each top-level field is on its own line, indented by 2 spaces, and
+        each record of ``nodes``, ``tasks`` and ``latency`` on its own line,
+        indented by 4, as ``json.dumps(record)`` writes it.  Every string and
+        number is spelled as ``json.dumps`` spells it, so the file loads to
+        equal records and the same ``content_hash``; a reader takes any JSON
+        layout.  Each line is encoded by the C encoder (``json.dumps(...,
+        indent=...)`` would use the pure-Python one, at two to four times
+        the cost), and all of them before the file is opened, so a value
+        JSON cannot encode leaves an existing file as it was.
+        """
+        parts = []
+        for i, (key, value) in enumerate(self.to_config().items()):
+            parts.append(f"{',' if i else '{'}\n  {json.dumps(key)}: ")
+            if isinstance(value, list) and value:
+                parts.extend(f"{',' if k else '['}\n    {json.dumps(record)}"
+                             for k, record in enumerate(value))
+                parts.append("\n  ]")
+            else:
+                parts.append(json.dumps(value))
+        parts.append("\n}\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
 
 
 def _unknown_pair(node: str, option: str) -> ScenarioError:

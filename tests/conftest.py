@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +38,38 @@ def run_cli(*args, code=None, cwd=None, background=False):
         return subprocess.Popen(argv, env=env, cwd=cwd, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
     return subprocess.run(argv, env=env, cwd=cwd, capture_output=True, timeout=120)
+
+
+def assert_one_record_a_line(path, cfg: dict):
+    """The file at ``path`` is ``cfg`` in the layout ``Scenario.save`` writes:
+    ``{``, one top-level field a line, and one record of each nonempty
+    list a line, indented by 4 spaces, each line read back by ``json.loads``."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    body = iter(lines[1:-2])
+    for i, (key, value) in enumerate(cfg.items()):
+        comma = "," if i < len(cfg) - 1 else ""
+        head = f"  {json.dumps(key)}: "
+        line = next(body)
+        if isinstance(value, list) and value:
+            assert line == head + "["
+            for k, record in enumerate(value):
+                line = next(body)
+                assert line.startswith("    {")
+                assert line.endswith("}," if k < len(value) - 1 else "}")
+                assert json.loads(line.rstrip(",")) == record
+            assert next(body) == "  ]" + comma
+        else:
+            assert line.startswith(head) and line.endswith(comma)
+            assert json.loads(line[len(head):len(line) - len(comma)]) == value
+    assert next(body, None) is None
+
+
+def savetxt_dataset(path, lines: int, seed: int) -> bytes:
+    """The bytes of a ``make_dataset`` file as ``np.savetxt`` writes it in
+    one call: the oracle the chunked writer must match."""
+    np.savetxt(path, np.random.default_rng(seed).uniform(0.0, 1000.0, lines), fmt="%.6f")
+    return Path(path).read_bytes()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -37,6 +38,8 @@ from fogassign.benchnet import (
     summarize,
 )
 from fogassign.latency import _read_numbers
+
+from conftest import savetxt_dataset
 
 
 @pytest.fixture(scope="module")
@@ -912,10 +915,11 @@ class TestProbe:
         "body, where",
         [
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,abc,e,o,1\n",
-             "line 2: column 'latency_s': cannot read 'abc'"),
+             "line 2: column 'latency_s': time 'abc' must be a finite ASCII decimal number"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
              "0.5,0.1,e,o,1\n0.5,0.1,e,o,x\n",
-             "line 3: column 'timestamp_unix_ms': cannot read 'x'"),
+             "line 3: column 'timestamp_unix_ms': "
+             "timestamp must be ASCII decimal digits (got 'x')"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,0.1,e\n",
              "line 2: column 'option': the row ends before it"),
             ("delta_t_s,latency_s,endpoint,timestamp_unix_ms\n0.5,0.1,e,1\n",
@@ -925,33 +929,41 @@ class TestProbe:
              "line 2: column 'status': the row ends before it"),
             # Gaps and latencies are times: finite and >= 0.
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,-0.1,e,o,1\n",
-             "line 2: column 'latency_s': cannot read '-0.1'"),
+             "line 2: column 'latency_s': time '-0.1' must be finite and >= 0"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,inf,e,o,1\n",
-             "line 2: column 'latency_s': cannot read 'inf'"),
+             "line 2: column 'latency_s': time 'inf' must be a finite ASCII decimal number"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n-2,0.1,e,o,1\n",
-             "line 2: column 'delta_t_s': cannot read '-2'"),
+             "line 2: column 'delta_t_s': time '-2' must be finite and >= 0"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n,0.1,e,o,1\n"
              "Infinity,0.1,e,o,2\n",
-             "line 3: column 'delta_t_s': cannot read 'Infinity'"),
+             "line 3: column 'delta_t_s': time 'Infinity' must be a finite ASCII decimal number"),
             # A timestamp is ASCII digits; a time has no underscore, space
             # or non-ASCII character, all of which int() and float() take.
             *[("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
                f"0.5,0.1,e,o,{cell}\n",
-               f"line 2: column 'timestamp_unix_ms': cannot read {cell!r}")
+               "line 2: column 'timestamp_unix_ms': "
+               f"timestamp must be ASCII decimal digits (got {cell!r})")
               for cell in ("1_0", " 5", "+5", "-3", "\u0665")],
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n1_0,0.1,e,o,1\n",
-             "line 2: column 'delta_t_s': cannot read '1_0'"),
+             "line 2: column 'delta_t_s': time '1_0' must be a finite ASCII decimal number"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5, 5,e,o,1\n",
-             "line 2: column 'latency_s': cannot read ' 5'"),
+             "line 2: column 'latency_s': time ' 5' must be a finite ASCII decimal number"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,\u0665,e,o,1\n",
-             "line 2: column 'latency_s': cannot read '\u0665'"),
+             "line 2: column 'latency_s': time '\u0665' must be a finite ASCII decimal number"),
             # Only an empty cell reads as a missing time; the text nan, in
             # any case or sign, is refused as inf is.
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,,e,o,1\n"
              "0.5,NaN,e,o,2\n",
-             "line 3: column 'latency_s': cannot read 'NaN'"),
+             "line 3: column 'latency_s': time 'NaN' must be a finite ASCII decimal number"),
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n-nan,0.1,e,o,1\n",
-             "line 2: column 'delta_t_s': cannot read '-nan'"),
+             "line 2: column 'delta_t_s': time '-nan' must be a finite ASCII decimal number"),
+            # The parser's own reason follows the column: a value past the
+            # float range is not finite, and a gap of minus one microsecond
+            # is negative.
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n0.5,1e999,e,o,1\n",
+             "line 2: column 'latency_s': time '1e999' must be a finite ASCII decimal number"),
+            ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n-0.000001,0.1,e,o,1\n",
+             "line 2: column 'delta_t_s': time '-0.000001' must be finite and >= 0"),
             # No cell is dropped and no column read twice.
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms,status\n"
              "0.5,0.1,e,o,1,ok\n,0.1,e,o,0,ok,EXTRA,MORE\n",
@@ -966,7 +978,8 @@ class TestProbe:
              "short-row-status", "negative-latency", "infinite-latency", "negative-gap",
              "infinite-gap", "timestamp-underscore", "timestamp-space", "timestamp-plus",
              "timestamp-negative", "timestamp-non-ascii", "gap-underscore", "latency-space",
-             "latency-non-ascii", "nan-latency", "nan-delta", "long-row", "long-row-no-status",
+             "latency-non-ascii", "nan-latency", "nan-delta", "overflow-latency",
+             "tiny-negative-gap", "long-row", "long-row-no-status",
              "column-named-twice"],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, body, where):
@@ -1268,3 +1281,33 @@ def test_make_dataset_deterministic(tmp_path):
     assert a == b
     c = make_dataset(tmp_path / "c.csv", lines=200, seed=6).read_text()
     assert a != c
+
+
+CHUNK = benchnet._DATASET_CHUNK
+
+
+# No lines is an empty file.
+@pytest.mark.parametrize("lines", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 50_000])
+@pytest.mark.parametrize("seed", range(4))
+def test_make_dataset_matches_savetxt(tmp_path, seed, lines):
+    made = make_dataset(tmp_path / "made.csv", lines=lines, seed=seed).read_bytes()
+    assert made.count(b"\n") == lines
+    assert made == savetxt_dataset(tmp_path / "oracle.csv", lines, seed)
+
+
+def test_make_dataset_refuses_negative_lines_before_writing(tmp_path):
+    path = tmp_path / "made.csv"
+    with pytest.raises(ValueError) as info:
+        make_dataset(path, lines=-1)
+    assert str(info.value) == "lines must be >= 0 (got -1)"
+    assert not path.exists()
+
+
+def test_make_dataset_memory_does_not_grow_with_lines(tmp_path):
+    tracemalloc.start()
+    try:
+        make_dataset(tmp_path / "made.csv", lines=300_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the 300,000 doubles alone are 2.4 MB

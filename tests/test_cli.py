@@ -9,10 +9,10 @@ from click.testing import CliRunner
 
 from fogassign.benchnet import MIN_DATASET_LINES, BenchServer, make_dataset
 from fogassign.cli import SOLVERS, _host_port, main
-from fogassign.scenario import bundled_scenario
+from fogassign.scenario import bundled_scenario, load_scenario
 from fogassign.solver import solve_uncapacitated
 
-from conftest import run_cli
+from conftest import assert_one_record_a_line, run_cli, savetxt_dataset
 
 
 @pytest.fixture
@@ -329,7 +329,7 @@ class TestBenchCommands:
         [
             ("delta_t_s,latency_s,endpoint,option,timestamp_unix_ms\n"
              "0.5,0.12,e,o,1700000000000\n0.5,abc,e,o,1700000000500\n",
-             "line 3: column 'latency_s': cannot read 'abc'"),
+             "line 3: column 'latency_s': time 'abc' must be a finite ASCII decimal number"),
             ("delta_t_s,latency_s,endpoint,timestamp_unix_ms\n0.5,0.12,e,1700000000000\n",
              "line 1: missing column 'option'"),
         ],
@@ -481,6 +481,20 @@ def test_scenarios_export_requires_out(runner):
     res = runner.invoke(main, ["scenarios", "--export", "vii_d_base"])
     assert res.exit_code == 1
     assert res.output == "Error: --export requires --out\n"
+
+
+# Both writers as a user runs them: the exported scenario is the bundled one,
+# one record a line, and the dataset is the one np.savetxt wrote.
+def test_export_and_make_dataset_as_processes(tmp_path):
+    scenario, dataset = tmp_path / "X.json", tmp_path / "D.csv"
+    run = run_cli("scenarios", "--export", "vii_d_base", "--out", scenario)
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"wrote {scenario}\n".encode(), b"")
+    bundled = bundled_scenario("vii_d_base")
+    assert load_scenario(scenario).content_hash() == bundled.content_hash()
+    assert_one_record_a_line(scenario, bundled.to_config())
+    run = run_cli("make-dataset", "--out", dataset, "--seed", "3")
+    assert (run.returncode, run.stderr) == (0, b""), run.stderr
+    assert dataset.read_bytes() == savetxt_dataset(tmp_path / "oracle.csv", MIN_DATASET_LINES, 3)
 
 
 def test_serve_requires_valid_dataset(runner, tmp_path):

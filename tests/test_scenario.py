@@ -1,9 +1,11 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,8 @@ from fogassign.scenario import (
 )
 from fogassign.solver import UtilityTable, solve_capacitated, solve_uncapacitated, validate_plan
 from fogassign.utility import Step, TaskSpec
+
+from conftest import assert_one_record_a_line, random_scenario, tie_heavy_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -501,6 +505,77 @@ class TestHash:
         assert capped.content_hash() != base.content_hash()
         with pytest.raises(KeyError):
             base.with_node_capacity("nope", 2)
+
+
+def assert_saves_and_loads_back(scen, path):
+    """``scen.save(path)`` loads back to equal records and hash, one record a line."""
+    scen.save(path)
+    again = load_scenario(path)
+    assert again.to_config() == scen.to_config()
+    assert again.content_hash() == scen.content_hash()
+    assert_one_record_a_line(path, scen.to_config())
+
+
+class TestSave:
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bundled(self, tmp_path, name):
+        assert_saves_and_loads_back(bundled_scenario(name), tmp_path / "saved.json")
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.scenario.json")))
+    def test_golden(self, tmp_path, name):
+        assert_saves_and_loads_back(load_scenario(GOLDEN / name), tmp_path / "saved.json")
+
+    def test_random_scenarios(self, tmp_path):
+        for seed in range(200):
+            assert_saves_and_loads_back(random_scenario(seed), tmp_path / "saved.json")
+
+    def test_tie_heavy_scenarios(self, tmp_path):
+        for seed in range(300):
+            assert_saves_and_loads_back(tie_heavy_scenario(seed), tmp_path / "saved.json")
+
+    # json.dumps escapes every non-ASCII character and every quote,
+    # backslash and control character, in ids and notes alike.
+    def test_non_ascii_and_escaped_text(self, tmp_path):
+        scen = load_scenario(write(tmp_path, MINIMAL))
+        task = replace(scen.tasks[0], id="tâche-µ\u2603")
+        latency = {(task.id, z, x): dist for (_, z, x), dist in scen.latency.items()}
+        scen = replace(scen, name="名前", tasks=[task], latency=latency,
+                       notes='quote " backslash \\ tab \t newline \n end')
+        scen.validate()
+        path = tmp_path / "saved.json"
+        assert_saves_and_loads_back(scen, path)
+        assert path.read_text(encoding="utf-8").isascii()
+        assert load_scenario(path).tasks[0].id == "tâche-µ\u2603"
+
+    def test_empty_latency_section(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["tasks"][0]["intrinsic"] = []
+        cfg["latency"] = []
+        scen = load_scenario(write(tmp_path, cfg))
+        path = tmp_path / "saved.json"
+        assert_saves_and_loads_back(scen, path)
+        assert '\n  "latency": [],\n' in path.read_text(encoding="utf-8")
+
+    # Every line is encoded before the file is opened: a value JSON cannot
+    # encode leaves the file that was there.
+    def test_value_json_cannot_encode_leaves_the_file(self, tmp_path):
+        path = tmp_path / "saved.json"
+        path.write_text("before\n")
+        scen = replace(bundled_scenario("vii_d_base"), seed=np.int64(3))
+        with pytest.raises(TypeError):
+            scen.save(path)
+        assert path.read_text() == "before\n"
+
+    # Files written in any other layout still load, such as the indented
+    # one that earlier versions saved.
+    def test_indented_layout_loads(self, tmp_path):
+        scen = bundled_scenario("vii_d_base")
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(scen.to_config(), indent=2) + "\n", encoding="utf-8")
+        assert load_scenario(path).to_config() == scen.to_config()
+        saved = tmp_path / "saved.json"
+        scen.save(saved)
+        assert saved.stat().st_size < path.stat().st_size
 
 
 def test_solver_requires_uncapacitated(tmp_path):
