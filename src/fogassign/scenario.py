@@ -25,6 +25,12 @@ completion times.
 
 Records are read by ``latency.Fields``, the reader of every JSON input: a
 bad field is a ``ScenarioError`` naming the file, the record and the field.
+
+One generator, ``Scenario._fields``, defines the canonical form: shared
+entries spelled per task, records in a fixed order.  ``to_config`` builds
+it as a dict; ``content_hash`` and ``save`` encode it one record at a
+time, so neither holds the whole dict tree, and the hash never holds the
+whole text.  ``save`` still holds its encoded lines until it writes.
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """A scenario file violated the schema or an invariant."""
+
+
+# The fields of the canonical form that are lists of records.
+_SECTIONS = ("nodes", "tasks", "latency")
+# The encoder of ``json.dumps(..., sort_keys=True, separators=(",", ":"))``,
+# the spelling that ``content_hash`` hashes.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -107,12 +120,19 @@ class Scenario:
         return replace(self, nodes=nodes)
 
     def validate(self) -> None:
-        node_ids = [n.id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
-            raise ScenarioError("duplicate node ids")
-        task_ids = [t.id for t in self.tasks]
-        if len(set(task_ids)) != len(task_ids):
-            raise ScenarioError("duplicate task ids")
+        # The scalar fields as the reader takes them, so that a validated
+        # scenario saves to a file that loads.
+        for key, value in (("name", self.name), ("notes", self.notes)):
+            if not isinstance(value, str):
+                raise ScenarioError(f"{key} must be a string (got {value!r})")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed!r})")
+        for kind, records in (("node", self.nodes), ("task", self.tasks)):
+            seen = set()
+            for r in records:
+                if r.id in seen:
+                    raise ScenarioError(f"duplicate {kind} ids: {r.id!r}")
+                seen.add(r.id)
         offered = {(n.id, x) for n in self.nodes for x in n.options}
         for t in self.tasks:
             for zx in t.intrinsic:
@@ -144,51 +164,68 @@ class Scenario:
 
     # -- canonical form, hashing, serialization -----------------------------
 
-    def canonical(self) -> dict:
-        """Ordering- and representation-independent content of the scenario.
+    def _fields(self):
+        """The canonical form, one top-level field at a time, in file order.
 
-        Notes are documentation and excluded; shared latency entries are
-        expanded to their per-task triples so equivalent spellings hash
-        identically.
+        Yields ``(key, value)``; the value of each of ``_SECTIONS`` is an
+        iterator that builds its records one at a time.  Shared latency
+        entries are expanded to their per-task triples, so equivalent
+        spellings hash identically.  ``notes`` comes last; it is
+        documentation and not hashed.
         """
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "capacity": "inf" if n.capacity is None else n.capacity,
-                    "options": list(n.options),
-                }
-                for n in self.nodes
-            ],
-            "tasks": [
-                {
-                    "id": t.id,
-                    "utility": t.time_utility.to_config(),
-                    "quality_floor": t.quality_floor,
-                    "risk_budget": t.risk_budget,
-                    "intrinsic": [
-                        {"node": z, "option": x, "value": t.intrinsic[(z, x)]}
-                        for (z, x) in sorted(t.intrinsic)
-                    ],
-                }
-                for t in self.tasks
-            ],
-            "latency": [
-                {"task": j, "node": z, "option": x, "dist": self.latency[(j, z, x)].to_config()}
-                for (j, z, x) in sorted(self.latency)
-            ],
-        }
+        yield "name", self.name
+        yield "seed", self.seed
+        yield "nodes", (
+            {
+                "id": n.id,
+                "capacity": "inf" if n.capacity is None else n.capacity,
+                "options": list(n.options),
+            }
+            for n in self.nodes
+        )
+        yield "tasks", (
+            {
+                "id": t.id,
+                "utility": t.time_utility.to_config(),
+                "quality_floor": t.quality_floor,
+                "risk_budget": t.risk_budget,
+                "intrinsic": [
+                    {"node": z, "option": x, "value": t.intrinsic[(z, x)]}
+                    for (z, x) in sorted(t.intrinsic)
+                ],
+            }
+            for t in self.tasks
+        )
+        yield "latency", (
+            {"task": j, "node": z, "option": x, "dist": self.latency[(j, z, x)].to_config()}
+            for (j, z, x) in sorted(self.latency)
+        )
+        yield "notes", self.notes
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """SHA-256 of the canonical form without notes, spelled as
+        ``json.dumps(form, sort_keys=True, separators=(",", ":"))`` spells
+        it, but fed to the hash one record at a time, so that neither the
+        form nor its text is ever whole."""
+        fields = dict(self._fields())
+        del fields["notes"]
+        digest = hashlib.sha256()
+        for i, key in enumerate(sorted(fields)):
+            digest.update(f"{',' if i else '{'}{_COMPACT.encode(key)}:".encode())
+            if key in _SECTIONS:
+                sep = b"["
+                for record in fields[key]:
+                    digest.update(sep + _COMPACT.encode(record).encode())
+                    sep = b","
+                digest.update(b"[]" if sep == b"[" else b"]")
+            else:
+                digest.update(_COMPACT.encode(fields[key]).encode())
+        digest.update(b"}")
+        return digest.hexdigest()
 
     def to_config(self) -> dict:
-        cfg = self.canonical()
-        cfg["notes"] = self.notes
-        return cfg
+        """The canonical form with notes, as one dict: the records ``save`` writes."""
+        return {key: list(value) if key in _SECTIONS else value for key, value in self._fields()}
 
     def save(self, path) -> None:
         """Write ``to_config()`` as JSON, one record per line.
@@ -200,16 +237,18 @@ class Scenario:
         equal records and the same ``content_hash``; a reader takes any JSON
         layout.  Each line is encoded by the C encoder (``json.dumps(...,
         indent=...)`` would use the pure-Python one, at two to four times
-        the cost), and all of them before the file is opened, so a value
-        JSON cannot encode leaves an existing file as it was.
+        the cost) as its record is built, and all of them before the file is
+        opened, so a value JSON cannot encode leaves an existing file as it
+        was.
         """
         parts = []
-        for i, (key, value) in enumerate(self.to_config().items()):
+        for i, (key, value) in enumerate(self._fields()):
             parts.append(f"{',' if i else '{'}\n  {json.dumps(key)}: ")
-            if isinstance(value, list) and value:
+            if key in _SECTIONS:
+                start = len(parts)
                 parts.extend(f"{',' if k else '['}\n    {json.dumps(record)}"
                              for k, record in enumerate(value))
-                parts.append("\n  ]")
+                parts.append("\n  ]" if len(parts) > start else "[]")
             else:
                 parts.append(json.dumps(value))
         parts.append("\n}\n")

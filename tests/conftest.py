@@ -77,8 +77,10 @@ def rng():
     return make_rng(20260810)
 
 
-def _random_dist(rng) -> object:
-    kind = rng.integers(0, 5)
+def _random_dist(rng, kind=None) -> object:
+    """One latency model of ``kind`` (0-4), drawn from ``rng`` if not given."""
+    if kind is None:
+        kind = rng.integers(0, 5)
     if kind == 0:
         lo = float(rng.uniform(0.0, 1.0))
         return Uniform(lo=lo, hi=lo + float(rng.uniform(0.05, 1.0)))
@@ -100,8 +102,10 @@ def _random_dist(rng) -> object:
     )
 
 
-def _random_time_utility(rng) -> object:
-    kind = rng.integers(0, 3)
+def _random_time_utility(rng, kind=None) -> object:
+    """One time-utility model of ``kind`` (0-2), drawn from ``rng`` if not given."""
+    if kind is None:
+        kind = rng.integers(0, 3)
     if kind == 0:
         return Step(tv=float(rng.uniform(0.1, 1.5)))
     if kind == 1:
@@ -150,6 +154,39 @@ def random_scenario(seed: int) -> Scenario:
     scen = Scenario(
         name=f"random-{seed}", tasks=tasks, nodes=nodes, latency=latency, seed=seed
     )
+    scen.validate()
+    return scen
+
+
+def plan_scenario(seed: int, n_tasks: int, capacity: int) -> Scenario:
+    """The scenario of the ``plan`` benchmark workload, drawn as
+    ``perfbench/workloads.py`` draws it: that module needs scipy, and this
+    suite runs without it.
+
+    4 nodes, the first two capacitated; each task is offered each pair with
+    probability 0.8 and gets its own latency model per pair, the five
+    latency kinds and the three time-utility families in fixed proportions.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [NodeSpec(id=f"z{z}", options=tuple(f"x{i}" for i in range(1 + z % 2)),
+                      capacity=capacity if z < 2 else None) for z in range(4)]
+    families = rng.permutation(np.arange(n_tasks) % 3)
+    binding = rng.permutation(n_tasks) < round(0.3 * n_tasks)
+    tasks = []
+    for j in range(n_tasks):
+        intrinsic = {(node.id, x): float(rng.uniform(0.05, 1.0))
+                     for node in nodes for x in node.options if rng.random() < 0.8}
+        tasks.append(TaskSpec(
+            id=f"j{j:04d}",
+            time_utility=_random_time_utility(rng, families[j]),
+            intrinsic=intrinsic,
+            quality_floor=float(rng.uniform(0.1, 0.8)) if binding[j] else 0.0,
+            risk_budget=float(rng.uniform(0.2, 0.9)) if binding[j] else 1.0,
+        ))
+    triples = [(t.id, z, x) for t in tasks for (z, x) in t.intrinsic]
+    kinds = rng.permutation(np.arange(len(triples)) % 5)
+    latency = {key: _random_dist(rng, kind) for key, kind in zip(triples, kinds)}
+    scen = Scenario(name=f"plan-{seed}", tasks=tasks, nodes=nodes, latency=latency, seed=seed)
     scen.validate()
     return scen
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from importlib import resources
@@ -23,7 +25,7 @@ from fogassign.scenario import (
 from fogassign.solver import UtilityTable, solve_capacitated, solve_uncapacitated, validate_plan
 from fogassign.utility import Step, TaskSpec
 
-from conftest import assert_one_record_a_line, random_scenario, tie_heavy_scenario
+from conftest import assert_one_record_a_line, plan_scenario, random_scenario, tie_heavy_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -365,11 +367,13 @@ class TestValidation:
     def test_duplicate_ids(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["nodes"].append(cfg["nodes"][0])
-        with pytest.raises(ScenarioError, match="duplicate node"):
-            load_scenario(write(tmp_path, cfg))
+        path = write(tmp_path, cfg)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: duplicate node ids: 'a'"
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda cfg: cfg["tasks"].append(cfg["tasks"][0]), "duplicate task ids"),
+        (lambda cfg: cfg["tasks"].append(cfg["tasks"][0]), "duplicate task ids: 't1'"),
         (lambda cfg: cfg["latency"].append(
             {"task": "ghost", "node": "a", "option": "x", "dist": {"kind": "degenerate", "value": 0.2}}),
          "latency entry references unknown task 'ghost'"),
@@ -497,6 +501,16 @@ class TestHash:
         b = load_scenario(write(tmp_path, changed, "b.json"))
         assert a.content_hash() != b.content_hash()
 
+    def test_memory_does_not_grow_with_tasks(self):
+        scen = plan_scenario(1, 1000, 40)
+        tracemalloc.start()
+        try:
+            scen.content_hash()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the whole canonical form and its text peak near 8.6 MB
+
     def test_capacity_override(self):
         base = bundled_scenario("vii_d_base")
         capped = base.with_node_capacity("gateway", 2)
@@ -507,11 +521,66 @@ class TestHash:
             base.with_node_capacity("nope", 2)
 
 
+# The canonical form as one dict tree, its hash as one JSON text, and the
+# writer over that tree: the references that ``content_hash`` and ``save``,
+# which build the form one record at a time, must equal byte for byte.
+def reference_config(scen) -> dict:
+    return {
+        "name": scen.name,
+        "seed": scen.seed,
+        "nodes": [
+            {"id": n.id, "capacity": "inf" if n.capacity is None else n.capacity,
+             "options": list(n.options)}
+            for n in scen.nodes
+        ],
+        "tasks": [
+            {
+                "id": t.id,
+                "utility": t.time_utility.to_config(),
+                "quality_floor": t.quality_floor,
+                "risk_budget": t.risk_budget,
+                "intrinsic": [{"node": z, "option": x, "value": t.intrinsic[(z, x)]}
+                              for (z, x) in sorted(t.intrinsic)],
+            }
+            for t in scen.tasks
+        ],
+        "latency": [
+            {"task": j, "node": z, "option": x, "dist": scen.latency[(j, z, x)].to_config()}
+            for (j, z, x) in sorted(scen.latency)
+        ],
+        "notes": scen.notes,
+    }
+
+
+def reference_hash(scen) -> str:
+    canonical = reference_config(scen)
+    del canonical["notes"]
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def reference_file(scen) -> bytes:
+    parts = []
+    for i, (key, value) in enumerate(reference_config(scen).items()):
+        parts.append(f"{',' if i else '{'}\n  {json.dumps(key)}: ")
+        if isinstance(value, list) and value:
+            parts.extend(f"{',' if k else '['}\n    {json.dumps(record)}"
+                         for k, record in enumerate(value))
+            parts.append("\n  ]")
+        else:
+            parts.append(json.dumps(value))
+    parts.append("\n}\n")
+    return "".join(parts).encode("utf-8")
+
+
 def assert_saves_and_loads_back(scen, path):
-    """``scen.save(path)`` loads back to equal records and hash, one record a line."""
+    """``scen.save(path)`` writes the reference file, which loads back to
+    equal records and hash, one record a line; the hash is the reference's."""
     scen.save(path)
+    assert path.read_bytes() == reference_file(scen)
+    assert scen.content_hash() == reference_hash(scen)
     again = load_scenario(path)
-    assert again.to_config() == scen.to_config()
+    assert again.to_config() == scen.to_config() == reference_config(scen)
     assert again.content_hash() == scen.content_hash()
     assert_one_record_a_line(path, scen.to_config())
 
@@ -532,6 +601,10 @@ class TestSave:
     def test_tie_heavy_scenarios(self, tmp_path):
         for seed in range(300):
             assert_saves_and_loads_back(tie_heavy_scenario(seed), tmp_path / "saved.json")
+
+    def test_plan_scenarios(self, tmp_path):
+        for seed in (1, 2, 3):
+            assert_saves_and_loads_back(plan_scenario(seed, 1000, 40), tmp_path / "saved.json")
 
     # json.dumps escapes every non-ASCII character and every quote,
     # backslash and control character, in ids and notes alike.
@@ -602,6 +675,15 @@ def test_programmatic_scenario_validation():
         scen.validate()
     assert str(info.value) == (
         "latency entry for task 't' references pair ('z', 'y'), which the task is not offered")
+    # A scalar field the reader would refuse in the saved file.
+    base = bundled_scenario("vii_d_base")
+    for key, value in [("seed", -1), ("seed", True), ("seed", np.int64(3)), ("seed", 3.0),
+                       ("seed", "3"), ("name", 5), ("name", None), ("notes", b"bytes")]:
+        scen = replace(base, **{key: value})
+        kind = "an integer >= 0" if key == "seed" else "a string"
+        with pytest.raises(ScenarioError) as info:
+            scen.validate()
+        assert str(info.value) == f"{key} must be {kind} (got {value!r})"
 
 
 # -- every scenario that loads can be planned --------------------------------
@@ -619,48 +701,56 @@ _FRACTIONS = _mostly(st.floats(0.0, 1.0))
 
 
 @st.composite
-def _weights(draw, k):
-    raw = draw(st.lists(_VALUES, min_size=k, max_size=k))
+def _weights(draw, k, values=_VALUES):
+    raw = draw(st.lists(values, min_size=k, max_size=k))
     total = sum(raw)
     return [w / total for w in raw] if total > 0 else raw
 
 
 @st.composite
-def _simple_dist(draw):
+def _simple_dist(draw, values=_VALUES):
     # Upper parameters are offsets from the lower ones, so that most draws
     # are ordered and in support; a special offset (-1, NaN, ...) is not.
     kind = draw(st.sampled_from(["gev", "uniform", "degenerate", "empirical"]))
     if kind == "gev":
-        shape, scale = draw(_VALUES), draw(_VALUES)
+        shape, scale = draw(values), draw(values)
         return {"kind": kind, "shape": shape, "scale": scale,
-                "loc": scale / shape + draw(_VALUES) if shape else draw(_VALUES)}
+                "loc": scale / shape + draw(values) if shape else draw(values)}
     if kind == "uniform":
-        lo = draw(_VALUES)
-        return {"kind": kind, "lo": lo, "hi": lo + draw(_VALUES)}
+        lo = draw(values)
+        return {"kind": kind, "lo": lo, "hi": lo + draw(values)}
     if kind == "degenerate":
-        return {"kind": kind, "value": draw(_VALUES)}
-    return {"kind": kind, "samples": draw(st.lists(_VALUES, min_size=1, max_size=5))}
+        return {"kind": kind, "value": draw(values)}
+    return {"kind": kind, "samples": draw(st.lists(values, min_size=1, max_size=5))}
 
 
-_DISTS = st.one_of(
-    _simple_dist(),
-    st.integers(1, 3).flatmap(
-        lambda k: st.fixed_dictionaries(
-            {
-                "kind": st.just("mixture"),
-                "components": st.lists(_simple_dist(), min_size=k, max_size=k),
-                "weights": _weights(k),
-            }
-        )
-    ),
-)
-_UTILITIES = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("step"), "tv": _VALUES}),
-    st.fixed_dictionaries({"kind": st.just("exp"), "k": _VALUES}),
-    _VALUES.flatmap(
-        lambda te: _VALUES.map(lambda dt: {"kind": "wrf", "te": te, "ts": te + dt})
-    ),
-)
+def _dists(values):
+    """Latency model configs of every kind, parameters drawn from ``values``."""
+    return st.one_of(
+        _simple_dist(values),
+        st.integers(1, 3).flatmap(
+            lambda k: st.fixed_dictionaries(
+                {
+                    "kind": st.just("mixture"),
+                    "components": st.lists(_simple_dist(values), min_size=k, max_size=k),
+                    "weights": _weights(k, values),
+                }
+            )
+        ),
+    )
+
+
+def _utilities(values):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("step"), "tv": values}),
+        st.fixed_dictionaries({"kind": st.just("exp"), "k": values}),
+        values.flatmap(
+            lambda te: values.map(lambda dt: {"kind": "wrf", "te": te, "ts": te + dt})
+        ),
+    )
+
+
+_DISTS, _UTILITIES = _dists(_VALUES), _utilities(_VALUES)
 
 
 @st.composite
@@ -708,3 +798,49 @@ def test_loaded_scenarios_plan_cleanly(cfg):
             u = float(table.utility[i, table.columns.index((z, x))])
             assert math.isfinite(u) and 0.0 <= u <= 1.0, (t.id, z, x, u)
     assert validate_plan(scen, solve_capacitated(scen)) == []
+
+
+# -- the hash and the file equal the one-shot references ---------------------
+
+# Ids and text of any Unicode character: non-ASCII, quotes, backslashes and
+# control characters, which JSON escapes.
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=4)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Scenario configs that load: text ids and notes, shared and per-task
+    latency entries of every kind, and sections that may be empty."""
+    values, fractions = st.floats(1e-3, 1e3), st.floats(0.0, 1.0)
+    dists = _dists(values)
+    nodes = [
+        {"id": z, "capacity": draw(st.sampled_from(["inf", 1, 2])),
+         "options": draw(st.lists(_TEXT, min_size=1, max_size=2, unique=True))}
+        for z in draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True))
+    ]
+    pairs = [(n["id"], x) for n in nodes for x in n["options"]]
+    shared = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    latency = [{"node": z, "option": x, "dist": draw(dists)} for z, x in shared]
+    tasks = []
+    for j in draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True)):
+        offered = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        tasks.append({
+            "id": j,
+            "utility": draw(_utilities(values)),
+            "quality_floor": draw(fractions),
+            "risk_budget": draw(fractions),
+            "intrinsic": [{"node": z, "option": x, "value": draw(fractions)} for z, x in offered],
+        })
+        # A pair without a shared entry needs one for the task; a pair with
+        # one may override it.
+        latency += [{"task": j, "node": z, "option": x, "dist": draw(dists)}
+                    for z, x in offered if (z, x) not in shared or draw(st.booleans())]
+    return {"name": draw(_TEXT), "seed": draw(st.integers(0, 2**64)), "notes": draw(_TEXT),
+            "nodes": nodes, "tasks": tasks, "latency": latency}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_valid_configs())
+def test_hash_and_file_equal_the_one_shot_references(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "property.scenario.json"
+    assert_saves_and_loads_back(scenario_from_config(cfg), path)
