@@ -28,10 +28,22 @@ scoring runs one by one.  Scores collect in a ``_RQ_SOLVE``-run array
 that ``solver.solve_batch`` solves at once: its array stages run on all
 those runs, and one slot-DP sweep solves the constrained slots of all of
 them, over the tasks left in any run.
+
+The ``_RQ_SOLVE``-run chunks are drawn and scored on one worker thread
+per usable CPU (at most one per chunk).  Each chunk draws from its own
+copy of the experiment's PCG64 state, advanced past the draws of the runs
+before it (``_rq_stream``), so it sees exactly the uniforms the serial
+stream gave it, and the output does not depend on the worker count.  The
+main thread solves the chunks' score arrays in run order as they arrive,
+while the workers draw the next ones; the workers' numpy calls are long
+and release the GIL.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +69,21 @@ RQ_RUNS = 10_000
 RQ_SAMPLES_PER_ESTIMATE = 400
 RQ_GATEWAY_CAPACITY = 3
 # Runs drawn and scored per generator call.  Their (8, 8010) uniforms and
-# their (10, 8, 2, 400) time-utility block take 0.51 MB each and are reused
-# for every block: fresh buffers per block page-fault.  Median time of
-# random_quality by batch size (2 vCPUs, medians of 7, two runs each):
-# 4 runs 0.454 s, 8 runs 0.400-0.403 s, 16 runs 0.404-0.405 s, 32 runs
-# 0.418-0.420 s, 64 runs 0.483-0.497 s; larger blocks also raise peak
-# memory.
+# their (10, 8, 2, 400) time-utility block take 0.51 MB each, one pair per
+# worker, reused for every block: fresh buffers page-fault, and even one
+# pair per chunk made random_quality about 5% slower.
+# Median time of random_quality by batch size on two workers (2 vCPUs,
+# medians of 9 interleaved in one process, two processes) and its rise of
+# peak RSS (three processes each): 4 runs 0.70-0.75 s, +5.4-5.7 MB; 8 runs
+# 0.49-0.53 s, +7.0-7.1 MB; 16 runs 0.45-0.51 s, +9.6-9.9 MB; 32 runs
+# 0.44-0.46 s, +14.3-15.3 MB.  One worker took 0.70 s and +5.1-5.2 MB
+# with 8 runs, and the serial loop it replaced +3.0 MB.  Smaller blocks
+# make numpy calls too short to leave the GIL for long; 16 runs would lift
+# the reproduce benchmark's peak RSS more than 5% above the serial loop's.
 _RQ_BATCH = 8
-# Runs per solve_batch call: a (512, 10, 2) score array of 80 KB.
+# Runs per solve_batch call and per worker task: a (512, 10, 2) score
+# array of 80 KB.  Chunks of 256 and 1,024 runs timed the same within noise
+# (0.49-0.54 s and 0.48-0.51 s, as above).
 _RQ_SOLVE = 512
 
 # In-flight demo: cloud latency quantile summaries (median, p10, p90) for
@@ -190,11 +209,32 @@ def _rq_scores(utilities, a2, t):
     return 0.6 * m[:, :, 0].T, a2 * m[:, :, 1].T
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rq_stream(bits: np.random.BitGenerator, start: int, n: int, k: int) -> np.random.Generator:
+    """The stream of ``bits`` from run ``start`` on, over a copy of ``bits``.
+
+    A run of ``n`` tasks and ``k`` samples draws ``n + 2 * k * n`` doubles
+    (``_rq_draw``), one 64-bit output each, so the copy is advanced past
+    ``start`` times that many outputs; PCG64 jumps there in O(log) steps.
+    """
+    return np.random.Generator(copy.deepcopy(bits).advance(start * (n + 2 * k * n)))
+
+
 def _random_quality() -> ExperimentReport:
+    # Imported here, as only this experiment runs workers: about 10 ms that
+    # importing the package and the CLI does not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     rep = ExperimentReport("random_quality")
     base = bundled_scenario("vii_d_base")
     scen = base.with_node_capacity("gateway", RQ_GATEWAY_CAPACITY)
-    rng = make_rng(scen.seed)
+    bits = make_rng(scen.seed).bit_generator
     k = RQ_SAMPLES_PER_ESTIMATE
     dists = (scen.dist("t01", "gateway", "o1"), scen.dist("t01", "cloud", "o1"))
     tasks = scen.tasks
@@ -202,18 +242,33 @@ def _random_quality() -> ExperimentReport:
     utilities = Columns(t.time_utility for t in tasks)
     columns = UtilityTable(scen).columns
     gw, cl = columns.index(("gateway", "o1")), columns.index(("cloud", "o1"))
-    on_gateway = np.zeros(n, dtype=int)
-    utility = np.zeros((_RQ_SOLVE, n, len(columns)))
-    u = np.empty((_RQ_BATCH, n + 2 * k * n))
-    block = np.empty(n * _RQ_BATCH * 2 * k)  # a partial block views its head
-    for start in range(0, RQ_RUNS, _RQ_SOLVE):
+    buffers = threading.local()
+
+    def allocate():
+        buffers.u = np.empty((_RQ_BATCH, n + 2 * k * n))
+        buffers.block = np.empty(n * _RQ_BATCH * 2 * k)  # a partial block views its head
+
+    def score(start, rng):
+        """The score array of the ``_RQ_SOLVE`` runs from run ``start``.
+
+        It runs on a worker thread, so it calls nothing that perfbench's
+        tracer hooks: the tracer keeps one span stack for all threads.
+        """
         runs = min(_RQ_SOLVE, RQ_RUNS - start)
+        utility = np.zeros((runs, n, len(columns)))
         for r in range(0, runs, _RQ_BATCH):
             b = min(_RQ_BATCH, runs - r)
-            t = block[:n * b * 2 * k].reshape(n, b, 2, k)
-            a2 = _rq_draw(rng, dists, u[:b], t)
+            t = buffers.block[:n * b * 2 * k].reshape(n, b, 2, k)
+            a2 = _rq_draw(rng, dists, buffers.u[:b], t)
             utility[r:r + b, :, gw], utility[r:r + b, :, cl] = _rq_scores(utilities, a2, t)
-        on_gateway += (solve_batch(scen, utility[:runs]) == gw).sum(axis=0)
+        return utility
+
+    starts = range(0, RQ_RUNS, _RQ_SOLVE)
+    rngs = [_rq_stream(bits, start, n, k) for start in starts]
+    on_gateway = np.zeros(n, dtype=int)
+    with ThreadPoolExecutor(min(_usable_cpus(), len(starts)), initializer=allocate) as ex:
+        for utility in ex.map(score, starts, rngs):  # in run order, as each chunk is scored
+            on_gateway += (solve_batch(scen, utility) == gw).sum(axis=0)
     counts = dict(zip((t.id for t in tasks), on_gateway.tolist()))
     for tid, (paper, tol) in RQ_FREQS.items():
         got = 100.0 * counts[tid] / RQ_RUNS

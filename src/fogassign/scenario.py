@@ -80,8 +80,12 @@ class NodeSpec:
         for i, x in enumerate(self.options):
             if x in self.options[:i]:
                 raise ScenarioError(f"node {self.id}: option {x!r} listed twice")
-        if self.capacity is not None and self.capacity < 1:
-            raise ScenarioError(f"node {self.id}: finite capacity must be >= 1")
+        cap = self.capacity
+        # A capacity as the reader returns it, so that a saved scenario loads.
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise ScenarioError(
+                f"node {self.id!r}: capacity must be 'inf' or an integer >= 1 (got {cap!r})"
+            )
 
     @property
     def infinite(self) -> bool:
@@ -129,7 +133,9 @@ class Scenario:
             raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed!r})")
         for kind, records in (("node", self.nodes), ("task", self.tasks)):
             seen = set()
-            for r in records:
+            for i, r in enumerate(records):
+                if not isinstance(r.id, str):
+                    raise ScenarioError(f"{kind}s[{i}]: id must be a string (got {r.id!r})")
                 if r.id in seen:
                     raise ScenarioError(f"duplicate {kind} ids: {r.id!r}")
                 seen.add(r.id)

@@ -5,6 +5,10 @@ scipy is a test dependency only: the package's one root finder,
 scipy import it where they use it.  These checks run in a fresh interpreter
 whose imports of ``scipy`` and every ``scipy.*`` module raise, since this
 test process has long since loaded scipy.
+
+Importing the package and its CLI loads no thread pool and starts no
+thread either: ``concurrent.futures`` is imported by the one experiment
+that runs workers, when it runs.
 """
 
 import json
@@ -39,7 +43,11 @@ else:
 """
 
 COLD_START = BLOCK_SCIPY + """
+import threading
+
 import fogassign, fogassign.cli
+cold = {"concurrent.futures": "concurrent.futures" in sys.modules,
+        "threads": threading.active_count()}
 from click.testing import CliRunner
 
 scen = sys.argv[1]
@@ -62,7 +70,7 @@ from fogassign.latency import Gev, gev_from_quantiles
 error_curve(Gev(shape=0.3, scale=1e-3, loc=5e-3), (10, 1000), 5, 1)
 fit = gev_from_quantiles(0.34, 0.31, 0.41).to_config()
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"exit_codes": exit_codes, "loaded": loaded, "fit": fit}))
+print(json.dumps({"cold": cold, "exit_codes": exit_codes, "loaded": loaded, "fit": fit}))
 """
 
 
@@ -80,6 +88,8 @@ def test_cli_commands_never_load_scipy(tmp_path):
     proc = _without_scipy(COLD_START, str(tmp_path / "base.json"))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
+    # Only random_quality starts threads, and it imports their pool itself.
+    assert out["cold"] == {"concurrent.futures": False, "threads": 1}
     assert out["exit_codes"] == {
         "scenarios": 0, "solve": 0, "simulate": 0, "baseline": 0, "fit-gev": 0, "reproduce": 0,
     }

@@ -7,18 +7,32 @@ per-run loops they replaced, kept verbatim; the blocks must give the
 same floats, compared with ``==``, and leave the generator in the same
 state, for full blocks and for partial ones such as the experiment's
 last block when its run count is not a multiple of ``_RQ_BATCH``.
+
+Each ``_RQ_SOLVE``-run chunk draws from its own jumped copy of the
+experiment's generator (``_rq_stream``), on as many worker threads as
+there are usable CPUs; every chunk must see the uniforms the serial stream
+gives it, so the experiment's output does not depend on the worker count.
 """
+
+import re
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fogassign import reproduce
 from fogassign.latency import Columns, Gev, make_rng
 from fogassign.reproduce import (
     RQ_GATEWAY_CAPACITY,
+    RQ_RUNS,
     RQ_SAMPLES_PER_ESTIMATE,
     _RQ_BATCH,
+    _RQ_SOLVE,
     _rq_draw,
     _rq_scores,
+    _rq_stream,
 )
 from fogassign.scenario import bundled_scenario
 from fogassign.utility import ExpDecay, Step, TaskSpec, UtilityReport
@@ -89,3 +103,56 @@ def test_block_draw_keeps_the_random_stream(runs, cloud):
     assert np.array_equal(a2, want_a2)
     assert np.array_equal(t, want_t)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+LAST_CHUNK = RQ_RUNS - RQ_RUNS % _RQ_SOLVE  # 272 runs
+
+
+@pytest.mark.parametrize("start", [0, _RQ_SOLVE, LAST_CHUNK], ids=["first", "second", "last"])
+def test_jumped_stream_continues_the_serial_one(start):
+    scen = bundled_scenario("vii_d_base")
+    k, n = RQ_SAMPLES_PER_ESTIMATE, len(scen.tasks)
+    dists = (scen.dist("t01", "gateway", "o1"), scen.dist("t01", "cloud", "o1"))
+    serial = make_rng(scen.seed)
+    skip = np.empty((64, n + 2 * k * n))
+    for r in range(0, start, len(skip)):  # the runs before ``start``, drawn in pieces
+        serial.random(out=skip[:min(len(skip), start - r)])
+    jumped = _rq_stream(make_rng(scen.seed).bit_generator, start, n, k)
+    u = np.empty((_RQ_BATCH, n + 2 * k * n))
+    for b in (_RQ_BATCH, 3):  # a full block, then a partial one
+        want_t, got_t = np.empty((2, n, b, 2, k))
+        want_a2 = _rq_draw(serial, dists, u[:b], want_t)
+        got_a2 = _rq_draw(jumped, dists, u[:b], got_t)
+        assert np.array_equal(got_a2, want_a2)
+        assert np.array_equal(got_t, want_t)
+    assert jumped.bit_generator.state == serial.bit_generator.state
+
+
+def _golden_frequencies() -> list[float]:
+    golden = Path(__file__).parent / "golden" / "reproduce.stdout"
+    found = re.findall(r"gateway frequency of t0\d \(%\): reference=\S+ computed=(\S+) ",
+                       golden.read_text(encoding="utf-8"))
+    assert len(found) == 3
+    return [float(x) for x in found]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_any_worker_count_gives_the_golden_frequencies(monkeypatch, workers):
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: workers)
+    alive = []
+
+    def solve_batch(*args):
+        alive.append(threading.active_count())
+        return solve(*args)
+
+    solve = reproduce.solve_batch
+    monkeypatch.setattr(reproduce, "solve_batch", solve_batch)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race between workers shows
+    try:
+        rep = reproduce.run_experiment("random_quality")
+    finally:
+        sys.setswitchinterval(interval)
+    assert [c.computed for c in rep.checks] == _golden_frequencies()
+    assert len(alive) == -(-RQ_RUNS // _RQ_SOLVE) and max(alive) == threads + workers
+    assert threading.active_count() == threads

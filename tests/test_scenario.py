@@ -659,7 +659,7 @@ def test_solver_requires_uncapacitated(tmp_path):
         solve_uncapacitated(scen)
 
 
-def test_programmatic_scenario_validation():
+def test_programmatic_scenario_validation(tmp_path):
     task = TaskSpec(id="t", time_utility=Step(0.5), intrinsic={("z", "x"): 0.5})
     with pytest.raises(ScenarioError, match="no latency model"):
         Scenario(
@@ -684,6 +684,31 @@ def test_programmatic_scenario_validation():
         with pytest.raises(ScenarioError) as info:
             scen.validate()
         assert str(info.value) == f"{key} must be {kind} (got {value!r})"
+    # A capacity the reader would refuse, refused as the reader words it.
+    path = tmp_path / "capped.json"
+    assert base.nodes[0].id == "gateway"
+    # The reader takes 2.0 as 2, and JSON cannot hold a numpy integer.
+    for cap, in_file in [(True, True), (False, True), (0, True), (-1, True), (2.5, True),
+                         ("2", True), (2.0, False), (np.int64(2), False)]:
+        with pytest.raises(ScenarioError) as info:
+            base.with_node_capacity("gateway", cap)
+        assert str(info.value) == (
+            f"node 'gateway': capacity must be 'inf' or an integer >= 1 (got {cap!r})")
+        if in_file:
+            cfg = base.to_config()
+            cfg["nodes"][0]["capacity"] = cap
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            with pytest.raises(ScenarioError) as read:
+                load_scenario(path)
+            assert str(read.value) == f"{path}: {info.value}"
+    # An id that is not a string, which save and content_hash cannot encode.
+    for kind in ["tasks", "nodes"]:
+        records = list(getattr(base, kind))
+        records[1] = replace(records[1], id=7)
+        scen = replace(base, **{kind: records})
+        with pytest.raises(ScenarioError) as info:
+            scen.validate()
+        assert str(info.value) == f"{kind}[1]: id must be a string (got 7)"
 
 
 # -- every scenario that loads can be planned --------------------------------
